@@ -111,7 +111,7 @@ pub fn simulate_traced(
                             &coll,
                             2 * elems,
                             overhead,
-                            format!("allreduce[{bi}]"),
+                            TaskLabel::indexed("allreduce", bi),
                             chunk,
                         )?;
                         iter_end.push(ar);

@@ -135,7 +135,7 @@ pub fn simulate_traced(
                                 ctx.d2h,
                                 cast.one_way_time(chip, shard(elems)) + overhead,
                             )
-                            .with_label(format!("grad-out[{bi}]"))
+                            .with_indexed_label("grad-out", bi)
                             .after(chunk),
                         )?;
                         arrivals.push((bi, xfer));
@@ -172,13 +172,13 @@ pub fn simulate_traced(
                         ctx.h2d,
                         chip.c2c.transfer_time(gpu_elems * OPT_STATE_BYTES) + overhead,
                     )
-                    .with_label(format!("opt-fetch[{bi}]"))
+                    .with_indexed_label("opt-fetch", bi)
                     .tagged(TaskTag::Eviction)
                     .after(norm_sync),
                 )?;
                 let step = ctx.sim.add_task(
                     TaskSpec::compute(ctx.gpu, gpu_optimizer_time(&chip.gpu, gpu_elems) + overhead)
-                        .with_label(format!("step-gpu[{bi}]"))
+                        .with_indexed_label("step-gpu", bi)
                         .tagged(TaskTag::OptimizerStep)
                         .after(fetch),
                 )?;
@@ -187,7 +187,7 @@ pub fn simulate_traced(
                         ctx.d2h,
                         chip.c2c.transfer_time(gpu_elems * OPT_STATE_BYTES) + overhead,
                     )
-                    .with_label(format!("opt-writeback[{bi}]"))
+                    .with_indexed_label("opt-writeback", bi)
                     .tagged(TaskTag::Eviction)
                     .after(step),
                 )?;
@@ -199,13 +199,13 @@ pub fn simulate_traced(
                         ctx.cpu,
                         pipeline_step_time(OptimizerImpl::CpuAdam, &chip.cpu, cpu_elems) + overhead,
                     )
-                    .with_label(format!("step-cpu[{bi}]"))
+                    .with_indexed_label("step-cpu", bi)
                     .tagged(TaskTag::OptimizerStep)
                     .after(norm_sync),
                 )?;
                 let ret = ctx.sim.add_task(
                     TaskSpec::transfer(ctx.h2d, cast.one_way_time(chip, cpu_elems) + overhead)
-                        .with_label(format!("param-in[{bi}]"))
+                        .with_indexed_label("param-in", bi)
                         .after(step),
                 )?;
                 iter_end.push(ret);

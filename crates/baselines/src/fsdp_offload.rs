@@ -99,13 +99,13 @@ pub fn simulate_traced(
                         ctx.h2d,
                         chip.c2c.transfer_time_pageable(2 * unit_params) + overhead,
                     )
-                    .with_label(format!("unit-fetch-fwd[{l}]"))
+                    .with_indexed_label("unit-fetch-fwd", l)
                     .tagged(TaskTag::Eviction)
                     .after_all(chain),
                 )?;
                 let fwd = ctx.sim.add_task(
                     TaskSpec::compute(ctx.gpu, compute.fwd_per_micro / layers as f64 + overhead)
-                        .with_label(format!("unit-fwd[{l}]"))
+                        .with_indexed_label("unit-fwd", l)
                         .after(fetch),
                 )?;
                 chain = Some(fwd);
@@ -116,13 +116,13 @@ pub fn simulate_traced(
                         ctx.h2d,
                         chip.c2c.transfer_time_pageable(2 * unit_params) + overhead,
                     )
-                    .with_label(format!("unit-fetch-bwd[{l}]"))
+                    .with_indexed_label("unit-fetch-bwd", l)
                     .tagged(TaskTag::Eviction)
                     .after_all(chain),
                 )?;
                 let bwd = ctx.sim.add_task(
                     TaskSpec::compute(ctx.gpu, compute.bwd_per_micro / layers as f64 + overhead)
-                        .with_label(format!("unit-bwd[{l}]"))
+                        .with_indexed_label("unit-bwd", l)
                         .after(fetch),
                 )?;
                 let mut dep = bwd;
@@ -131,7 +131,7 @@ pub fn simulate_traced(
                         &coll,
                         2 * unit_params,
                         overhead,
-                        format!("unit-reduce[{l}]"),
+                        TaskLabel::indexed("unit-reduce", l),
                         bwd,
                     )?;
                 }
@@ -140,7 +140,7 @@ pub fn simulate_traced(
                         ctx.d2h,
                         cast.one_way_time(chip, shard(unit_params)) + overhead,
                     )
-                    .with_label(format!("unit-grad-out[{l}]"))
+                    .with_indexed_label("unit-grad-out", l)
                     .after(dep),
                 )?;
                 chain = Some(out);
@@ -155,7 +155,7 @@ pub fn simulate_traced(
                     OptimizerImpl::PtCpuSingleThread.step_time(&chip.cpu, shard(unit_params))
                         + overhead,
                 )
-                .with_label(format!("unit-step[{l}]"))
+                .with_indexed_label("unit-step", l)
                 .tagged(TaskTag::OptimizerStep)
                 .after_all(chain),
             )?;

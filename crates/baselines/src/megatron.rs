@@ -129,7 +129,7 @@ pub fn simulate_with_mp_traced(
                     ctx.gpu,
                     (compute.fwd_per_micro + compute.bwd_per_micro) / segments as f64 + overhead,
                 )
-                .with_label(format!("compute[{s}]"))
+                .with_indexed_label("compute", s)
                 .after_all(deps.iter().copied());
                 if let Some(p) = prev {
                     spec = spec.after(p);
@@ -141,7 +141,7 @@ pub fn simulate_with_mp_traced(
                             ctx.net,
                             tp_comm_per_micro / segments as f64 + overhead,
                         )
-                        .with_label(format!("tp-allreduce[{s}]"))
+                        .with_indexed_label("tp-allreduce", s)
                         .after(c),
                     )?;
                     prev = Some(ar);

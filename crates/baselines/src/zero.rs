@@ -159,7 +159,7 @@ pub fn simulate_traced(
                             &coll,
                             2 * elems,
                             overhead,
-                            format!("reduce-scatter[{bi}]"),
+                            TaskLabel::indexed("reduce-scatter", bi),
                             chunk,
                         )?;
                         iter_end.push(rs);

@@ -197,7 +197,7 @@ pub fn simulate_with_nvme_traced(
                                 &coll,
                                 2 * elems,
                                 overhead,
-                                format!("reduce-scatter[{bi}]"),
+                                TaskLabel::indexed("reduce-scatter", bi),
                                 chunk,
                             )?;
                         }
@@ -206,7 +206,7 @@ pub fn simulate_with_nvme_traced(
                                 ctx.d2h,
                                 cast.one_way_time(chip, shard(elems)) + overhead,
                             )
-                            .with_label(format!("grad-out[{bi}]"))
+                            .with_indexed_label("grad-out", bi)
                             .after(dep),
                         )?;
                         arrivals.push((bi, xfer));
@@ -238,7 +238,7 @@ pub fn simulate_with_nvme_traced(
             let step_dep = if let Some(tier) = nvme {
                 let mut spec =
                     TaskSpec::transfer(nvme_res, tier.link.transfer_time(12 * elems) + overhead)
-                        .with_label(format!("nvme-in[{bi}]"))
+                        .with_indexed_label("nvme-in", bi)
                         .tagged(TaskTag::Eviction)
                         .after(norm_sync);
                 if let Some(p) = prev_nvme {
@@ -253,14 +253,14 @@ pub fn simulate_with_nvme_traced(
                     ctx.cpu,
                     pipeline_step_time(OptimizerImpl::CpuAdam, &chip.cpu, elems) + overhead,
                 )
-                .with_label(format!("step-cpu[{bi}]"))
+                .with_indexed_label("step-cpu", bi)
                 .tagged(TaskTag::OptimizerStep)
                 .after(step_dep),
             )?;
             if let Some(tier) = nvme {
                 let out = ctx.sim.add_task(
                     TaskSpec::transfer(nvme_res, tier.link.transfer_time(12 * elems) + overhead)
-                        .with_label(format!("nvme-out[{bi}]"))
+                        .with_indexed_label("nvme-out", bi)
                         .tagged(TaskTag::Eviction)
                         .after(step),
                 )?;

@@ -126,7 +126,7 @@ pub fn simulate_traced(
                                 &coll,
                                 2 * elems,
                                 overhead,
-                                format!("reduce-scatter[{bi}]"),
+                                TaskLabel::indexed("reduce-scatter", bi),
                                 chunk,
                             )?;
                         }
@@ -135,7 +135,7 @@ pub fn simulate_traced(
                                 ctx.d2h,
                                 cast.one_way_time(chip, shard(elems)) + overhead,
                             )
-                            .with_label(format!("grad-out[{bi}]"))
+                            .with_indexed_label("grad-out", bi)
                             .after(dep),
                         )?;
                         arrivals.push((bi, xfer));
@@ -168,13 +168,13 @@ pub fn simulate_traced(
                         + cast.fused_optimizer_overhead(chip, elems)
                         + overhead,
                 )
-                .with_label(format!("step-cpu[{bi}]"))
+                .with_indexed_label("step-cpu", bi)
                 .tagged(TaskTag::OptimizerStep)
                 .after(norm_sync),
             )?;
             let ret = ctx.sim.add_task(
                 TaskSpec::transfer(ctx.h2d, cast.one_way_time(chip, elems) + overhead)
-                    .with_label(format!("param-in[{bi}]"))
+                    .with_indexed_label("param-in", bi)
                     .after(step),
             )?;
             iter_end.push(ret);

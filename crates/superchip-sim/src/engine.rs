@@ -7,6 +7,7 @@
 //! resource is free; resources execute one task at a time, in the order tasks
 //! become ready (ties broken by insertion order, so runs are deterministic).
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -69,6 +70,15 @@ pub enum TaskKind {
     Sync,
 }
 
+/// Every [`TaskKind`], indexed by discriminant.
+const TASK_KINDS: [TaskKind; 5] = [
+    TaskKind::Compute,
+    TaskKind::Transfer,
+    TaskKind::Cast,
+    TaskKind::Collective,
+    TaskKind::Sync,
+];
+
 impl fmt::Display for TaskKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -125,6 +135,55 @@ pub fn node_of_resource(name: &str) -> u32 {
         .unwrap_or(0)
 }
 
+/// A task's trace label: a base name plus an optional index.
+///
+/// An indexed label renders as `base[index]`, but only when a [`Trace`] is
+/// built. A graph that is only scored ([`Simulator::run_end_times`]) never
+/// renders it, so building it allocates no label string when the base is
+/// `'static`.
+#[derive(Debug, Clone, Default)]
+pub struct TaskLabel {
+    base: Cow<'static, str>,
+    index: Option<u64>,
+}
+
+impl TaskLabel {
+    /// The label `base[index]`.
+    pub fn indexed(base: impl Into<Cow<'static, str>>, index: impl Into<u64>) -> Self {
+        TaskLabel {
+            base: base.into(),
+            index: Some(index.into()),
+        }
+    }
+}
+
+impl fmt::Display for TaskLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.index {
+            Some(i) => write!(f, "{}[{i}]", self.base),
+            None => f.write_str(&self.base),
+        }
+    }
+}
+
+impl From<&'static str> for TaskLabel {
+    fn from(base: &'static str) -> Self {
+        TaskLabel {
+            base: Cow::Borrowed(base),
+            index: None,
+        }
+    }
+}
+
+impl From<String> for TaskLabel {
+    fn from(base: String) -> Self {
+        TaskLabel {
+            base: Cow::Owned(base),
+            index: None,
+        }
+    }
+}
+
 /// Specification of one task in the graph.
 ///
 /// Build with the kind-specific constructors and chain [`TaskSpec::after`] /
@@ -146,7 +205,7 @@ pub struct TaskSpec {
     pub(crate) resource: ResourceId,
     pub(crate) duration: SimTime,
     pub(crate) deps: Vec<TaskId>,
-    pub(crate) label: String,
+    pub(crate) label: TaskLabel,
     pub(crate) kind: TaskKind,
     pub(crate) tag: TaskTag,
     /// Earliest time the task may start regardless of dependencies.
@@ -160,7 +219,7 @@ impl TaskSpec {
             resource,
             duration,
             deps: Vec::new(),
-            label: String::new(),
+            label: TaskLabel::default(),
             kind,
             tag: TaskTag::Generic,
             not_before: SimTime::ZERO,
@@ -208,9 +267,16 @@ impl TaskSpec {
 
     /// Sets a human-readable label shown in traces.
     #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub fn with_label(mut self, label: impl Into<TaskLabel>) -> Self {
         self.label = label.into();
         self
+    }
+
+    /// Sets the label `base[index]`, rendered only when a trace is built
+    /// (see [`TaskLabel`]).
+    #[must_use]
+    pub fn with_indexed_label(self, base: &'static str, index: impl Into<u64>) -> Self {
+        self.with_label(TaskLabel::indexed(base, index))
     }
 
     /// Constrains the task to start no earlier than `t`.
@@ -229,24 +295,13 @@ impl TaskSpec {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Task {
-    spec: TaskSpec,
-    /// Number of dependencies not yet finished.
-    pending_deps: usize,
-    /// Tasks that depend on this one.
-    dependents: Vec<TaskId>,
-    /// Earliest start implied by finished dependencies.
-    ready_at: SimTime,
-}
-
 /// Deterministic discrete-event simulator executing a task DAG on resources.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug, Default)]
 pub struct Simulator {
     resources: Vec<String>,
-    tasks: Vec<Task>,
+    tasks: Vec<TaskSpec>,
 }
 
 impl Simulator {
@@ -307,16 +362,7 @@ impl Simulator {
                 return Err(SimError::UnknownTask(dep));
             }
         }
-        let pending = spec.deps.len();
-        for &dep in &spec.deps {
-            self.tasks[dep.0].dependents.push(id);
-        }
-        self.tasks.push(Task {
-            ready_at: spec.not_before,
-            pending_deps: pending,
-            dependents: Vec::new(),
-            spec,
-        });
+        self.tasks.push(spec);
         Ok(id)
     }
 
@@ -324,14 +370,17 @@ impl Simulator {
     ///
     /// The schedule is a deterministic list schedule: among ready tasks
     /// contending for the same resource, the one that became ready earliest
-    /// runs first (ties broken by submission order).
+    /// runs first (ties broken by submission order). The graph is left
+    /// untouched, so it can be run again.
     ///
     /// # Errors
     /// Returns [`SimError::DependencyCycle`] if some tasks can never become
     /// ready. (This is defensive: `add_task` already prevents forward
     /// references, so a cycle cannot normally be constructed.)
-    pub fn run(&mut self) -> Result<Trace, SimError> {
-        self.run_inner(None)
+    pub fn run(&self) -> Result<Trace, SimError> {
+        let mut spans = vec![(SimTime::ZERO, SimTime::ZERO); self.tasks.len()];
+        self.schedule(|id, _, start, end| spans[id.0] = (start, end))?;
+        Ok(self.trace(spans))
     }
 
     /// Executes the task graph like [`Simulator::run`] while feeding
@@ -347,67 +396,93 @@ impl Simulator {
     ///
     /// # Errors
     /// Same failure modes as [`Simulator::run`].
-    pub fn run_instrumented(&mut self, rec: &mut MetricsRecorder) -> Result<Trace, SimError> {
-        self.run_inner(Some(rec))
-    }
-
-    fn run_inner(&mut self, mut rec: Option<&mut MetricsRecorder>) -> Result<Trace, SimError> {
-        let n = self.tasks.len();
-        // Ready queue: (ready_at, task id), minimum first.
-        let mut ready: BinaryHeap<Reverse<(SimTime, TaskId)>> = BinaryHeap::new();
-        for (i, t) in self.tasks.iter().enumerate() {
-            if t.pending_deps == 0 {
-                ready.push(Reverse((t.ready_at, TaskId(i))));
+    pub fn run_instrumented(&self, rec: &mut MetricsRecorder) -> Result<Trace, SimError> {
+        let queue_tracks: Vec<String> = self
+            .resources
+            .iter()
+            .map(|name| format!("queue-wait:{name}"))
+            .collect();
+        let mut per_kind = [0u64; TASK_KINDS.len()];
+        let mut spans = vec![(SimTime::ZERO, SimTime::ZERO); self.tasks.len()];
+        self.schedule(|id, ready_at, start, end| {
+            spans[id.0] = (start, end);
+            let spec = &self.tasks[id.0];
+            per_kind[spec.kind as usize] += 1;
+            if matches!(spec.kind, TaskKind::Transfer | TaskKind::Collective) {
+                rec.sample(
+                    &queue_tracks[spec.resource.0],
+                    "us",
+                    start,
+                    start.saturating_sub(ready_at).as_micros(),
+                );
+            }
+        })?;
+        for (kind, &count) in TASK_KINDS.iter().zip(&per_kind) {
+            if count > 0 {
+                rec.add(&format!("tasks.{kind}"), count);
             }
         }
 
+        let trace = self.trace(spans);
+        let mut busy = vec![SimTime::ZERO; self.resources.len()];
+        for iv in trace.intervals() {
+            busy[iv.resource.0] += iv.duration();
+        }
+        for (name, b) in self.resources.iter().zip(&busy) {
+            rec.set_gauge(&format!("busy-us:{name}"), b.as_micros());
+        }
+        rec.set_gauge("makespan-us", trace.makespan().as_micros());
+        Ok(trace)
+    }
+
+    /// Executes the task graph like [`Simulator::run`] but returns only
+    /// each task's end time, indexed by submission order: no intervals,
+    /// labels or trace are built. The times are bit-identical to the
+    /// interval ends of [`Simulator::run`].
+    ///
+    /// # Errors
+    /// Same failure modes as [`Simulator::run`].
+    pub fn run_end_times(&self) -> Result<Vec<SimTime>, SimError> {
+        let mut ends = vec![SimTime::ZERO; self.tasks.len()];
+        self.schedule(|id, _, _, end| ends[id.0] = end)?;
+        Ok(ends)
+    }
+
+    /// The list scheduler behind every run: pops ready tasks in
+    /// `(ready_at, id)` order, starts each when its resource frees, and
+    /// calls `visit(id, ready_at, start, end)` once per task in execution
+    /// order.
+    fn schedule<F>(&self, mut visit: F) -> Result<(), SimError>
+    where
+        F: FnMut(TaskId, SimTime, SimTime, SimTime),
+    {
+        let n = self.tasks.len();
+        let (first_dependent, dependents) = self.dependents();
+        let mut pending: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
+        let mut ready_at: Vec<SimTime> = self.tasks.iter().map(|t| t.not_before).collect();
+        // Ready queue: (ready_at, task id), minimum first.
+        let mut ready: BinaryHeap<Reverse<(SimTime, TaskId)>> = (0..n)
+            .filter(|&i| pending[i] == 0)
+            .map(|i| Reverse((ready_at[i], TaskId(i))))
+            .collect();
         let mut resource_free = vec![SimTime::ZERO; self.resources.len()];
-        let mut intervals: Vec<Option<Interval>> = vec![None; n];
         let mut done = 0usize;
 
-        while let Some(Reverse((ready_at, id))) = ready.pop() {
-            let (start, end, resource, kind, tag, label);
-            {
-                let task = &self.tasks[id.0];
-                resource = task.spec.resource;
-                kind = task.spec.kind;
-                tag = task.spec.tag;
-                label = task.spec.label.clone();
-                let s = ready_at.max(resource_free[resource.0]);
-                start = s;
-                end = s + task.spec.duration;
-            }
-            if let Some(rec) = rec.as_deref_mut() {
-                rec.add(&format!("tasks.{kind}"), 1);
-                if matches!(kind, TaskKind::Transfer | TaskKind::Collective) {
-                    let res_name = &self.resources[resource.0];
-                    rec.sample(
-                        &format!("queue-wait:{res_name}"),
-                        "us",
-                        start,
-                        start.saturating_sub(ready_at).as_micros(),
-                    );
-                }
-            }
-            resource_free[resource.0] = end;
-            intervals[id.0] = Some(Interval {
-                task: id,
-                resource,
-                kind,
-                tag,
-                label,
-                start,
-                end,
-            });
+        while let Some(Reverse((at, id))) = ready.pop() {
+            let task = &self.tasks[id.0];
+            let resource = task.resource.0;
+            let start = at.max(resource_free[resource]);
+            let end = start + task.duration;
+            resource_free[resource] = end;
+            visit(id, at, start, end);
             done += 1;
 
-            let dependents = self.tasks[id.0].dependents.clone();
-            for dep_id in dependents {
-                let t = &mut self.tasks[dep_id.0];
-                t.ready_at = t.ready_at.max(end);
-                t.pending_deps -= 1;
-                if t.pending_deps == 0 {
-                    ready.push(Reverse((t.ready_at, dep_id)));
+            for &dep in &dependents[first_dependent[id.0]..first_dependent[id.0 + 1]] {
+                let d = dep.0;
+                ready_at[d] = ready_at[d].max(end);
+                pending[d] -= 1;
+                if pending[d] == 0 {
+                    ready.push(Reverse((ready_at[d], dep)));
                 }
             }
         }
@@ -417,22 +492,56 @@ impl Simulator {
                 unscheduled: n - done,
             });
         }
+        Ok(())
+    }
 
-        let intervals: Vec<Interval> = intervals.into_iter().map(Option::unwrap).collect();
-        let deps: Vec<Vec<TaskId>> = self.tasks.iter().map(|t| t.spec.deps.clone()).collect();
-        let not_before: Vec<SimTime> = self.tasks.iter().map(|t| t.spec.not_before).collect();
-        let trace = Trace::new(self.resources.clone(), intervals, deps, not_before);
-        if let Some(rec) = rec {
-            let mut busy = vec![SimTime::ZERO; self.resources.len()];
-            for iv in trace.intervals() {
-                busy[iv.resource.0] += iv.duration();
+    /// The reverse edges of the graph in compressed form: the tasks that
+    /// depend on task `i` (once per listed dependency, in submission
+    /// order) are `dependents[first[i]..first[i + 1]]`. Built per run from
+    /// the submitted dependency lists, so submission allocates no
+    /// per-task dependents list.
+    fn dependents(&self) -> (Vec<usize>, Vec<TaskId>) {
+        let mut first = vec![0usize; self.tasks.len() + 1];
+        for t in &self.tasks {
+            for dep in &t.deps {
+                first[dep.0 + 1] += 1;
             }
-            for (name, b) in self.resources.iter().zip(&busy) {
-                rec.set_gauge(&format!("busy-us:{name}"), b.as_micros());
-            }
-            rec.set_gauge("makespan-us", trace.makespan().as_micros());
         }
-        Ok(trace)
+        for i in 1..first.len() {
+            first[i] += first[i - 1];
+        }
+        let mut next = first.clone();
+        let mut dependents = vec![TaskId(0); first[self.tasks.len()]];
+        for (i, t) in self.tasks.iter().enumerate() {
+            for dep in &t.deps {
+                dependents[next[dep.0]] = TaskId(i);
+                next[dep.0] += 1;
+            }
+        }
+        (first, dependents)
+    }
+
+    /// Materializes the trace of a run from each task's `(start, end)`,
+    /// rendering the labels.
+    fn trace(&self, spans: Vec<(SimTime, SimTime)>) -> Trace {
+        let intervals: Vec<Interval> = self
+            .tasks
+            .iter()
+            .zip(spans)
+            .enumerate()
+            .map(|(i, (t, (start, end)))| Interval {
+                task: TaskId(i),
+                resource: t.resource,
+                kind: t.kind,
+                tag: t.tag,
+                label: t.label.to_string(),
+                start,
+                end,
+            })
+            .collect();
+        let deps: Vec<Vec<TaskId>> = self.tasks.iter().map(|t| t.deps.clone()).collect();
+        let not_before: Vec<SimTime> = self.tasks.iter().map(|t| t.not_before).collect();
+        Trace::new(self.resources.clone(), intervals, deps, not_before)
     }
 }
 

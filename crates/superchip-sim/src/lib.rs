@@ -60,7 +60,7 @@ pub use analysis::{
     analyze, diff_analyses, AnalysisDiff, AnalysisReport, CriticalEdgeDiff, EdgeChange,
     ResourceDelta, StallClass, TaskDelta, TaskKey,
 };
-pub use engine::{Simulator, TaskId, TaskKind, TaskSpec, TaskTag};
+pub use engine::{Simulator, TaskId, TaskKind, TaskLabel, TaskSpec, TaskTag};
 pub use error::SimError;
 pub use events::{Event, EventKind, EventLog};
 pub use link::{BandwidthCurve, Link, LinkKind};
@@ -74,7 +74,9 @@ pub use trace::{ResourceStats, Trace};
 pub mod prelude {
     pub use crate::analysis::{analyze, AnalysisReport, StallClass, STALL_CLASSES};
     pub use crate::collective::{self, CollectiveCost};
-    pub use crate::engine::{ResourceId, Simulator, TaskId, TaskKind, TaskSpec, TaskTag};
+    pub use crate::engine::{
+        ResourceId, Simulator, TaskId, TaskKind, TaskLabel, TaskSpec, TaskTag,
+    };
     pub use crate::error::SimError;
     pub use crate::link::{BandwidthCurve, Link, LinkKind};
     pub use crate::memory::MemoryPool;

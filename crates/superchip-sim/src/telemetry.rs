@@ -281,7 +281,13 @@ impl MetricsRecorder {
     /// The unit is fixed by the first sample; later calls may pass the same
     /// unit (or anything — the first one wins).
     pub fn sample_us(&mut self, track: &str, unit: &str, ts_us: u64, value: f64) {
-        let t = self.tracks.entry(track.to_string()).or_default();
+        // Look up before inserting: the key is copied once per track, not
+        // once per sample.
+        if !self.tracks.contains_key(track) {
+            self.tracks
+                .insert(track.to_string(), CounterTrack::default());
+        }
+        let t = self.tracks.get_mut(track).expect("track just ensured");
         if t.unit.is_empty() {
             t.unit = unit.to_string();
         }

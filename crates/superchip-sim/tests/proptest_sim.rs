@@ -118,6 +118,52 @@ proptest! {
         }
     }
 
+    /// The end-times-only run agrees with the traced run bit for bit, on
+    /// graphs with release times and with repeated runs of one graph, and
+    /// neither run consumes the graph.
+    #[test]
+    fn end_times_match_traced_run(
+        dag in arb_dag(40, 3),
+        releases in prop::collection::vec((any::<bool>(), 0.0f64..20.0), 40),
+    ) {
+        let mut sim = Simulator::new();
+        let rids: Vec<_> = (0..3).map(|i| sim.add_resource(format!("r{i}"))).collect();
+        let mut ids = Vec::new();
+        for (i, (res, dur, deps)) in dag.iter().enumerate() {
+            let mut spec = TaskSpec::transfer(rids[*res], SimTime::from_millis(*dur))
+                .with_indexed_label("t", i as u64);
+            if let (true, t) = releases[i] {
+                spec = spec.not_before(SimTime::from_millis(t));
+            }
+            ids.push(sim.add_task(spec.after_all(deps.iter().map(|&d| ids[d]))).unwrap());
+        }
+        let ends = sim.run_end_times().unwrap();
+        let trace = sim.run().unwrap();
+        prop_assert_eq!(ends.len(), ids.len());
+        for (&id, end) in ids.iter().zip(&ends) {
+            prop_assert_eq!(trace.end_time(id).unwrap().as_secs().to_bits(), end.as_secs().to_bits());
+        }
+        let again = sim.run_end_times().unwrap();
+        prop_assert!(ends.iter().zip(&again).all(|(a, b)| a.as_secs().to_bits() == b.as_secs().to_bits()));
+        let mut rec = MetricsRecorder::new();
+        let instrumented = sim.run_instrumented(&mut rec).unwrap();
+        for iv in trace.intervals() {
+            let other = instrumented.interval(iv.task).unwrap();
+            prop_assert_eq!(iv.start.as_secs().to_bits(), other.start.as_secs().to_bits());
+            prop_assert_eq!(iv.end.as_secs().to_bits(), other.end.as_secs().to_bits());
+            prop_assert_eq!(&iv.label, &format!("t[{}]", iv.task.index()));
+        }
+        prop_assert_eq!(rec.counter("tasks.transfer"), ids.len() as u64);
+    }
+
+    /// An indexed label renders exactly as `format!("{base}[{i}]")`.
+    #[test]
+    fn indexed_label_renders_like_format(b in 0usize..4, i in 0u64..u64::MAX) {
+        let base = ["", "bwd", "grad-out", "unicode µs → 终"][b];
+        prop_assert_eq!(TaskLabel::indexed(base, i).to_string(), format!("{base}[{i}]"));
+        prop_assert_eq!(TaskLabel::indexed(base.to_string(), i).to_string(), format!("{base}[{i}]"));
+    }
+
     /// Bandwidth curves are monotone: bigger messages achieve >= bandwidth.
     #[test]
     fn bandwidth_monotone(peak in 1e9f64..1e12, lat in 0.0f64..1e-3,

@@ -30,7 +30,7 @@ use crate::costs::{
 use crate::fleet::NodeLease;
 use crate::policy::{choose_policy, WeightPolicy};
 use crate::report::{RunProfile, TrainReport};
-use crate::system::{Infeasible, IterationBuilder};
+use crate::system::{Infeasible, IterationBuilder, ScheduleCtx};
 
 /// Fraction of GPU memory usable for model data (the rest is CUDA context,
 /// fragmentation, and framework workspace).
@@ -49,8 +49,11 @@ pub const DENSE_PEAK_FRACTION: f64 = 0.5;
 pub struct SuperOffloadOptions {
     /// Transfer bucket size in bytes (FP32 gradient bytes). Default 64 MiB.
     pub bucket_bytes: u64,
-    /// Buckets whose optimizer state stays on the GPU; `None` = automatic
-    /// (closed-form seed + grid search).
+    /// Buckets whose optimizer state stays on the GPU; `None` = automatic:
+    /// a grid search over [`retention_candidates`] (the closed-form seed,
+    /// its neighbours and coarse fractions of the bucket count). Each
+    /// candidate is scored by steady-state TFLOPS from an end-times-only
+    /// run, and only the winner is profiled (DESIGN.md §16).
     pub retained_buckets: Option<u32>,
     /// CPU optimizer implementation.
     pub optimizer: OptimizerImpl,
@@ -148,102 +151,148 @@ pub fn simulate_single_chip_traced(
 /// of the winning configuration: report, trace, and the telemetry recorded
 /// during the run (memory-pool occupancy, per-transfer bandwidth, queueing
 /// delay, scheduler counters).
+///
+/// With automatic retention the §4.3 grid search scores every
+/// [`retention_candidates`] entry by its steady-state TFLOPS alone, from an
+/// uninstrumented end-times run, and profiles only the winner; the result
+/// is byte-identical to profiling every candidate and keeping the first
+/// best one.
 pub fn simulate_single_chip_profiled(
     chip: &ChipSpec,
     workload: &Workload,
     opts: &SuperOffloadOptions,
 ) -> Result<RunProfile, Infeasible> {
-    match opts.retained_buckets {
-        Some(_) => simulate_fixed(chip, workload, opts),
-        None => {
-            // Grid search around the closed-form seed (§4.3).
-            let cast = opts
-                .cast
-                .unwrap_or_else(|| CastPlacement::choose(chip, opts.bucket_bytes / 4));
-            let params = workload.config.param_count();
-            let bwd_per_elem = chip
-                .gpu
-                .time_for_flops(4.0 * workload.global_batch as f64 * workload.seq as f64);
-            let seed = if opts.use_repartition {
-                min_retained(
-                    chip,
-                    params,
-                    opts.bucket_bytes,
-                    cast,
-                    opts.optimizer,
-                    bwd_per_elem,
-                )
-            } else {
-                0
-            };
-            let max_buckets = BucketPlan::new(params, opts.bucket_bytes, 0).num_buckets;
-            let mut candidates: Vec<u32> = if opts.use_repartition {
-                // Closed-form seed, its neighbourhood, and coarse fractions
-                // of the whole bucket count: grad-accumulation and pipeline
-                // sweeps can push the CPU past the backward time, where far
-                // more retention pays off than Eq. 4-5 alone suggests.
-                vec![
-                    0,
-                    seed.saturating_sub(2),
-                    seed.saturating_sub(1),
-                    seed,
-                    seed + 1,
-                    seed + 2,
-                    seed * 2,
-                    max_buckets / 16,
-                    max_buckets / 8,
-                    max_buckets / 4,
-                    3 * max_buckets / 8,
-                    max_buckets / 2,
-                ]
-            } else {
-                vec![0]
-            };
-            candidates.retain(|&n| n <= max_buckets);
-            candidates.sort_unstable();
-            candidates.dedup();
+    if opts.retained_buckets.is_some() {
+        return build_fixed(chip, workload, opts)?.finish_profiled(chip);
+    }
+    let cast = chosen_cast(chip, opts);
+    let fixed = |n| SuperOffloadOptions {
+        retained_buckets: Some(n),
+        cast: Some(cast),
+        ..*opts
+    };
+    let candidates = retention_candidates(chip, workload, opts);
+    if let [only] = candidates[..] {
+        return build_fixed(chip, workload, &fixed(only))?.finish_profiled(chip);
+    }
 
-            let mut best: Option<RunProfile> = None;
-            let mut first_err: Option<Infeasible> = None;
-            for n in candidates {
-                let fixed = SuperOffloadOptions {
-                    retained_buckets: Some(n),
-                    cast: Some(cast),
-                    ..*opts
-                };
-                match simulate_fixed(chip, workload, &fixed) {
-                    Ok(result) => {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => result.report.tflops > b.report.tflops,
-                        };
-                        if better {
-                            best = Some(result);
-                        }
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
+    let mut best: Option<(f64, FixedSchedule)> = None;
+    let mut first_err: Option<Infeasible> = None;
+    for n in candidates {
+        match build_fixed(chip, workload, &fixed(n)).and_then(|s| Ok((s.score()?, s))) {
+            Ok((score, schedule)) => {
+                // Strictly better only: ties keep the smaller retention.
+                if best.as_ref().is_none_or(|(b, _)| score > *b) {
+                    best = Some((score, schedule));
                 }
             }
-            // The candidate list is never empty (it always contains 0), so
-            // an empty `best` implies a recorded error.
-            best.ok_or_else(|| first_err.expect("infeasible grid records an error"))
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
         }
+    }
+    // The candidate list is never empty (it always contains 0), so an
+    // empty `best` implies a recorded error.
+    match best {
+        Some((_, schedule)) => schedule.finish_profiled(chip),
+        None => Err(first_err.expect("infeasible grid records an error")),
     }
 }
 
-fn simulate_fixed(
+/// The §4.3 grid the automatic retention search scores, ascending and
+/// deduplicated: the closed-form seed (Eq. 4-5), its neighbourhood, and
+/// coarse fractions of the bucket count; just `[0]` without
+/// bucketization repartitioning. `opts.retained_buckets` is ignored.
+pub fn retention_candidates(
     chip: &ChipSpec,
     workload: &Workload,
     opts: &SuperOffloadOptions,
-) -> Result<RunProfile, Infeasible> {
-    let system = "superoffload";
+) -> Vec<u32> {
+    if !opts.use_repartition {
+        return vec![0];
+    }
+    let params = workload.config.param_count();
+    let bwd_per_elem = chip
+        .gpu
+        .time_for_flops(4.0 * workload.global_batch as f64 * workload.seq as f64);
+    let seed = min_retained(
+        chip,
+        params,
+        opts.bucket_bytes,
+        chosen_cast(chip, opts),
+        opts.optimizer,
+        bwd_per_elem,
+    );
+    let max_buckets = BucketPlan::new(params, opts.bucket_bytes, 0).num_buckets;
+    // Grad-accumulation and pipeline sweeps can push the CPU past the
+    // backward time, where far more retention pays off than Eq. 4-5 alone
+    // suggests; the coarse fractions cover that regime.
+    let mut candidates = vec![
+        0,
+        seed.saturating_sub(2),
+        seed.saturating_sub(1),
+        seed,
+        seed + 1,
+        seed + 2,
+        seed * 2,
+        max_buckets / 16,
+        max_buckets / 8,
+        max_buckets / 4,
+        3 * max_buckets / 8,
+        max_buckets / 2,
+    ];
+    candidates.retain(|&n| n <= max_buckets);
+    candidates.sort_unstable();
+    candidates.dedup();
+    candidates
+}
+
+/// The cast placement `opts` asks for, or the per-chip automatic choice.
+fn chosen_cast(chip: &ChipSpec, opts: &SuperOffloadOptions) -> CastPlacement {
+    opts.cast
+        .unwrap_or_else(|| CastPlacement::choose(chip, opts.bucket_bytes / 4))
+}
+
+/// A built, not yet run, fixed-retention schedule.
+struct FixedSchedule {
+    ctx: ScheduleCtx,
+    gates: Vec<TaskId>,
+    effective_flops: f64,
+    plan: ExecutionPlan,
+}
+
+impl FixedSchedule {
+    /// Steady-state TFLOPS from an uninstrumented end-times run: the same
+    /// f64 operations as [`finalize_report`], so bit-identical to the
+    /// profiled report's `tflops`.
+    fn score(&self) -> Result<f64, Infeasible> {
+        let ends = self.ctx.sim.run_end_times()?;
+        let end = |g: TaskId| ends[g.index()];
+        let iter_time = steady_iter_time(&self.gates, end);
+        Ok(tflops(self.effective_flops, iter_time.as_secs()))
+    }
+
+    /// Runs the schedule instrumented and builds its full profile.
+    fn finish_profiled(self, chip: &ChipSpec) -> Result<RunProfile, Infeasible> {
+        self.ctx.finish_profiled(
+            "superoffload",
+            &self.gates,
+            self.effective_flops,
+            chip,
+            self.plan,
+        )
+    }
+}
+
+/// Capacity checks and the task graph of one fixed-retention configuration.
+fn build_fixed(
+    chip: &ChipSpec,
+    workload: &Workload,
+    opts: &SuperOffloadOptions,
+) -> Result<FixedSchedule, Infeasible> {
     let params = workload.config.param_count();
     let states = ModelStateMemory::for_params(params);
-    let cast = opts
-        .cast
-        .unwrap_or_else(|| CastPlacement::choose(chip, opts.bucket_bytes / 4));
+    let cast = chosen_cast(chip, opts);
     let retained = if opts.use_repartition {
         opts.retained_buckets.unwrap_or(0)
     } else {
@@ -360,7 +409,7 @@ fn simulate_fixed(
                                             (elems * 6) as f64 / chip.gpu.mem_bandwidth,
                                         ) + overhead,
                                     )
-                                    .with_label(format!("cast-gpu[{bi}]"))
+                                    .with_indexed_label("cast-gpu", bi)
                                     .after(chunk),
                                 )?;
                                 (chip.c2c.transfer_time(4 * elems), c)
@@ -374,7 +423,7 @@ fn simulate_fixed(
                         };
                         let mut xfer = ctx.sim.add_task(
                             TaskSpec::transfer(ctx.d2h, xfer_time.0 + overhead)
-                                .with_label(format!("grad-out[{bi}]"))
+                                .with_indexed_label("grad-out", bi)
                                 .after(xfer_time.1),
                         )?;
                         let grad_bytes = match cast {
@@ -389,7 +438,7 @@ fn simulate_fixed(
                                     SimTime::from_secs((elems * 6) as f64 / chip.cpu.mem_bandwidth)
                                         + overhead,
                                 )
-                                .with_label(format!("cast-cpu[{bi}]"))
+                                .with_indexed_label("cast-cpu", bi)
                                 .after(xfer),
                             )?;
                         }
@@ -402,7 +451,7 @@ fn simulate_fixed(
                                         (elems * 12) as f64 / chip.cpu.mem_bandwidth,
                                     ) + overhead,
                                 )
-                                .with_label(format!("grad-accum[{bi}]"))
+                                .with_indexed_label("grad-accum", bi)
                                 .after(xfer),
                             )?;
                             // FP32 staging buffer lives from arrival to accum.
@@ -449,7 +498,7 @@ fn simulate_fixed(
                 // GPU-resident optimizer step.
                 let mut spec =
                     TaskSpec::compute(ctx.gpu, gpu_optimizer_time(&chip.gpu, elems) + overhead)
-                        .with_label(format!("step-gpu[{bi}]"))
+                        .with_indexed_label("step-gpu", bi)
                         .tagged(TaskTag::OptimizerStep)
                         .after(arrival);
                 if let Some(ns) = norm_sync {
@@ -462,7 +511,7 @@ fn simulate_fixed(
                 let step_time = pipeline_step_time(opts.optimizer, &chip.cpu, elems)
                     + cast.fused_optimizer_overhead(chip, elems);
                 let mut spec = TaskSpec::compute(ctx.cpu, step_time + overhead)
-                    .with_label(format!("step-cpu[{bi}]"))
+                    .with_indexed_label("step-cpu", bi)
                     .tagged(TaskTag::OptimizerStep)
                     .after(arrival);
                 if let Some(ns) = norm_sync {
@@ -482,7 +531,7 @@ fn simulate_fixed(
                                 (4 * elems) as f64 / (chip.cpu.mem_bandwidth * 0.25),
                             ),
                         )
-                        .with_label(format!("validate[{bi}]"))
+                        .with_indexed_label("validate", bi)
                         .after(arrival),
                     )?;
                 }
@@ -497,7 +546,7 @@ fn simulate_fixed(
                                 SimTime::from_secs((elems * 6) as f64 / chip.cpu.mem_bandwidth)
                                     + overhead,
                             )
-                            .with_label(format!("cast-param[{bi}]"))
+                            .with_indexed_label("cast-param", bi)
                             .after(step),
                         )?;
                         (chip.c2c.transfer_time_pageable(2 * elems), c)
@@ -508,7 +557,7 @@ fn simulate_fixed(
                 };
                 let ret = ctx.sim.add_task(
                     TaskSpec::transfer(ctx.h2d, ret_time + overhead)
-                        .with_label(format!("param-in[{bi}]"))
+                        .with_indexed_label("param-in", bi)
                         .after(ret_dep),
                 )?;
                 let param_bytes = match cast {
@@ -523,7 +572,7 @@ fn simulate_fixed(
                             SimTime::from_secs((elems * 6) as f64 / chip.gpu.mem_bandwidth)
                                 + overhead,
                         )
-                        .with_label(format!("cast-param-gpu[{bi}]"))
+                        .with_indexed_label("cast-param-gpu", bi)
                         .after(ret),
                     )?;
                     iter_end_deps.push(c);
@@ -536,7 +585,24 @@ fn simulate_fixed(
         iters.close(&mut ctx, iter_end_deps)?;
     }
 
-    ctx.finish_profiled(system, iters.gates(), flops.effective(), chip, plan)
+    Ok(FixedSchedule {
+        ctx,
+        gates: iters.gates().to_vec(),
+        effective_flops: flops.effective(),
+        plan,
+    })
+}
+
+/// Steady-state iteration time: the span between the first and last
+/// iteration gates' end times over the iterations it covers.
+///
+/// # Panics
+/// Panics if fewer than two gates are supplied.
+fn steady_iter_time(gates: &[TaskId], end: impl Fn(TaskId) -> SimTime) -> SimTime {
+    assert!(gates.len() >= 2, "need >= 2 iterations for steady state");
+    let first = end(gates[0]);
+    let last = end(*gates.last().expect("nonempty"));
+    (last - first) / (gates.len() - 1) as f64
 }
 
 /// Extracts a steady-state [`TrainReport`] from a multi-iteration trace
@@ -557,14 +623,11 @@ pub fn finalize_report(
     plan: ExecutionPlan,
     peaks: Vec<(String, u64)>,
 ) -> TrainReport {
-    assert!(gates.len() >= 2, "need >= 2 iterations for steady state");
-    let first = trace.end_time(gates[0]).expect("gate executed");
-    let last = trace
-        .end_time(*gates.last().expect("nonempty"))
-        .expect("gate executed");
+    let end = |g: TaskId| trace.end_time(g).expect("gate executed");
+    let iter_time = steady_iter_time(gates, end);
+    let first = end(gates[0]);
+    let last = end(*gates.last().expect("nonempty"));
     let span = last - first;
-    let iters = (gates.len() - 1) as f64;
-    let iter_time = span / iters;
 
     // Busy time inside the steady-state window.
     let busy_in_window = |r| -> SimTime {

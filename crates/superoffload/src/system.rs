@@ -538,7 +538,7 @@ impl ScheduleCtx {
             let elems = buckets.bucket_elems(bi);
             let frac = elems as f64 / total as f64;
             let mut spec = TaskSpec::compute(self.gpu, bwd_per_micro * frac + overhead)
-                .with_label(format!("bwd[{bi}]"))
+                .with_indexed_label("bwd", bi)
                 .after(prev);
             if let Some(d) = extra_dep {
                 spec = spec.after(d);
@@ -556,7 +556,7 @@ impl ScheduleCtx {
         coll: &CollectiveCost,
         bytes: u64,
         overhead: SimTime,
-        label: impl Into<String>,
+        label: impl Into<TaskLabel>,
         after: TaskId,
     ) -> Result<TaskId, SimError> {
         self.sim.add_task(
@@ -572,7 +572,7 @@ impl ScheduleCtx {
         coll: &CollectiveCost,
         bytes_per_rank: u64,
         overhead: SimTime,
-        label: impl Into<String>,
+        label: impl Into<TaskLabel>,
         after: TaskId,
     ) -> Result<TaskId, SimError> {
         self.sim.add_task(
@@ -588,7 +588,7 @@ impl ScheduleCtx {
         coll: &CollectiveCost,
         bytes: u64,
         overhead: SimTime,
-        label: impl Into<String>,
+        label: impl Into<TaskLabel>,
         after: TaskId,
     ) -> Result<TaskId, SimError> {
         self.sim.add_task(
@@ -630,7 +630,7 @@ impl ScheduleCtx {
     /// and counted under `telemetry.dropped-allocs` rather than failing the
     /// run (the capacity planner, not telemetry, owns OOM decisions).
     pub fn finish_profiled(
-        mut self,
+        self,
         system: &str,
         gates: &[TaskId],
         effective_flops: f64,

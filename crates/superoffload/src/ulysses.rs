@@ -160,7 +160,7 @@ pub fn simulate_ulysses_traced(
         let mut prev = None;
         for i in 0..half_layers {
             let mut spec = TaskSpec::compute(ctx.gpu, fwd_chunk + overhead)
-                .with_label(format!("fwd[{i}]"))
+                .with_indexed_label("fwd", i)
                 .after_all(fwd_deps.iter().copied());
             if let Some(p) = prev {
                 spec = spec.after(p);
@@ -168,7 +168,7 @@ pub fn simulate_ulysses_traced(
             let c = ctx.sim.add_task(spec)?;
             let a2a = ctx.sim.add_task(
                 TaskSpec::collective(ctx.net, comm_chunk + overhead)
-                    .with_label(format!("all2all-fwd[{i}]"))
+                    .with_indexed_label("all2all-fwd", i)
                     .after(c),
             )?;
             prev = Some(a2a);
@@ -186,7 +186,7 @@ pub fn simulate_ulysses_traced(
         let bwd_chunk = compute.bwd_per_micro / half_layers as f64;
         for i in 0..half_layers {
             let mut spec = TaskSpec::compute(ctx.gpu, bwd_chunk + overhead)
-                .with_label(format!("bwd[{i}]"))
+                .with_indexed_label("bwd", i)
                 .after_all(bwd_deps.iter().copied());
             if let Some(p) = prev {
                 spec = spec.after(p);
@@ -194,7 +194,7 @@ pub fn simulate_ulysses_traced(
             let c = ctx.sim.add_task(spec)?;
             let a2a = ctx.sim.add_task(
                 TaskSpec::collective(ctx.net, comm_chunk + overhead)
-                    .with_label(format!("all2all-bwd[{i}]"))
+                    .with_indexed_label("all2all-bwd", i)
                     .after(c),
             )?;
             prev = Some(a2a);

@@ -175,7 +175,7 @@ pub fn simulate_cluster_traced(
                             &coll,
                             2 * elems,
                             overhead,
-                            format!("allreduce[{bi}]"),
+                            TaskLabel::indexed("allreduce", bi),
                             chunk,
                         )?
                     } else if ranks > 1 {
@@ -183,7 +183,7 @@ pub fn simulate_cluster_traced(
                             &coll,
                             2 * elems,
                             overhead,
-                            format!("reduce-scatter[{bi}]"),
+                            TaskLabel::indexed("reduce-scatter", bi),
                             chunk,
                         )?
                     } else {
@@ -200,7 +200,7 @@ pub fn simulate_cluster_traced(
                                     ctx.d2h,
                                     cast.one_way_time(chip, slice(elems)) + overhead,
                                 )
-                                .with_label(format!("grad-out[{bi}]"))
+                                .with_indexed_label("grad-out", bi)
                                 .after(rs),
                             )?;
                             arrivals.push((bi, xfer));
@@ -243,7 +243,7 @@ pub fn simulate_cluster_traced(
                     ctx.gpu,
                     gpu_optimizer_time(&chip.gpu, step_elems) + overhead,
                 )
-                .with_label(format!("step-gpu[{bi}]"))
+                .with_indexed_label("step-gpu", bi)
                 .tagged(TaskTag::OptimizerStep)
                 .after(arrival);
                 if let Some(ns) = norm_sync {
@@ -257,7 +257,7 @@ pub fn simulate_cluster_traced(
                         + cast.fused_optimizer_overhead(chip, elems)
                         + overhead,
                 )
-                .with_label(format!("step-cpu[{bi}]"))
+                .with_indexed_label("step-cpu", bi)
                 .tagged(TaskTag::OptimizerStep)
                 .after(arrival);
                 if let Some(ns) = norm_sync {
@@ -266,7 +266,7 @@ pub fn simulate_cluster_traced(
                 let step = ctx.sim.add_task(spec)?;
                 let ret = ctx.sim.add_task(
                     TaskSpec::transfer(ctx.h2d, cast.one_way_time(chip, elems) + overhead)
-                        .with_label(format!("param-in[{bi}]"))
+                        .with_indexed_label("param-in", bi)
                         .after(step),
                 )?;
                 if replicated && ranks > 1 {
@@ -276,7 +276,7 @@ pub fn simulate_cluster_traced(
                         &coll,
                         2 * full / ranks as u64,
                         overhead,
-                        format!("param-allgather[{bi}]"),
+                        TaskLabel::indexed("param-allgather", bi),
                         ret,
                     )?;
                     iter_end.push(ag);
