@@ -273,7 +273,7 @@ pub fn snapshot_json(a: &RunSide, b: &RunSide, diff: &AnalysisDiff, mdiff: &Metr
             "\n    {{\"task\": \"{}\", \"kind\": \"{}\", \"dur_a_us\": {}, \"dur_b_us\": {}, \
              \"delta_us\": {}}}",
             escape_json(&t.key.to_string()),
-            escape_json(&t.kind),
+            escape_json(t.kind),
             opt_u64(t.dur_a_us),
             opt_u64(t.dur_b_us),
             t.delta_us,
@@ -303,7 +303,7 @@ pub fn snapshot_json(a: &RunSide, b: &RunSide, diff: &AnalysisDiff, mdiff: &Metr
             "\n      {{\"task\": \"{}\", \"kind\": \"{}\", \"change\": \"{}\", \
              \"dur_a_us\": {}, \"dur_b_us\": {}, \"delta_us\": {}}}",
             escape_json(&e.key.to_string()),
-            escape_json(&e.kind),
+            escape_json(e.kind),
             e.change.name(),
             opt_u64(e.dur_a_us),
             opt_u64(e.dur_b_us),
@@ -572,7 +572,7 @@ pub fn render_html(a: &RunSide, b: &RunSide, diff: &AnalysisDiff, mdiff: &Metric
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
             e.change.name(),
             esc_html(&e.key.to_string()),
-            esc_html(&e.kind),
+            esc_html(e.kind),
             opt_ms(e.dur_a_us),
             opt_ms(e.dur_b_us),
             delta_ms(e.delta_us),
@@ -598,7 +598,7 @@ pub fn render_html(a: &RunSide, b: &RunSide, diff: &AnalysisDiff, mdiff: &Metric
             body,
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
             esc_html(&t.key.to_string()),
-            esc_html(&t.kind),
+            esc_html(t.kind),
             opt_us(t.dur_a_us),
             opt_us(t.dur_b_us),
             delta_ms(t.delta_us),

@@ -27,7 +27,8 @@
 //! the same quantization every export uses), so reports are byte-stable and
 //! the attribution invariants hold exactly, not within epsilon.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -728,20 +729,22 @@ impl AnalysisReport {
 /// (tag + label), and *which* repetition they were (occurrence index in
 /// start order on that resource) — never by [`TaskId`], which is a
 /// submission-order artifact that reshuffles freely between systems.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TaskKey {
+///
+/// The resource name and label borrow from the [`Trace`] the key indexes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TaskKey<'a> {
     /// Resource name the task ran on (e.g. `node1/gpu`).
-    pub resource: String,
-    /// Stable tag name ([`TaskTag`] display form).
-    pub tag: String,
+    pub resource: &'a str,
+    /// Stable tag name ([`TaskTag::name`]).
+    pub tag: &'static str,
     /// Task label as submitted.
-    pub label: String,
+    pub label: &'a str,
     /// Zero-based repetition index among tasks with the same
     /// (resource, tag, label) triple, counted in start order.
     pub occurrence: u32,
 }
 
-impl fmt::Display for TaskKey {
+impl fmt::Display for TaskKey<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -751,7 +754,7 @@ impl fmt::Display for TaskKey {
             if self.label.is_empty() {
                 "(task)"
             } else {
-                &self.label
+                self.label
             },
             self.occurrence
         )
@@ -761,11 +764,11 @@ impl fmt::Display for TaskKey {
 /// Duration delta of one aligned task. `None` on a side means the task has
 /// no counterpart in that run (it entered or left the schedule).
 #[derive(Debug, Clone, PartialEq)]
-pub struct TaskDelta {
+pub struct TaskDelta<'a> {
     /// Alignment key.
-    pub key: TaskKey,
-    /// Task kind (from run B when present, else run A).
-    pub kind: String,
+    pub key: TaskKey<'a>,
+    /// Task kind name (from run B when present, else run A).
+    pub kind: &'static str,
     /// Duration in run A, µs; `None` if absent there.
     pub dur_a_us: Option<u64>,
     /// Duration in run B, µs; `None` if absent there.
@@ -845,11 +848,11 @@ impl fmt::Display for EdgeChange {
 
 /// One edge of the critical-path churn table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CriticalEdgeDiff {
+pub struct CriticalEdgeDiff<'a> {
     /// Alignment key of the step.
-    pub key: TaskKey,
-    /// Task kind.
-    pub kind: String,
+    pub key: TaskKey<'a>,
+    /// Task kind name.
+    pub kind: &'static str,
     /// Change class.
     pub change: EdgeChange,
     /// Critical-path duration in run A, if the step was on A's path.
@@ -867,8 +870,10 @@ pub struct CriticalEdgeDiff {
 /// `task_delta_us + Σ by_class_delta_us == makespan_delta_us`,
 /// because each run partitions each resource's makespan bit-exactly into
 /// busy time (the sum of its task durations) and classed idle time.
+///
+/// Task keys borrow from the two diffed traces.
 #[derive(Debug, Clone)]
-pub struct AnalysisDiff {
+pub struct AnalysisDiff<'a> {
     /// Makespan of run A, µs.
     pub makespan_a_us: u64,
     /// Makespan of run B, µs.
@@ -882,17 +887,17 @@ pub struct AnalysisDiff {
     /// Per-resource deltas, ordered by resource name.
     pub resources: Vec<ResourceDelta>,
     /// All aligned-task deltas (including zero ones), ordered by key.
-    pub tasks: Vec<TaskDelta>,
+    pub tasks: Vec<TaskDelta<'a>>,
     /// Critical-path churn: run B's path in order, then steps that left
     /// (run A's path only) in run A order.
-    pub critical_path: Vec<CriticalEdgeDiff>,
+    pub critical_path: Vec<CriticalEdgeDiff<'a>>,
     /// Run A's bottleneck ranking (what-if §9 bounds).
     pub bottlenecks_a: Vec<Bottleneck>,
     /// Run B's bottleneck ranking (what-if §9 bounds).
     pub bottlenecks_b: Vec<Bottleneck>,
 }
 
-impl AnalysisDiff {
+impl<'a> AnalysisDiff<'a> {
     /// True when the two runs are bit-identical under alignment: zero
     /// makespan delta and zero delta on every task, resource, and stall
     /// class, with no critical-path churn.
@@ -916,8 +921,8 @@ impl AnalysisDiff {
 
     /// The `k` largest task contributors to the makespan delta, ranked by
     /// absolute delta (ties broken by key). Zero-delta tasks are skipped.
-    pub fn top_contributors(&self, k: usize) -> Vec<&TaskDelta> {
-        let mut v: Vec<&TaskDelta> = self.tasks.iter().filter(|t| t.delta_us != 0).collect();
+    pub fn top_contributors(&self, k: usize) -> Vec<&TaskDelta<'a>> {
+        let mut v: Vec<&TaskDelta<'a>> = self.tasks.iter().filter(|t| t.delta_us != 0).collect();
         v.sort_by(|a, b| {
             b.delta_us
                 .unsigned_abs()
@@ -972,7 +977,7 @@ impl AnalysisDiff {
         for (class, v) in STALL_CLASSES.iter().zip(by_class) {
             let _ = writeln!(out, "  {:<22} {:>+11.3} ms", class.name(), dms(v));
         }
-        let churned: Vec<&CriticalEdgeDiff> = self
+        let churned: Vec<&CriticalEdgeDiff<'a>> = self
             .critical_path
             .iter()
             .filter(|e| e.change != EdgeChange::Unchanged)
@@ -1014,29 +1019,74 @@ impl AnalysisDiff {
     }
 }
 
-/// Aligns every task of `trace` to a [`TaskKey`] and returns the key of
-/// each task (indexed by task id) plus a map from key to (kind, dur_us).
-fn index_tasks(trace: &Trace) -> (Vec<TaskKey>, BTreeMap<TaskKey, (String, u64)>) {
-    let n = trace.intervals().len();
-    let mut keys: Vec<Option<TaskKey>> = vec![None; n];
-    let mut map = BTreeMap::new();
-    for (ridx, name) in trace.resource_names().iter().enumerate() {
-        let mut occurrence: BTreeMap<(String, String), u32> = BTreeMap::new();
-        for iv in trace.intervals_on(ResourceId::from_index(ridx)) {
-            let triple = (iv.tag.to_string(), iv.label.clone());
-            let occ = occurrence.entry(triple.clone()).or_insert(0);
-            let key = TaskKey {
-                resource: name.clone(),
-                tag: triple.0,
-                label: triple.1,
-                occurrence: *occ,
-            };
-            *occ += 1;
-            map.insert(key.clone(), (iv.kind.to_string(), iv.duration_us()));
-            keys[iv.task.index()] = Some(key);
-        }
+/// One task of a trace under its alignment key.
+#[derive(Clone, Copy)]
+struct AlignedTask<'a> {
+    key: TaskKey<'a>,
+    kind: &'static str,
+    dur_us: u64,
+}
+
+/// Aligns every task of `trace` to a [`TaskKey`]. Returns the key of each
+/// task (indexed by task id) and the tasks sorted strictly by key.
+fn index_tasks(trace: &Trace) -> (Vec<TaskKey<'_>>, Vec<AlignedTask<'_>>) {
+    let names = trace.resource_names();
+    // Rows are in start order, so a stable sort on (resource, tag, label,
+    // row) lines up each triple's tasks in start order: the occurrence
+    // index is the rank within that run.
+    let mut grouped: Vec<(&str, &'static str, &str, usize, &Interval)> = trace
+        .rows()
+        .into_iter()
+        .enumerate()
+        .flat_map(|(r, row)| {
+            row.into_iter()
+                .map(move |iv| (names[r].as_str(), iv.tag.name(), iv.label.as_str(), r, iv))
+        })
+        .collect();
+    grouped.sort_by_key(|&(resource, tag, label, r, _)| (resource, tag, label, r));
+    let mut keys = vec![None; trace.intervals().len()];
+    let mut tasks = Vec::with_capacity(grouped.len());
+    let mut occurrence = 0;
+    for (i, &(resource, tag, label, r, iv)) in grouped.iter().enumerate() {
+        let same_run = i > 0 && {
+            let (pr, pt, pl, prow, _) = grouped[i - 1];
+            (pr, pt, pl, prow) == (resource, tag, label, r)
+        };
+        occurrence = if same_run { occurrence + 1 } else { 0 };
+        let key = TaskKey {
+            resource,
+            tag,
+            label,
+            occurrence,
+        };
+        keys[iv.task.index()] = Some(key);
+        tasks.push(AlignedTask {
+            key,
+            kind: iv.kind.name(),
+            dur_us: iv.duration_us(),
+        });
     }
-    (keys.into_iter().map(Option::unwrap).collect(), map)
+    // Resources that share a name yield equal keys: the later resource's
+    // task wins, as it would in a map keyed by `TaskKey`. The sort is a
+    // linear pass when names are unique.
+    tasks.sort_by_key(|t| t.key);
+    tasks.dedup_by(|later, kept| {
+        let same = later.key == kept.key;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    let keys = keys
+        .into_iter()
+        .map(|k| k.expect("every task has exactly one interval"))
+        .collect();
+    (keys, tasks)
+}
+
+/// A report's stall rows by resource name (a later duplicate name wins).
+fn stalls_by_name(report: &AnalysisReport) -> BTreeMap<&str, &ResourceStalls> {
+    report.stalls.iter().map(|s| (s.name.as_str(), s)).collect()
 }
 
 /// Diffs two executed traces causally: aligned per-task duration deltas,
@@ -1044,7 +1094,7 @@ fn index_tasks(trace: &Trace) -> (Vec<TaskKey>, BTreeMap<TaskKey, (String, u64)>
 /// Deterministic — identical trace pairs produce identical diffs — and
 /// conservation-exact: for every resource, the task delta plus the
 /// stall-class deltas sum bit-exactly to the makespan delta.
-pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
+pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff<'a> {
     let report_a = analyze(trace_a);
     let report_b = analyze(trace_b);
     let makespan_a_us = report_a.makespan_us;
@@ -1052,59 +1102,39 @@ pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
     let makespan_delta_us = makespan_b_us as i64 - makespan_a_us as i64;
 
     // --- Task alignment ---------------------------------------------------
-    let (keys_a, map_a) = index_tasks(trace_a);
-    let (keys_b, map_b) = index_tasks(trace_b);
-    let mut tasks = Vec::new();
-    let mut task_delta_by_resource: BTreeMap<String, i64> = BTreeMap::new();
-    let mut ib = map_b.iter().peekable();
-    // Merge-walk both sorted maps so the union stays in key order.
-    let mut push = |key: &TaskKey, a: Option<&(String, u64)>, b: Option<&(String, u64)>| {
-        let dur_a_us = a.map(|&(_, d)| d);
-        let dur_b_us = b.map(|&(_, d)| d);
+    let (keys_a, tasks_a) = index_tasks(trace_a);
+    let (keys_b, tasks_b) = index_tasks(trace_b);
+    let mut tasks = Vec::with_capacity(tasks_a.len().max(tasks_b.len()));
+    let mut task_delta_by_resource: BTreeMap<&str, i64> = BTreeMap::new();
+    // Merge-walk both sorted task lists so the union stays in key order.
+    let (mut i, mut j) = (0, 0);
+    while i < tasks_a.len() || j < tasks_b.len() {
+        let order = match (tasks_a.get(i), tasks_b.get(j)) {
+            (Some(a), Some(b)) => a.key.cmp(&b.key),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        let a = (order != Ordering::Greater).then(|| tasks_a[i]);
+        let b = (order != Ordering::Less).then(|| tasks_b[j]);
+        i += usize::from(a.is_some());
+        j += usize::from(b.is_some());
+        let t = b.or(a).expect("the merge takes at least one side");
+        let dur_a_us = a.map(|t| t.dur_us);
+        let dur_b_us = b.map(|t| t.dur_us);
         let delta_us = dur_b_us.unwrap_or(0) as i64 - dur_a_us.unwrap_or(0) as i64;
-        *task_delta_by_resource
-            .entry(key.resource.clone())
-            .or_insert(0) += delta_us;
+        *task_delta_by_resource.entry(t.key.resource).or_insert(0) += delta_us;
         tasks.push(TaskDelta {
-            key: key.clone(),
-            kind: b.or(a).map(|(k, _)| k.clone()).unwrap_or_default(),
+            key: t.key,
+            kind: t.kind,
             dur_a_us,
             dur_b_us,
             delta_us,
         });
-    };
-    for (ka, va) in &map_a {
-        while let Some(&(kb, vb)) = ib.peek() {
-            if kb < ka {
-                push(kb, None, Some(vb));
-                ib.next();
-            } else {
-                break;
-            }
-        }
-        if let Some(&(kb, vb)) = ib.peek() {
-            if kb == ka {
-                push(ka, Some(va), Some(vb));
-                ib.next();
-                continue;
-            }
-        }
-        push(ka, Some(va), None);
-    }
-    for (kb, vb) in ib {
-        push(kb, None, Some(vb));
     }
 
     // --- Per-resource deltas ----------------------------------------------
-    let stalls_of = |report: &AnalysisReport| -> BTreeMap<String, ResourceStalls> {
-        report
-            .stalls
-            .iter()
-            .map(|s| (s.name.clone(), s.clone()))
-            .collect()
-    };
-    let stalls_a = stalls_of(&report_a);
-    let stalls_b = stalls_of(&report_b);
+    let stalls_a = stalls_by_name(&report_a);
+    let stalls_b = stalls_by_name(&report_b);
     // A resource missing from a run is fully idle for that run's makespan,
     // all of it startup/drain: no task ever bound it.
     let synthesized = |makespan_us: u64| ResourceStalls {
@@ -1113,19 +1143,12 @@ pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
         idle_us: makespan_us,
         by_class: [0, 0, 0, 0, makespan_us],
     };
-    let mut names: Vec<&String> = stalls_a.keys().chain(stalls_b.keys()).collect();
-    names.sort();
-    names.dedup();
+    let (missing_a, missing_b) = (synthesized(makespan_a_us), synthesized(makespan_b_us));
+    let names: BTreeSet<&str> = stalls_a.keys().chain(stalls_b.keys()).copied().collect();
     let mut resources = Vec::with_capacity(names.len());
     for name in names {
-        let sa = stalls_a
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| synthesized(makespan_a_us));
-        let sb = stalls_b
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| synthesized(makespan_b_us));
+        let sa = stalls_a.get(name).copied().unwrap_or(&missing_a);
+        let sb = stalls_b.get(name).copied().unwrap_or(&missing_b);
         let mut by_class_delta_us = [0i64; 5];
         for (d, (a, b)) in by_class_delta_us
             .iter_mut()
@@ -1134,7 +1157,7 @@ pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
             *d = *b as i64 - *a as i64;
         }
         let delta = ResourceDelta {
-            name: name.clone(),
+            name: name.to_string(),
             busy_a_us: sa.busy_us,
             busy_b_us: sb.busy_us,
             idle_a_us: sa.idle_us,
@@ -1142,10 +1165,7 @@ pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
             busy_delta_us: sb.busy_us as i64 - sa.busy_us as i64,
             idle_delta_us: sb.idle_us as i64 - sa.idle_us as i64,
             by_class_delta_us,
-            task_delta_us: task_delta_by_resource
-                .get(name.as_str())
-                .copied()
-                .unwrap_or(0),
+            task_delta_us: task_delta_by_resource.get(name).copied().unwrap_or(0),
         };
         debug_assert_eq!(
             delta.task_delta_us, delta.busy_delta_us,
@@ -1165,18 +1185,18 @@ pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
     }
 
     // --- Critical-path churn ----------------------------------------------
-    let cp_durs = |report: &AnalysisReport, keys: &[TaskKey]| -> BTreeMap<TaskKey, u64> {
+    let cp_durs = |report: &AnalysisReport, keys: &[TaskKey<'a>]| -> BTreeMap<TaskKey<'a>, u64> {
         report
             .critical_path
             .iter()
-            .map(|s| (keys[s.task.index()].clone(), s.dur_us))
+            .map(|s| (keys[s.task.index()], s.dur_us))
             .collect()
     };
     let cp_a = cp_durs(&report_a, &keys_a);
     let cp_b = cp_durs(&report_b, &keys_b);
     let mut critical_path = Vec::new();
     for step in &report_b.critical_path {
-        let key = keys_b[step.task.index()].clone();
+        let key = keys_b[step.task.index()];
         let dur_b = step.dur_us;
         let (change, dur_a_us) = match cp_a.get(&key) {
             None => (EdgeChange::Entered, None),
@@ -1186,7 +1206,7 @@ pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
         };
         critical_path.push(CriticalEdgeDiff {
             key,
-            kind: step.kind.to_string(),
+            kind: step.kind.name(),
             change,
             dur_a_us,
             dur_b_us: Some(dur_b),
@@ -1194,13 +1214,13 @@ pub fn diff_analyses(trace_a: &Trace, trace_b: &Trace) -> AnalysisDiff {
         });
     }
     for step in &report_a.critical_path {
-        let key = keys_a[step.task.index()].clone();
+        let key = keys_a[step.task.index()];
         if cp_b.contains_key(&key) {
             continue;
         }
         critical_path.push(CriticalEdgeDiff {
             key,
-            kind: step.kind.to_string(),
+            kind: step.kind.name(),
             change: EdgeChange::Left,
             dur_a_us: Some(step.dur_us),
             dur_b_us: None,
@@ -1458,7 +1478,8 @@ mod tests {
 
     #[test]
     fn identical_traces_diff_to_zero() {
-        let diff = diff_analyses(&optimizer_exposed_trace(), &optimizer_exposed_trace());
+        let (a, b) = (optimizer_exposed_trace(), optimizer_exposed_trace());
+        let diff = diff_analyses(&a, &b);
         assert!(diff.is_zero());
         assert_eq!(diff.makespan_delta_us, 0);
         assert!(diff.tasks.iter().all(|t| t.delta_us == 0));
@@ -1472,7 +1493,8 @@ mod tests {
 
     #[test]
     fn slower_optimizer_attributed_exactly() {
-        let diff = diff_analyses(&slower_step_trace(3.0), &slower_step_trace(5.0));
+        let (a, b) = (slower_step_trace(3.0), slower_step_trace(5.0));
+        let diff = diff_analyses(&a, &b);
         assert!(!diff.is_zero());
         assert_eq!(diff.makespan_delta_us, 2_000);
         assert_conserved(&diff);
@@ -1530,17 +1552,14 @@ mod tests {
             (None, Some(5_000), 5_000)
         );
         // Critical-path churn: y entered, x left.
-        let changes: Vec<(String, EdgeChange)> = diff
+        let changes: Vec<(&str, EdgeChange)> = diff
             .critical_path
             .iter()
-            .map(|e| (e.key.label.clone(), e.change))
+            .map(|e| (e.key.label, e.change))
             .collect();
         assert_eq!(
             changes,
-            vec![
-                ("y".to_string(), EdgeChange::Entered),
-                ("x".to_string(), EdgeChange::Left)
-            ]
+            vec![("y", EdgeChange::Entered), ("x", EdgeChange::Left)]
         );
     }
 
@@ -1559,7 +1578,8 @@ mod tests {
             }
             sim.run().unwrap()
         };
-        let diff = diff_analyses(&repeated([1.0, 2.0, 3.0]), &repeated([1.0, 4.0, 3.0]));
+        let (a, b) = (repeated([1.0, 2.0, 3.0]), repeated([1.0, 4.0, 3.0]));
+        let diff = diff_analyses(&a, &b);
         assert_conserved(&diff);
         assert_eq!(diff.makespan_delta_us, 2_000);
         let moved: Vec<&TaskDelta> = diff.tasks.iter().filter(|t| t.delta_us != 0).collect();
@@ -1570,8 +1590,27 @@ mod tests {
     }
 
     #[test]
+    fn resources_sharing_a_name_keep_the_later_task() {
+        let mut sim = Simulator::new();
+        for d in [1.0, 2.0] {
+            let gpu = sim.add_resource("gpu");
+            sim.add_task(TaskSpec::compute(gpu, ms(d)).with_label("x"))
+                .unwrap();
+        }
+        let trace = sim.run().unwrap();
+        let diff = diff_analyses(&trace, &trace);
+        let durs: Vec<_> = diff
+            .tasks
+            .iter()
+            .map(|t| (t.dur_a_us, t.dur_b_us))
+            .collect();
+        assert_eq!(durs, vec![(Some(2_000), Some(2_000))]);
+    }
+
+    #[test]
     fn diff_table_renders_key_lines() {
-        let diff = diff_analyses(&slower_step_trace(3.0), &slower_step_trace(5.0));
+        let (a, b) = (slower_step_trace(3.0), slower_step_trace(5.0));
+        let diff = diff_analyses(&a, &b);
         let s = diff.render_table("base", "cand");
         assert!(s.contains("makespan"));
         assert!(s.contains("critical-path churn"));

@@ -20,8 +20,10 @@
 //! The JSON is emitted directly (the format is flat and fixed) to keep the
 //! crate free of serialization dependencies.
 
-use crate::engine::{node_of_resource, ResourceId, TaskKind};
-use crate::telemetry::{escape_json, MetricsRecorder};
+use std::fmt::Write as _;
+
+use crate::engine::{node_of_resource, TaskKind};
+use crate::telemetry::{escape_json_into, MetricsRecorder};
 use crate::trace::{Interval, Trace};
 
 /// Whether a resource name denotes a link (a transfer or fabric timeline)
@@ -38,48 +40,87 @@ fn pids(resource_names: &[&str]) -> Vec<u32> {
     resource_names.iter().map(|n| node_of_resource(n)).collect()
 }
 
-fn slice_events(trace: &Trace, resource_names: &[&str]) -> Vec<String> {
-    let pids = pids(resource_names);
-    let mut events = Vec::new();
-    // Name the per-node process tracks — only when the trace actually spans
-    // several nodes, so single-node exports stay byte-identical.
+/// Opens an event array sized for `intervals` slices. Every writer below
+/// appends records each followed by `",\n"`; [`close_array`] drops the
+/// last separator.
+fn open_array(intervals: usize) -> String {
+    // A slice record is ~130 bytes; flows and counters add a few more.
+    let mut out = String::with_capacity(160 * intervals + 1024);
+    out.push('[');
+    out
+}
+
+fn close_array(mut out: String) -> String {
+    if out.ends_with(",\n") {
+        out.truncate(out.len() - 2);
+    }
+    out.push(']');
+    out
+}
+
+/// One complete (`"ph":"X"`) slice record for `iv` on row `tid`.
+fn write_slice(out: &mut String, iv: &Interval, pid: u32, tid: usize) {
+    let label = if iv.label.is_empty() {
+        "task"
+    } else {
+        &iv.label
+    };
+    out.push_str("{\"name\":\"");
+    escape_json_into(out, label);
+    let kind = iv.kind.name();
+    let _ = writeln!(
+        out,
+        "\",\"cat\":\"{kind}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"kind\":\"{kind}\"}}}},",
+        iv.start.as_micros_rounded(),
+        iv.duration().as_micros_rounded(),
+    );
+}
+
+/// A `thread_name` metadata record naming row `tid`.
+fn write_thread_name(out: &mut String, pid: u32, tid: usize, name: &str) {
+    let _ = write!(
+        out,
+        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
+    );
+    escape_json_into(out, name);
+    out.push_str("\"}},\n");
+}
+
+/// Thread-name metadata for every row, then every row's slices in start
+/// order.
+fn write_rows(out: &mut String, rows: &[Vec<&Interval>], resource_names: &[&str], pids: &[u32]) {
+    for (tid, name) in resource_names.iter().enumerate() {
+        write_thread_name(out, pids[tid], tid, name);
+    }
+    for (tid, row) in rows.iter().enumerate().take(resource_names.len()) {
+        for iv in row {
+            write_slice(out, iv, pids[tid], tid);
+        }
+    }
+}
+
+/// Slices with one process track per node. The process tracks are named
+/// only when the trace actually spans several nodes, so single-node exports
+/// stay byte-identical to the pre-fleet format.
+fn write_slice_events(
+    out: &mut String,
+    rows: &[Vec<&Interval>],
+    resource_names: &[&str],
+    pids: &[u32],
+) {
     if pids.iter().any(|&p| p != 0) {
         let mut seen = Vec::new();
-        for &pid in &pids {
+        for &pid in pids {
             if !seen.contains(&pid) {
                 seen.push(pid);
-                events.push(format!(
-                    r#"{{"name":"process_name","ph":"M","pid":{pid},"args":{{"name":"node{pid}"}}}}"#,
-                ));
+                let _ = writeln!(
+                    out,
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"node{pid}\"}}}},"
+                );
             }
         }
     }
-    for (tid, name) in resource_names.iter().enumerate() {
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{tid},"args":{{"name":"{}"}}}}"#,
-            pids[tid],
-            escape_json(name)
-        ));
-    }
-    for (tid, _) in resource_names.iter().enumerate() {
-        for iv in trace.intervals_on(ResourceId(tid)) {
-            let label = if iv.label.is_empty() {
-                "task"
-            } else {
-                &iv.label
-            };
-            events.push(format!(
-                r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":{},"tid":{tid},"args":{{"kind":"{}"}}}}"#,
-                escape_json(label),
-                iv.kind,
-                iv.start.as_micros_rounded(),
-                iv.duration().as_micros_rounded(),
-                pids[tid],
-                iv.kind,
-            ));
-        }
-    }
-    events
+    write_rows(out, rows, resource_names, pids);
 }
 
 /// A timestamp guaranteed to fall *inside* the slice drawn for `iv` (flow
@@ -107,9 +148,8 @@ fn flow_ts(iv: &Interval) -> u64 {
 /// bind to the *enclosing* slice) to the collective's slice, and
 /// `ts(s) <= ts(f)` always, because a dependency finishes before its
 /// dependent starts.
-pub fn flow_events(trace: &Trace, resource_names: &[&str]) -> Vec<String> {
-    let pids = pids(resource_names);
-    let mut events = Vec::new();
+fn write_flow_events(out: &mut String, trace: &Trace, pids: &[u32]) {
+    let pid_of = |iv: &Interval| pids.get(iv.resource.index()).copied().unwrap_or(0);
     let mut id = 0u64;
     for iv in trace.intervals() {
         if iv.kind != TaskKind::Collective {
@@ -124,38 +164,38 @@ pub fn flow_events(trace: &Trace, resource_names: &[&str]) -> Vec<String> {
             let Some(src) = trace.interval(dep) else {
                 continue;
             };
-            events.push(format!(
-                r#"{{"name":"{}","cat":"flow","ph":"s","id":{id},"ts":{},"pid":{},"tid":{}}}"#,
-                escape_json(name),
-                flow_ts(src),
-                pids.get(src.resource.index()).copied().unwrap_or(0),
-                src.resource.index(),
-            ));
-            events.push(format!(
-                r#"{{"name":"{}","cat":"flow","ph":"f","bp":"e","id":{id},"ts":{},"pid":{},"tid":{}}}"#,
-                escape_json(name),
-                flow_ts(iv),
-                pids.get(iv.resource.index()).copied().unwrap_or(0),
-                iv.resource.index(),
-            ));
+            for (ph, end) in [(r#""ph":"s""#, src), (r#""ph":"f","bp":"e""#, iv)] {
+                out.push_str("{\"name\":\"");
+                escape_json_into(out, name);
+                let _ = writeln!(
+                    out,
+                    "\",\"cat\":\"flow\",{ph},\"id\":{id},\"ts\":{},\"pid\":{},\"tid\":{}}},",
+                    flow_ts(end),
+                    pid_of(end),
+                    end.resource.index(),
+                );
+            }
             id += 1;
         }
     }
-    events
 }
 
 /// Per-link occupancy counters (`"ph":"C"`): a 0/1 `busy` track per link
 /// resource (C2C directions, fabric, pipeline links), toggled at every
 /// interval boundary, so link duty cycles read directly off the trace.
-pub fn link_occupancy_events(trace: &Trace, resource_names: &[&str]) -> Vec<String> {
-    let pids = pids(resource_names);
-    let mut events = Vec::new();
-    for (tid, name) in resource_names.iter().enumerate() {
+fn write_link_occupancy_events(
+    out: &mut String,
+    rows: &[Vec<&Interval>],
+    resource_names: &[&str],
+    pids: &[u32],
+) {
+    let mut edges: Vec<(u64, u8)> = Vec::new();
+    for (tid, (name, row)) in resource_names.iter().zip(rows).enumerate() {
         if !is_link_resource(name) {
             continue;
         }
-        let mut edges: Vec<(u64, u8)> = Vec::new();
-        for iv in trace.intervals_on(ResourceId(tid)) {
+        edges.clear();
+        for iv in row {
             edges.push((iv.start.as_micros_rounded(), 1));
             edges.push((iv.end.as_micros_rounded(), 0));
         }
@@ -163,15 +203,18 @@ pub fn link_occupancy_events(trace: &Trace, resource_names: &[&str]) -> Vec<Stri
         // edge before the next rising edge at the same microsecond, so the
         // counter renders busy across the boundary.
         edges.sort_by_key(|&(ts, _)| ts);
-        for (ts, v) in edges {
-            events.push(format!(
-                r#"{{"name":"occupancy:{}","ph":"C","ts":{ts},"pid":{},"args":{{"busy":{v}}}}}"#,
-                escape_json(name),
-                pids[tid],
-            ));
+        let mut head = String::from("{\"name\":\"occupancy:");
+        escape_json_into(&mut head, name);
+        head.push_str("\",\"ph\":\"C\",\"ts\":");
+        for &(ts, v) in &edges {
+            out.push_str(&head);
+            let _ = writeln!(
+                out,
+                "{ts},\"pid\":{},\"args\":{{\"busy\":{v}}}}},",
+                pids[tid]
+            );
         }
     }
-    events
 }
 
 /// Serializes a [`Trace`] to the Chrome Trace Event JSON array format.
@@ -192,9 +235,11 @@ pub fn link_occupancy_events(trace: &Trace, resource_names: &[&str]) -> Vec<Stri
 /// # }
 /// ```
 pub fn to_chrome_trace(trace: &Trace, resource_names: &[&str]) -> String {
-    let mut events = slice_events(trace, resource_names);
-    events.extend(flow_events(trace, resource_names));
-    format!("[{}]", events.join(",\n"))
+    let pids = pids(resource_names);
+    let mut out = open_array(trace.intervals().len());
+    write_slice_events(&mut out, &trace.rows(), resource_names, &pids);
+    write_flow_events(&mut out, trace, &pids);
+    close_array(out)
 }
 
 /// Serializes a [`Trace`] plus the counter tracks of a [`MetricsRecorder`]
@@ -212,11 +257,14 @@ pub fn to_chrome_trace_with_counters(
     resource_names: &[&str],
     metrics: &MetricsRecorder,
 ) -> String {
-    let mut events = slice_events(trace, resource_names);
-    events.extend(flow_events(trace, resource_names));
-    events.extend(link_occupancy_events(trace, resource_names));
-    events.extend(metrics.chrome_counter_events_until(0, trace.makespan_us()));
-    format!("[{}]", events.join(",\n"))
+    let pids = pids(resource_names);
+    let rows = trace.rows();
+    let mut out = open_array(trace.intervals().len());
+    write_slice_events(&mut out, &rows, resource_names, &pids);
+    write_flow_events(&mut out, trace, &pids);
+    write_link_occupancy_events(&mut out, &rows, resource_names, &pids);
+    metrics.write_chrome_counter_events(&mut out, 0, trace.makespan_us());
+    close_array(out)
 }
 
 /// Serializes *two* runs into one Chrome Trace Event JSON array with
@@ -238,15 +286,15 @@ pub fn side_by_side_chrome_trace(
     trace_b: &Trace,
     metrics_b: &MetricsRecorder,
 ) -> String {
-    let mut events = Vec::new();
+    let mut out = open_array(trace_a.intervals().len() + trace_b.intervals().len());
     for (side, (label, trace, metrics)) in
         [(label_a, trace_a, metrics_a), (label_b, trace_b, metrics_b)]
             .into_iter()
             .enumerate()
     {
         let side = side as u32;
-        let pids: Vec<u32> = trace
-            .resource_names()
+        let names: Vec<&str> = trace.resource_names().iter().map(String::as_str).collect();
+        let pids: Vec<u32> = names
             .iter()
             .map(|n| 2 * node_of_resource(n) + side)
             .collect();
@@ -254,46 +302,24 @@ pub fn side_by_side_chrome_trace(
         for &pid in &pids {
             if !seen.contains(&pid) {
                 seen.push(pid);
-                events.push(format!(
-                    r#"{{"name":"process_name","ph":"M","pid":{pid},"args":{{"name":"{}:node{}"}}}}"#,
-                    escape_json(label),
-                    (pid - side) / 2,
-                ));
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\""
+                );
+                escape_json_into(&mut out, label);
                 // Keep a:nodeK directly above b:nodeK regardless of pid
                 // numerology in the viewer.
-                events.push(format!(
-                    r#"{{"name":"process_sort_index","ph":"M","pid":{pid},"args":{{"sort_index":{pid}}}}}"#,
-                ));
+                let _ = write!(
+                    out,
+                    ":node{}\"}}}},\n{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}},\n",
+                    (pid - side) / 2,
+                );
             }
         }
-        for (tid, name) in trace.resource_names().iter().enumerate() {
-            events.push(format!(
-                r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{tid},"args":{{"name":"{}"}}}}"#,
-                pids[tid],
-                escape_json(name)
-            ));
-        }
-        for (tid, _) in trace.resource_names().iter().enumerate() {
-            for iv in trace.intervals_on(ResourceId(tid)) {
-                let label = if iv.label.is_empty() {
-                    "task"
-                } else {
-                    &iv.label
-                };
-                events.push(format!(
-                    r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":{},"tid":{tid},"args":{{"kind":"{}"}}}}"#,
-                    escape_json(label),
-                    iv.kind,
-                    iv.start.as_micros_rounded(),
-                    iv.duration().as_micros_rounded(),
-                    pids[tid],
-                    iv.kind,
-                ));
-            }
-        }
-        events.extend(metrics.chrome_counter_events_until(side, trace.makespan_us()));
+        write_rows(&mut out, &trace.rows(), &names, &pids);
+        metrics.write_chrome_counter_events(&mut out, side, trace.makespan_us());
     }
-    format!("[{}]", events.join(",\n"))
+    close_array(out)
 }
 
 /// One measured wall-clock interval from the *real* plane (the
@@ -330,27 +356,25 @@ pub fn real_spans_chrome_trace(
     metrics: Option<&MetricsRecorder>,
     end_us: u64,
 ) -> String {
-    let mut events = Vec::new();
+    let mut out = open_array(spans.len());
     for (tid, name) in track_names {
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"{}"}}}}"#,
-            escape_json(name)
-        ));
+        write_thread_name(&mut out, 0, *tid as usize, name);
     }
     for s in spans {
-        events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":0,"tid":{}}}"#,
-            escape_json(&s.name),
-            escape_json(&s.cat),
-            s.ts_us,
-            s.dur_us,
-            s.tid,
-        ));
+        out.push_str("{\"name\":\"");
+        escape_json_into(&mut out, &s.name);
+        out.push_str("\",\"cat\":\"");
+        escape_json_into(&mut out, &s.cat);
+        let _ = writeln!(
+            out,
+            "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}},",
+            s.ts_us, s.dur_us, s.tid,
+        );
     }
     if let Some(metrics) = metrics {
-        events.extend(metrics.chrome_counter_events_until(0, end_us));
+        metrics.write_chrome_counter_events(&mut out, 0, end_us);
     }
-    format!("[{}]", events.join(",\n"))
+    close_array(out)
 }
 
 #[cfg(test)]
@@ -359,6 +383,11 @@ mod tests {
     use crate::engine::{Simulator, TaskSpec};
     use crate::telemetry::validate_json;
     use crate::SimTime;
+
+    /// The records of an event array body written by the writers above.
+    fn records(out: &str) -> Vec<&str> {
+        out.split_terminator(",\n").collect()
+    }
 
     fn sample() -> Trace {
         let mut sim = Simulator::new();
@@ -561,7 +590,9 @@ mod tests {
     fn flow_pairs_share_ids_and_order_timestamps() {
         let (trace, names) = fleet_sample();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let events = flow_events(&trace, &refs);
+        let mut out = String::new();
+        write_flow_events(&mut out, &trace, &pids(&refs));
+        let events = records(&out);
         assert_eq!(events.len(), 8);
         for pair in events.chunks(2) {
             let (s, f) = (&pair[0], &pair[1]);
@@ -583,7 +614,9 @@ mod tests {
     fn link_occupancy_toggles_per_interval() {
         let (trace, names) = fleet_sample();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let events = link_occupancy_events(&trace, &refs);
+        let mut out = String::new();
+        write_link_occupancy_events(&mut out, &trace.rows(), &refs, &pids(&refs));
+        let events = records(&out);
         // Two fabric resources with one interval each: rise + fall per link.
         assert_eq!(events.len(), 4);
         assert!(events[0].contains(r#""name":"occupancy:fabric","ph":"C","ts":3000"#));

@@ -79,16 +79,22 @@ const TASK_KINDS: [TaskKind; 5] = [
     TaskKind::Sync,
 ];
 
-impl fmt::Display for TaskKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl TaskKind {
+    /// Stable lower-case name used in traces, snapshots and diffs.
+    pub const fn name(self) -> &'static str {
+        match self {
             TaskKind::Compute => "compute",
             TaskKind::Transfer => "transfer",
             TaskKind::Cast => "cast",
             TaskKind::Collective => "collective",
             TaskKind::Sync => "sync",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TaskKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -114,14 +120,20 @@ pub enum TaskTag {
     Eviction,
 }
 
-impl fmt::Display for TaskTag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl TaskTag {
+    /// Stable kebab-case name used in diffs and run alignment.
+    pub const fn name(self) -> &'static str {
+        match self {
             TaskTag::Generic => "generic",
             TaskTag::OptimizerStep => "optimizer-step",
             TaskTag::Eviction => "eviction",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TaskTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

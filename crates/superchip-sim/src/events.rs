@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use crate::engine::{node_of_resource, TaskKind, TaskTag};
-use crate::telemetry::escape_json;
+use crate::telemetry::escape_json_into;
 use crate::trace::Trace;
 
 /// Schema identifier stamped into the JSONL header line.
@@ -90,9 +90,9 @@ pub struct Event {
 }
 
 impl Event {
-    /// Serializes the record as one JSON object (one JSONL line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
+    /// Appends the record as one JSON object (one JSONL line, without the
+    /// newline) to `out`.
+    pub fn write_json(&self, out: &mut String) {
         let _ = write!(out, r#"{{"id":{},"parent":"#, self.id);
         match self.parent {
             Some(p) => {
@@ -102,15 +102,17 @@ impl Event {
         }
         let _ = write!(
             out,
-            r#","kind":"{}","ts-us":{},"node":{},"scope":"{}","resource":"{}","label":"{}"}}"#,
+            r#","kind":"{}","ts-us":{},"node":{},"scope":""#,
             self.kind.name(),
             self.ts_us,
             self.node,
-            escape_json(&self.scope),
-            escape_json(&self.resource),
-            escape_json(&self.label),
         );
-        out
+        escape_json_into(out, &self.scope);
+        out.push_str(r#"","resource":""#);
+        escape_json_into(out, &self.resource);
+        out.push_str(r#"","label":""#);
+        escape_json_into(out, &self.label);
+        out.push_str("\"}");
     }
 }
 
@@ -286,14 +288,21 @@ impl EventLog {
     ///
     /// `meta` entries (emitted in the given order) identify the run.
     pub fn to_jsonl(&self, meta: &[(&str, String)]) -> String {
-        let mut out = String::new();
-        let _ = write!(out, r#"{{"schema":"{}""#, escape_json(EVENTS_SCHEMA));
+        // A record is ~150 bytes plus its label.
+        let mut out = String::with_capacity(192 * (self.events.len() + 1));
+        out.push_str(r#"{"schema":""#);
+        escape_json_into(&mut out, EVENTS_SCHEMA);
+        out.push('"');
         for (k, v) in meta {
-            let _ = write!(out, r#","{}":"{}""#, escape_json(k), escape_json(v));
+            out.push_str(r#",""#);
+            escape_json_into(&mut out, k);
+            out.push_str(r#"":""#);
+            escape_json_into(&mut out, v);
+            out.push('"');
         }
         let _ = writeln!(out, r#","events":{}}}"#, self.events.len());
         for e in &self.events {
-            out.push_str(&e.to_json());
+            e.write_json(&mut out);
             out.push('\n');
         }
         out

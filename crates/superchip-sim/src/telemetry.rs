@@ -27,32 +27,50 @@ use crate::time::SimTime;
 /// Schema identifier stamped into [`MetricsRecorder::snapshot_json`] output.
 pub const METRICS_SCHEMA: &str = "superoffload.metrics/v1";
 
+/// Appends `s` to `out`, escaped for embedding inside a JSON string
+/// literal. Runs of bytes that need no escape are copied whole.
+pub fn escape_json_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        // Every byte that needs an escape is ASCII, so `i` is a char
+        // boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
 /// Escapes a string for embedding inside a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_json_into(&mut out, s);
     out
 }
 
-/// Formats an `f64` as a JSON number (non-finite values become `0`, which
+/// Displays an `f64` as a JSON number (non-finite values become `0`, which
 /// cannot be represented in JSON).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+struct JsonNum(f64);
+
+impl std::fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("0")
+        }
     }
 }
 
@@ -340,35 +358,26 @@ impl MetricsRecorder {
             && self.histograms.is_empty()
     }
 
-    /// Renders every track as Chrome Trace Event counter events
-    /// (`"ph":"C"`), one JSON object per sample, suitable for appending to a
-    /// trace's event array.
+    /// Appends every track as Chrome Trace Event counter events
+    /// (`"ph":"C"`), one JSON object per sample, each followed by `",\n"`
+    /// (the record separator of a trace's event array).
     ///
     /// Samples within a track are emitted time-sorted (stable, so same-
     /// timestamp samples keep insertion order and the last one wins in
     /// Perfetto's rendering).
-    pub fn chrome_counter_events(&self, pid: u32) -> Vec<String> {
-        self.counter_events_inner(pid, None)
-    }
-
-    /// Like [`MetricsRecorder::chrome_counter_events`], but closes every
-    /// track with a final sample repeating its last value at `end_us` (the
-    /// trace makespan). Without this, Perfetto extrapolates the last counter
-    /// value past the end of the trace, which misreads as activity after the
-    /// run finished. Tracks whose last sample is already at or past `end_us`
-    /// are emitted unchanged.
-    pub fn chrome_counter_events_until(&self, pid: u32, end_us: u64) -> Vec<String> {
-        self.counter_events_inner(pid, Some(end_us))
-    }
-
-    fn counter_events_inner(&self, pid: u32, end_us: Option<u64>) -> Vec<String> {
-        let mut events = Vec::new();
+    ///
+    /// Every track is closed with a final sample repeating its last value
+    /// at `end_us` (the trace makespan). Without this, Perfetto
+    /// extrapolates the last counter value past the end of the trace, which
+    /// misreads as activity after the run finished. Tracks whose last
+    /// sample is already at or past `end_us` are emitted unchanged.
+    pub fn write_chrome_counter_events(&self, out: &mut String, pid: u32, end_us: u64) {
         for (name, track) in &self.tracks {
             let mut samples = track.samples.clone();
             samples.sort_by_key(|&(ts, _)| ts);
-            if let (Some(end), Some(&(last_ts, last_v))) = (end_us, samples.last()) {
-                if last_ts < end {
-                    samples.push((end, last_v));
+            if let Some(&(last_ts, last_v)) = samples.last() {
+                if last_ts < end_us {
+                    samples.push((end_us, last_v));
                 }
             }
             let arg = if track.unit.is_empty() {
@@ -377,14 +386,15 @@ impl MetricsRecorder {
                 escape_json(&track.unit)
             };
             for (ts, v) in samples {
-                events.push(format!(
-                    r#"{{"name":"{}","ph":"C","ts":{ts},"pid":{pid},"args":{{"{arg}":{}}}}}"#,
-                    escape_json(name),
-                    json_num(v),
-                ));
+                out.push_str("{\"name\":\"");
+                escape_json_into(out, name);
+                let _ = writeln!(
+                    out,
+                    "\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"{arg}\":{}}}}},",
+                    JsonNum(v)
+                );
             }
         }
-        events
     }
 
     /// Serializes the recorder as a deterministic, versioned JSON object.
@@ -426,7 +436,7 @@ impl MetricsRecorder {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\": {}", escape_json(k), json_num(*v));
+            let _ = write!(out, "\n    \"{}\": {}", escape_json(k), JsonNum(*v));
         }
         if !self.gauges.is_empty() {
             out.push_str("\n  ");
@@ -450,7 +460,7 @@ impl MetricsRecorder {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "[{ts},{}]", json_num(*v));
+                let _ = write!(out, "[{ts},{}]", JsonNum(*v));
             }
             out.push_str("]}");
         }
@@ -734,224 +744,21 @@ pub fn diff_metrics(a: &MetricsRecorder, b: &MetricsRecorder) -> MetricsDiff {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. Every
+/// artifact this workspace writes nests fewer than 10 levels; the bound
+/// keeps a hostile document from exhausting the stack of the recursive
+/// parser.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Validates that `s` is one well-formed JSON value with nothing trailing.
-///
-/// A minimal recursive-descent checker (objects, arrays, strings with
-/// escapes, numbers, `true`/`false`/`null`) so tests and the `repro` CLI can
-/// verify emitted traces and snapshots without a serialization dependency.
+/// This runs [`parse_json`]'s grammar without building the value, so it
+/// accepts and rejects exactly what `parse_json` does, with the same errors.
 ///
 /// # Errors
 /// Returns a human-readable description of the first syntax error, with its
 /// byte offset.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = JsonChecker {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
-}
-
-struct JsonChecker<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JsonChecker<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal(b"true"),
-            Some(b'f') => self.literal(b"false"),
-            Some(b'n') => self.literal(b"null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.i
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(format!("bad \\u escape at byte {}", self.i)),
-                                }
-                            }
-                        }
-                        other => {
-                            return Err(format!(
-                                "bad escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.i
-                            ))
-                        }
-                    }
-                }
-                c if c < 0x20 => return Err(format!("raw control character at byte {}", self.i)),
-                _ => self.i += 1,
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("bad number at byte {start}"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(format!("bad number at byte {start}"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(format!("bad number at byte {start}"));
-            }
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, lit: &[u8]) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
+    run_json_parser::<false>(s).map(|_| ())
 }
 
 /// A parsed JSON value, produced by [`parse_json`].
@@ -1009,20 +816,31 @@ impl JsonValue {
     }
 }
 
-/// Parses `s` into a [`JsonValue`].
-///
-/// Accepts exactly what [`validate_json`] accepts (it runs the same grammar),
-/// so `parse_json(s).is_ok() == validate_json(s).is_ok()` — the round-trip
-/// tests rely on this agreement.
+/// Parses `s` into a [`JsonValue`], checking the grammar and building the
+/// value in one pass: objects, arrays, strings with escapes, numbers,
+/// `true`/`false`/`null`, nested at most [`MAX_JSON_DEPTH`] deep, with
+/// nothing trailing. This is the crate's one JSON grammar, so tests and the
+/// `repro` CLI can check emitted traces and snapshots without a
+/// serialization dependency.
 ///
 /// # Errors
 /// Returns a human-readable description of the first syntax error, with its
 /// byte offset.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
-    validate_json(s)?;
-    let mut p = JsonParser {
+    run_json_parser::<true>(s)
+}
+
+/// The one JSON grammar behind [`parse_json`] (`BUILD`) and
+/// [`validate_json`] (check only: no string, number or container is built,
+/// and the returned value is a placeholder).
+fn run_json_parser<const BUILD: bool>(s: &str) -> Result<JsonValue, String> {
+    let mut p = JsonParser::<BUILD> {
+        s,
         b: s.as_bytes(),
         i: 0,
+        depth: 0,
+        items: Vec::new(),
+        members: Vec::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -1033,14 +851,35 @@ pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
-/// Value-building twin of [`JsonChecker`]. Runs after validation, so it can
-/// assume the input is syntactically well-formed and keep error paths thin.
-struct JsonParser<'a> {
+struct JsonParser<'a, const BUILD: bool> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+    /// Elements of the open arrays, innermost last. Each array moves its
+    /// own into one exactly-sized `Vec` when it closes, so a container
+    /// costs one allocation rather than one per growth step.
+    items: Vec<JsonValue>,
+    /// Members of the open objects, likewise.
+    members: Vec<(String, JsonValue)>,
 }
 
-impl JsonParser<'_> {
+/// Moves the elements a closing container pushed (`stack[start..]`) into
+/// their own exactly-sized `Vec`, leaving the stack's buffer for the next
+/// container. The document root takes the buffer itself: nothing is parsed
+/// after it.
+fn close_container<T>(stack: &mut Vec<T>, start: usize, root: bool) -> Vec<T> {
+    if root {
+        let mut v = std::mem::take(stack);
+        v.shrink_to_fit();
+        v
+    } else {
+        stack.drain(start..).collect()
+    }
+}
+
+impl<const BUILD: bool> JsonParser<'_, BUILD> {
     fn skip_ws(&mut self) {
         while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
             self.i += 1;
@@ -1051,159 +890,215 @@ impl JsonParser<'_> {
         self.b.get(self.i).copied()
     }
 
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.i += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected '{}' at byte {}, found {:?}",
+                c as char,
+                self.i,
+                self.peek().map(|b| b as char)
+            ))
+        }
+    }
+
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => {
-                self.i += 4;
-                Ok(JsonValue::Bool(true))
-            }
-            Some(b'f') => {
-                self.i += 5;
-                Ok(JsonValue::Bool(false))
-            }
-            Some(b'n') => {
-                self.i += 4;
-                Ok(JsonValue::Null)
-            }
-            _ => self.number(),
+            Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal(b"null", JsonValue::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|b| b as char),
+                self.i
+            )),
         }
     }
 
+    /// Consumes the opening bracket of an array or object, one level deeper.
+    fn open(&mut self) -> Result<(), String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        self.i += 1;
+        Ok(())
+    }
+
     fn object(&mut self) -> Result<JsonValue, String> {
-        self.i += 1; // '{'
-        let mut members = Vec::new();
+        self.open()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(JsonValue::Obj(members));
+            self.depth -= 1;
+            return Ok(JsonValue::Obj(Vec::new()));
         }
+        let start = self.members.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.i += 1; // ':'
+            self.expect(b':')?;
             self.skip_ws();
-            members.push((key, self.value()?));
+            let v = self.value()?;
+            if BUILD {
+                self.members.push((key, v));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
-                _ => {
-                    self.i += 1; // '}'
+                Some(b'}') => {
+                    self.i += 1;
+                    self.depth -= 1;
+                    let members = close_container(&mut self.members, start, self.depth == 0);
                     return Ok(JsonValue::Obj(members));
+                }
+                other => {
+                    return Err(format!(
+                        "expected ',' or '}}' at byte {}, found {:?}",
+                        self.i,
+                        other.map(|b| b as char)
+                    ))
                 }
             }
         }
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
-        self.i += 1; // '['
-        let mut items = Vec::new();
+        self.open()?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.i += 1;
-            return Ok(JsonValue::Arr(items));
+            self.depth -= 1;
+            return Ok(JsonValue::Arr(Vec::new()));
         }
+        let start = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let v = self.value()?;
+            if BUILD {
+                self.items.push(v);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
-                _ => {
-                    self.i += 1; // ']'
+                Some(b']') => {
+                    self.i += 1;
+                    self.depth -= 1;
+                    let items = close_container(&mut self.items, start, self.depth == 0);
                     return Ok(JsonValue::Arr(items));
+                }
+                other => {
+                    return Err(format!(
+                        "expected ',' or ']' at byte {}, found {:?}",
+                        self.i,
+                        other.map(|b| b as char)
+                    ))
                 }
             }
         }
     }
 
+    /// A string literal, decoded run by run: the bytes between escapes are
+    /// copied whole, so an escape-free string costs one copy (and a
+    /// check-only parse copies nothing).
     fn string(&mut self) -> Result<String, String> {
-        self.i += 1; // '"'
+        self.expect(b'"')?;
         let mut out = String::new();
+        let mut run = self.i;
         loop {
-            match self.peek() {
-                Some(b'"') => {
+            let Some(n) = self.b[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            else {
+                return Err("unterminated string".to_string());
+            };
+            // The run ends at an ASCII byte, so both ends are char
+            // boundaries of the input.
+            self.i += n;
+            if BUILD {
+                out.push_str(&self.s[run..self.i]);
+            }
+            match self.b[self.i] {
+                b'"' => {
                     self.i += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                b'\\' => {
                     self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.i += 1;
-                            let mut hi = self.hex4()?;
-                            // Combine a surrogate pair if one follows;
-                            // anything unpaired decodes to U+FFFD. A high
-                            // surrogate whose following \u escape is NOT a
-                            // low surrogate is itself unpaired — the second
-                            // escape then stands alone (and may open a new
-                            // pair of its own).
-                            loop {
-                                if !(0xD800..0xDC00).contains(&hi) {
-                                    out.push(char::from_u32(hi).unwrap_or('\u{FFFD}'));
-                                    break;
-                                }
-                                if !self.b[self.i..].starts_with(b"\\u") {
-                                    out.push('\u{FFFD}');
-                                    break;
-                                }
-                                self.i += 2;
-                                let lo = self.hex4()?;
-                                if (0xDC00..0xE000).contains(&lo) {
-                                    let combined = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    out.push(char::from_u32(combined).unwrap_or('\u{FFFD}'));
-                                    break;
-                                }
-                                out.push('\u{FFFD}');
-                                hi = lo;
-                            }
-                            continue;
-                        }
-                        other => {
-                            return Err(format!(
-                                "bad escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.i
-                            ))
-                        }
-                    }
-                    self.i += 1;
+                    self.escape(&mut out)?;
+                    run = self.i;
                 }
-                Some(b) => {
-                    // Consume one UTF-8 character. The input is a valid
-                    // &str, so the sequence length read off the leading
-                    // byte always lands on a char boundary; decoding only
-                    // those bytes keeps the parser linear (re-validating
-                    // the whole remainder per character made MB-scale
-                    // documents quadratic to parse).
-                    let len = match b {
-                        b if b < 0x80 => 1,
-                        b if b < 0xE0 => 2,
-                        b if b < 0xF0 => 3,
-                        _ => 4,
-                    };
-                    let end = (self.i + len).min(self.b.len());
-                    let c = std::str::from_utf8(&self.b[self.i..end])
-                        .map_err(|_| "invalid utf-8".to_string())?
-                        .chars()
-                        .next()
-                        .ok_or_else(|| "invalid utf-8".to_string())?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
+                _ => return Err(format!("raw control character at byte {}", self.i)),
             }
+        }
+    }
+
+    /// Decodes the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.i += 1;
+                let mut hi = self.hex4()?;
+                // Combine a surrogate pair if one follows; anything unpaired
+                // decodes to U+FFFD. A high surrogate whose following \u
+                // escape is NOT a low surrogate is itself unpaired — the
+                // second escape then stands alone (and may open a new pair
+                // of its own).
+                loop {
+                    if !(0xD800..0xDC00).contains(&hi) {
+                        Self::push(out, char::from_u32(hi).unwrap_or('\u{FFFD}'));
+                        return Ok(());
+                    }
+                    if !self.b[self.i..].starts_with(b"\\u") {
+                        Self::push(out, '\u{FFFD}');
+                        return Ok(());
+                    }
+                    self.i += 2;
+                    let lo = self.hex4()?;
+                    if (0xDC00..0xE000).contains(&lo) {
+                        let combined = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                        Self::push(out, char::from_u32(combined).unwrap_or('\u{FFFD}'));
+                        return Ok(());
+                    }
+                    Self::push(out, '\u{FFFD}');
+                    hi = lo;
+                }
+            }
+            other => {
+                return Err(format!(
+                    "bad escape {:?} at byte {}",
+                    other.map(|b| b as char),
+                    self.i
+                ))
+            }
+        };
+        Self::push(out, c);
+        self.i += 1;
+        Ok(())
+    }
+
+    /// Appends a decoded character, unless this parse only checks.
+    fn push(out: &mut String, c: char) {
+        if BUILD {
+            out.push(c);
         }
     }
 
@@ -1220,28 +1115,69 @@ impl JsonParser<'_> {
         Ok(v)
     }
 
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.i += 1;
+        }
+        self.i - start
+    }
+
+    /// `-? digits (. digits)? ([eE] [+-]? digits)?` — leading zeros allowed.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.i;
+        let bad = || format!("bad number at byte {start}");
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.i += 1;
+        if self.digits() == 0 {
+            return Err(bad());
         }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
+        if self.peek() == Some(b'.') {
+            self.i += 1;
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        if !BUILD {
+            return Ok(JsonValue::Null);
+        }
+        self.s[start..self.i]
+            .parse::<f64>()
             .map(JsonValue::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+            .map_err(|_| bad())
+    }
+
+    fn literal(&mut self, lit: &[u8], v: JsonValue) -> Result<JsonValue, String> {
+        if self.b[self.i..].starts_with(lit) {
+            self.i += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.i))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The counter records of `rec` closed at `end_us`, one string each.
+    /// An `end_us` of 0 appends no closing sample.
+    fn counter_records(rec: &MetricsRecorder, end_us: u64) -> Vec<String> {
+        let mut out = String::new();
+        rec.write_chrome_counter_events(&mut out, 0, end_us);
+        out.split_terminator(",\n").map(str::to_string).collect()
+    }
 
     #[test]
     fn counters_and_gauges_accumulate() {
@@ -1274,7 +1210,7 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         rec.sample_us("mem:hbm", "bytes", 10, 2.0);
         rec.sample_us("mem:hbm", "bytes", 5, 1.0);
-        let events = rec.chrome_counter_events(0);
+        let events = counter_records(&rec, 0);
         assert_eq!(events.len(), 2);
         assert!(events[0].contains(r#""ts":5"#));
         assert!(events[1].contains(r#""ts":10"#));
@@ -1329,7 +1265,7 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         rec.sample_us("mem:hbm", "bytes", 5, 1.0);
         rec.sample_us("flat", "us", 10, 3.0);
-        let events = rec.chrome_counter_events_until(0, 10);
+        let events = counter_records(&rec, 10);
         // "flat" ends exactly at 10 (no extra sample); "mem:hbm" gets one.
         assert_eq!(events.len(), 3);
         assert!(events
@@ -1337,8 +1273,8 @@ mod tests {
             .any(|e| e.contains(r#""name":"mem:hbm","ph":"C","ts":10"#)
                 && e.contains(r#"{"bytes":1}"#)));
         assert_eq!(events.iter().filter(|e| e.contains("\"flat\"")).count(), 1);
-        // Without an end bound, nothing is appended.
-        assert_eq!(rec.chrome_counter_events(0).len(), 2);
+        // An end at or before every track's last sample appends nothing.
+        assert_eq!(counter_records(&rec, 0).len(), 2);
     }
 
     #[test]
@@ -1582,7 +1518,7 @@ mod tests {
         rec.sample_us("t", "x", 0, f64::INFINITY);
         let json = rec.snapshot_json(&[]);
         validate_json(&json).unwrap();
-        for e in rec.chrome_counter_events(0) {
+        for e in counter_records(&rec, 0) {
             validate_json(&e).unwrap();
         }
     }

@@ -182,6 +182,21 @@ impl Trace {
         v
     }
 
+    /// Every resource's intervals, indexed by resource and sorted by start
+    /// time, in one pass over the trace. Row `r` equals
+    /// [`Trace::intervals_on`]`(r)`, ties included: both keep submission
+    /// order among intervals that start together.
+    pub fn rows(&self) -> Vec<Vec<&Interval>> {
+        let mut rows: Vec<Vec<&Interval>> = vec![Vec::new(); self.resource_names.len()];
+        for iv in &self.intervals {
+            rows[iv.resource.index()].push(iv);
+        }
+        for row in &mut rows {
+            row.sort_by_key(|i| i.start);
+        }
+        rows
+    }
+
     /// Busy/idle statistics for one resource.
     ///
     /// Idle time is measured against the *global* makespan, which matches how
@@ -340,6 +355,29 @@ mod tests {
         let ivs = trace.intervals_on(gpu);
         assert_eq!(ivs.len(), 2);
         assert!(ivs[0].start <= ivs[1].start);
+    }
+
+    #[test]
+    fn rows_match_intervals_on_including_ties() {
+        // Zero-duration syncs start together on one resource: the tie
+        // order must be submission order in both views.
+        let mut sim = Simulator::new();
+        let gpu = sim.add_resource("gpu");
+        let cpu = sim.add_resource("cpu");
+        sim.add_resource("idle");
+        let a = sim.add_task(TaskSpec::compute(cpu, ms(2.0))).unwrap();
+        for _ in 0..3 {
+            sim.add_task(TaskSpec::sync(gpu).after(a)).unwrap();
+        }
+        sim.add_task(TaskSpec::compute(gpu, ms(1.0))).unwrap();
+        let trace = sim.run().unwrap();
+        let rows = trace.rows();
+        assert_eq!(rows.len(), 3);
+        for (r, row) in rows.iter().enumerate() {
+            let tasks = |ivs: &[&Interval]| ivs.iter().map(|i| i.task).collect::<Vec<_>>();
+            assert_eq!(tasks(row), tasks(&trace.intervals_on(ResourceId(r))));
+        }
+        assert!(rows[2].is_empty());
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! Round-trip tests for the hand-rolled JSON layer on real analysis and
 //! metrics snapshots: adversarial string escaping, empty tracks, and deep
 //! nesting. `validate_json` must accept everything the emitters produce and
-//! `parse_json` must recover the exact values.
+//! `parse_json` must recover the exact values. Random value trees must
+//! survive serialize → parse unchanged, hostile nesting must fail cleanly,
+//! and one-byte mutations of valid documents must never panic and must get
+//! the same verdict from the parser and the check-only validator.
+
+use std::fmt::Write as _;
 
 use proptest::prelude::*;
 use superchip_sim::prelude::*;
-use superchip_sim::telemetry::{parse_json, validate_json, JsonValue, MetricsRecorder};
+use superchip_sim::telemetry::{
+    escape_json, parse_json, validate_json, JsonValue, MetricsRecorder, MAX_JSON_DEPTH,
+};
 
 /// A trace whose task labels contain every character class the escaper has
 /// to handle: quotes, backslashes, control characters, and non-ASCII.
@@ -152,9 +159,228 @@ proptest! {
         prop_assert_eq!(got, Some(s.as_str()));
     }
 
-    /// parse_json and validate_json agree on arbitrary byte soup.
+    /// On arbitrary byte soup the building parse and the check-only
+    /// validator return the same verdict and error, never panic, and every
+    /// error names an offset inside the input.
     #[test]
     fn parser_and_validator_agree_on_noise(s in arb_noise()) {
-        prop_assert_eq!(parse_json(&s).is_ok(), validate_json(&s).is_ok(), "disagree on {:?}", &s);
+        let parsed = parse_json(&s).map(|_| ());
+        prop_assert_eq!(&parsed, &validate_json(&s), "disagree on {:?}", &s);
+        if let Err(e) = parsed {
+            for offset in error_offsets(&e) {
+                prop_assert!(offset <= s.len(), "{} for {:?}", e, &s);
+            }
+        }
+    }
+}
+
+#[test]
+fn nesting_past_the_depth_bound_is_an_error_not_a_crash() {
+    // A million open brackets used to overflow the parser's stack and abort
+    // the process.
+    for open in ["[", "{\"k\":"] {
+        let err = validate_json(&open.repeat(1_000_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+    }
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    parse_json(&nested(MAX_JSON_DEPTH)).unwrap();
+    let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+    assert_eq!(
+        err,
+        format!("nesting deeper than {MAX_JSON_DEPTH} at byte {MAX_JSON_DEPTH}")
+    );
+}
+
+#[test]
+fn strings_decode_between_escapes() {
+    let doc = r#"{"plain": "fwd[3]", "esc\taped": "a\"b\\c", "unicode": "µs 😀", "pair": "x\ud83d\ude00y"}"#;
+    let v = parse_json(doc).unwrap();
+    let JsonValue::Obj(members) = &v else {
+        panic!("not an object")
+    };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["plain", "esc\taped", "unicode", "pair"]);
+    let str_of = |key: &str| v.get(key).and_then(JsonValue::as_str);
+    assert_eq!(str_of("plain"), Some("fwd[3]"));
+    assert_eq!(str_of("esc\taped"), Some("a\"b\\c"));
+    assert_eq!(str_of("unicode"), Some("µs 😀"));
+    assert_eq!(str_of("pair"), Some("x😀y"));
+}
+
+/// xorshift64 step: the tree generator's deterministic randomness.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// A random string mixing ASCII, JSON-special and control characters,
+/// two-byte, three-byte and astral code points.
+fn random_string(state: &mut u64) -> String {
+    const POOL: [char; 12] = [
+        'a',
+        'Z',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\u{1}',
+        '\u{1f}',
+        'é',
+        '终',
+        '😀',
+        '\u{10FFFF}',
+    ];
+    let len = next(state) % 6;
+    (0..len)
+        .map(|_| POOL[(next(state) % POOL.len() as u64) as usize])
+        .collect()
+}
+
+/// A random value tree at most `depth` containers deep.
+fn random_tree(state: &mut u64, depth: u32) -> JsonValue {
+    let pick = next(state) % if depth == 0 { 4 } else { 6 };
+    match pick {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(next(state).is_multiple_of(2)),
+        2 => {
+            // Integers, fractions, and magnitudes that print with long
+            // digit strings; every one is finite.
+            let mantissa = (next(state) % 2_000_001) as f64 - 1_000_000.0;
+            let scale = [1.0, 1e-3, 1e-9, 1e12, 1e300][(next(state) % 5) as usize];
+            JsonValue::Num(mantissa * scale)
+        }
+        3 => JsonValue::Str(random_string(state)),
+        4 => {
+            let n = next(state) % 4;
+            JsonValue::Arr((0..n).map(|_| random_tree(state, depth - 1)).collect())
+        }
+        _ => {
+            let n = next(state) % 4;
+            JsonValue::Obj(
+                (0..n)
+                    .map(|_| (random_string(state), random_tree(state, depth - 1)))
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// Writes a string literal: through `escape_json`, or with every non-ASCII
+/// character as `\u` escapes (astral ones as UTF-16 surrogate pairs).
+fn write_str(out: &mut String, s: &str, u_escapes: bool) {
+    out.push('"');
+    if u_escapes {
+        for c in s.chars() {
+            if c.is_ascii() {
+                out.push_str(&escape_json(c.encode_utf8(&mut [0; 4])));
+            } else {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    let _ = write!(out, "\\u{unit:04X}");
+                }
+            }
+        }
+    } else {
+        out.push_str(&escape_json(s));
+    }
+    out.push('"');
+}
+
+/// Serializes `v`, with whitespace between tokens when `spaced`.
+fn write_tree(out: &mut String, v: &JsonValue, spaced: bool, u_escapes: bool) {
+    let sep = if spaced { " \n\t" } else { "" };
+    match v {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(n) => {
+            let _ = write!(out, "{n}");
+        }
+        JsonValue::Str(s) => write_str(out, s, u_escapes),
+        JsonValue::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(sep);
+                write_tree(out, item, spaced, u_escapes);
+            }
+            out.push_str(sep);
+            out.push(']');
+        }
+        JsonValue::Obj(members) => {
+            out.push('{');
+            for (i, (k, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(sep);
+                write_str(out, k, u_escapes);
+                out.push_str(sep);
+                out.push(':');
+                out.push_str(sep);
+                write_tree(out, item, spaced, u_escapes);
+            }
+            out.push_str(sep);
+            out.push('}');
+        }
+    }
+}
+
+/// Byte offsets named by a parse error (`... at byte N ...`).
+fn error_offsets(err: &str) -> Vec<usize> {
+    err.split("at byte ")
+        .skip(1)
+        .map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("offset after 'at byte'")
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random trees (escapes, surrogate pairs, nesting, numbers) serialize
+    /// and parse back to the identical tree.
+    #[test]
+    fn random_trees_round_trip(seed in 1u64..u64::MAX, spaced in any::<bool>(), u_escapes in any::<bool>()) {
+        let mut state = seed;
+        let tree = random_tree(&mut state, 4);
+        let mut doc = String::new();
+        write_tree(&mut doc, &tree, spaced, u_escapes);
+        let parsed = parse_json(&doc).unwrap_or_else(|e| panic!("{e} in {doc:?}"));
+        prop_assert_eq!(&parsed, &tree, "{}", doc);
+    }
+
+    /// Flipping, deleting or inserting one byte of a valid document never
+    /// panics, parse and validate agree, and every error names an offset
+    /// inside the document.
+    #[test]
+    fn one_byte_mutations_never_panic(seed in 1u64..u64::MAX, op in 0u8..3, pos in 0usize..10_000, byte in 0u8..128) {
+        let mut state = seed;
+        let mut doc = String::new();
+        write_tree(&mut doc, &random_tree(&mut state, 4), true, seed.is_multiple_of(2));
+        let mut bytes = doc.into_bytes();
+        let at = pos % (bytes.len() + 1);
+        match op {
+            0 if at < bytes.len() => bytes[at] ^= byte.max(1),
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+        // The parser takes `&str`: a mutation that splits a multi-byte
+        // character is not a document it can be handed.
+        if let Ok(doc) = std::str::from_utf8(&bytes) {
+            let parsed = parse_json(doc).map(|_| ());
+            prop_assert_eq!(&parsed, &validate_json(doc), "disagree on {:?}", doc);
+            if let Err(e) = parsed {
+                for offset in error_offsets(&e) {
+                    prop_assert!(offset <= doc.len(), "{} for {:?}", e, doc);
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,9 @@
 //!   serialization is itself a path);
 //! * stall-class sums partition each resource's recorded idle bit-exactly;
 //! * every task on the critical path has zero slack;
-//! * the versioned JSON snapshot is valid and deterministic.
+//! * the versioned JSON snapshot is valid and deterministic;
+//! * a diff aligns every task of both runs exactly once, in key order, with
+//!   dense occurrence numbers.
 
 use proptest::prelude::*;
 use superchip_sim::prelude::*;
@@ -45,12 +47,18 @@ fn arb_dag(max_tasks: usize, resources: usize) -> impl Strategy<Value = Vec<ArbT
 }
 
 fn build_and_run(dag: &[ArbTask], resources: usize) -> Trace {
+    build_labeled(dag, resources, &[])
+}
+
+/// Like [`build_and_run`], but task `i` is labeled `labels[i % len]`, so
+/// labels repeat on a resource and the diff must number their occurrences.
+fn build_labeled(dag: &[ArbTask], resources: usize, labels: &[&'static str]) -> Trace {
     let mut sim = Simulator::new();
     let rids: Vec<_> = (0..resources)
         .map(|i| sim.add_resource(format!("r{i}")))
         .collect();
     let mut ids = Vec::new();
-    for (res, kind, dur, tag, deps, rel) in dag {
+    for (i, (res, kind, dur, tag, deps, rel)) in dag.iter().enumerate() {
         let rid = rids[*res];
         let dur = SimTime::from_millis(*dur);
         let mut spec = match kind {
@@ -65,6 +73,9 @@ fn build_and_run(dag: &[ArbTask], resources: usize) -> Trace {
             _ => spec.tagged(TaskTag::Eviction),
         };
         spec = spec.not_before(SimTime::from_millis(*rel));
+        if !labels.is_empty() {
+            spec = spec.with_label(labels[i % labels.len()]);
+        }
         for &d in deps {
             spec = spec.after(ids[d]);
         }
@@ -189,6 +200,54 @@ proptest! {
             prop_assert_eq!(&f.name, &r.name);
             prop_assert_eq!(f.busy_delta_us, -r.busy_delta_us);
             prop_assert_eq!(f.idle_delta_us, -r.idle_delta_us);
+        }
+    }
+
+    /// Task alignment: the diff lists tasks strictly increasing by key,
+    /// numbers each (resource, tag, label) triple's occurrences densely
+    /// from 0, and carries every task of each run exactly once (with its
+    /// duration); conservation holds on every resource.
+    #[test]
+    fn diff_aligns_every_task_once_in_key_order(a in arb_dag(30, 3), b in arb_dag(30, 3)) {
+        let labels = ["fwd", "bwd", "", "fwd", "step"];
+        let trace_a = build_labeled(&a, 3, &labels);
+        let trace_b = build_labeled(&b, 3, &labels);
+        let diff = superchip_sim::diff_analyses(&trace_a, &trace_b);
+        for pair in diff.tasks.windows(2) {
+            prop_assert!(pair[0].key < pair[1].key, "{} !< {}", pair[0].key, pair[1].key);
+        }
+        for (i, t) in diff.tasks.iter().enumerate() {
+            let k = t.key;
+            let first_of_triple = i == 0 || {
+                let p = diff.tasks[i - 1].key;
+                (p.resource, p.tag, p.label) != (k.resource, k.tag, k.label)
+            };
+            let expected = if first_of_triple { 0 } else { diff.tasks[i - 1].key.occurrence + 1 };
+            prop_assert_eq!(k.occurrence, expected, "occurrence gap at {}", k);
+        }
+        for (trace, side) in [(&trace_a, 0), (&trace_b, 1)] {
+            let dur_of = |t: &superchip_sim::TaskDelta| if side == 0 { t.dur_a_us } else { t.dur_b_us };
+            let mut aligned: Vec<(&str, &str, &str, u64)> = diff
+                .tasks
+                .iter()
+                .filter_map(|t| dur_of(t).map(|d| (t.key.resource, t.key.tag, t.key.label, d)))
+                .collect();
+            let mut ran: Vec<(&str, &str, &str, u64)> = trace
+                .intervals()
+                .iter()
+                .map(|iv| {
+                    let resource = trace.resource_names()[iv.resource.index()].as_str();
+                    (resource, iv.tag.name(), iv.label.as_str(), iv.duration_us())
+                })
+                .collect();
+            aligned.sort_unstable();
+            ran.sort_unstable();
+            prop_assert_eq!(aligned, ran, "run {} tasks not aligned exactly once", side);
+        }
+        for r in &diff.resources {
+            prop_assert_eq!(r.task_delta_us, r.busy_delta_us, "on {}", &r.name);
+            prop_assert_eq!(r.busy_delta_us + r.idle_delta_us, diff.makespan_delta_us,
+                "conservation violated on {}", &r.name);
         }
     }
 }
