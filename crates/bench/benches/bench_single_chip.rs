@@ -30,22 +30,29 @@ fn bench_single_chip(c: &mut Criterion) {
     group.finish();
 }
 
-/// Automatic retention (score every candidate, profile the winner) against
-/// retention pinned to zero buckets (one profiled run): the ratio is the
-/// search's cost amplification.
+/// Automatic retention (admit every candidate on its bound, score those
+/// that can win, profile the winner) against retention pinned to zero
+/// buckets (one profiled run): the ratio is the search's cost
+/// amplification. The CPU-bound 12B rung at batch 4 and 16 MiB buckets is
+/// the regime only the bound's per-resource term prunes.
 fn bench_retention_search(c: &mut Criterion) {
     let chip = presets::gh200_chip();
     let mut group = c.benchmark_group("retention_search");
     group.sample_size(10);
-    for name in ["5B", "13B"] {
-        let w = Workload::new(ModelConfig::by_name(name).unwrap(), 8, 2048);
+    let rungs = [
+        ("5B", "5B", 8, 64),
+        ("13B", "13B", 8, 64),
+        ("12B-b4-16MiB", "12B", 4, 16),
+    ];
+    for (rung, name, batch, bucket_mib) in rungs {
+        let w = Workload::new(ModelConfig::by_name(name).unwrap(), batch, 2048);
         for (mode, retained_buckets) in [("automatic", None), ("pinned-0", Some(0))] {
             let opts = SuperOffloadOptions {
-                bucket_bytes: 64 << 20,
+                bucket_bytes: bucket_mib << 20,
                 retained_buckets,
                 ..SuperOffloadOptions::default()
             };
-            group.bench_with_input(BenchmarkId::new(mode, name), &w, |b, w| {
+            group.bench_with_input(BenchmarkId::new(mode, rung), &w, |b, w| {
                 b.iter(|| simulate_single_chip_profiled(&chip, w, &opts));
             });
         }

@@ -460,6 +460,60 @@ impl Simulator {
         Ok(ends)
     }
 
+    /// A lower bound on `target`'s end time in any run of this graph, from
+    /// the graph alone, in O(tasks + edges); `None` if `target` was never
+    /// submitted. It is the largest of:
+    ///
+    /// * the longest dependency chain ending at `target`, counting each
+    ///   task's `not_before` release time;
+    /// * for each resource and each suffix (in submission order) of
+    ///   `target`'s ancestors on it: the earliest possible start among
+    ///   them, plus their total duration (the resource runs them one at a
+    ///   time), plus the shortest of their longest chains on to `target`'s
+    ///   end. The whole set is one suffix; later suffixes drop the work
+    ///   that can run early, before a late-released group.
+    ///
+    /// Tasks that are not ancestors of `target` can only delay it, so they
+    /// are ignored.
+    pub fn end_lower_bound(&self, target: TaskId) -> Option<SimTime> {
+        let tasks = self.tasks.get(..=target.0)?;
+        // Earliest start of every task: its longest release-aware chain.
+        let mut head: Vec<SimTime> = Vec::with_capacity(tasks.len());
+        for t in tasks {
+            let h = t
+                .deps
+                .iter()
+                .fold(t.not_before, |h, d| h.max(head[d.0] + tasks[d.0].duration));
+            head.push(h);
+        }
+        // Longest chain from each ancestor's end to `target`'s end (`None`
+        // for tasks that are not ancestors), filled in reverse submission
+        // order, which is reverse topological order.
+        let mut tail: Vec<Option<SimTime>> = vec![None; tasks.len()];
+        tail[target.0] = Some(SimTime::ZERO);
+        let mut bound = head[target.0] + tasks[target.0].duration;
+        // Per resource, over its ancestors submitted at or after the
+        // current task: (earliest head, total work, shortest tail).
+        let mut suffix: Vec<Option<(SimTime, SimTime, SimTime)>> = vec![None; self.resources.len()];
+        for (i, t) in tasks.iter().enumerate().rev() {
+            let Some(ti) = tail[i] else { continue };
+            let through = ti + t.duration;
+            for d in &t.deps {
+                tail[d.0] = Some(tail[d.0].map_or(through, |x| x.max(through)));
+            }
+            if i != target.0 {
+                let r = &mut suffix[t.resource.0];
+                let (h, w, tl) = match *r {
+                    None => (head[i], t.duration, ti),
+                    Some((h, w, tl)) => (h.min(head[i]), w + t.duration, tl.min(ti)),
+                };
+                *r = Some((h, w, tl));
+                bound = bound.max(h + w + tl);
+            }
+        }
+        Some(bound)
+    }
+
     /// The list scheduler behind every run: pops ready tasks in
     /// `(ready_at, id)` order, starts each when its resource frees, and
     /// calls `visit(id, ready_at, start, end)` once per task in execution
@@ -727,6 +781,53 @@ mod tests {
         assert!((waits.samples[1].1 - 3000.0).abs() < 1e-9); // queued behind it
         assert_eq!(rec.gauge("busy-us:gpu"), Some(2000.0));
         assert_eq!(rec.gauge("makespan-us"), Some(6000.0));
+    }
+
+    #[test]
+    fn end_lower_bound_counts_serial_resource_work() {
+        // a and b are independent on one resource, c waits for both on
+        // another: the longest chain is 4 + 1, but the shared resource
+        // runs a and b back to back, so c cannot end before 4 + 3 + 1.
+        let mut sim = Simulator::new();
+        let gpu = sim.add_resource("gpu");
+        let link = sim.add_resource("link");
+        let a = sim.add_task(TaskSpec::compute(gpu, ms(4.0))).unwrap();
+        let b = sim.add_task(TaskSpec::compute(gpu, ms(3.0))).unwrap();
+        let c = sim
+            .add_task(TaskSpec::transfer(link, ms(1.0)).after(a).after(b))
+            .unwrap();
+        assert_eq!(sim.end_lower_bound(c), Some(ms(4.0) + ms(3.0) + ms(1.0)));
+        assert_eq!(sim.end_lower_bound(c), Some(sim.run().unwrap().makespan()));
+        assert_eq!(sim.end_lower_bound(TaskId(3)), None);
+    }
+
+    #[test]
+    fn end_lower_bound_drops_work_that_runs_before_a_late_group() {
+        // a runs early on the gpu; b1 and b2 wait for a 10 ms transfer.
+        // Chain: 10 + 5; all gpu ancestors: 0 + 11; the late pair alone:
+        // 10 + 5 + 5, which is the real end.
+        let mut sim = Simulator::new();
+        let gpu = sim.add_resource("gpu");
+        let link = sim.add_resource("link");
+        let a = sim.add_task(TaskSpec::compute(gpu, ms(1.0))).unwrap();
+        let x = sim.add_task(TaskSpec::transfer(link, ms(10.0))).unwrap();
+        let b1 = sim
+            .add_task(TaskSpec::compute(gpu, ms(5.0)).after(x))
+            .unwrap();
+        let b2 = sim
+            .add_task(TaskSpec::compute(gpu, ms(5.0)).after(x))
+            .unwrap();
+        let end = sim
+            .add_task(TaskSpec::sync(link).after(a).after(b1).after(b2))
+            .unwrap();
+        assert_eq!(
+            sim.end_lower_bound(end),
+            Some(ms(10.0) + (ms(5.0) + ms(5.0)))
+        );
+        assert_eq!(
+            sim.end_lower_bound(end),
+            Some(sim.run().unwrap().makespan())
+        );
     }
 
     #[test]

@@ -50,10 +50,12 @@ pub struct SuperOffloadOptions {
     /// Transfer bucket size in bytes (FP32 gradient bytes). Default 64 MiB.
     pub bucket_bytes: u64,
     /// Buckets whose optimizer state stays on the GPU; `None` = automatic:
-    /// a grid search over [`retention_candidates`] (the closed-form seed,
-    /// its neighbours and coarse fractions of the bucket count). Each
-    /// candidate is scored by steady-state TFLOPS from an end-times-only
-    /// run, and only the winner is profiled (DESIGN.md §16).
+    /// a bounded search over [`retention_candidates`] (the closed-form
+    /// seed, its neighbours and coarse fractions of the bucket count).
+    /// Each candidate gets an upper bound on its steady-state TFLOPS from
+    /// a one-iteration graph; only those whose bound can beat the best
+    /// score so far are scored from an end-times-only run, and only the
+    /// winner is profiled (DESIGN.md §16, §18).
     pub retained_buckets: Option<u32>,
     /// CPU optimizer implementation.
     pub optimizer: OptimizerImpl,
@@ -65,7 +67,8 @@ pub struct SuperOffloadOptions {
     pub use_repartition: bool,
     /// Weight placement; `None` = adaptive.
     pub weight_policy: Option<WeightPolicy>,
-    /// Iterations to simulate (steady state needs ≥ 3).
+    /// Iterations to simulate (steady state needs ≥ 3; fewer than 2 is
+    /// [`Infeasible::TooFewIterations`]).
     pub iterations: u32,
     /// Per-operation framework overhead in seconds.
     pub op_overhead_secs: f64,
@@ -152,16 +155,29 @@ pub fn simulate_single_chip_traced(
 /// during the run (memory-pool occupancy, per-transfer bandwidth, queueing
 /// delay, scheduler counters).
 ///
-/// With automatic retention the §4.3 grid search scores every
-/// [`retention_candidates`] entry by its steady-state TFLOPS alone, from an
-/// uninstrumented end-times run, and profiles only the winner; the result
-/// is byte-identical to profiling every candidate and keeping the first
-/// best one.
+/// With automatic retention the §4.3 search admits every
+/// [`retention_candidates`] entry on its capacity checks and an upper
+/// bound on its steady-state TFLOPS, taken from a one-iteration graph
+/// ([`Simulator::end_lower_bound`]). It then fully builds and scores, from
+/// an uninstrumented end-times run, only the candidates whose bound can
+/// still beat the best score so far ([`select_retention`]), and profiles
+/// only the winner (DESIGN.md §18). The result is byte-identical to
+/// profiling every candidate and keeping the first best one.
+///
+/// # Errors
+/// [`Infeasible::TooFewIterations`] when `opts.iterations < 2`; otherwise
+/// the capacity or plan verdict of the smallest candidate retention when
+/// none fits.
 pub fn simulate_single_chip_profiled(
     chip: &ChipSpec,
     workload: &Workload,
     opts: &SuperOffloadOptions,
 ) -> Result<RunProfile, Infeasible> {
+    if opts.iterations < 2 {
+        return Err(Infeasible::TooFewIterations {
+            iterations: opts.iterations,
+        });
+    }
     if opts.retained_buckets.is_some() {
         return build_fixed(chip, workload, opts)?.finish_profiled(chip);
     }
@@ -176,30 +192,99 @@ pub fn simulate_single_chip_profiled(
         return build_fixed(chip, workload, &fixed(only))?.finish_profiled(chip);
     }
 
-    let mut best: Option<(f64, FixedSchedule)> = None;
-    let mut first_err: Option<Infeasible> = None;
+    // Failures are kept for the smallest failing retention only, which is
+    // what an infeasible grid reports.
+    let mut first_err: Option<(u32, Infeasible)> = None;
+    let mut fail = |n: u32, e: Infeasible| {
+        if first_err.as_ref().is_none_or(|&(m, _)| n < m) {
+            first_err = Some((n, e));
+        }
+    };
+    let mut admitted = Vec::with_capacity(candidates.len());
     for n in candidates {
-        match build_fixed(chip, workload, &fixed(n)).and_then(|s| Ok((s.score()?, s))) {
-            Ok((score, schedule)) => {
-                // Strictly better only: ties keep the smaller retention.
-                if best.as_ref().is_none_or(|(b, _)| score > *b) {
-                    best = Some((score, schedule));
-                }
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
+        match admit_fixed(chip, workload, &fixed(n)) {
+            Ok(bound) => admitted.push((n, bound)),
+            Err(e) => fail(n, e),
         }
     }
-    // The candidate list is never empty (it always contains 0), so an
-    // empty `best` implies a recorded error.
-    match best {
-        Some((_, schedule)) => schedule.finish_profiled(chip),
-        None => Err(first_err.expect("infeasible grid records an error")),
+    let winner = select_retention(admitted, |n| {
+        match build_fixed(chip, workload, &fixed(n)).and_then(|s| Ok((s.score()?, s))) {
+            Ok(scored) => Some(scored),
+            Err(e) => {
+                fail(n, e);
+                None
+            }
+        }
+    });
+    match winner {
+        Some((_, _, schedule)) => schedule.finish_profiled(chip),
+        None => Err(first_err.expect("infeasible grid records an error").1),
     }
 }
 
-/// The §4.3 grid the automatic retention search scores, ascending and
+/// Admission of one fixed-retention configuration (`opts.retained_buckets`,
+/// `None` meaning none retained): its capacity and plan checks, and an
+/// upper bound on its steady-state TFLOPS, taken from the same schedule
+/// built for one iteration (`opts.iterations` is ignored). The bound is at
+/// least the score of any run of `opts` × (1 − [`BOUND_SLACK`]).
+///
+/// # Errors
+/// The configuration's capacity or plan verdict.
+pub fn admit_fixed(
+    chip: &ChipSpec,
+    workload: &Workload,
+    opts: &SuperOffloadOptions,
+) -> Result<f64, Infeasible> {
+    let one = SuperOffloadOptions {
+        iterations: 1,
+        ..*opts
+    };
+    Ok(build_fixed(chip, workload, &one)?.tflops_bound())
+}
+
+/// Relative slack of the bound test in [`select_retention`]. A bound and a
+/// score of the same schedule are the same times summed in different
+/// orders, so they can differ by f64 rounding, far below this.
+pub const BOUND_SLACK: f64 = 1e-9;
+
+/// The winner of the §4.3 retention search: the highest score, and on
+/// equal scores the smallest retention `n`, exactly as a scan in ascending
+/// `n` that keeps the first maximum.
+///
+/// `admitted` lists each candidate's `(n, bound)`, where `bound` is at
+/// least the candidate's score × (1 − [`BOUND_SLACK`]). Candidates are
+/// visited by descending bound (ties: smaller `n` first), and `score(n)`
+/// is called only while a bound reaches the best score so far × (1 −
+/// [`BOUND_SLACK`]); every later candidate is pruned unscored. `score`
+/// returns the candidate's score with a payload kept for the winner, or
+/// `None` if it failed. Returns `(n, score, payload)`, or `None` when no
+/// scored candidate succeeded.
+pub fn select_retention<T>(
+    mut admitted: Vec<(u32, f64)>,
+    mut score: impl FnMut(u32) -> Option<(f64, T)>,
+) -> Option<(u32, f64, T)> {
+    admitted.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut best: Option<(u32, f64, T)> = None;
+    for (n, bound) in admitted {
+        if best
+            .as_ref()
+            .is_some_and(|&(_, s, _)| bound < s * (1.0 - BOUND_SLACK))
+        {
+            break;
+        }
+        if let Some((s, payload)) = score(n) {
+            if best
+                .as_ref()
+                .is_none_or(|&(m, b, _)| s > b || (s == b && n < m))
+            {
+                best = Some((n, s, payload));
+            }
+        }
+    }
+    best
+}
+
+/// The §4.3 grid the automatic retention search admits, ascending and
 /// deduplicated: the closed-form seed (Eq. 4-5), its neighbourhood, and
 /// coarse fractions of the bucket count; just `[0]` without
 /// bucketization repartitioning. `opts.retained_buckets` is ignored.
@@ -270,6 +355,22 @@ impl FixedSchedule {
         let end = |g: TaskId| ends[g.index()];
         let iter_time = steady_iter_time(&self.gates, end);
         Ok(tflops(self.effective_flops, iter_time.as_secs()))
+    }
+
+    /// An upper bound on the steady-state TFLOPS of this configuration,
+    /// from its last gate's [`Simulator::end_lower_bound`]: every
+    /// iteration of a longer run starts after the previous gate (through
+    /// [`IterationBuilder::start_deps`]) and repeats this graph, so each
+    /// steady iteration lasts at least the bound. The STV validators are
+    /// not ancestors of a gate and drop out.
+    fn tflops_bound(&self) -> f64 {
+        let gate = *self.gates.last().expect("a built schedule has a gate");
+        let end = self
+            .ctx
+            .sim
+            .end_lower_bound(gate)
+            .expect("the gate is a submitted task");
+        tflops(self.effective_flops, end.as_secs())
     }
 
     /// Runs the schedule instrumented and builds its full profile.

@@ -92,6 +92,12 @@ pub enum Infeasible {
         /// GPU endpoints the fleet's fabric actually connects.
         fleet_gpus: u32,
     },
+    /// Fewer than the two iterations a steady-state measurement spans
+    /// (the first-to-last iteration gate delta) were requested.
+    TooFewIterations {
+        /// Iterations requested.
+        iterations: u32,
+    },
     /// The task-graph simulation itself failed.
     Sim(SimError),
 }
@@ -135,6 +141,10 @@ impl fmt::Display for Infeasible {
                 f,
                 "collective spans {ranks} ranks but the fabric connects only \
                  {fleet_gpus} GPU endpoints"
+            ),
+            Infeasible::TooFewIterations { iterations } => write!(
+                f,
+                "{iterations} iteration(s) requested; a steady-state measurement needs at least 2"
             ),
             Infeasible::Sim(e) => write!(f, "simulation failed: {e}"),
         }
@@ -629,6 +639,10 @@ impl ScheduleCtx {
     /// Allocations that would not fit their pool during replay are dropped
     /// and counted under `telemetry.dropped-allocs` rather than failing the
     /// run (the capacity planner, not telemetry, owns OOM decisions).
+    ///
+    /// # Errors
+    /// [`Infeasible::TooFewIterations`] with fewer than two `gates`, or
+    /// [`Infeasible::Sim`] if the simulation fails.
     pub fn finish_profiled(
         self,
         system: &str,
@@ -637,6 +651,11 @@ impl ScheduleCtx {
         chip: &ChipSpec,
         plan: ExecutionPlan,
     ) -> Result<RunProfile, Infeasible> {
+        if gates.len() < 2 {
+            return Err(Infeasible::TooFewIterations {
+                iterations: gates.len() as u32,
+            });
+        }
         let mut metrics = MetricsRecorder::new();
         let trace = self.sim.run_instrumented(&mut metrics)?;
 

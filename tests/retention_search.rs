@@ -1,13 +1,16 @@
-//! The §4.3 retention search scores candidates without profiling them and
-//! profiles only the winner. This checks it against the plain search it
-//! replaces: profile every candidate with its retention pinned and keep the
-//! first profile with the highest TFLOPS. The two must agree byte for byte
-//! on the report, the telemetry snapshot and the Chrome trace, and on the
-//! first infeasibility reason when nothing fits.
+//! The §4.3 retention search admits candidates on an upper bound of their
+//! TFLOPS, scores without profiling only those whose bound can beat the
+//! best score so far, and profiles only the winner. This checks it against
+//! the plain search it replaces: profile every candidate with its
+//! retention pinned and keep the first profile with the highest TFLOPS.
+//! The two must agree byte for byte on the report, the telemetry snapshot
+//! and the Chrome trace, and on the first infeasibility reason when nothing
+//! fits.
 
 use llm_model::{ModelConfig, Workload};
 use superchip_sim::presets;
 use superoffload::costs::OP_OVERHEAD_TUNED;
+use superoffload::policy::WeightPolicy;
 use superoffload::schedule::{
     retention_candidates, simulate_single_chip_profiled, SuperOffloadOptions,
 };
@@ -114,4 +117,41 @@ fn table2_ablation_rows_match_reference() {
         let opts = SuperOffloadOptions::ablation(adam, sac, stv, repartition);
         assert_search_matches(&format!("table2 row {i}"), &workload, &opts);
     }
+}
+
+/// One of the regimes where the bound is loosest, at default options
+/// apart from the bucket size and weight policy.
+fn loose(name: &str, batch: u32, bucket_mib: u64, weight_policy: Option<WeightPolicy>) {
+    let opts = SuperOffloadOptions {
+        bucket_bytes: bucket_mib << 20,
+        weight_policy,
+        ..SuperOffloadOptions::default()
+    };
+    let label = format!("{name} b{batch} {bucket_mib}MiB {weight_policy:?}");
+    let workload = Workload::new(ModelConfig::by_name(name).unwrap(), batch, 2048);
+    assert_search_matches(&label, &workload, &opts);
+}
+
+#[test]
+fn loose_bound_grad_accumulation_at_large_batch_matches_reference() {
+    loose("8B", 32, 256, None);
+}
+
+/// Two micro-steps: only the late suffixes of the per-resource term, which
+/// skip the first micro-step's early CPU work, prune here.
+#[test]
+fn loose_bound_grad_accumulation_at_13b_matches_reference() {
+    loose("13B", 8, 64, None);
+}
+
+/// CPU-bound: only the per-resource term prunes (12B here is a ladder
+/// rung).
+#[test]
+fn loose_bound_cpu_bound_13b_matches_reference() {
+    loose("13B", 4, 16, None);
+}
+
+#[test]
+fn loose_bound_forced_weight_flow_matches_reference() {
+    loose("5B", 8, 64, Some(WeightPolicy::FULL_FLOW));
 }
