@@ -133,14 +133,10 @@ pub trait AdamStepper: fmt::Debug + Send + Sync {
     );
 }
 
-fn check_lengths(params: &[f32], grads: &[f32], state: &AdamState, step: u64) {
+fn check_lengths(params: &[f32], grads: &[f32], m: &[f32], v: &[f32], step: u64) {
     assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-    assert_eq!(params.len(), state.m.len(), "params/moment length mismatch");
-    assert_eq!(
-        params.len(),
-        state.v.len(),
-        "params/variance length mismatch"
-    );
+    assert_eq!(params.len(), m.len(), "params/moment length mismatch");
+    assert_eq!(params.len(), v.len(), "params/variance length mismatch");
     assert!(step >= 1, "Adam step counter is 1-based");
 }
 
@@ -192,7 +188,7 @@ impl AdamStepper for NaiveAdam {
         grads: &[f32],
         state: &mut AdamState,
     ) {
-        check_lengths(params, grads, state, step);
+        check_lengths(params, grads, &state.m, &state.v, step);
         let _span = record_adam_step(params.len());
         let (inv_bc1, inv_bc2_sqrt) = bias_corrections(cfg, step);
         // Pass 1: first moments (same fma expression as `adam_update_one`).
@@ -231,7 +227,7 @@ impl AdamStepper for CpuAdam {
         grads: &[f32],
         state: &mut AdamState,
     ) {
-        check_lengths(params, grads, state, step);
+        check_lengths(params, grads, &state.m, &state.v, step);
         let _span = record_adam_step(params.len());
         let (inv_bc1, inv_bc2_sqrt) = bias_corrections(cfg, step);
         fused_chunk(
@@ -413,22 +409,24 @@ impl GraceAdam {
             }
         });
     }
-}
 
-impl AdamStepper for GraceAdam {
-    fn name(&self) -> &'static str {
-        "grace-adam"
-    }
-
-    fn step(
+    /// One Adam step over borrowed moment slices: `m` and `v` cover the
+    /// same range as `params`. [`AdamStepper::step`] delegates here; a
+    /// caller stepping one bucket of a larger [`AdamState`] passes that
+    /// bucket's sub-slices, with no copies.
+    ///
+    /// # Panics
+    /// Panics if slice lengths disagree or `step == 0`.
+    pub fn step_slices(
         &self,
         cfg: &AdamConfig,
         step: u64,
         params: &mut [f32],
         grads: &[f32],
-        state: &mut AdamState,
+        m: &mut [f32],
+        v: &mut [f32],
     ) {
-        check_lengths(params, grads, state, step);
+        check_lengths(params, grads, m, v, step);
         let _span = record_adam_step(params.len());
         let (inv_bc1, inv_bc2_sqrt) = bias_corrections(cfg, step);
         let n = params.len();
@@ -449,8 +447,8 @@ impl AdamStepper for GraceAdam {
         let mut parts: Vec<Shard<'_>> = Vec::with_capacity(threads);
         let mut p_rest = params;
         let mut g_rest = grads;
-        let mut m_rest = state.m.as_mut_slice();
-        let mut v_rest = state.v.as_mut_slice();
+        let mut m_rest = m;
+        let mut v_rest = v;
         for _ in 0..threads {
             let take = shard.min(p_rest.len());
             if take == 0 {
@@ -479,6 +477,23 @@ impl AdamStepper for GraceAdam {
     }
 }
 
+impl AdamStepper for GraceAdam {
+    fn name(&self) -> &'static str {
+        "grace-adam"
+    }
+
+    fn step(
+        &self,
+        cfg: &AdamConfig,
+        step: u64,
+        params: &mut [f32],
+        grads: &[f32],
+        state: &mut AdamState,
+    ) {
+        self.step_slices(cfg, step, params, grads, &mut state.m, &mut state.v);
+    }
+}
+
 /// Reference scalar Adam step used by tests as ground truth.
 pub fn reference_step(
     cfg: &AdamConfig,
@@ -487,7 +502,7 @@ pub fn reference_step(
     grads: &[f32],
     state: &mut AdamState,
 ) {
-    check_lengths(params, grads, state, step);
+    check_lengths(params, grads, &state.m, &state.v, step);
     let (inv_bc1, inv_bc2_sqrt) = bias_corrections(cfg, step);
     for i in 0..params.len() {
         adam_update_one(
@@ -664,6 +679,37 @@ mod tests {
             assert_eq!(s_a.m, s_b.m);
             assert_eq!(s_a.v, s_b.v);
         }
+    }
+
+    #[test]
+    fn step_slices_on_a_sub_range_matches_step_on_a_copy() {
+        // Stepping one bucket of a larger state through borrowed slices is
+        // bit-identical to stepping a copied-out state, and leaves the
+        // rest of the state untouched.
+        let cfg = AdamConfig {
+            weight_decay: 0.01,
+            ..AdamConfig::default()
+        };
+        let (p0, g) = random_problem(1000, 5);
+        let opt = GraceAdam::new(64, 3);
+        let mut state = AdamState::new(1000);
+        let mut p = p0.clone();
+        opt.step(&cfg, 1, &mut p, &g, &mut state);
+        let range = 300..700;
+        let mut copy = AdamState {
+            m: state.m[range.clone()].to_vec(),
+            v: state.v[range.clone()].to_vec(),
+        };
+        let mut p_copy = p[range.clone()].to_vec();
+        opt.step(&cfg, 2, &mut p_copy, &g[range.clone()], &mut copy);
+        let before = state.clone();
+        let (m, v) = (&mut state.m[range.clone()], &mut state.v[range.clone()]);
+        opt.step_slices(&cfg, 2, &mut p[range.clone()], &g[range.clone()], m, v);
+        assert_eq!(p[range.clone()], p_copy[..]);
+        assert_eq!(state.m[range.clone()], copy.m[..]);
+        assert_eq!(state.v[range.clone()], copy.v[..]);
+        assert_eq!(state.m[..300], before.m[..300]);
+        assert_eq!(state.v[700..], before.v[700..]);
     }
 
     #[test]

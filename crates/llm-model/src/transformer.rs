@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 
 use tensorlite::ops::{
-    cross_entropy, gelu, gelu_backward, layer_norm, layer_norm_backward, linear, linear_backward,
-    softmax_rows, softmax_rows_backward,
+    cross_entropy, elementwise_pool, gelu, gelu_backward, layer_norm, layer_norm_backward, linear,
+    linear_backward, softmax_rows, softmax_rows_backward,
 };
 use tensorlite::{KernelFamily, Pool, Tensor, TensorError, XorShiftRng};
 
@@ -100,11 +100,73 @@ pub struct ForwardCache {
 /// The miniature GPT model.
 #[derive(Debug, Clone)]
 pub struct GptModel {
+    weights: Weights,
+    grads: Vec<f32>,
+}
+
+/// The part of the model that forward and backward only read: shape,
+/// parameters and their named views. It is kept apart from the gradient
+/// vector so a batch's sequences can share it across threads while each
+/// writes its gradients into its own [`GradSink`].
+#[derive(Debug, Clone)]
+struct Weights {
     cfg: GptConfig,
     params: Vec<f32>,
-    grads: Vec<f32>,
     views: Vec<ParamView>,
     index: HashMap<String, usize>,
+}
+
+/// Where backward puts each gradient contribution, in call order.
+enum GradSink<'g> {
+    /// Adds every contribution straight into the flat gradient vector.
+    Direct(&'g mut [f32]),
+    /// Keeps every contribution with its flat offset, to be added in
+    /// order once the batch has joined (see
+    /// [`GptModel::batch_forward_backward`]).
+    Log(Vec<(usize, Vec<f32>)>),
+}
+
+impl GradSink<'_> {
+    fn add(&mut self, view: &ParamView, g: Vec<f32>) {
+        debug_assert_eq!(
+            view.len,
+            g.len(),
+            "gradient size mismatch for {}",
+            view.name
+        );
+        match self {
+            GradSink::Direct(grads) => {
+                add_into(&mut grads[view.offset..view.offset + view.len], &g)
+            }
+            GradSink::Log(log) => log.push((view.offset, g)),
+        }
+    }
+}
+
+fn add_into(dst: &mut [f32], src: &[f32]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// What one contiguous chunk of a batch produced on its thread.
+#[derive(Default)]
+struct ChunkOut {
+    losses: Vec<f32>,
+    log: Vec<(usize, Vec<f32>)>,
+    error: Option<TensorError>,
+}
+
+/// Splits `batch` into `n` contiguous chunks whose lengths differ by at
+/// most one, in batch order.
+fn contiguous_chunks<T>(batch: &[T], n: usize) -> impl Iterator<Item = &[T]> {
+    let (base, extra) = (batch.len() / n, batch.len() % n);
+    (0..n).scan(0, move |start, i| {
+        let len = base + usize::from(i < extra);
+        let chunk = &batch[*start..*start + len];
+        *start += len;
+        Some(chunk)
+    })
 }
 
 impl GptModel {
@@ -120,11 +182,13 @@ impl GptModel {
             "heads must divide hidden dimension"
         );
         let mut model = GptModel {
-            cfg: cfg.clone(),
-            params: Vec::new(),
+            weights: Weights {
+                cfg: cfg.clone(),
+                params: Vec::new(),
+                views: Vec::new(),
+                index: HashMap::new(),
+            },
             grads: Vec::new(),
-            views: Vec::new(),
-            index: HashMap::new(),
         };
         let mut rng = XorShiftRng::new(seed);
         let h = cfg.hidden;
@@ -191,11 +255,12 @@ impl GptModel {
         rng: &mut XorShiftRng,
     ) {
         let len: usize = shape.iter().product();
-        let offset = self.params.len();
-        self.params.extend((0..len).map(|_| init(rng)));
+        let w = &mut self.weights;
+        let offset = w.params.len();
+        w.params.extend((0..len).map(|_| init(rng)));
         self.grads.extend(std::iter::repeat_n(0.0, len));
-        self.index.insert(name.to_string(), self.views.len());
-        self.views.push(ParamView {
+        w.index.insert(name.to_string(), w.views.len());
+        w.views.push(ParamView {
             name: name.to_string(),
             offset,
             len,
@@ -205,22 +270,22 @@ impl GptModel {
 
     /// The configuration.
     pub fn config(&self) -> &GptConfig {
-        &self.cfg
+        &self.weights.cfg
     }
 
     /// Total trainable parameters.
     pub fn num_params(&self) -> usize {
-        self.params.len()
+        self.weights.params.len()
     }
 
     /// Flat read-only parameter vector.
     pub fn params(&self) -> &[f32] {
-        &self.params
+        &self.weights.params
     }
 
     /// Flat mutable parameter vector (optimizers write here).
     pub fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
+        &mut self.weights.params
     }
 
     /// Flat read-only gradient vector.
@@ -240,58 +305,41 @@ impl GptModel {
 
     /// Named parameter views in registration (= flat) order.
     pub fn views(&self) -> &[ParamView] {
-        &self.views
+        &self.weights.views
     }
 
     /// Looks up a view by name.
     pub fn view(&self, name: &str) -> Option<&ParamView> {
-        self.index.get(name).map(|&i| &self.views[i])
+        self.weights
+            .index
+            .get(name)
+            .map(|&i| &self.weights.views[i])
     }
+}
 
+impl Weights {
     fn tensor_of(&self, name: &str) -> Tensor {
-        let v = &self.views[self.index[name]];
+        let v = self.view_named(name);
         Tensor::from_vec(self.params[v.offset..v.offset + v.len].to_vec(), &v.shape)
             .expect("view shape matches storage")
     }
 
     fn slice_of(&self, name: &str) -> &[f32] {
-        let v = &self.views[self.index[name]];
+        let v = self.view_named(name);
         &self.params[v.offset..v.offset + v.len]
     }
 
-    fn add_grad_tensor(&mut self, name: &str, g: &Tensor) {
-        let v = &self.views[self.index[name]];
-        debug_assert_eq!(v.len, g.len(), "gradient size mismatch for {name}");
-        for (dst, src) in self.grads[v.offset..v.offset + v.len]
-            .iter_mut()
-            .zip(g.data())
-        {
-            *dst += src;
-        }
+    fn view_named(&self, name: &str) -> &ParamView {
+        &self.views[self.index[name]]
     }
 
-    fn add_grad_slice(&mut self, name: &str, g: &[f32]) {
-        let v = &self.views[self.index[name]];
-        debug_assert_eq!(v.len, g.len(), "gradient size mismatch for {name}");
-        for (dst, src) in self.grads[v.offset..v.offset + v.len].iter_mut().zip(g) {
-            *dst += src;
-        }
-    }
-
-    /// Runs the forward pass on one sequence, returning the cache (which
-    /// includes the mean cross-entropy loss against `targets`).
-    ///
-    /// # Errors
-    /// Returns [`TensorError`] on shape violations (e.g. sequence longer
-    /// than `max_seq`, token id out of vocabulary).
-    pub fn forward(
-        &self,
-        tokens: &[usize],
-        targets: &[usize],
-    ) -> Result<ForwardCache, TensorError> {
+    fn forward(&self, tokens: &[usize], targets: &[usize]) -> Result<ForwardCache, TensorError> {
         let t = tokens.len();
         let h = self.cfg.hidden;
-        if t == 0 || t > self.cfg.max_seq {
+        if t == 0 {
+            return Err(TensorError::Empty { what: "sequence" });
+        }
+        if t > self.cfg.max_seq {
             return Err(TensorError::IndexOutOfBounds {
                 index: t,
                 len: self.cfg.max_seq,
@@ -433,14 +481,9 @@ impl GptModel {
         ))
     }
 
-    /// Runs the backward pass, accumulating gradients into the flat gradient
-    /// vector (call [`GptModel::zero_grads`] between iterations).
-    ///
-    /// # Errors
-    /// Returns [`TensorError`] on internal shape violations (a bug, not a
-    /// user error, if `cache` came from this model).
-    pub fn backward(&mut self, cache: &ForwardCache) -> Result<(), TensorError> {
-        let t = cache.tokens.len();
+    /// Backward over `cache`, handing every gradient contribution to
+    /// `sink` in a fixed call order.
+    fn backward(&self, cache: &ForwardCache, sink: &mut GradSink<'_>) -> Result<(), TensorError> {
         let h = self.cfg.hidden;
 
         // LM head (tied): logits = lnf_out @ wte^T
@@ -448,7 +491,7 @@ impl GptModel {
         let wte = self.tensor_of("wte");
         let d_lnf_out = cache.dlogits.matmul(&wte)?;
         let d_wte_head = cache.dlogits.matmul_at(&cache.lnf_out)?;
-        self.add_grad_tensor("wte", &d_wte_head);
+        sink.add(self.view_named("wte"), d_wte_head.into_vec());
 
         let gamma_f = self.slice_of("lnf.gamma").to_vec();
         let (mut dx, dgamma, dbeta) = layer_norm_backward(
@@ -458,11 +501,11 @@ impl GptModel {
             &cache.lnf_mean,
             &cache.lnf_inv_std,
         )?;
-        self.add_grad_slice("lnf.gamma", &dgamma);
-        self.add_grad_slice("lnf.beta", &dbeta);
+        sink.add(self.view_named("lnf.gamma"), dgamma);
+        sink.add(self.view_named("lnf.beta"), dbeta);
 
         for l in (0..self.cfg.layers).rev() {
-            dx = self.block_backward(l, &cache.blocks[l], &dx)?;
+            dx = self.block_backward(l, &cache.blocks[l], &dx, sink)?;
         }
 
         // Embedding backward: dx over wte rows and wpe rows.
@@ -475,17 +518,17 @@ impl GptModel {
                 d_wpe[i * h + j] += g;
             }
         }
-        self.add_grad_slice("wte", &d_wte);
-        self.add_grad_slice("wpe", &d_wpe);
-        let _ = t;
+        sink.add(self.view_named("wte"), d_wte);
+        sink.add(self.view_named("wpe"), d_wpe);
         Ok(())
     }
 
     fn block_backward(
-        &mut self,
+        &self,
         l: usize,
         cache: &BlockCache,
         dout: &Tensor,
+        sink: &mut GradSink<'_>,
     ) -> Result<Tensor, TensorError> {
         let p = |s: &str| format!("block{l}.{s}");
         let t = cache.x_in.shape()[0];
@@ -499,13 +542,13 @@ impl GptModel {
         // MLP backward.
         let w2 = self.tensor_of(&p("mlp.w2"));
         let (d_mlp_act, d_w2, d_b2) = linear_backward(&cache.mlp_act, &w2, &d_mlp_out)?;
-        self.add_grad_tensor(&p("mlp.w2"), &d_w2);
-        self.add_grad_slice(&p("mlp.b2"), &d_b2);
+        sink.add(self.view_named(&p("mlp.w2")), d_w2.into_vec());
+        sink.add(self.view_named(&p("mlp.b2")), d_b2);
         let d_mlp_pre = gelu_backward(&cache.mlp_pre, &d_mlp_act)?;
         let w1 = self.tensor_of(&p("mlp.w1"));
         let (d_ln2_out, d_w1, d_b1) = linear_backward(&cache.ln2_out, &w1, &d_mlp_pre)?;
-        self.add_grad_tensor(&p("mlp.w1"), &d_w1);
-        self.add_grad_slice(&p("mlp.b1"), &d_b1);
+        sink.add(self.view_named(&p("mlp.w1")), d_w1.into_vec());
+        sink.add(self.view_named(&p("mlp.b1")), d_b1);
 
         let gamma2 = self.slice_of(&p("ln2.gamma")).to_vec();
         let (d_x_mid_ln, d_gamma2, d_beta2) = layer_norm_backward(
@@ -515,8 +558,8 @@ impl GptModel {
             &cache.ln2_mean,
             &cache.ln2_inv_std,
         )?;
-        self.add_grad_slice(&p("ln2.gamma"), &d_gamma2);
-        self.add_grad_slice(&p("ln2.beta"), &d_beta2);
+        sink.add(self.view_named(&p("ln2.gamma")), d_gamma2);
+        sink.add(self.view_named(&p("ln2.beta")), d_beta2);
 
         // x_mid receives gradient from both the residual skip (dout) and LN2.
         let d_x_mid = dout.add(&d_x_mid_ln)?;
@@ -525,8 +568,8 @@ impl GptModel {
         let d_attn_out = d_x_mid.clone();
         let wo = self.tensor_of(&p("attn.wo"));
         let (d_attn_concat, d_wo, d_bo) = linear_backward(&cache.attn_concat, &wo, &d_attn_out)?;
-        self.add_grad_tensor(&p("attn.wo"), &d_wo);
-        self.add_grad_slice(&p("attn.bo"), &d_bo);
+        sink.add(self.view_named(&p("attn.wo")), d_wo.into_vec());
+        sink.add(self.view_named(&p("attn.bo")), d_bo);
 
         // Attention backward per head — heads are independent, so they run
         // in parallel on the worker pool; gradients are merged serially in
@@ -563,8 +606,8 @@ impl GptModel {
 
         let wqkv = self.tensor_of(&p("attn.wqkv"));
         let (d_ln1_out, d_wqkv, d_bqkv) = linear_backward(&cache.ln1_out, &wqkv, &d_qkv)?;
-        self.add_grad_tensor(&p("attn.wqkv"), &d_wqkv);
-        self.add_grad_slice(&p("attn.bqkv"), &d_bqkv);
+        sink.add(self.view_named(&p("attn.wqkv")), d_wqkv.into_vec());
+        sink.add(self.view_named(&p("attn.bqkv")), d_bqkv);
 
         let gamma1 = self.slice_of(&p("ln1.gamma")).to_vec();
         let (d_x_ln, d_gamma1, d_beta1) = layer_norm_backward(
@@ -574,14 +617,55 @@ impl GptModel {
             &cache.ln1_mean,
             &cache.ln1_inv_std,
         )?;
-        self.add_grad_slice(&p("ln1.gamma"), &d_gamma1);
-        self.add_grad_slice(&p("ln1.beta"), &d_beta1);
+        sink.add(self.view_named(&p("ln1.gamma")), d_gamma1);
+        sink.add(self.view_named(&p("ln1.beta")), d_beta1);
 
         d_x_mid.add(&d_x_ln)
     }
 
-    /// Convenience: forward + backward on one sequence, returning the loss.
-    /// Gradients accumulate; callers zero them between optimizer steps.
+    /// Forward + backward on one sequence into `sink`, returning the loss.
+    fn forward_backward(
+        &self,
+        tokens: &[usize],
+        targets: &[usize],
+        sink: &mut GradSink<'_>,
+    ) -> Result<f32, TensorError> {
+        let cache = self.forward(tokens, targets)?;
+        self.backward(&cache, sink)?;
+        Ok(cache.loss)
+    }
+}
+
+impl GptModel {
+    /// Runs the forward pass on one sequence, returning the cache (which
+    /// includes the mean cross-entropy loss against `targets`).
+    ///
+    /// # Errors
+    /// Returns [`TensorError::Empty`] for an empty sequence and
+    /// [`TensorError::IndexOutOfBounds`] for a sequence longer than
+    /// `max_seq` or a token id outside the vocabulary.
+    pub fn forward(
+        &self,
+        tokens: &[usize],
+        targets: &[usize],
+    ) -> Result<ForwardCache, TensorError> {
+        self.weights.forward(tokens, targets)
+    }
+
+    /// Runs the backward pass, accumulating gradients into the flat gradient
+    /// vector (call [`GptModel::zero_grads`] between iterations).
+    ///
+    /// # Errors
+    /// Returns [`TensorError`] on internal shape violations (a bug, not a
+    /// user error, if `cache` came from this model).
+    pub fn backward(&mut self, cache: &ForwardCache) -> Result<(), TensorError> {
+        self.weights
+            .backward(cache, &mut GradSink::Direct(&mut self.grads))
+    }
+
+    /// Convenience: forward + backward on one sequence, returning the loss —
+    /// [`GptModel::batch_forward_backward`] on a batch of one. Gradients
+    /// accumulate; callers zero them between optimizer steps.
     ///
     /// # Errors
     /// Propagates [`TensorError`] from [`GptModel::forward`].
@@ -590,9 +674,84 @@ impl GptModel {
         tokens: &[usize],
         targets: &[usize],
     ) -> Result<f32, TensorError> {
-        let cache = self.forward(tokens, targets)?;
-        self.backward(&cache)?;
-        Ok(cache.loss)
+        Ok(self.batch_forward_backward(&[(tokens, targets)])?[0])
+    }
+
+    /// Forward + backward over every `(tokens, targets)` sequence of
+    /// `batch`, accumulating gradients and returning the losses in batch
+    /// order. Gradients and losses are bit-identical to calling
+    /// [`GptModel::forward_backward`] on each sequence in turn, at any
+    /// thread count.
+    ///
+    /// The batch runs as one pool region over contiguous chunks of
+    /// sequences, each chunk on one thread (its kernels serial). The chunk
+    /// holding sequence 0 adds its gradients straight into the flat vector;
+    /// every later chunk logs each contribution, in backward's call order,
+    /// and the logs are added in batch order after the join — so every
+    /// gradient element sees exactly the serial loop's additions. Sequences
+    /// spread across threads only while one sequence's widest activation
+    /// (`tokens × 4·hidden`, the GELU input) is below the element-wise
+    /// parallelism threshold, i.e. while its GELU would run on one thread;
+    /// wider sequences run one after another with their kernels fanning
+    /// out instead, which keeps one sequence's activations in flight.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::Empty`] for an empty batch, before touching
+    /// any state. If sequence `k` fails, returns its error with the
+    /// gradients of sequences `< k` applied, as the serial loop would.
+    pub fn batch_forward_backward<X, Y>(
+        &mut self,
+        batch: &[(X, Y)],
+    ) -> Result<Vec<f32>, TensorError>
+    where
+        X: AsRef<[usize]> + Sync,
+        Y: AsRef<[usize]> + Sync,
+    {
+        if batch.is_empty() {
+            return Err(TensorError::Empty { what: "batch" });
+        }
+        let longest = batch.iter().map(|(x, _)| x.as_ref().len()).max();
+        let widest = longest.unwrap_or(0) * 4 * self.weights.cfg.hidden;
+        let pool = if elementwise_pool(widest).threads() == 1 {
+            Pool::current()
+        } else {
+            Pool::new(1)
+        };
+        let chunks = pool.threads().min(batch.len());
+        let mut outs: Vec<ChunkOut> = (0..chunks).map(|_| ChunkOut::default()).collect();
+        let mut sinks = vec![GradSink::Direct(&mut self.grads)];
+        sinks.resize_with(chunks, || GradSink::Log(Vec::new()));
+        let parts: Vec<_> = sinks
+            .into_iter()
+            .zip(outs.iter_mut())
+            .zip(contiguous_chunks(batch, chunks))
+            .collect();
+        let weights = &self.weights;
+        pool.run_parts(parts, |_, ((mut sink, out), seqs)| {
+            for (x, y) in seqs {
+                match weights.forward_backward(x.as_ref(), y.as_ref(), &mut sink) {
+                    Ok(loss) => out.losses.push(loss),
+                    Err(e) => {
+                        out.error = Some(e);
+                        break;
+                    }
+                }
+            }
+            if let GradSink::Log(log) = sink {
+                out.log = log;
+            }
+        });
+        let mut losses = Vec::with_capacity(batch.len());
+        for out in outs {
+            for (offset, g) in &out.log {
+                add_into(&mut self.grads[*offset..*offset + g.len()], g);
+            }
+            if let Some(e) = out.error {
+                return Err(e);
+            }
+            losses.extend(out.losses);
+        }
+        Ok(losses)
     }
 
     /// Logits for a sequence (no loss computation) — used by causality tests
@@ -604,7 +763,7 @@ impl GptModel {
         // Reuse forward with dummy targets; loss/dlogits are ignored.
         let targets = vec![0usize; tokens.len()];
         let cache = self.forward(tokens, &targets)?;
-        cache.lnf_out.matmul_bt(&self.tensor_of("wte"))
+        cache.lnf_out.matmul_bt(&self.weights.tensor_of("wte"))
     }
 
     /// Mean cross-entropy loss over a batch of sequences, without touching
@@ -639,7 +798,7 @@ impl GptModel {
     pub fn generate(&self, prompt: &[usize], new_tokens: usize) -> Result<Vec<usize>, TensorError> {
         let mut tokens = prompt.to_vec();
         for _ in 0..new_tokens {
-            let window_start = tokens.len().saturating_sub(self.cfg.max_seq);
+            let window_start = tokens.len().saturating_sub(self.weights.cfg.max_seq);
             let window = &tokens[window_start..];
             let logits = self.logits(window)?;
             let last = logits.row(window.len() - 1)?;

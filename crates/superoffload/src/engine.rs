@@ -5,16 +5,19 @@
 //! - [`SyncEngine`] — the reference synchronize-then-execute loop: wait for
 //!   all gradients, check NaN/Inf, compute the global norm, clip, then step.
 //! - [`StvEngine`] — the paper's scheme: partition gradients into buckets;
-//!   speculatively Adam-step each bucket on worker threads *while* a
-//!   validator thread concurrently scans for NaN/Inf and accumulates the
-//!   global norm; on a violation, roll the update back in place and either
-//!   skip (overflow) or re-execute with clipped gradients.
+//!   speculatively Adam-step each bucket as a task on the shared worker
+//!   pool *while* a validator task concurrently scans for NaN/Inf and
+//!   accumulates the global norm; on a violation, roll the update back in
+//!   place and either skip (overflow) or re-execute with clipped gradients.
+//!
+//! Both engines compute a batch's gradients with
+//! [`GptModel::batch_forward_backward`], which runs the batch's sequences
+//! side by side on the pool with a bit-exact ordered reduction.
 //!
 //! STV is an **exact** optimization: the test suite drives both engines on
 //! identical streams — including forced overflow and clipping events — and
 //! asserts bit-identical parameters after every step.
 
-use crossbeam::channel;
 use grace_optim::adam::{AdamConfig, AdamState, AdamStepper, GraceAdam};
 use grace_optim::clip::{apply_clip, clip_factor};
 use grace_optim::mixed_precision::{LossScaler, ScaleEvent};
@@ -25,7 +28,7 @@ use tensorlite::cast::{
     sum_of_squares,
 };
 use tensorlite::storage::StoragePrecision;
-use tensorlite::TensorError;
+use tensorlite::{Pool, TensorError};
 
 /// The half-precision format gradients cross the link in.
 ///
@@ -221,19 +224,23 @@ pub type Sample = (Vec<usize>, Vec<usize>);
 /// equivalent of producing FP16 gradients on the GPU and shipping them to
 /// the CPU. Returns `(mean_loss, grads_fp32_after_roundtrip)` where the
 /// gradients are still multiplied by the loss scale.
+///
+/// An empty batch is [`TensorError::Empty`], returned before any state
+/// (gradients included) is touched, so the engines never step on it.
 fn batch_gradients(
     model: &mut GptModel,
     batch: &[Sample],
     scale: f32,
     cfg: &EngineConfig,
 ) -> Result<(f32, Vec<f32>), TensorError> {
-    model.zero_grads();
-    let mut loss_sum = 0.0f64;
-    for (x, y) in batch {
-        loss_sum += model.forward_backward(x, y)? as f64;
+    if batch.is_empty() {
+        return Err(TensorError::Empty { what: "batch" });
     }
-    let mean_loss = (loss_sum / batch.len().max(1) as f64) as f32;
-    let inv_b = 1.0 / batch.len().max(1) as f32;
+    model.zero_grads();
+    let losses = model.batch_forward_backward(batch)?;
+    let loss_sum = losses.iter().fold(0.0f64, |sum, &l| sum + l as f64);
+    let mean_loss = (loss_sum / batch.len() as f64) as f32;
+    let inv_b = 1.0 / batch.len() as f32;
     // Scale (emulating scaled loss) and round-trip through the half-precision
     // wire format — exactly what crossing the link does to the values.
     let scaled: Vec<f32> = model.grads().iter().map(|g| g * scale * inv_b).collect();
@@ -362,7 +369,9 @@ impl SyncEngine {
     /// Executes one synchronous training step.
     ///
     /// # Errors
-    /// Propagates [`TensorError`] from the forward/backward pass.
+    /// Returns [`TensorError::Empty`] for an empty batch (no state is
+    /// touched) and propagates [`TensorError`] from the forward/backward
+    /// pass.
     pub fn train_step(&mut self, batch: &[Sample]) -> Result<StepOutcome, TensorError> {
         let scale = self.scaler.scale();
         let cfg = self.cfg;
@@ -438,12 +447,25 @@ pub struct StvEngine {
     last_scale_event: ScaleEvent,
 }
 
-/// Per-bucket validation result produced by the validator thread.
+/// Per-bucket validation result produced by the validator task.
 #[derive(Debug, Clone, Copy)]
 struct BucketVerdict {
-    index: usize,
     overflow: bool,
     sum_sq_unscaled: f64,
+}
+
+/// One task of an STV step's speculation region.
+enum SpecTask<'a> {
+    /// Scans every bucket, in order, into the verdict list.
+    Validate(&'a mut Vec<BucketVerdict>),
+    /// One bucket's speculative Adam step over borrowed slices of the
+    /// parameters and moments.
+    Step {
+        params: &'a mut [f32],
+        grads: &'a [f32],
+        m: &'a mut [f32],
+        v: &'a mut [f32],
+    },
 }
 
 impl StvEngine {
@@ -524,7 +546,9 @@ impl StvEngine {
     /// rolls back in place.
     ///
     /// # Errors
-    /// Propagates [`TensorError`] from the forward/backward pass.
+    /// Returns [`TensorError::Empty`] for an empty batch (no state is
+    /// touched) and propagates [`TensorError`] from the forward/backward
+    /// pass.
     pub fn train_step(&mut self, batch: &[Sample]) -> Result<StepOutcome, TensorError> {
         let scale = self.scaler.scale();
         let cfg = self.cfg;
@@ -546,84 +570,50 @@ impl StvEngine {
         }
 
         // --- Speculate and validate concurrently -------------------------
-        let (verdict_tx, verdict_rx) = channel::unbounded::<BucketVerdict>();
-        let adam = self.cfg.adam;
-        let grads_ref: &[f32] = &grads;
-        let ranges_ref: &[std::ops::Range<usize>] = &ranges;
-
+        // One pool region: the validator task scans buckets for overflow
+        // (the wire round-trip baked any overflow into the values as
+        // ±inf/NaN) and accumulates the unscaled norm, while one task per
+        // bucket steps Adam over that bucket's slices of the parameters
+        // and moments in place.
         let speculate_from = std::time::Instant::now();
-        {
-            // Split params and moments into disjoint bucket slices.
-            let mut param_slices: Vec<&mut [f32]> = Vec::with_capacity(ranges.len());
-            let mut m_slices: Vec<&mut [f32]> = Vec::with_capacity(ranges.len());
-            let mut v_slices: Vec<&mut [f32]> = Vec::with_capacity(ranges.len());
-            let mut p_rest = self.model.params_mut();
-            let mut taken = 0usize;
-            for r in ranges_ref {
-                let (head, tail) = p_rest.split_at_mut(r.end - taken);
-                param_slices.push(head);
-                p_rest = tail;
-                taken = r.end;
-            }
-            let mut m_rest = self.state.m.as_mut_slice();
-            let mut v_rest = self.state.v.as_mut_slice();
-            taken = 0;
-            for r in ranges_ref {
-                let (mh, mt) = m_rest.split_at_mut(r.end - taken);
-                let (vh, vt) = v_rest.split_at_mut(r.end - taken);
-                m_slices.push(mh);
-                v_slices.push(vh);
-                m_rest = mt;
-                v_rest = vt;
-                taken = r.end;
-            }
-
-            std::thread::scope(|scope| {
-                // Validator thread: scans buckets for overflow (in the FP16
-                // domain, i.e. on the scaled values) and accumulates the
-                // unscaled norm — concurrently with the speculative steps.
-                scope.spawn(move || {
-                    for (i, r) in ranges_ref.iter().enumerate() {
-                        let bucket = &grads_ref[r.clone()];
-                        // The wire round-trip baked any overflow into the
-                        // values as ±inf/NaN; scan for non-finite entries.
-                        let overflow = bucket.iter().any(|g| !g.is_finite());
-                        let sum_sq = sum_of_squares(bucket);
-                        let _ = verdict_tx.send(BucketVerdict {
-                            index: i,
-                            overflow,
-                            sum_sq_unscaled: sum_sq,
-                        });
-                    }
-                    drop(verdict_tx);
-                });
-
-                // Speculative workers: one scoped thread per bucket.
-                for ((p, m), (v, r)) in param_slices
-                    .into_iter()
-                    .zip(m_slices)
-                    .zip(v_slices.into_iter().zip(ranges_ref.iter().cloned()))
-                {
-                    let g = &grads_ref[r];
-                    scope.spawn(move || {
-                        let mut st = AdamState {
-                            m: m.to_vec(),
-                            v: v.to_vec(),
-                        };
-                        GraceAdam::new(4096, 1).step(&adam, speculative_step, p, g, &mut st);
-                        m.copy_from_slice(&st.m);
-                        v.copy_from_slice(&st.v);
-                    });
-                }
+        let mut verdicts = Vec::with_capacity(ranges.len());
+        let mut tasks = Vec::with_capacity(ranges.len() + 1);
+        tasks.push(SpecTask::Validate(&mut verdicts));
+        let mut p_rest = self.model.params_mut();
+        let mut m_rest = self.state.m.as_mut_slice();
+        let mut v_rest = self.state.v.as_mut_slice();
+        for r in &ranges {
+            let (params, p_tail) = p_rest.split_at_mut(r.len());
+            let (m, m_tail) = m_rest.split_at_mut(r.len());
+            let (v, v_tail) = v_rest.split_at_mut(r.len());
+            (p_rest, m_rest, v_rest) = (p_tail, m_tail, v_tail);
+            tasks.push(SpecTask::Step {
+                params,
+                grads: &grads[r.clone()],
+                m,
+                v,
             });
         }
-
+        let adam = self.cfg.adam;
+        Pool::current().run_parts(tasks, |_, task| match task {
+            SpecTask::Validate(out) => out.extend(ranges.iter().map(|r| {
+                let bucket = &grads[r.clone()];
+                BucketVerdict {
+                    overflow: bucket.iter().any(|g| !g.is_finite()),
+                    sum_sq_unscaled: sum_of_squares(bucket),
+                }
+            })),
+            SpecTask::Step {
+                params,
+                grads,
+                m,
+                v,
+            } => GraceAdam::new(4096, 1).step_slices(&adam, speculative_step, params, grads, m, v),
+        });
         self.spans.speculate.record(speculate_from);
 
         // --- Collect verdicts ---------------------------------------------
         let validate_from = std::time::Instant::now();
-        let mut verdicts: Vec<BucketVerdict> = verdict_rx.iter().collect();
-        verdicts.sort_by_key(|v| v.index);
         let overflow = verdicts.iter().any(|v| v.overflow);
         let partials: Vec<f64> = verdicts.iter().map(|v| v.sum_sq_unscaled).collect();
         let norm = norm_from_partials(&partials);

@@ -39,6 +39,12 @@ pub enum TensorError {
         /// The dimension size.
         len: usize,
     },
+    /// The operation needs at least one element (a token, a sequence) and
+    /// was given none.
+    Empty {
+        /// What was empty, e.g. `"sequence"` or `"batch"`.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -58,6 +64,7 @@ impl fmt::Display for TensorError {
             TensorError::IndexOutOfBounds { index, len } => {
                 write!(f, "index {index} out of bounds for dimension of size {len}")
             }
+            TensorError::Empty { what } => write!(f, "{what} is empty"),
         }
     }
 }
@@ -81,6 +88,8 @@ mod tests {
             op: "matmul",
         };
         assert!(e.to_string().contains("matmul"));
+        let e = TensorError::Empty { what: "batch" };
+        assert_eq!(e.to_string(), "batch is empty");
     }
 
     #[test]

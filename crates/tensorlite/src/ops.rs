@@ -244,7 +244,32 @@ pub fn layer_norm_backward(
     Ok((Tensor::from_vec(dx, &[m, n])?, dgamma, dbeta))
 }
 
+/// The pool an element-wise kernel over `len` elements runs on: the
+/// caller's pool at or above the [`KernelFamily::Elementwise`] threshold,
+/// one thread below it. GELU and its backward use it, and so does the
+/// model's batched pass, which spreads sequences across threads exactly
+/// when their GELU would stay on one.
+pub fn elementwise_pool(len: usize) -> Pool {
+    Pool::current().limit_for_family(KernelFamily::Elementwise, len)
+}
+
+/// A fresh tensor of `x`'s shape whose disjoint row blocks `fill(block,
+/// start)` writes on [`elementwise_pool`], `start` being the block's flat
+/// offset. Every element is computed on its own, so results are
+/// bit-identical at any thread count.
+fn par_elementwise(x: &Tensor, fill: impl Fn(&mut [f32], usize) + Sync) -> Tensor {
+    let mut out = vec![0.0f32; x.len()];
+    let row_len = x.shape().last().copied().unwrap_or(1);
+    elementwise_pool(x.len()).par_row_chunks(&mut out, row_len, |first_row, block| {
+        fill(block, first_row * row_len)
+    });
+    Tensor::from_vec(out, x.shape()).expect("output takes the input's shape")
+}
+
 /// GELU activation (tanh approximation, as used by GPT-2/3).
+///
+/// Rows are partitioned over the pool once the tensor reaches the
+/// [`KernelFamily::Elementwise`] threshold ([`elementwise_pool`]).
 pub fn gelu(x: &Tensor) -> Tensor {
     let _span = spans::kernel(OpKind::Gelu);
     counters::record_op(
@@ -253,10 +278,14 @@ pub fn gelu(x: &Tensor) -> Tensor {
         10 * x.len() as u64,
         2 * counters::elem_bytes() * x.len() as u64,
     );
-    x.map(gelu_scalar)
+    par_elementwise(x, |block, start| {
+        for (o, &xv) in block.iter_mut().zip(&x.data()[start..]) {
+            *o = gelu_scalar(xv);
+        }
+    })
 }
 
-/// Backward of [`gelu`]: `dx = dy ⊙ gelu'(x)`.
+/// Backward of [`gelu`]: `dx = dy ⊙ gelu'(x)`, partitioned like [`gelu`].
 ///
 /// # Errors
 /// Returns [`TensorError::IncompatibleShapes`] on shape mismatch.
@@ -269,7 +298,12 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
         20 * x.len() as u64,
         3 * counters::elem_bytes() * x.len() as u64,
     );
-    Ok(x.zip_map(dy, |xv, dyv| dyv * gelu_grad_scalar(xv)))
+    Ok(par_elementwise(x, |block, start| {
+        let (xs, dys) = (&x.data()[start..], &dy.data()[start..]);
+        for ((o, &xv), &dyv) in block.iter_mut().zip(xs).zip(dys) {
+            *o = dyv * gelu_grad_scalar(xv);
+        }
+    }))
 }
 
 /// Scalar GELU (tanh approximation).

@@ -160,3 +160,25 @@ proptest! {
         }
     }
 }
+
+/// GELU forward + backward are bit-identical to the scalar maps at every
+/// thread count, on shapes below, exactly at, and above the element-wise
+/// family threshold (where rows are partitioned over the pool).
+#[test]
+fn gelu_bit_identical_across_threads_and_the_threshold() {
+    let threshold = tensorlite::pool::family_threshold(tensorlite::KernelFamily::Elementwise);
+    let mut rng = tensorlite::XorShiftRng::new(17);
+    for (rows, cols) in [(3, 7), (threshold / 512, 512), (threshold / 512 + 5, 512)] {
+        let x = Tensor::randn(&[rows, cols], 2.0, &mut rng);
+        let dy = Tensor::randn(&[rows, cols], 1.0, &mut rng);
+        let y_ref = x.map(ops::gelu_scalar);
+        let dx_ref = x.zip_map(&dy, |xv, dyv| dyv * ops::gelu_grad_scalar(xv));
+        for threads in THREAD_COUNTS {
+            let (y, dx) = with_threads(threads, || {
+                (ops::gelu(&x), ops::gelu_backward(&x, &dy).unwrap())
+            });
+            assert_eq!(bits(&y_ref), bits(&y), "{rows}x{cols} threads={threads}");
+            assert_eq!(bits(&dx_ref), bits(&dx), "{rows}x{cols} threads={threads}");
+        }
+    }
+}

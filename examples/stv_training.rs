@@ -35,7 +35,7 @@ fn main() {
     let mut sync = SyncEngine::new(GptModel::new(model_cfg, 1234), engine_cfg);
     let mut pile = SyntheticPile::new(64, 1234);
 
-    println!("training a real GPT with STV (speculative steps + validator thread)\n");
+    println!("training a real GPT with STV (speculative steps + validator task)\n");
     let iterations = 200;
     let mut divergences = 0;
     for it in 0..iterations {

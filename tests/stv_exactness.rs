@@ -1,13 +1,54 @@
 //! Cross-crate integration tests of the numeric plane: the real STV engine
 //! over the real transformer, verified against the synchronous reference —
 //! the §4.4 "exact optimization" claim under many regimes.
+//!
+//! Every regime runs at 1, 2 and 7 worker threads: a batch's sequences and
+//! STV's speculation and validation are pool tasks, so the trajectory must
+//! also be identical across thread counts.
 
 use grace_optim::adam::AdamConfig;
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
 use superoffload::engine::{EngineConfig, StvEngine, SyncEngine};
+use tensorlite::pool::with_threads;
 
+const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Runs STV and Sync side by side at every count in [`THREADS`], asserting
+/// bit-identical parameters after every step and across thread counts;
+/// returns the one-thread pair.
 fn run_pair(
+    model_cfg: GptConfig,
+    engine_cfg: EngineConfig,
+    seed: u64,
+    iters: usize,
+    batch: usize,
+    seq: usize,
+) -> (StvEngine, SyncEngine) {
+    let runs = THREADS.map(|threads| {
+        with_threads(threads, || {
+            run_pair_at(model_cfg.clone(), engine_cfg, seed, iters, batch, seq)
+        })
+    });
+    for ((stv, sync), threads) in runs.iter().zip(THREADS).skip(1) {
+        let (stv1, sync1) = &runs[0];
+        assert_eq!(
+            stv.model().params(),
+            stv1.model().params(),
+            "threads={threads}"
+        );
+        assert_eq!(
+            sync.model().params(),
+            sync1.model().params(),
+            "threads={threads}"
+        );
+        assert_eq!(stv.stats(), stv1.stats(), "threads={threads}");
+    }
+    let [first, ..] = runs;
+    first
+}
+
+fn run_pair_at(
     model_cfg: GptConfig,
     engine_cfg: EngineConfig,
     seed: u64,
@@ -102,15 +143,26 @@ fn exact_with_larger_model_and_batches() {
 #[test]
 fn stv_loss_matches_sync_loss_exactly() {
     let cfg = EngineConfig::default();
-    let mut stv = StvEngine::new(GptModel::new(tiny_cfg(), 17), cfg);
-    let mut sync = SyncEngine::new(GptModel::new(tiny_cfg(), 17), cfg);
-    let mut pile = SyntheticPile::new(61, 17);
-    for _ in 0..10 {
-        let batch = pile.next_batch(2, 12);
-        let a = stv.train_step(&batch).unwrap();
-        let b = sync.train_step(&batch).unwrap();
-        assert_eq!(a.loss().to_bits(), b.loss().to_bits());
-    }
+    let losses = THREADS.map(|threads| {
+        with_threads(threads, || {
+            let mut stv = StvEngine::new(GptModel::new(tiny_cfg(), 17), cfg);
+            let mut sync = SyncEngine::new(GptModel::new(tiny_cfg(), 17), cfg);
+            let mut pile = SyntheticPile::new(61, 17);
+            (0..10)
+                .map(|_| {
+                    let batch = pile.next_batch(2, 12);
+                    let a = stv.train_step(&batch).unwrap();
+                    let b = sync.train_step(&batch).unwrap();
+                    assert_eq!(a.loss().to_bits(), b.loss().to_bits(), "threads={threads}");
+                    a.loss().to_bits()
+                })
+                .collect::<Vec<_>>()
+        })
+    });
+    assert!(
+        losses.iter().all(|l| *l == losses[0]),
+        "losses differ across thread counts"
+    );
 }
 
 #[test]
