@@ -13,293 +13,14 @@
 //! cargo run --release -p superoffload-bench --bin repro -- fleetview --nodes 4
 //! cargo run --release -p superoffload-bench --bin repro -- calibrate
 //! ```
-
-use superoffload_bench::{
-    analyze, calibrate, compare, diff, experiments, fleetview, journal, profile, realbench,
-    roofline, scale,
-};
-
-const EXPERIMENTS: &[(&str, fn())] = &[
-    ("table1", experiments::print_table1),
-    ("fig4", experiments::print_fig4),
-    ("fig6", experiments::print_fig6),
-    ("fig7", experiments::print_fig7),
-    ("fig9", experiments::print_fig9),
-    ("fig10", experiments::print_fig10),
-    ("fig11", print_fig11_both),
-    ("fig12", experiments::print_fig12),
-    ("fig13", experiments::print_fig13),
-    ("table2", experiments::print_table2),
-    ("table3", realbench::print_table3),
-    ("fig14", realbench::print_fig14),
-    ("realbench", realbench::print_realplane),
-    ("fig15", experiments::print_fig15),
-    ("timelines", experiments::print_timelines),
-    ("numa", experiments::print_numa),
-    ("bucket-sweep", experiments::print_bucket_sweep),
-    ("pipeline", experiments::print_pipeline),
-    ("systems", experiments::print_systems),
-];
-
-fn print_fig11_both() {
-    experiments::print_fig11(4);
-    println!();
-    experiments::print_fig11(16);
-}
+//!
+//! The subcommands live in `superoffload_bench::cli::COMMANDS`; exit codes
+//! are 0 on success, 1 when a run or gate fails, 2 on a bad command line.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: repro <subcommand> [flags]");
-        eprintln!();
-        eprintln!("subcommands:");
-        eprintln!("  <experiment>...                  print one or more figure/table experiments");
-        eprintln!("  all                              print every experiment in order");
-        eprintln!("  profile <system> [--out-dir <dir>]");
-        eprintln!("                                   Perfetto trace + metrics snapshot");
-        eprintln!("                                   -> profile_<system>.trace.json, profile_<system>.json");
-        eprintln!("  analyze <system> [--out <path>]  critical-path + stall-attribution report");
-        eprintln!("                                   -> analysis_<system>.json");
-        eprintln!("  diff <system-a> <system-b> [--nodes <N>] [--seed-a <S>] [--seed-b <S>] [--out-dir <dir>]");
-        eprintln!(
-            "                                   causal run diff with conservation-exact \
-             attribution"
-        );
-        eprintln!("                                   -> diff_<a>_vs_<b>.json, .trace.json, .html");
-        eprintln!("  compare <baseline.json> <current.json> [--tolerance <frac>] [--out <path>]");
-        eprintln!(
-            "                                   exit 1 if metrics regress beyond the tolerance \
-             (default {});",
-            compare::DEFAULT_TOLERANCE
-        );
-        eprintln!(
-            "                                   --out writes the {} verdict, pass or fail",
-            compare::COMPARE_SCHEMA
-        );
-        eprintln!("  journal [--steps <N>] [--seed <N>] [--peak-flops <F>] [--out-dir <dir>]");
-        eprintln!(
-            "                                   real journaled training run -> journal.jsonl, \
-             journal_timing.json,"
-        );
-        eprintln!(
-            "                                   journal_snapshot.json, journal_dashboard.html \
-             (defaults: --steps {} --seed {})",
-            journal::DEFAULT_STEPS,
-            journal::DEFAULT_SEED
-        );
-        eprintln!("  realbench [--steps <N>] [--seed <N>]");
-        eprintln!(
-            "                                   real-plane measurement -> BENCH_realplane.json \
-             (defaults: --steps {} --seed {})",
-            realbench::REALPLANE_STEPS,
-            realbench::REALPLANE_SEED
-        );
-        eprintln!("  roofline [--threads <N>] [--steps <N>] [--seed <N>] [--peak-flops <F>] [--peak-bw <B>] [--out-dir <dir>]");
-        eprintln!(
-            "                                   measured kernel roofline -> roofline.json, \
-             roofline_trace.json"
-        );
-        eprintln!(
-            "                                   (defaults: --threads 0 = all, --steps {}, \
-             --seed {}, --peak-flops {:.0e}, --peak-bw {:.0e})",
-            realbench::REALPLANE_STEPS,
-            realbench::REALPLANE_SEED,
-            roofline::DEFAULT_PEAK_FLOPS,
-            roofline::DEFAULT_PEAK_BW
-        );
-        eprintln!("  calibrate [--max-work <N>] [--reps <N>]");
-        eprintln!(
-            "                                   serial-vs-parallel crossover per kernel family \
-             -> calibration.json"
-        );
-        eprintln!(
-            "                                   (defaults: --max-work {} --reps {})",
-            calibrate::DEFAULT_MAX_WORK,
-            calibrate::DEFAULT_REPS
-        );
-        eprintln!("  scale [--nodes <A..B|N>] [--system <name>] [--out <path>]");
-        eprintln!(
-            "                                   multi-Superchip scaling sweep -> scale_sweep.json \
-             (or scale_<system>.json;"
-        );
-        eprintln!(
-            "                                   defaults: --nodes {}..{}, systems {})",
-            scale::DEFAULT_NODES.0,
-            scale::DEFAULT_NODES.1,
-            scale::DEFAULT_SYSTEMS.join(" ")
-        );
-        eprintln!("  fleetview [--nodes <N>] [--system <name>] [--seed <N>] [--out-dir <dir>]");
-        eprintln!(
-            "                                   cross-node fleet observatory -> \
-             fleetview_<system>.json, .metrics.json,"
-        );
-        eprintln!(
-            "                                   .events.jsonl, .trace.json, .html \
-             (defaults: --nodes {} --system {} --seed {})",
-            fleetview::DEFAULT_FLEET_NODES,
-            fleetview::DEFAULT_SYSTEM,
-            fleetview::DEFAULT_SEED
-        );
-        eprintln!();
-        eprintln!(
-            "experiments: {} all",
-            EXPERIMENTS
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        eprintln!("system names accept both spellings: zero-offload == zero_offload");
-        std::process::exit(if args.is_empty() { 2 } else { 0 });
-    }
-
-    // `journal` takes flags, unlike the fn() table.
-    if args[0] == "journal" {
-        if let Err(msg) = journal::run(&args[1..]) {
-            eprintln!("journal failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `realbench` as the leading subcommand accepts `--steps`/`--seed`
-    // overrides (inside an experiment list, e.g. `repro -- all`, it runs
-    // with the defaults).
-    if args[0] == "realbench" && args.len() > 1 {
-        let parse = |name| journal::parse_flag(&args[1..], name, |v| str::parse::<u64>(v).ok());
-        match (parse("steps"), parse("seed")) {
-            (Ok(steps), Ok(seed)) => {
-                if steps == Some(0) {
-                    eprintln!("realbench: --steps must be at least 1");
-                    std::process::exit(2);
-                }
-                realbench::print_realplane_with(
-                    steps.unwrap_or(realbench::REALPLANE_STEPS),
-                    seed.unwrap_or(realbench::REALPLANE_SEED),
-                );
-            }
-            (Err(msg), _) | (_, Err(msg)) => {
-                eprintln!("realbench: {msg}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    // `roofline` takes flags, like `journal`.
-    if args[0] == "roofline" {
-        if let Err(msg) = roofline::run(&args[1..]) {
-            eprintln!("roofline failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `calibrate` takes flags, like `journal`.
-    if args[0] == "calibrate" {
-        if let Err(msg) = calibrate::run(&args[1..]) {
-            eprintln!("calibrate failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `scale` takes flags, like `journal`.
-    if args[0] == "scale" {
-        if let Err(msg) = scale::run(&args[1..]) {
-            eprintln!("scale failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `fleetview` takes flags, like `scale`.
-    if args[0] == "fleetview" {
-        if let Err(msg) = fleetview::run(&args[1..]) {
-            eprintln!("fleetview failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `profile` takes a system-name argument plus flags.
-    if args[0] == "profile" {
-        if let Err(msg) = profile::run(&args[1..]) {
-            eprintln!("profile failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `analyze` also takes a system-name argument plus flags.
-    if args[0] == "analyze" {
-        if let Err(msg) = analyze::run(&args[1..]) {
-            eprintln!("analyze failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `diff` takes two run specs plus flags.
-    if args[0] == "diff" {
-        if let Err(msg) = diff::run(&args[1..]) {
-            eprintln!("diff failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `compare` takes two snapshot paths, an optional tolerance, and an
-    // optional verdict output path.
-    if args[0] == "compare" {
-        let (Some(baseline), Some(current)) = (args.get(1), args.get(2)) else {
-            eprintln!(
-                "usage: repro compare <baseline.json> <current.json> [--tolerance frac] \
-                 [--out <path>]"
-            );
-            std::process::exit(2);
-        };
-        let tolerance = match args.iter().position(|a| a == "--tolerance") {
-            Some(i) => match args.get(i + 1).and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => t,
-                _ => {
-                    eprintln!("--tolerance needs a non-negative fraction, e.g. 0.02");
-                    std::process::exit(2);
-                }
-            },
-            None => compare::DEFAULT_TOLERANCE,
-        };
-        let out = match journal::parse_flag(&args[3..], "out", |v| Some(v.to_string())) {
-            Ok(out) => out,
-            Err(msg) => {
-                eprintln!("compare: {msg}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(msg) = compare::run(baseline, current, tolerance, out.as_deref()) {
-            eprintln!("compare failed: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let selected: Vec<&(&str, fn())> = if args.iter().any(|a| a == "all") {
-        EXPERIMENTS.iter().collect()
-    } else {
-        args.iter()
-            .map(|a| {
-                EXPERIMENTS.iter().find(|(n, _)| n == a).unwrap_or_else(|| {
-                    eprintln!("unknown experiment `{a}`; run with --help");
-                    std::process::exit(2)
-                })
-            })
-            .collect()
-    };
-
-    for (i, (_, f)) in selected.iter().enumerate() {
-        if i > 0 {
-            println!("\n{}\n", "=".repeat(72));
-        }
-        f();
+    if let Err(failure) = superoffload_bench::cli::dispatch(&args) {
+        eprintln!("{}", failure.message);
+        std::process::exit(failure.code);
     }
 }

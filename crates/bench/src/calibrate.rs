@@ -308,8 +308,21 @@ pub fn calibrate(max_work: usize, reps: u32) -> Calibration {
     }
 }
 
-/// Prints the calibration table and writes `calibration.json`.
-pub fn print_calibration(max_work: usize, reps: u32) {
+/// CLI entry: `repro -- calibrate [--max-work <N>] [--reps <N>]`: prints
+/// the calibration table and writes `calibration.json`.
+///
+/// # Errors
+/// A CLI-ready message on a bad flag value or a failed write.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let parse = |name| crate::cli::parse_flag(args, name, |v| str::parse::<u64>(v).ok());
+    let max_work = parse("max-work")?.map_or(DEFAULT_MAX_WORK, |v| v as usize);
+    let reps = parse("reps")?.map_or(DEFAULT_REPS, |v| v as u32);
+    if max_work < 2_048 {
+        return Err("--max-work must be at least 2048 element-ops".to_string());
+    }
+    if reps == 0 {
+        return Err("--reps must be at least 1".to_string());
+    }
     let cal = calibrate(max_work, reps);
     println!(
         "# Parallel-dispatch calibration (this host, {} hardware threads)",
@@ -355,25 +368,7 @@ pub fn print_calibration(max_work: usize, reps: u32) {
          and set_family_threshold override at runtime)",
         max_work, reps
     );
-    match std::fs::write("calibration.json", cal.to_json()) {
-        Ok(()) => println!("wrote calibration.json"),
-        Err(e) => eprintln!("could not write calibration.json: {e}"),
-    }
-}
-
-/// CLI entry: `repro -- calibrate [--max-work <N>] [--reps <N>]`.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let parse = |name| crate::journal::parse_flag(args, name, |v| str::parse::<u64>(v).ok());
-    let max_work = parse("max-work")?.map_or(DEFAULT_MAX_WORK, |v| v as usize);
-    let reps = parse("reps")?.map_or(DEFAULT_REPS, |v| v as u32);
-    if max_work < 2_048 {
-        return Err("--max-work must be at least 2048 element-ops".to_string());
-    }
-    if reps == 0 {
-        return Err("--reps must be at least 1".to_string());
-    }
-    print_calibration(max_work, reps);
-    Ok(())
+    crate::cli::write_artifacts(&[("calibration.json", cal.to_json())])
 }
 
 #[cfg(test)]

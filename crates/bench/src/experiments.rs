@@ -659,23 +659,23 @@ pub fn fig8_timeline() -> Option<(String, String)> {
 }
 
 /// Prints the Fig. 3 vs Fig. 8 schedule comparison and writes Chrome traces
-/// next to the working directory.
-pub fn print_timelines() {
+/// into the working directory.
+///
+/// # Errors
+/// A CLI-ready message if a trace cannot be written.
+pub fn print_timelines() -> Result<(), String> {
     println!("# Fig. 3 vs Fig. 8: schedule timelines (5B, batch {FIG10_BATCH}, 4 iterations)");
     if let Some((ascii, chrome)) = fig3_timeline() {
         println!("\n## ZeRO-Offload (synchronize-then-execute) — note the GPU gaps:\n");
         print!("{ascii}");
-        if std::fs::write("zero_offload_timeline.json", chrome).is_ok() {
-            println!("(chrome trace written to zero_offload_timeline.json)");
-        }
+        crate::cli::write_artifacts(&[("zero_offload_timeline.json", chrome)])?;
     }
     if let Some((ascii, chrome)) = fig8_timeline() {
         println!("\n## SuperOffload (speculation-then-validation) — near-solid GPU row:\n");
         print!("{ascii}");
-        if std::fs::write("superoffload_timeline.json", chrome).is_ok() {
-            println!("(chrome trace written to superoffload_timeline.json)");
-        }
+        crate::cli::write_artifacts(&[("superoffload_timeline.json", chrome)])?;
     }
+    Ok(())
 }
 
 /// §4.7 NUMA binding: the penalty of a rank whose CPU affinity lands on a

@@ -17,11 +17,11 @@ use std::fmt::Write as _;
 
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
-use superchip_sim::telemetry::validate_json;
 use superoffload::trainer::{JournalConfig, StepJournal, Trainer, JOURNAL_SCHEMA};
 use tensorlite::counters::N_OP_KINDS;
 use tensorlite::{spans, CounterSnapshot};
 
+use crate::cli::{parse_flag, parse_out_dir, write_artifacts};
 use crate::roofline::{self, RooflineArgs, RooflineReport};
 
 /// Default step count for `repro -- journal`.
@@ -48,38 +48,6 @@ impl Default for JournalArgs {
             peak_flops: JournalConfig::default().peak_flops,
         }
     }
-}
-
-/// Pulls `--<name> <value>` out of `args`, parsing the value with `parse`.
-///
-/// Returns `Ok(None)` when the flag is absent, an error message when the
-/// flag is present without a valid value.
-pub fn parse_flag<T>(
-    args: &[String],
-    name: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    let flag = format!("--{name}");
-    match args.iter().position(|a| *a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| parse(v))
-            .map(Some)
-            .ok_or_else(|| format!("{flag} needs a value, e.g. `{flag} 8`")),
-    }
-}
-
-/// Parses `--out-dir <dir>` and ensures the directory exists, returning it
-/// (`"."` when the flag is absent — artifacts land in the cwd, the
-/// pre-flag behavior). Shared by every artifact-writing subcommand.
-pub(crate) fn parse_out_dir(args: &[String]) -> Result<String, String> {
-    let dir =
-        parse_flag(args, "out-dir", |v| Some(v.to_string()))?.unwrap_or_else(|| ".".to_string());
-    if dir != "." {
-        std::fs::create_dir_all(&dir).map_err(|e| format!("could not create {dir}: {e}"))?;
-    }
-    Ok(dir)
 }
 
 impl JournalArgs {
@@ -188,8 +156,8 @@ pub const JOURNAL_PATHS: [&str; 4] = [
     "journal_dashboard.html",
 ];
 
-/// Entry point for `repro -- journal`: trains, validates, writes the four
-/// artifacts, and prints the terminal summary table.
+/// Entry point for `repro -- journal`: trains, prints the terminal summary
+/// table, and writes the four artifacts.
 ///
 /// # Errors
 /// A CLI-ready message on bad flags, a failed step, invalid generated
@@ -206,33 +174,22 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let roofline = journal_roofline(journal, &span_log, parsed);
 
     let jsonl = journal.to_jsonl();
-    for (i, line) in jsonl.lines().enumerate() {
-        validate_json(line).map_err(|e| format!("journal.jsonl line {}: {e}", i + 1))?;
-    }
     let timing = journal.timing_json();
     let snapshot = journal.snapshot_json(&[
         ("seed", parsed.seed.to_string()),
         ("steps", parsed.steps.to_string()),
     ]);
-    for (what, body) in [("timing", &timing), ("snapshot", &snapshot)] {
-        validate_json(body).map_err(|e| format!("generated {what} JSON is invalid: {e}"))?;
-    }
     let html = dashboard_html(journal, parsed.seed, Some(&roofline));
 
     print_summary(journal, parsed);
-    let [jsonl_path, timing_path, snapshot_path, html_path] = JOURNAL_PATHS;
-    for (name, body) in [
-        (jsonl_path, &jsonl),
-        (timing_path, &timing),
-        (snapshot_path, &snapshot),
-        (html_path, &html),
-    ] {
-        let path = std::path::Path::new(&out_dir).join(name);
-        std::fs::write(&path, body)
-            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-        println!("  wrote {}", path.display());
-    }
-    Ok(())
+    let dir = std::path::Path::new(&out_dir);
+    write_artifacts(
+        &JOURNAL_PATHS
+            .iter()
+            .map(|name| dir.join(name))
+            .zip([&jsonl, &timing, &snapshot, &html])
+            .collect::<Vec<_>>(),
+    )
 }
 
 /// Prints the per-step table and the run summary to the terminal.

@@ -10,6 +10,7 @@
 
 pub mod analyze;
 pub mod calibrate;
+pub mod cli;
 pub mod compare;
 pub mod diff;
 pub mod experiments;

@@ -11,7 +11,6 @@ use baselines::standard_registry;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
 use superchip_sim::presets;
-use superchip_sim::telemetry::validate_json;
 use superoffload::report::RunProfile;
 use superoffload::system::Infeasible;
 
@@ -44,34 +43,6 @@ pub fn profile_paths(system: &str) -> (String, String) {
         format!("profile_{system}.trace.json"),
         format!("profile_{system}.json"),
     )
-}
-
-/// Writes `profile_<system>.trace.json` and `profile_<system>.json` into
-/// `out_dir` (use `"."` for the cwd), self-validating both as JSON before
-/// returning the written paths.
-pub fn write_profile(
-    system: &str,
-    profile: &RunProfile,
-    out_dir: &str,
-) -> std::io::Result<(String, String)> {
-    let (trace_name, metrics_name) = profile_paths(system);
-    let join = |name: &str| {
-        std::path::Path::new(out_dir)
-            .join(name)
-            .to_string_lossy()
-            .into_owned()
-    };
-    let (trace_path, metrics_path) = (join(&trace_name), join(&metrics_name));
-    let trace = profile.chrome_trace_json();
-    let metrics = profile.snapshot_json();
-    for (what, body) in [("trace", &trace), ("metrics", &metrics)] {
-        if let Err(e) = validate_json(body) {
-            panic!("generated {what} output is not valid JSON: {e}");
-        }
-    }
-    std::fs::write(&trace_path, &trace)?;
-    std::fs::write(&metrics_path, &metrics)?;
-    Ok((trace_path, metrics_path))
 }
 
 /// Prints a human summary of a profile: throughput, pool peaks, and the
@@ -121,17 +92,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let system = args.first().filter(|a| !a.starts_with("--")).ok_or(
         "usage: repro profile <system> [--out-dir <dir>]  (see `repro systems` for names)",
     )?;
-    let out_dir = crate::journal::parse_out_dir(args)?;
+    let out_dir = crate::cli::parse_out_dir(args)?;
     let (name, profile) = resolve_and_profile(system)?;
     print_profile(&name, &profile);
-    let (trace_path, metrics_path) =
-        write_profile(&name, &profile, &out_dir).map_err(|e| format!("write failed: {e}"))?;
-    println!("  wrote {trace_path} (open in https://ui.perfetto.dev)");
-    println!(
-        "  wrote {metrics_path} (schema {})",
-        superchip_sim::telemetry::METRICS_SCHEMA
-    );
-    Ok(())
+    let (trace_name, metrics_name) = profile_paths(&name);
+    let dir = std::path::Path::new(&out_dir);
+    crate::cli::write_artifacts(&[
+        (dir.join(trace_name), profile.chrome_trace_json()),
+        (dir.join(metrics_name), profile.snapshot_json()),
+    ])
 }
 
 #[cfg(test)]
@@ -158,9 +127,7 @@ mod tests {
         assert!(trace.contains("\"ph\":\"C\""), "missing counters");
         assert!(trace.contains("mem:hbm"), "missing memory pool track");
         assert!(trace.contains("bw:"), "missing link bandwidth track");
-        validate_json(&trace).expect("trace JSON");
         let snap = p.snapshot_json();
-        validate_json(&snap).expect("snapshot JSON");
         assert!(snap.contains("\"system\": \"superoffload\""), "{snap}");
         assert!(p.report.peak_bytes("hbm").unwrap_or(0) > 0);
     }
@@ -181,13 +148,5 @@ mod tests {
         // Still-unknown names keep reporting the user's own spelling.
         let msg = resolve_and_profile("no_such_system").unwrap_err();
         assert!(msg.contains("unknown system 'no_such_system'"), "{msg}");
-    }
-
-    #[test]
-    fn profiles_are_deterministic() {
-        let a = profile_system("superoffload").unwrap();
-        let b = profile_system("superoffload").unwrap();
-        assert_eq!(a.chrome_trace_json(), b.chrome_trace_json());
-        assert_eq!(a.snapshot_json(), b.snapshot_json());
     }
 }

@@ -522,16 +522,19 @@ pub fn realplane(matmul_n: usize, steps: u64, seed: u64) -> RealPlaneBench {
     }
 }
 
-/// Runs the real-plane measurement with the default step count and seed
-/// (the `repro -- all` entry point), prints a summary, and writes
-/// `BENCH_realplane.json` in the working directory.
-pub fn print_realplane() {
-    print_realplane_with(REALPLANE_STEPS, REALPLANE_SEED);
-}
-
-/// Like [`print_realplane`], but with caller-chosen step count and seed
-/// (`repro -- realbench --steps N --seed N`).
-pub fn print_realplane_with(steps: u64, seed: u64) {
+/// CLI entry: `repro -- realbench [--steps <N>] [--seed <N>]` (the
+/// defaults inside an experiment list). Measures the real plane, prints a
+/// summary, and writes `BENCH_realplane.json` in the working directory.
+///
+/// # Errors
+/// A CLI-ready message on a bad flag value or a failed write.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let parse = |name| crate::cli::parse_flag(args, name, |v| v.parse::<u64>().ok());
+    let steps = parse("steps")?.unwrap_or(REALPLANE_STEPS);
+    if steps == 0 {
+        return Err("--steps must be at least 1".into());
+    }
+    let seed = parse("seed")?.unwrap_or(REALPLANE_SEED);
     let bench = realplane(512, steps, seed);
     println!("# Real numeric plane: serial vs parallel (this host, {steps} steps, seed {seed})");
     println!(
@@ -585,10 +588,7 @@ pub fn print_realplane_with(steps: u64, seed: u64) {
         "parallel output bit-identical to serial: {}",
         bench.bit_identical
     );
-    match std::fs::write("BENCH_realplane.json", bench.to_json()) {
-        Ok(()) => println!("wrote BENCH_realplane.json"),
-        Err(e) => eprintln!("could not write BENCH_realplane.json: {e}"),
-    }
+    crate::cli::write_artifacts(&[("BENCH_realplane.json", bench.to_json())])
 }
 
 #[cfg(test)]

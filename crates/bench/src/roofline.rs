@@ -22,11 +22,11 @@
 use std::fmt::Write as _;
 
 use superchip_sim::chrome_trace::{real_spans_chrome_trace, RealSpan};
-use superchip_sim::telemetry::{validate_json, MetricsRecorder};
+use superchip_sim::telemetry::MetricsRecorder;
 use tensorlite::counters::{self, OpKind};
 use tensorlite::spans::{self, SpanLog, WorkerUtilization};
 
-use crate::journal::parse_flag;
+use crate::cli::parse_flag;
 use crate::realbench::{self, REALPLANE_BATCH, REALPLANE_SEED, REALPLANE_SEQ, REALPLANE_STEPS};
 
 /// Schema tag of the roofline sidecar.
@@ -568,26 +568,20 @@ pub fn print_report(r: &RooflineReport) {
 /// failure.
 pub fn run(args: &[String]) -> Result<(), String> {
     let parsed = RooflineArgs::parse(args)?;
-    let out_dir = crate::journal::parse_out_dir(args)?;
+    let out_dir = crate::cli::parse_out_dir(args)?;
     let (report, log) = measure(parsed);
     print_report(&report);
-    let sidecar = report.to_json();
-    let trace = trace_json(&log);
-    for (what, body) in [("roofline sidecar", &sidecar), ("roofline trace", &trace)] {
-        validate_json(body).map_err(|e| format!("generated {what} JSON is invalid: {e}"))?;
-    }
-    for (name, body) in [("roofline.json", &sidecar), ("roofline_trace.json", &trace)] {
-        let path = std::path::Path::new(&out_dir).join(name);
-        std::fs::write(&path, body)
-            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-        println!("  wrote {}", path.display());
-    }
-    Ok(())
+    let dir = std::path::Path::new(&out_dir);
+    crate::cli::write_artifacts(&[
+        (dir.join("roofline.json"), report.to_json()),
+        (dir.join("roofline_trace.json"), trace_json(&log)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use superchip_sim::telemetry::validate_json;
     use tensorlite::spans::{KernelSpan, RegionSpan, WorkerSpan};
 
     fn strs(args: &[&str]) -> Vec<String> {

@@ -23,7 +23,7 @@ use baselines::standard_registry;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
 use superchip_sim::presets;
-use superchip_sim::telemetry::{escape_json, validate_json};
+use superchip_sim::telemetry::escape_json;
 use superchip_sim::StallClass;
 
 use crate::analyze::normalize_system_name;
@@ -304,19 +304,19 @@ pub fn print_sweep(sweep: &SystemSweep) {
 
 /// Entry point for `repro -- scale [--nodes A..B] [--system <name>]
 /// [--out <path>]`: runs the sweep, prints the tables, and writes the
-/// validated snapshot. `--out` overrides the default artifact path (which
+/// snapshot. `--out` overrides the default artifact path (which
 /// stays in the current directory for interactive use); the snapshot bytes
 /// are identical either way.
 ///
 /// # Errors
 /// A CLI-ready message on malformed flags, unknown systems, or I/O failure.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (lo, hi) = match crate::journal::parse_flag(args, "nodes", |v| Some(v.to_string()))? {
+    let (lo, hi) = match crate::cli::parse_flag(args, "nodes", |v| Some(v.to_string()))? {
         Some(spec) => parse_nodes(&spec)?,
         None => DEFAULT_NODES,
     };
-    let system = crate::journal::parse_flag(args, "system", |v| Some(v.to_string()))?;
-    let out = crate::journal::parse_flag(args, "out", |v| Some(v.to_string()))?;
+    let system = crate::cli::parse_flag(args, "system", |v| Some(v.to_string()))?;
+    let out = crate::cli::parse_flag(args, "out", |v| Some(v.to_string()))?;
     let (systems, default_path) = resolve(system.as_deref());
     let path = out.unwrap_or(default_path);
 
@@ -332,19 +332,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
         sweeps.push(sweep);
     }
 
-    let json = sweep_json(&sweeps, lo, hi);
-    if let Err(e) = validate_json(&json) {
-        panic!("generated scale output is not valid JSON: {e}");
-    }
-    std::fs::write(&path, &json).map_err(|e| format!("write failed: {e}"))?;
-    println!("\nwrote {path} (schema {SCALE_SCHEMA})");
-    Ok(())
+    println!();
+    crate::cli::write_artifacts(&[(path, sweep_json(&sweeps, lo, hi))])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::profile_system;
+    use superchip_sim::telemetry::validate_json;
 
     #[test]
     fn parse_nodes_accepts_counts_and_ranges() {
@@ -387,17 +383,6 @@ mod tests {
         assert_eq!(m.iter_time_us, profile.report.iter_time.as_micros());
         assert_eq!(m.tflops_per_node, profile.report.tflops);
         assert_eq!(m.gpu_util, profile.report.gpu_util);
-    }
-
-    #[test]
-    fn sweep_json_is_valid_and_deterministic() {
-        let sweeps = vec![sweep_system("superoffload", 1, 2).unwrap()];
-        let a = sweep_json(&sweeps, 1, 2);
-        validate_json(&a).unwrap();
-        assert!(a.contains(SCALE_SCHEMA), "{a}");
-        assert!(a.contains("\"name\": \"nodes-2\""), "{a}");
-        let b = sweep_json(&[sweep_system("superoffload", 1, 2).unwrap()], 1, 2);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -17,7 +17,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn registry_diff_artifacts_match_committed_digests() {
     let golden = include_str!("golden/diff_superoffload_vs_zero-offload.digests");
     let dir: PathBuf = std::env::temp_dir().join(format!("diff-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     let args: Vec<String> = ["superoffload", "zero-offload", "--out-dir"]
         .iter()
         .map(|s| s.to_string())
