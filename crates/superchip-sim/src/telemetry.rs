@@ -761,11 +761,126 @@ pub fn validate_json(s: &str) -> Result<(), String> {
     run_json_parser::<false>(s).map(|_| ())
 }
 
+/// Longest string, in bytes, that a [`JsonStr`] stores inline.
+const JSON_STR_INLINE: usize = 22;
+
+/// An owned, immutable string of a parsed [`JsonValue`]: a string value or
+/// an object key.
+///
+/// Up to 22 bytes are stored inline and cost no allocation; longer strings
+/// live in a `Box<str>`. Nearly every key and string value of a trace or
+/// snapshot is short (`"ph"`, `"ts"`, `"X"`, resource and task labels), so
+/// parsing one allocates per container rather than per string. A
+/// `JsonStr` is 24 bytes, like a `String`, and reads like one: it
+/// dereferences to `str`, and its `Debug` and `Display` print exactly as a
+/// `String` holding the same text does.
+#[derive(Clone)]
+pub struct JsonStr(JsonStrRepr);
+
+#[derive(Clone)]
+enum JsonStrRepr {
+    /// `buf[..len]` is the text.
+    Inline {
+        len: u8,
+        buf: [u8; JSON_STR_INLINE],
+    },
+    Boxed(Box<str>),
+}
+
+impl JsonStr {
+    /// The empty string.
+    pub const EMPTY: JsonStr = JsonStr(JsonStrRepr::Inline {
+        len: 0,
+        buf: [0; JSON_STR_INLINE],
+    });
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            JsonStrRepr::Inline { len, buf } => std::str::from_utf8(&buf[..*len as usize])
+                .expect("inline bytes were copied from a str"),
+            JsonStrRepr::Boxed(s) => s,
+        }
+    }
+
+    /// The text's UTF-8 bytes, without re-checking them.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            JsonStrRepr::Inline { len, buf } => &buf[..*len as usize],
+            JsonStrRepr::Boxed(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl std::ops::Deref for JsonStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for JsonStr {
+    fn from(s: &str) -> Self {
+        if s.len() <= JSON_STR_INLINE {
+            let mut buf = [0; JSON_STR_INLINE];
+            buf[..s.len()].copy_from_slice(s.as_bytes());
+            JsonStr(JsonStrRepr::Inline {
+                len: s.len() as u8,
+                buf,
+            })
+        } else {
+            JsonStr(JsonStrRepr::Boxed(s.into()))
+        }
+    }
+}
+
+impl From<String> for JsonStr {
+    fn from(s: String) -> Self {
+        if s.len() <= JSON_STR_INLINE {
+            JsonStr::from(s.as_str())
+        } else {
+            JsonStr(JsonStrRepr::Boxed(s.into_boxed_str()))
+        }
+    }
+}
+
+impl PartialEq for JsonStr {
+    fn eq(&self, other: &JsonStr) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<str> for JsonStr {
+    fn eq(&self, other: &str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<&str> for JsonStr {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl std::fmt::Debug for JsonStr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl std::fmt::Display for JsonStr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
 /// A parsed JSON value, produced by [`parse_json`].
 ///
 /// Object members keep their document order (duplicate keys are kept as-is;
 /// [`JsonValue::get`] returns the first). Numbers are `f64`, which is exact
-/// for the integer-microsecond magnitudes our snapshots contain.
+/// for the integer-microsecond magnitudes our snapshots contain. Strings and
+/// keys are [`JsonStr`]s, so short ones cost no allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -775,18 +890,21 @@ pub enum JsonValue {
     /// Any JSON number.
     Num(f64),
     /// A string, with escapes decoded.
-    Str(String),
+    Str(JsonStr),
     /// An array.
     Arr(Vec<JsonValue>),
     /// An object, members in document order.
-    Obj(Vec<(String, JsonValue)>),
+    Obj(Vec<(JsonStr, JsonValue)>),
 }
 
 impl JsonValue {
     /// First member of an object named `key`, if this is an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            JsonValue::Obj(members) => members
+                .iter()
+                .find(|(k, _)| k.as_bytes() == key.as_bytes())
+                .map(|(_, v)| v),
             _ => None,
         }
     }
@@ -841,6 +959,7 @@ fn run_json_parser<const BUILD: bool>(s: &str) -> Result<JsonValue, String> {
         depth: 0,
         items: Vec::new(),
         members: Vec::new(),
+        scratch: String::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -862,7 +981,11 @@ struct JsonParser<'a, const BUILD: bool> {
     /// costs one allocation rather than one per growth step.
     items: Vec<JsonValue>,
     /// Members of the open objects, likewise.
-    members: Vec<(String, JsonValue)>,
+    members: Vec<(JsonStr, JsonValue)>,
+    /// The decoded text of a string with escapes, reused from one such
+    /// string to the next. Empty between strings; a check-only parse never
+    /// touches it.
+    scratch: String,
 }
 
 /// Moves the elements a closing container pushed (`stack[start..]`) into
@@ -1008,13 +1131,15 @@ impl<const BUILD: bool> JsonParser<'_, BUILD> {
         }
     }
 
-    /// A string literal, decoded run by run: the bytes between escapes are
-    /// copied whole, so an escape-free string costs one copy (and a
-    /// check-only parse copies nothing).
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal. An escape-free string is copied straight from the
+    /// input into its [`JsonStr`]. A string with escapes is decoded run by
+    /// run into `scratch` (the bytes between escapes copied whole) and then
+    /// copied once. A check-only parse copies nothing.
+    fn string(&mut self) -> Result<JsonStr, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        let mut run = self.i;
+        let start = self.i;
+        let mut run = start;
+        let mut escaped = false;
         loop {
             let Some(n) = self.b[self.i..]
                 .iter()
@@ -1025,17 +1150,28 @@ impl<const BUILD: bool> JsonParser<'_, BUILD> {
             // The run ends at an ASCII byte, so both ends are char
             // boundaries of the input.
             self.i += n;
-            if BUILD {
-                out.push_str(&self.s[run..self.i]);
-            }
             match self.b[self.i] {
                 b'"' => {
+                    let end = self.i;
                     self.i += 1;
-                    return Ok(out);
+                    if !BUILD {
+                        return Ok(JsonStr::EMPTY);
+                    }
+                    if !escaped {
+                        return Ok(JsonStr::from(&self.s[start..end]));
+                    }
+                    self.scratch.push_str(&self.s[run..end]);
+                    let text = JsonStr::from(self.scratch.as_str());
+                    self.scratch.clear();
+                    return Ok(text);
                 }
                 b'\\' => {
+                    if BUILD {
+                        self.scratch.push_str(&self.s[run..self.i]);
+                    }
+                    escaped = true;
                     self.i += 1;
-                    self.escape(&mut out)?;
+                    self.escape()?;
                     run = self.i;
                 }
                 _ => return Err(format!("raw control character at byte {}", self.i)),
@@ -1043,8 +1179,8 @@ impl<const BUILD: bool> JsonParser<'_, BUILD> {
         }
     }
 
-    /// Decodes the escape after a backslash into `out`.
-    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+    /// Decodes the escape after a backslash into `scratch`.
+    fn escape(&mut self) -> Result<(), String> {
         let c = match self.peek() {
             Some(b'"') => '"',
             Some(b'\\') => '\\',
@@ -1064,21 +1200,21 @@ impl<const BUILD: bool> JsonParser<'_, BUILD> {
                 // of its own).
                 loop {
                     if !(0xD800..0xDC00).contains(&hi) {
-                        Self::push(out, char::from_u32(hi).unwrap_or('\u{FFFD}'));
+                        self.push(char::from_u32(hi).unwrap_or('\u{FFFD}'));
                         return Ok(());
                     }
                     if !self.b[self.i..].starts_with(b"\\u") {
-                        Self::push(out, '\u{FFFD}');
+                        self.push('\u{FFFD}');
                         return Ok(());
                     }
                     self.i += 2;
                     let lo = self.hex4()?;
                     if (0xDC00..0xE000).contains(&lo) {
                         let combined = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                        Self::push(out, char::from_u32(combined).unwrap_or('\u{FFFD}'));
+                        self.push(char::from_u32(combined).unwrap_or('\u{FFFD}'));
                         return Ok(());
                     }
-                    Self::push(out, '\u{FFFD}');
+                    self.push('\u{FFFD}');
                     hi = lo;
                 }
             }
@@ -1090,15 +1226,16 @@ impl<const BUILD: bool> JsonParser<'_, BUILD> {
                 ))
             }
         };
-        Self::push(out, c);
+        self.push(c);
         self.i += 1;
         Ok(())
     }
 
-    /// Appends a decoded character, unless this parse only checks.
-    fn push(out: &mut String, c: char) {
+    /// Appends a decoded character to `scratch`, unless this parse only
+    /// checks.
+    fn push(&mut self, c: char) {
         if BUILD {
-            out.push(c);
+            self.scratch.push(c);
         }
     }
 
@@ -1343,6 +1480,34 @@ mod tests {
         // Truncated \u escapes still error rather than panic.
         assert!(parse_json(r#""\ud800\u00""#).is_err());
         assert!(parse_json(r#""\uzzzz""#).is_err());
+    }
+
+    /// A `JsonStr` is no larger than the `String` it replaced, and a
+    /// `JsonValue` stays four words.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn json_value_layout_does_not_grow() {
+        assert_eq!(std::mem::size_of::<JsonStr>(), 24);
+        assert_eq!(std::mem::size_of::<JsonValue>(), 32);
+    }
+
+    #[test]
+    fn json_str_stores_short_text_inline() {
+        let at_limit = "x".repeat(JSON_STR_INLINE);
+        assert!(matches!(
+            JsonStr::from(at_limit.as_str()).0,
+            JsonStrRepr::Inline { .. }
+        ));
+        assert!(matches!(
+            JsonStr::from(format!("{at_limit}x")).0,
+            JsonStrRepr::Boxed(_)
+        ));
+        assert!(matches!(
+            JsonStr::from(at_limit.clone()).0,
+            JsonStrRepr::Inline { .. }
+        ));
+        assert_eq!(JsonStr::EMPTY, "");
+        assert_eq!(JsonStr::from(at_limit.as_str()), *at_limit.as_str());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! `parse_json` must recover the exact values. Random value trees must
 //! survive serialize → parse unchanged, hostile nesting must fail cleanly,
 //! and one-byte mutations of valid documents must never panic and must get
-//! the same verdict from the parser and the check-only validator.
+//! the same verdict from the parser and the check-only validator. Strings
+//! and keys on either side of `JsonStr`'s 22-byte inline limit must decode,
+//! look up and print exactly as `String`s did.
 
 use std::fmt::Write as _;
 
@@ -251,7 +253,7 @@ fn random_tree(state: &mut u64, depth: u32) -> JsonValue {
             let scale = [1.0, 1e-3, 1e-9, 1e12, 1e300][(next(state) % 5) as usize];
             JsonValue::Num(mantissa * scale)
         }
-        3 => JsonValue::Str(random_string(state)),
+        3 => JsonValue::Str(random_string(state).into()),
         4 => {
             let n = next(state) % 4;
             JsonValue::Arr((0..n).map(|_| random_tree(state, depth - 1)).collect())
@@ -260,7 +262,7 @@ fn random_tree(state: &mut u64, depth: u32) -> JsonValue {
             let n = next(state) % 4;
             JsonValue::Obj(
                 (0..n)
-                    .map(|_| (random_string(state), random_tree(state, depth - 1)))
+                    .map(|_| (random_string(state).into(), random_tree(state, depth - 1)))
                     .collect(),
             )
         }
@@ -382,5 +384,99 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Parses `{"<body>": "<body>"}` and checks that the key and the value
+/// both decode to `decoded`, that `get` finds the member by its decoded
+/// key, and that `Debug` prints the value as it did when strings and keys
+/// were `String`s.
+fn check_string_literal(body: &str, decoded: &str) {
+    let doc = format!("{{\"{body}\": \"{body}\"}}");
+    let v = parse_json(&doc).unwrap_or_else(|e| panic!("{e} in {doc:?}"));
+    let JsonValue::Obj(members) = &v else {
+        panic!("not an object: {doc:?}")
+    };
+    assert_eq!(members.len(), 1);
+    assert_eq!(members[0].0.as_str(), decoded, "key of {doc:?}");
+    assert_eq!(
+        v.get(decoded).and_then(JsonValue::as_str),
+        Some(decoded),
+        "{doc:?}"
+    );
+    let text = decoded.to_string();
+    assert_eq!(
+        format!("{v:?}"),
+        format!("Obj([({text:?}, Str({text:?}))])"),
+        "{doc:?}"
+    );
+}
+
+#[test]
+fn strings_and_keys_of_every_length_around_the_inline_limit() {
+    let text = |len: usize| -> String {
+        (0..len)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect()
+    };
+    for len in 0..=48 {
+        check_string_literal(&text(len), &text(len));
+    }
+    // One object holding all 49 keys: each is a prefix of the longer ones,
+    // so `get` must match the whole key, inline or boxed.
+    let members: Vec<String> = (0..=48)
+        .map(|len| format!("\"{}\": {len}", text(len)))
+        .collect();
+    let v = parse_json(&format!("{{{}}}", members.join(", "))).unwrap();
+    for len in 0..=48 {
+        assert_eq!(
+            v.get(&text(len)).and_then(JsonValue::as_f64),
+            Some(len as f64)
+        );
+    }
+    assert_eq!(v.get(&text(49)), None);
+}
+
+#[test]
+fn multi_byte_characters_straddling_the_inline_limit() {
+    for c in ['é', '€', '𝄞'] {
+        for before in 16..=24 {
+            for after in 0..=2 {
+                let text = format!("{}{c}{}", "a".repeat(before), "z".repeat(after));
+                check_string_literal(&escape_json(&text), &text);
+            }
+        }
+    }
+}
+
+#[test]
+fn escaped_strings_decode_across_the_inline_limit() {
+    // Escapes shrink: a raw literal longer than the limit can decode to one
+    // that fits inline, and the boundary falls inside the escape.
+    for k in 18..=24 {
+        let a = "a".repeat(k);
+        check_string_literal(&format!("{a}\\\""), &format!("{a}\""));
+        check_string_literal(&format!("{a}\\n\\t"), &format!("{a}\n\t"));
+        check_string_literal(&format!("{a}\\u00e9"), &format!("{a}é"));
+        check_string_literal(&format!("\\u20ac{a}"), &format!("€{a}"));
+    }
+    // 24 raw bytes, 4 decoded.
+    check_string_literal(&"\\u0041".repeat(4), "AAAA");
+    // Nothing but escapes: 88 raw bytes decode to 22 (exactly at the
+    // limit), 94 to 23.
+    for n in [11, 12] {
+        let body = "\\u0041".repeat(n) + &"\\\\".repeat(11);
+        check_string_literal(&body, &("A".repeat(n) + &"\\".repeat(11)));
+    }
+}
+
+#[test]
+fn surrogate_pairs_decode_across_the_inline_limit() {
+    for k in 16..=24 {
+        let a = "a".repeat(k);
+        check_string_literal(&format!("{a}\\ud834\\udd1e"), &format!("{a}𝄞"));
+        check_string_literal(&format!("{a}\\ud834\\udd1e{a}"), &format!("{a}𝄞{a}"));
+        // An unpaired high surrogate decodes to U+FFFD (three bytes).
+        check_string_literal(&format!("{a}\\ud834x"), &format!("{a}\u{FFFD}x"));
     }
 }

@@ -54,12 +54,18 @@ fn rank_gradients(
 
 /// Computes per-rank gradients concurrently and reduces them in fixed rank
 /// order (the deterministic "all-reduce tree" both engines share).
+///
+/// An empty batch is [`TensorError::Empty`], returned before any state
+/// (gradients included) is touched, so the engines never step on it.
 fn reduced_gradients(
     replicas: &mut [GptModel],
     batch: &[Sample],
     scale: f32,
     precision: Precision,
 ) -> Result<(f32, Vec<f32>), TensorError> {
+    if batch.is_empty() {
+        return Err(TensorError::Empty { what: "batch" });
+    }
     let ranks = replicas.len();
     assert_eq!(batch.len() % ranks, 0, "batch must divide across ranks");
     let per = batch.len() / ranks;
@@ -200,7 +206,8 @@ impl DpSyncEngine {
     /// by the rank count).
     ///
     /// # Errors
-    /// Propagates [`TensorError`] from forward/backward.
+    /// Returns [`TensorError::Empty`] for an empty batch (no state is
+    /// touched) and propagates [`TensorError`] from forward/backward.
     pub fn train_step(&mut self, batch: &[Sample]) -> Result<StepOutcome, TensorError> {
         let scale = self.core.scaler.scale();
         let (loss, mut grads) = reduced_gradients(
@@ -285,7 +292,8 @@ impl DpStvEngine {
     /// validation completes; violations roll all shards back.
     ///
     /// # Errors
-    /// Propagates [`TensorError`] from forward/backward.
+    /// Returns [`TensorError::Empty`] for an empty batch (no state is
+    /// touched) and propagates [`TensorError`] from forward/backward.
     pub fn train_step(&mut self, batch: &[Sample]) -> Result<StepOutcome, TensorError> {
         let scale = self.core.scaler.scale();
         let (loss, mut grads) = reduced_gradients(

@@ -3,11 +3,12 @@
 //! bit-identical losses and gradients to the serial per-sequence loop, at
 //! any thread count, on both sides of the sequence-parallelism gate, and
 //! through a failing sequence. Empty inputs are typed errors that touch no
-//! state.
+//! state, in the single-process and the data-parallel engines alike.
 
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
 use superoffload::engine::{EngineConfig, Sample, StvEngine, SyncEngine};
+use superoffload::engine_dp::{DpStvEngine, DpSyncEngine};
 use superoffload::trainer::{Discipline, Trainer};
 use tensorlite::pool::{family_threshold, with_threads};
 use tensorlite::{KernelFamily, TensorError};
@@ -245,4 +246,29 @@ fn engines_reject_an_empty_batch_without_stepping() {
             GptModel::new(cfg.clone(), 3).params()
         );
     }
+
+    // The data-parallel engines keep no checkpoint, so a twin that never
+    // sees the empty batch stands in for one: the next real step lands
+    // where the twin's does only if the rejected step left weights,
+    // moments, step count and loss scaler as they were.
+    let next = pile.next_batch(2, 10);
+    macro_rules! check_dp_engine {
+        ($engine:ident) => {{
+            let new = || $engine::new(GptModel::new(cfg.clone(), 3), 2, EngineConfig::default());
+            let (mut engine, mut twin) = (new(), new());
+            engine.train_step(&warm).unwrap();
+            twin.train_step(&warm).unwrap();
+            assert_eq!(engine.train_step(&[]).unwrap_err(), empty);
+            assert_eq!(engine.model().params(), twin.model().params());
+            assert_eq!(engine.stats(), twin.stats());
+            assert_eq!(
+                engine.train_step(&next).unwrap(),
+                twin.train_step(&next).unwrap()
+            );
+            assert_eq!(engine.model().params(), twin.model().params());
+            assert_eq!(engine.stats(), twin.stats());
+        }};
+    }
+    check_dp_engine!(DpSyncEngine);
+    check_dp_engine!(DpStvEngine);
 }
