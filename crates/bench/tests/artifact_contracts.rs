@@ -3,10 +3,13 @@
 //! asserts what its artifacts promise: conservation sums, paired flows,
 //! self-contained HTML. Deterministic files must be byte-identical on a
 //! one-thread rerun, and every non-trace JSON document (or JSONL header)
-//! must carry a `superoffload.<name>/v<N>` schema key. `realbench` and
-//! `calibrate` write into the cwd, so their cases build the documents
-//! through the library. The span and counter recorders are process-global,
-//! so the cases run one after another in one test.
+//! must carry a `superoffload.<name>/v<N>` schema key. Every deterministic
+//! file is also pinned byte for byte: the four that have a committed
+//! `ci/baselines/` snapshot against it, every other one against the FNV-1a
+//! table in `golden/artifacts.digests`. `realbench` and `calibrate` write
+//! into the cwd, so their cases build the documents through the library.
+//! The span and counter recorders are process-global, so the cases run one
+//! after another in one test.
 
 use std::path::Path;
 
@@ -166,10 +169,60 @@ fn every_command_has_a_contract() {
     }
 }
 
+/// Deterministic artifacts byte-compared against the committed
+/// `ci/baselines/` snapshot of the same name.
+const BASELINES: [&str; 4] = [
+    "analysis_superoffload.json",
+    "analysis_zero-offload.json",
+    "scale_superoffload.json",
+    "fleetview_superoffload.json",
+];
+
+/// Deterministic artifacts left unpinned: the compare verdict embeds the
+/// paths of its inputs, which differ from one checkout to the next.
+const UNPINNED: [&str; 1] = ["compare.verdict.json"];
+
+/// `file length digest` rows: every deterministic artifact that is neither
+/// in [`BASELINES`] nor in [`UNPINNED`].
+const DIGESTS: &str = include_str!("golden/artifacts.digests");
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checks one deterministic artifact against its pin and returns whether
+/// it was a `DIGESTS` row.
+fn check_pinned(dir: &Path, name: &str) -> bool {
+    let body = std::fs::read(dir.join(name)).unwrap();
+    if BASELINES.contains(&name) {
+        let baselines = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/baselines");
+        let pinned = std::fs::read(Path::new(baselines).join(name)).unwrap();
+        assert!(body == pinned, "{name} differs from ci/baselines/{name}");
+        return false;
+    }
+    if UNPINNED.contains(&name) {
+        return false;
+    }
+    let line = format!("{name} {} {:016x}", body.len(), fnv1a(&body));
+    let row = DIGESTS
+        .lines()
+        .find(|l| l.split(' ').next() == Some(name))
+        .unwrap_or_else(|| panic!("{name} has no row in golden/artifacts.digests: {line}"));
+    assert_eq!(
+        row, line,
+        "{name}: bytes drifted from golden/artifacts.digests"
+    );
+    true
+}
+
 #[test]
 fn artifacts_keep_their_contracts() {
     let root = std::env::temp_dir().join(format!("artifact-contracts-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
+    let mut digests_checked = 0;
     for case in CASES {
         let dir = root.join(case.name);
         run(&case.run, &dir);
@@ -188,11 +241,17 @@ fn artifacts_keep_their_contracts() {
                     bytes(&dir) == bytes(&rerun),
                     "{name} changed on a one-thread rerun"
                 );
+                digests_checked += usize::from(check_pinned(&dir, name));
             }
         }
         names.iter().for_each(|name| check_schema(&dir, name));
     }
     std::fs::remove_dir_all(&root).unwrap();
+    let rows = DIGESTS.lines().filter(|l| !l.starts_with('#')).count();
+    assert_eq!(
+        digests_checked, rows,
+        "a golden/artifacts.digests row was not produced"
+    );
 }
 
 fn check_analyze(dir: &Path) {
