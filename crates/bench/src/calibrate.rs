@@ -28,6 +28,7 @@ use std::time::Instant;
 
 use grace_optim::adam::{AdamConfig, AdamState, AdamStepper, GraceAdam, ADAM_FLOPS_PER_PARAM};
 use llm_model::transformer::{GptConfig, GptModel};
+use superchip_sim::telemetry::{JsonWriter, Layout};
 use tensorlite::ops;
 use tensorlite::pool::{family_threshold, set_family_threshold, with_threads};
 use tensorlite::{KernelFamily, Pool, Tensor, XorShiftRng};
@@ -89,44 +90,34 @@ impl Calibration {
         crate::realbench::degraded_host(self.host_threads)
     }
 
-    /// Hand-rolled JSON snapshot (same no-dependency style as the
-    /// telemetry plane). Wall-clock fields use the `_secs` suffix so the
-    /// compare gate treats them as host speed, not code quality.
+    /// The `superoffload.calibration/v1` snapshot. Wall-clock fields use
+    /// the `_secs` suffix so the compare gate treats them as host speed,
+    /// not code quality.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"superoffload.calibration/v1\",\n");
-        out.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
-        out.push_str(&format!(
-            "  \"degraded_host\": {},\n  \"families\": [\n",
-            self.degraded_host()
-        ));
-        for (i, f) in self.families.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\n      \"name\": \"{}\",\n      \"default_threshold\": {},\n      \
-                 \"effective_threshold\": {},\n      \"crossover_work\": {},\n      \
-                 \"points\": [\n",
-                f.family.name(),
-                f.default_threshold,
-                f.effective_threshold,
-                f.crossover_work
-                    .map_or_else(|| "null".to_string(), |w| w.to_string()),
-            ));
-            for (j, p) in f.points.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"work\": {}, \"serial_secs\": {:.9}, \"parallel_secs\": {:.9}}}{}\n",
-                    p.work,
-                    p.serial_secs,
-                    p.parallel_secs,
-                    if j + 1 < f.points.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(&format!(
-                "      ]\n    }}{}\n",
-                if i + 1 < self.families.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        JsonWriter::with_capacity(4096).document(Layout::Block, |doc| {
+            doc.str("schema", "superoffload.calibration/v1")
+                .num("host_threads", self.host_threads)
+                .bool("degraded_host", self.degraded_host())
+                .array("families", Layout::Block, |families| {
+                    for f in &self.families {
+                        families.object(Layout::Block, |o| {
+                            o.str("name", f.family.name())
+                                .num("default_threshold", f.default_threshold)
+                                .num("effective_threshold", f.effective_threshold)
+                                .num("crossover_work", f.crossover_work)
+                                .array("points", Layout::Block, |points| {
+                                    for p in &f.points {
+                                        points.object(Layout::Inline, |o| {
+                                            o.num("work", p.work)
+                                                .fixed("serial_secs", p.serial_secs, 9)
+                                                .fixed("parallel_secs", p.parallel_secs, 9);
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                });
+        })
     }
 }
 

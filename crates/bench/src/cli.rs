@@ -5,8 +5,6 @@
 
 use std::path::Path;
 
-use superchip_sim::telemetry::validate_json;
-
 use crate::{
     analyze, calibrate, compare, diff, experiments, fleetview, journal, profile, realbench,
     roofline, scale,
@@ -337,26 +335,14 @@ pub(crate) fn parse_out_dir(args: &[String]) -> Result<String, String> {
 
 /// Writes every `(path, body)` pair: the one place `repro` writes a file.
 ///
-/// Every `*.json` body, and every line of a `*.jsonl` body, is re-parsed
-/// with [`validate_json`] before any file is written. Then each file's
-/// parent directories are created, the file is written, and a
-/// `wrote <path>` line is printed.
+/// Each file's parent directories are created, the file is written, and a
+/// `wrote <path>` line is printed. JSON bodies are not re-parsed here: they
+/// come from `superchip_sim::telemetry::JsonWriter`, which only writes
+/// valid JSON, and `tests/artifact_contracts.rs` parses every artifact.
 ///
 /// # Errors
-/// A message naming the file on invalid JSON or any I/O failure.
+/// A message naming the file on any I/O failure.
 pub fn write_artifacts<P: AsRef<Path>, B: AsRef<str>>(files: &[(P, B)]) -> Result<(), String> {
-    for (path, body) in files {
-        let (path, body) = (path.as_ref(), body.as_ref());
-        let lines: Vec<&str> = match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => vec![body],
-            Some("jsonl") => body.lines().collect(),
-            _ => Vec::new(),
-        };
-        for (i, line) in lines.iter().enumerate() {
-            validate_json(line)
-                .map_err(|e| format!("{} line {}: invalid JSON: {e}", path.display(), i + 1))?;
-        }
-    }
     for (path, body) in files {
         let path = path.as_ref();
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -373,6 +359,7 @@ pub fn write_artifacts<P: AsRef<Path>, B: AsRef<str>>(files: &[(P, B)]) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use superchip_sim::telemetry::{parse_json, JsonValue};
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -449,6 +436,47 @@ mod tests {
     }
 
     #[test]
+    fn compare_writes_a_verdict_for_numbers_beyond_f64() {
+        // `1e400` is valid JSON but overflows `f64` to infinity, which the
+        // verdict writes as `null`; the gate outcome sets the exit code.
+        let dir = std::env::temp_dir().join(format!("repro-cli-inf-{}", std::process::id()));
+        let (big, small) = (dir.join("big.json"), dir.join("small.json"));
+        write_artifacts(&[
+            (&big, r#"{"makespan_us": 1e400}"#),
+            (&small, r#"{"makespan_us": 5}"#),
+        ])
+        .unwrap();
+        let verdict = dir.join("verdict.json");
+        let compare = |base: &Path, cur: &Path| {
+            let line = format!(
+                "compare {} {} --out {}",
+                base.display(),
+                cur.display(),
+                verdict.display()
+            );
+            let outcome = dispatch(&args(&line));
+            let body = std::fs::read_to_string(&verdict).unwrap();
+            let v = parse_json(&body).unwrap();
+            let rows = |key| match v.get(key) {
+                Some(JsonValue::Arr(rows)) => rows.clone(),
+                other => panic!("`{key}` is not an array: {other:?}"),
+            };
+            let metric = rows("regressions").into_iter().chain(rows("drifts")).next();
+            std::fs::remove_file(&verdict).unwrap();
+            (outcome, metric.expect("the one metric is compared"))
+        };
+        // Shorter than an infinite baseline: an in-tolerance drift, exit 0.
+        let (outcome, drift) = compare(&big, &small);
+        assert_eq!(outcome, Ok(()));
+        assert_eq!(drift.get("baseline"), Some(&JsonValue::Null));
+        // Infinitely slower than the baseline: a regression, exit 1.
+        let (outcome, regression) = compare(&small, &big);
+        assert_eq!(outcome.unwrap_err().code, 1);
+        assert_eq!(regression.get("current"), Some(&JsonValue::Null));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn writer_creates_parents_and_fails_loudly() {
         let dir = std::env::temp_dir().join(format!("repro-cli-writer-{}", std::process::id()));
         let nested = dir.join("new").join("sub").join("x.json");
@@ -457,11 +485,6 @@ mod tests {
         // A parent that is a regular file cannot hold a file.
         let err = write_artifacts(&[(nested.join("y.json"), "{}")]).unwrap_err();
         assert!(err.starts_with("could not create"), "{err}");
-        // One bad JSONL line fails the call before anything is written.
-        let (ok, bad) = (dir.join("ok.json"), dir.join("bad.jsonl"));
-        let err = write_artifacts(&[(&ok, "[]"), (&bad, "{}\n{oops")]).unwrap_err();
-        assert!(err.contains("bad.jsonl line 2"), "{err}");
-        assert!(!ok.exists() && !bad.exists());
         // Other extensions are written as they are.
         write_artifacts(&[(dir.join("page.html"), "<p>not json</p>")]).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();

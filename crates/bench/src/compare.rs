@@ -2,7 +2,7 @@
 //! two analysis / metrics / bench snapshots and exit non-zero when a metric
 //! regresses beyond a tolerance.
 //!
-//! Works on any of the repo's hand-rolled snapshot formats
+//! Works on any of the repo's snapshot formats
 //! (`superoffload.analysis/v1`, `superoffload.metrics/v1`,
 //! `BENCH_realplane.json`): both files are parsed with
 //! [`superchip_sim::telemetry::parse_json`], every numeric leaf is flattened
@@ -38,7 +38,7 @@
 //! zero regressions, and the tolerance only absorbs intentional small model
 //! recalibrations.
 
-use superchip_sim::telemetry::{escape_json, parse_json, JsonValue};
+use superchip_sim::telemetry::{parse_json, JsonValue, JsonWriter, Layout};
 
 /// Relative tolerance used when the CLI does not pass `--tolerance`:
 /// a metric may move 2% in the worse direction before the gate fails.
@@ -302,37 +302,31 @@ pub fn verdict_json(
     tolerance: f64,
     result: &CompareResult,
 ) -> String {
-    let num = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |x| format!("{x}"));
-    let metric = |d: &Delta| {
-        format!(
-            "    {{\"name\": \"{}\", \"direction\": \"{}\", \"baseline\": {}, \"current\": {}, \
-             \"regression\": {}}}",
-            escape_json(&d.path),
-            direction_of(&d.path).name(),
-            num(d.baseline),
-            num(d.current),
-            d.regression
-        )
-    };
-    let list = |items: &[Delta]| -> String {
-        if items.is_empty() {
-            return "[]".to_string();
+    JsonWriter::with_capacity(4096).document(Layout::Block, |doc| {
+        doc.str("schema", COMPARE_SCHEMA)
+            .str("baseline", baseline_path)
+            .str("current", current_path)
+            .num("tolerance", tolerance)
+            .bool("passed", result.passed())
+            .num("compared", result.compared)
+            .num("skipped", result.skipped);
+        for (key, deltas) in [
+            ("regressions", &result.regressions),
+            ("drifts", &result.drifts),
+        ] {
+            doc.array(key, Layout::Block, |a| {
+                for d in deltas {
+                    a.object(Layout::Inline, |o| {
+                        o.str("name", &d.path)
+                            .str("direction", direction_of(&d.path).name())
+                            .num("baseline", d.baseline)
+                            .num("current", d.current)
+                            .bool("regression", d.regression);
+                    });
+                }
+            });
         }
-        let rows: Vec<String> = items.iter().map(metric).collect();
-        format!("[\n{}\n  ]", rows.join(",\n"))
-    };
-    format!(
-        "{{\n  \"schema\": \"{COMPARE_SCHEMA}\",\n  \"baseline\": \"{}\",\n  \"current\": \
-         \"{}\",\n  \"tolerance\": {tolerance},\n  \"passed\": {},\n  \"compared\": {},\n  \
-         \"skipped\": {},\n  \"regressions\": {},\n  \"drifts\": {}\n}}\n",
-        escape_json(baseline_path),
-        escape_json(current_path),
-        result.passed(),
-        result.compared,
-        result.skipped,
-        list(&result.regressions),
-        list(&result.drifts),
-    )
+    })
 }
 
 /// Entry point for `repro -- compare <baseline> <current> [--tolerance t]

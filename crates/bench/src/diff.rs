@@ -37,7 +37,8 @@ use superchip_sim::analysis::{
 };
 use superchip_sim::chrome_trace::side_by_side_chrome_trace;
 use superchip_sim::telemetry::{
-    diff_metrics, escape_json, parse_json, JsonValue, MetricsDiff, MetricsRecorder,
+    diff_metrics, parse_json, JsonObject, JsonValue, JsonWriter, Layout, MetricsDiff,
+    MetricsRecorder,
 };
 use superchip_sim::Trace;
 
@@ -173,270 +174,188 @@ pub fn diff_paths(label_a: &str, label_b: &str) -> (String, String, String) {
     )
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
-}
-
-fn opt_u32(v: Option<u32>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
-}
-
-fn class_map(values: &[i64; 5]) -> String {
-    let mut out = String::from("{");
-    for (i, (class, v)) in STALL_CLASSES.iter().zip(values).enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+/// Writes a per-stall-class map of signed deltas.
+fn class_deltas(o: &mut JsonObject<'_>, key: &str, values: &[i64; 5]) {
+    o.object(key, Layout::Inline, |m| {
+        for (class, v) in STALL_CLASSES.iter().zip(values) {
+            m.num(class.name(), *v);
         }
-        let _ = write!(out, "\"{}\": {v}", class.name());
-    }
-    out.push('}');
-    out
+    });
 }
 
 /// Renders the versioned [`DIFF_SCHEMA`] snapshot of one diff. Purely
 /// simulated-time inputs, so the output is byte-identical across reruns.
 pub fn snapshot_json(a: &RunSide, b: &RunSide, diff: &AnalysisDiff, mdiff: &MetricsDiff) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{DIFF_SCHEMA}\",");
-    for (key, side) in [("run_a", a), ("run_b", b)] {
-        let _ = writeln!(
-            out,
-            "  \"{key}\": {{\"label\": \"{}\", \"system\": \"{}\", \"nodes\": {}, \"seed\": {}}},",
-            escape_json(&side.label),
-            escape_json(&side.system),
-            opt_u32(side.nodes),
-            opt_u64(side.seed),
-        );
-    }
-    let _ = writeln!(out, "  \"zero\": {},", diff.is_zero() && mdiff.is_zero());
-    let _ = writeln!(out, "  \"makespan_a_us\": {},", diff.makespan_a_us);
-    let _ = writeln!(out, "  \"makespan_b_us\": {},", diff.makespan_b_us);
-    let _ = writeln!(out, "  \"makespan_delta_us\": {},", diff.makespan_delta_us);
-    let _ = writeln!(out, "  \"cp_len_a_us\": {},", diff.cp_len_a_us);
-    let _ = writeln!(out, "  \"cp_len_b_us\": {},", diff.cp_len_b_us);
+    JsonWriter::with_capacity(32 * 1024).document(Layout::Block, |doc| {
+        doc.str("schema", DIFF_SCHEMA);
+        for (key, side) in [("run_a", a), ("run_b", b)] {
+            doc.object(key, Layout::Inline, |o| {
+                o.str("label", &side.label)
+                    .str("system", &side.system)
+                    .num("nodes", side.nodes)
+                    .num("seed", side.seed);
+            });
+        }
+        doc.bool("zero", diff.is_zero() && mdiff.is_zero())
+            .num("makespan_a_us", diff.makespan_a_us)
+            .num("makespan_b_us", diff.makespan_b_us)
+            .num("makespan_delta_us", diff.makespan_delta_us)
+            .num("cp_len_a_us", diff.cp_len_a_us)
+            .num("cp_len_b_us", diff.cp_len_b_us);
 
-    // Task alignment census.
-    let changed = diff.tasks.iter().filter(|t| t.delta_us != 0).count();
-    let entered = diff.tasks.iter().filter(|t| t.dur_a_us.is_none()).count();
-    let left = diff.tasks.iter().filter(|t| t.dur_b_us.is_none()).count();
-    let _ = writeln!(
-        out,
-        "  \"tasks\": {{\"total\": {}, \"changed\": {changed}, \"entered\": {entered}, \
-         \"left\": {left}}},",
-        diff.tasks.len()
-    );
+        // Task alignment census.
+        let tasks = &diff.tasks;
+        doc.object("tasks", Layout::Inline, |o| {
+            o.num("total", tasks.len())
+                .num("changed", tasks.iter().filter(|t| t.delta_us != 0).count())
+                .num(
+                    "entered",
+                    tasks.iter().filter(|t| t.dur_a_us.is_none()).count(),
+                )
+                .num(
+                    "left",
+                    tasks.iter().filter(|t| t.dur_b_us.is_none()).count(),
+                );
+        });
 
-    // Per-resource delta partitions — the conservation surface CI checks.
-    out.push_str("  \"resources\": [");
-    for (i, r) in diff.resources.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        // Per-resource delta partitions — the conservation surface CI checks.
+        doc.array("resources", Layout::Block, |rows| {
+            for r in &diff.resources {
+                rows.object(Layout::Inline, |o| {
+                    o.str("name", &r.name)
+                        .num("busy_a_us", r.busy_a_us)
+                        .num("busy_b_us", r.busy_b_us)
+                        .num("idle_a_us", r.idle_a_us)
+                        .num("idle_b_us", r.idle_b_us)
+                        .num("busy_delta_us", r.busy_delta_us)
+                        .num("idle_delta_us", r.idle_delta_us)
+                        .num("task_delta_us", r.task_delta_us)
+                        .num("total_delta_us", r.total_delta_us());
+                    class_deltas(o, "by_class_delta_us", &r.by_class_delta_us);
+                });
+            }
+        });
+        let mut by_class = [0i64; 5];
+        for r in &diff.resources {
+            for (t, v) in by_class.iter_mut().zip(&r.by_class_delta_us) {
+                *t += v;
+            }
         }
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{}\", \"busy_a_us\": {}, \"busy_b_us\": {}, \
-             \"idle_a_us\": {}, \"idle_b_us\": {}, \"busy_delta_us\": {}, \
-             \"idle_delta_us\": {}, \"task_delta_us\": {}, \"total_delta_us\": {}, \
-             \"by_class_delta_us\": {}}}",
-            escape_json(&r.name),
-            r.busy_a_us,
-            r.busy_b_us,
-            r.idle_a_us,
-            r.idle_b_us,
-            r.busy_delta_us,
-            r.idle_delta_us,
-            r.task_delta_us,
-            r.total_delta_us(),
-            class_map(&r.by_class_delta_us),
-        );
-    }
-    if !diff.resources.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    let mut by_class = [0i64; 5];
-    for r in &diff.resources {
-        for (t, v) in by_class.iter_mut().zip(&r.by_class_delta_us) {
-            *t += v;
-        }
-    }
-    let _ = writeln!(out, "  \"stall_class_delta_us\": {},", class_map(&by_class));
+        class_deltas(doc, "stall_class_delta_us", &by_class);
 
-    // Top contributors to the makespan delta.
-    out.push_str("  \"top_contributors\": [");
-    for (i, t) in diff.top_contributors(TOP_CONTRIBUTORS).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"task\": \"{}\", \"kind\": \"{}\", \"dur_a_us\": {}, \"dur_b_us\": {}, \
-             \"delta_us\": {}}}",
-            escape_json(&t.key.to_string()),
-            escape_json(t.kind),
-            opt_u64(t.dur_a_us),
-            opt_u64(t.dur_b_us),
-            t.delta_us,
-        );
-    }
-    if !diff.top_contributors(1).is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
+        // Top contributors to the makespan delta.
+        doc.array("top_contributors", Layout::Block, |rows| {
+            for t in diff.top_contributors(TOP_CONTRIBUTORS) {
+                rows.object(Layout::Inline, |o| {
+                    o.str("task", &t.key.to_string())
+                        .str("kind", t.kind)
+                        .num("dur_a_us", t.dur_a_us)
+                        .num("dur_b_us", t.dur_b_us)
+                        .num("delta_us", t.delta_us);
+                });
+            }
+        });
 
-    // Critical-path churn.
-    let churned: Vec<_> = diff
-        .critical_path
-        .iter()
-        .filter(|e| e.change != EdgeChange::Unchanged)
-        .collect();
-    out.push_str("  \"critical_path\": {\n");
-    let _ = writeln!(out, "    \"edges\": {},", diff.critical_path.len());
-    let _ = writeln!(out, "    \"changed\": {},", churned.len());
-    out.push_str("    \"churn\": [");
-    for (i, e) in churned.iter().take(MAX_CHURN_ROWS).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n      {{\"task\": \"{}\", \"kind\": \"{}\", \"change\": \"{}\", \
-             \"dur_a_us\": {}, \"dur_b_us\": {}, \"delta_us\": {}}}",
-            escape_json(&e.key.to_string()),
-            escape_json(e.kind),
-            e.change.name(),
-            opt_u64(e.dur_a_us),
-            opt_u64(e.dur_b_us),
-            e.delta_us,
-        );
-    }
-    if !churned.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("]\n  },\n");
-
-    // §9 what-if bounds on run B: which resource to speed up next.
-    out.push_str("  \"what_if\": [");
-    for (i, bn) in diff.bottlenecks_b.iter().take(3).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"resource\": \"{}\", \"speedup_bound\": {}}}",
-            escape_json(&bn.resource),
-            bn.speedup_bound,
-        );
-    }
-    if !diff.bottlenecks_b.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-
-    // Telemetry deltas: changed counters/gauges/tracks, every histogram
-    // bucket-by-bucket.
-    out.push_str("  \"metrics\": {\n");
-    let _ = writeln!(out, "    \"counters_total\": {},", mdiff.counters.len());
-    out.push_str("    \"counters_changed\": [");
-    let changed_counters: Vec<_> = mdiff.counters.iter().filter(|c| c.delta != 0).collect();
-    for (i, c) in changed_counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n      {{\"name\": \"{}\", \"a\": {}, \"b\": {}, \"delta\": {}}}",
-            escape_json(&c.name),
-            c.a,
-            c.b,
-            c.delta,
-        );
-    }
-    if !changed_counters.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("],\n");
-    let _ = writeln!(out, "    \"gauges_total\": {},", mdiff.gauges.len());
-    out.push_str("    \"gauges_changed\": [");
-    let opt_f64 = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |x| format!("{x}"));
-    let changed_gauges: Vec<_> = mdiff.gauges.iter().filter(|g| g.a != g.b).collect();
-    for (i, g) in changed_gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n      {{\"name\": \"{}\", \"a\": {}, \"b\": {}, \"delta\": {}}}",
-            escape_json(&g.name),
-            opt_f64(g.a),
-            opt_f64(g.b),
-            g.delta,
-        );
-    }
-    if !changed_gauges.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("],\n");
-    out.push_str("    \"histograms\": [");
-    for (i, h) in mdiff.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let buckets: Vec<String> = h
-            .buckets
+        // Critical-path churn.
+        let churned: Vec<_> = diff
+            .critical_path
             .iter()
-            .map(|&(k, ca, cb)| format!("[{k}, {ca}, {cb}]"))
+            .filter(|e| e.change != EdgeChange::Unchanged)
             .collect();
-        let _ = write!(
-            out,
-            "\n      {{\"name\": \"{}\", \"unit\": \"{}\", \"count_a\": {}, \"count_b\": {}, \
-             \"count_delta\": {}, \"sum_delta\": {}, \"p50_a\": {}, \"p50_b\": {}, \
-             \"p99_a\": {}, \"p99_b\": {}, \"buckets\": [{}]}}",
-            escape_json(&h.name),
-            escape_json(&h.unit),
-            h.count_a,
-            h.count_b,
-            h.count_delta,
-            h.sum_delta,
-            h.p50_a,
-            h.p50_b,
-            h.p99_a,
-            h.p99_b,
-            buckets.join(", "),
-        );
-    }
-    if !mdiff.histograms.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("],\n");
-    let _ = writeln!(out, "    \"tracks_total\": {},", mdiff.tracks.len());
-    out.push_str("    \"tracks_changed\": [");
-    let changed_tracks: Vec<_> = mdiff.tracks.iter().filter(|t| !t.identical).collect();
-    for (i, t) in changed_tracks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n      {{\"name\": \"{}\", \"unit\": \"{}\", \"samples_a\": {}, \
-             \"samples_b\": {}, \"max_a\": {}, \"max_b\": {}}}",
-            escape_json(&t.name),
-            escape_json(&t.unit),
-            t.samples_a,
-            t.samples_b,
-            t.max_a,
-            t.max_b,
-        );
-    }
-    if !changed_tracks.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("]\n  }\n}\n");
-    out
+        doc.object("critical_path", Layout::Block, |cp| {
+            cp.num("edges", diff.critical_path.len())
+                .num("changed", churned.len())
+                .array("churn", Layout::Block, |rows| {
+                    for e in churned.iter().take(MAX_CHURN_ROWS) {
+                        rows.object(Layout::Inline, |o| {
+                            o.str("task", &e.key.to_string())
+                                .str("kind", e.kind)
+                                .str("change", e.change.name())
+                                .num("dur_a_us", e.dur_a_us)
+                                .num("dur_b_us", e.dur_b_us)
+                                .num("delta_us", e.delta_us);
+                        });
+                    }
+                });
+        });
+
+        // §9 what-if bounds on run B: which resource to speed up next.
+        doc.array("what_if", Layout::Block, |rows| {
+            for bn in diff.bottlenecks_b.iter().take(3) {
+                rows.object(Layout::Inline, |o| {
+                    o.str("resource", &bn.resource)
+                        .num("speedup_bound", bn.speedup_bound);
+                });
+            }
+        });
+
+        // Telemetry deltas: changed counters/gauges/tracks, every histogram
+        // bucket-by-bucket.
+        doc.object("metrics", Layout::Block, |m| {
+            m.num("counters_total", mdiff.counters.len())
+                .array("counters_changed", Layout::Block, |rows| {
+                    for c in mdiff.counters.iter().filter(|c| c.delta != 0) {
+                        rows.object(Layout::Inline, |o| {
+                            o.str("name", &c.name)
+                                .num("a", c.a)
+                                .num("b", c.b)
+                                .num("delta", c.delta);
+                        });
+                    }
+                })
+                .num("gauges_total", mdiff.gauges.len())
+                .array("gauges_changed", Layout::Block, |rows| {
+                    for g in mdiff.gauges.iter().filter(|g| g.a != g.b) {
+                        rows.object(Layout::Inline, |o| {
+                            o.str("name", &g.name)
+                                .num("a", g.a)
+                                .num("b", g.b)
+                                .num("delta", g.delta);
+                        });
+                    }
+                })
+                .array("histograms", Layout::Block, |rows| {
+                    for h in &mdiff.histograms {
+                        rows.object(Layout::Inline, |o| {
+                            o.str("name", &h.name)
+                                .str("unit", &h.unit)
+                                .num("count_a", h.count_a)
+                                .num("count_b", h.count_b)
+                                .num("count_delta", h.count_delta)
+                                .num("sum_delta", h.sum_delta)
+                                .num("p50_a", h.p50_a)
+                                .num("p50_b", h.p50_b)
+                                .num("p99_a", h.p99_a)
+                                .num("p99_b", h.p99_b)
+                                .array("buckets", Layout::Inline, |bk| {
+                                    for &(k, ca, cb) in &h.buckets {
+                                        bk.array(Layout::Inline, |t| {
+                                            t.num(k).num(ca).num(cb);
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                })
+                .num("tracks_total", mdiff.tracks.len())
+                .array("tracks_changed", Layout::Block, |rows| {
+                    for t in mdiff.tracks.iter().filter(|t| !t.identical) {
+                        rows.object(Layout::Inline, |o| {
+                            o.str("name", &t.name)
+                                .str("unit", &t.unit)
+                                .num("samples_a", t.samples_a)
+                                .num("samples_b", t.samples_b)
+                                .num("max_a", t.max_a)
+                                .num("max_b", t.max_b);
+                        });
+                    }
+                });
+        });
+    })
 }
 
-fn esc_html(s: &str) -> String {
+/// Escapes text for an HTML element body.
+pub(crate) fn esc_html(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")

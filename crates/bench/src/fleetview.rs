@@ -36,11 +36,12 @@ use superchip_sim::analysis::{analyze, AnalysisReport, STALL_CLASSES};
 use superchip_sim::chrome_trace::to_chrome_trace_with_counters;
 use superchip_sim::engine::{node_of_resource, ResourceId, TaskId};
 use superchip_sim::presets;
-use superchip_sim::telemetry::{escape_json, MetricsRecorder};
+use superchip_sim::telemetry::{JsonWriter, Layout, MetricsRecorder};
 use superchip_sim::{EventLog, SimTime, Simulator, TaskKind, TaskSpec, Trace};
 use superoffload::fleet::{FleetCtx, LeaseLedger};
 
 use crate::cli::parse_flag;
+use crate::diff::esc_html;
 use crate::experiments::{FIG10_BATCH, SEQ};
 use crate::journal::{fmt_short, stat_tile, DASHBOARD_CSS};
 use crate::profile::PROFILE_MODEL;
@@ -428,71 +429,54 @@ impl FleetView {
     /// Serializes the cross-node skew report as the deterministic,
     /// versioned [`FLEETVIEW_SCHEMA`] JSON document.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", escape_json(FLEETVIEW_SCHEMA));
-        out.push_str("  \"meta\": {\n");
-        let _ = writeln!(out, "    \"system\": \"{}\",", escape_json(&self.system));
-        let _ = writeln!(out, "    \"model\": \"{}\",", escape_json(PROFILE_MODEL));
-        let _ = writeln!(out, "    \"seq\": \"{SEQ}\",");
-        let _ = writeln!(out, "    \"batch-per-node\": \"{FIG10_BATCH}\",");
-        let _ = writeln!(out, "    \"nodes\": \"{}\",", self.nodes);
-        let _ = writeln!(out, "    \"seed\": \"{}\"", self.seed);
-        out.push_str("  },\n");
-        out.push_str("  \"fleet\": {\n");
-        let _ = writeln!(out, "    \"makespan-us\": {},", self.analysis.makespan_us);
-        let _ = writeln!(out, "    \"cp-len-us\": {},", self.analysis.cp_len_us);
-        let _ = writeln!(out, "    \"skew-spread-us\": {},", self.skew_spread_us());
-        let _ = writeln!(out, "    \"lease-count\": {},", self.nodes);
-        match &self.binding_collective {
-            None => out.push_str("    \"binding-collective\": null\n"),
-            Some(b) => {
-                let _ = writeln!(
-                    out,
-                    "    \"binding-collective\": {{\"label\": \"{}\", \"resource\": \"{}\", \
-                     \"node\": {}, \"start-us\": {}, \"dur-us\": {}}}",
-                    escape_json(&b.label),
-                    escape_json(&b.resource),
-                    b.node,
-                    b.start_us,
-                    b.dur_us
-                );
-            }
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"nodes\": [");
-        for (i, nr) in self.node_reports.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": \"{}\", \"skew-ppm\": {}, \"makespan-us\": {}, \
-                 \"busy-us\": {}, \"idle-us\": {}, \"stalls\": {{",
-                nr.name(),
-                nr.skew_ppm,
-                nr.makespan_us,
-                nr.busy_us,
-                nr.idle_us
-            );
-            for (j, (class, us)) in STALL_CLASSES.iter().zip(&nr.by_class).enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{}\": {us}", class.name());
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"stragglers\": [");
-        for (i, n) in self.stragglers().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"node{n}\"");
-        }
-        out.push_str("]\n}\n");
-        out
+        JsonWriter::with_capacity(4096).document(Layout::Block, |doc| {
+            doc.str("schema", FLEETVIEW_SCHEMA)
+                .object("meta", Layout::Block, |m| {
+                    m.str("system", &self.system)
+                        .str("model", PROFILE_MODEL)
+                        .str("seq", &SEQ.to_string())
+                        .str("batch-per-node", &FIG10_BATCH.to_string())
+                        .str("nodes", &self.nodes.to_string())
+                        .str("seed", &self.seed.to_string());
+                })
+                .object("fleet", Layout::Block, |f| {
+                    f.num("makespan-us", self.analysis.makespan_us)
+                        .num("cp-len-us", self.analysis.cp_len_us)
+                        .num("skew-spread-us", self.skew_spread_us())
+                        .num("lease-count", self.nodes);
+                    match &self.binding_collective {
+                        None => f.null("binding-collective"),
+                        Some(b) => f.object("binding-collective", Layout::Inline, |o| {
+                            o.str("label", &b.label)
+                                .str("resource", &b.resource)
+                                .num("node", b.node)
+                                .num("start-us", b.start_us)
+                                .num("dur-us", b.dur_us);
+                        }),
+                    };
+                })
+                .array("nodes", Layout::Block, |rows| {
+                    for nr in &self.node_reports {
+                        rows.object(Layout::Inline, |o| {
+                            o.str("name", &nr.name())
+                                .num("skew-ppm", nr.skew_ppm)
+                                .num("makespan-us", nr.makespan_us)
+                                .num("busy-us", nr.busy_us)
+                                .num("idle-us", nr.idle_us)
+                                .object("stalls", Layout::Inline, |st| {
+                                    for (class, us) in STALL_CLASSES.iter().zip(&nr.by_class) {
+                                        st.num(class.name(), *us);
+                                    }
+                                });
+                        });
+                    }
+                })
+                .array("stragglers", Layout::Inline, |a| {
+                    for n in self.stragglers() {
+                        a.str(&format!("node{n}"));
+                    }
+                });
+        })
     }
 
     /// The `superoffload.metrics/v1` snapshot of the replay's telemetry:
@@ -631,10 +615,10 @@ fn waterfall(view: &FleetView) -> String {
              fill=\"hsl({hue} 60% 52%)\"><title>{} on {} \u{2014} {} us at t={} us</title></rect>",
             label_w - 6.0,
             y + row_h - 6.0,
-            escape_json(&iv.label),
+            esc_html(&iv.label),
             y,
             row_h - 4.0,
-            escape_json(&iv.label),
+            esc_html(&iv.label),
             resource,
             iv.duration_us(),
             iv.start.as_micros_rounded(),

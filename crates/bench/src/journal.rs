@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
+use superchip_sim::telemetry::{JsonWriter, Layout};
 use superoffload::trainer::{JournalConfig, StepJournal, Trainer, JOURNAL_SCHEMA};
 use tensorlite::counters::N_OP_KINDS;
 use tensorlite::{spans, CounterSnapshot};
@@ -383,27 +384,17 @@ fn line_chart(
     );
 
     // Hover metadata: pixel position + display strings per point.
-    let mut data = String::from("[");
-    for (i, &(s, v)) in points.iter().enumerate() {
-        if i > 0 {
-            data.push(',');
+    let data = JsonWriter::with_capacity(32 * points.len()).array(Layout::Dense, |rows| {
+        for &(s, v) in points {
+            rows.array(Layout::Dense, |p| {
+                p.fixed(px(s as f64), 1);
+                match v {
+                    Some(v) => p.fixed(py(v), 1).num(s).str(&fmt_short(v)),
+                    None => p.null().num(s).str("\u{2014}"),
+                };
+            });
         }
-        match v {
-            Some(v) => {
-                let _ = write!(
-                    data,
-                    "[{:.1},{:.1},{s},\"{}\"]",
-                    px(s as f64),
-                    py(v),
-                    fmt_short(v)
-                );
-            }
-            None => {
-                let _ = write!(data, "[{:.1},null,{s},\"\u{2014}\"]", px(s as f64));
-            }
-        }
-    }
-    data.push(']');
+    });
 
     let note_html = if note.is_empty() {
         String::new()

@@ -11,6 +11,7 @@ use std::time::Instant;
 use grace_optim::adam::{AdamConfig, AdamState, AdamStepper, CpuAdam, GraceAdam, NaiveAdam};
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
+use superchip_sim::telemetry::{JsonWriter, Layout};
 use superoffload::engine::{EngineConfig, StepOutcome, StvEngine, SyncEngine};
 use tensorlite::pool::with_threads;
 use tensorlite::{Tensor, XorShiftRng};
@@ -335,56 +336,34 @@ impl RealPlaneBench {
         self.tokens_per_step as f64 / self.step_parallel_secs
     }
 
-    /// Hand-rolled JSON snapshot (same no-dependency style as the
-    /// telemetry plane).
+    /// The `superoffload.realbench/v1` snapshot.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"superoffload.realbench/v1\",\n",
-                "  \"host_threads\": {},\n",
-                "  \"degraded_host\": {},\n",
-                "  \"parallel_threads\": {},\n",
-                "  \"matmul\": {{\n",
-                "    \"n\": {},\n",
-                "    \"serial_secs\": {:.6},\n",
-                "    \"parallel_secs\": {:.6},\n",
-                "    \"speedup\": {:.3}\n",
-                "  }},\n",
-                "  \"train_step\": {{\n",
-                "    \"tokens_per_step\": {},\n",
-                "    \"serial_secs\": {:.6},\n",
-                "    \"parallel_secs\": {:.6},\n",
-                "    \"speedup\": {:.3},\n",
-                "    \"tokens_per_sec_serial\": {:.1},\n",
-                "    \"tokens_per_sec_parallel\": {:.1},\n",
-                "    \"bit_identical\": {},\n",
-                "    \"breakdown_secs\": {{\n",
-                "      \"forward\": {:.6},\n",
-                "      \"backward\": {:.6},\n",
-                "      \"optimizer\": {:.6}\n",
-                "    }}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            self.host_threads,
-            self.degraded_host(),
-            self.parallel_threads,
-            self.matmul_n,
-            self.matmul_serial_secs,
-            self.matmul_parallel_secs,
-            self.matmul_speedup(),
-            self.tokens_per_step,
-            self.step_serial_secs,
-            self.step_parallel_secs,
-            self.step_speedup(),
-            self.tokens_per_sec_serial(),
-            self.tokens_per_sec_parallel(),
-            self.bit_identical,
-            self.forward_secs,
-            self.backward_secs,
-            self.optimizer_secs,
-        )
+        JsonWriter::with_capacity(1024).document(Layout::Block, |doc| {
+            doc.str("schema", "superoffload.realbench/v1")
+                .num("host_threads", self.host_threads)
+                .bool("degraded_host", self.degraded_host())
+                .num("parallel_threads", self.parallel_threads)
+                .object("matmul", Layout::Block, |m| {
+                    m.num("n", self.matmul_n)
+                        .fixed("serial_secs", self.matmul_serial_secs, 6)
+                        .fixed("parallel_secs", self.matmul_parallel_secs, 6)
+                        .fixed("speedup", self.matmul_speedup(), 3);
+                })
+                .object("train_step", Layout::Block, |t| {
+                    t.num("tokens_per_step", self.tokens_per_step)
+                        .fixed("serial_secs", self.step_serial_secs, 6)
+                        .fixed("parallel_secs", self.step_parallel_secs, 6)
+                        .fixed("speedup", self.step_speedup(), 3)
+                        .fixed("tokens_per_sec_serial", self.tokens_per_sec_serial(), 1)
+                        .fixed("tokens_per_sec_parallel", self.tokens_per_sec_parallel(), 1)
+                        .bool("bit_identical", self.bit_identical)
+                        .object("breakdown_secs", Layout::Block, |b| {
+                            b.fixed("forward", self.forward_secs, 6)
+                                .fixed("backward", self.backward_secs, 6)
+                                .fixed("optimizer", self.optimizer_secs, 6);
+                        });
+                });
+        })
     }
 }
 

@@ -19,10 +19,8 @@
 //! [`tensorlite::counters::snapshot`] by construction — CI asserts the
 //! per-kernel sums equal the ledger totals.
 
-use std::fmt::Write as _;
-
 use superchip_sim::chrome_trace::{real_spans_chrome_trace, RealSpan};
-use superchip_sim::telemetry::MetricsRecorder;
+use superchip_sim::telemetry::{JsonWriter, Layout, MetricsRecorder};
 use tensorlite::counters::{self, OpKind};
 use tensorlite::spans::{self, SpanLog, WorkerUtilization};
 
@@ -282,102 +280,62 @@ pub fn measure(args: RooflineArgs) -> (RooflineReport, SpanLog) {
     (report, log)
 }
 
-/// JSON-safe float: finite values with enough precision to round-trip the
-/// diagnostics; non-finite degrades to 0 (never emit bare `NaN`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "0.0".into()
-    }
-}
+/// Digits after the point of the sidecar's wall-clock-derived floats:
+/// nanosecond resolution for seconds.
+const DECIMALS: usize = 9;
 
 impl RooflineReport {
     /// The `superoffload.roofline/v1` sidecar. FLOP/byte columns are `u64`
     /// copied verbatim from the counter ledger; `total-flops` /
     /// `total-bytes` equal the per-kernel sums exactly.
     pub fn to_json(&self) -> String {
-        let mut rows = String::new();
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                rows,
-                concat!(
-                    "    {{\"kind\": \"{}\", \"calls\": {}, \"elems\": {}, ",
-                    "\"flops\": {}, \"bytes\": {}, \"busy-secs\": {}, ",
-                    "\"gflops\": {}, \"gbs\": {}, \"intensity\": {}, ",
-                    "\"pct-of-peak-flops\": {}, \"pct-of-peak-bw\": {}, ",
-                    "\"bound\": \"{}\"}}{}\n"
-                ),
-                r.kind.name(),
-                r.calls,
-                r.elems,
-                r.flops,
-                r.bytes,
-                json_f64(r.busy_secs),
-                json_f64(r.gflops()),
-                json_f64(r.gbytes_per_sec()),
-                json_f64(r.intensity()),
-                json_f64(r.pct_of_peak_flops(self.peak_flops)),
-                json_f64(r.pct_of_peak_bw(self.peak_bw)),
-                r.bound(self.peak_flops, self.peak_bw),
-                if i + 1 < self.rows.len() { "," } else { "" },
-            );
-        }
-        let mut workers = String::new();
-        for (i, u) in self.utilization.iter().enumerate() {
-            let _ = write!(
-                workers,
-                concat!(
-                    "    {{\"worker\": {}, \"busy-secs\": {}, ",
-                    "\"present-secs\": {}, \"utilization\": {}}}{}\n"
-                ),
-                u.worker,
-                json_f64(u.busy_nanos as f64 / 1e9),
-                json_f64(u.present_nanos as f64 / 1e9),
-                json_f64(u.utilization()),
-                if i + 1 < self.utilization.len() {
-                    ","
-                } else {
-                    ""
-                },
-            );
-        }
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"{}\",\n",
-                "  \"host_threads\": {},\n",
-                "  \"degraded_host\": {},\n",
-                "  \"threads\": {},\n",
-                "  \"steps\": {},\n",
-                "  \"seed\": {},\n",
-                "  \"peak-flops\": {},\n",
-                "  \"peak-bw\": {},\n",
-                "  \"wall-secs\": {},\n",
-                "  \"total-busy-secs\": {},\n",
-                "  \"total-flops\": {},\n",
-                "  \"total-bytes\": {},\n",
-                "  \"dropped-spans\": {},\n",
-                "  \"kernels\": [\n{}  ],\n",
-                "  \"workers\": [\n{}  ]\n",
-                "}}\n"
-            ),
-            ROOFLINE_SCHEMA,
-            self.host_threads,
-            self.degraded_host,
-            self.threads,
-            self.steps,
-            self.seed,
-            json_f64(self.peak_flops),
-            json_f64(self.peak_bw),
-            json_f64(self.wall_secs),
-            json_f64(self.total_busy_secs),
-            self.total_flops,
-            self.total_bytes,
-            self.dropped_spans,
-            rows,
-            workers,
-        )
+        JsonWriter::with_capacity(8192).document(Layout::Block, |doc| {
+            doc.str("schema", ROOFLINE_SCHEMA)
+                .num("host_threads", self.host_threads)
+                .bool("degraded_host", self.degraded_host)
+                .num("threads", self.threads)
+                .num("steps", self.steps)
+                .num("seed", self.seed)
+                .fixed("peak-flops", self.peak_flops, DECIMALS)
+                .fixed("peak-bw", self.peak_bw, DECIMALS)
+                .fixed("wall-secs", self.wall_secs, DECIMALS)
+                .fixed("total-busy-secs", self.total_busy_secs, DECIMALS)
+                .num("total-flops", self.total_flops)
+                .num("total-bytes", self.total_bytes)
+                .num("dropped-spans", self.dropped_spans)
+                .array("kernels", Layout::Block, |rows| {
+                    for r in &self.rows {
+                        rows.object(Layout::Inline, |o| {
+                            o.str("kind", r.kind.name())
+                                .num("calls", r.calls)
+                                .num("elems", r.elems)
+                                .num("flops", r.flops)
+                                .num("bytes", r.bytes)
+                                .fixed("busy-secs", r.busy_secs, DECIMALS)
+                                .fixed("gflops", r.gflops(), DECIMALS)
+                                .fixed("gbs", r.gbytes_per_sec(), DECIMALS)
+                                .fixed("intensity", r.intensity(), DECIMALS)
+                                .fixed(
+                                    "pct-of-peak-flops",
+                                    r.pct_of_peak_flops(self.peak_flops),
+                                    DECIMALS,
+                                )
+                                .fixed("pct-of-peak-bw", r.pct_of_peak_bw(self.peak_bw), DECIMALS)
+                                .str("bound", r.bound(self.peak_flops, self.peak_bw));
+                        });
+                    }
+                })
+                .array("workers", Layout::Block, |rows| {
+                    for u in &self.utilization {
+                        rows.object(Layout::Inline, |o| {
+                            o.num("worker", u.worker)
+                                .fixed("busy-secs", u.busy_nanos as f64 / 1e9, DECIMALS)
+                                .fixed("present-secs", u.present_nanos as f64 / 1e9, DECIMALS)
+                                .fixed("utilization", u.utilization(), DECIMALS);
+                        });
+                    }
+                });
+        })
     }
 }
 

@@ -23,14 +23,12 @@ use baselines::standard_registry;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
 use superchip_sim::presets;
-use superchip_sim::telemetry::escape_json;
+use superchip_sim::telemetry::{JsonWriter, Layout};
 use superchip_sim::StallClass;
 
 use crate::analyze::normalize_system_name;
 use crate::experiments::{FIG10_BATCH, SEQ};
 use crate::profile::PROFILE_MODEL;
-
-use std::fmt::Write as _;
 
 /// Schema identifier stamped into [`sweep_json`] output.
 pub const SCALE_SCHEMA: &str = "superoffload.scale/v1";
@@ -217,65 +215,44 @@ pub fn sweep_system(system: &str, lo: u32, hi: u32) -> Result<SystemSweep, Strin
 /// (non-gating) string; their missing metrics make a feasibility regression
 /// fail the gate.
 pub fn sweep_json(sweeps: &[SystemSweep], lo: u32, hi: u32) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{}\",", escape_json(SCALE_SCHEMA));
-    out.push_str("  \"meta\": {\n");
-    let _ = writeln!(out, "    \"model\": \"{}\",", escape_json(PROFILE_MODEL));
-    let _ = writeln!(out, "    \"seq\": \"{SEQ}\",");
-    let _ = writeln!(out, "    \"batch-per-node\": \"{FIG10_BATCH}\",");
-    let _ = writeln!(out, "    \"nodes\": \"{lo}..{hi}\"");
-    out.push_str("  },\n");
-    out.push_str("  \"systems\": [");
-    for (i, sweep) in sweeps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\n      \"name\": \"{}\",\n      \"points\": [",
-            escape_json(&sweep.name)
-        );
-        for (j, p) in sweep.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n        {{\"name\": \"nodes-{}\", \"nodes\": {}, ",
-                p.nodes, p.nodes
-            );
-            match &p.outcome {
-                Ok(m) => {
-                    let _ = write!(
-                        out,
-                        "\"feasible\": true, \"iter-time-us\": {}, \"tflops-per-node\": {}, \
-                         \"tokens_per_sec\": {}, \"gpu-util\": {}, \"comm-exposed-us\": {}, \
-                         \"comm-exposed-frac\": {}}}",
-                        m.iter_time_us,
-                        m.tflops_per_node,
-                        m.tokens_per_sec,
-                        m.gpu_util,
-                        m.comm_exposed_us,
-                        m.comm_exposed_frac,
-                    );
+    JsonWriter::with_capacity(4096).document(Layout::Block, |doc| {
+        doc.str("schema", SCALE_SCHEMA)
+            .object("meta", Layout::Block, |m| {
+                m.str("model", PROFILE_MODEL)
+                    .str("seq", &SEQ.to_string())
+                    .str("batch-per-node", &FIG10_BATCH.to_string())
+                    .str("nodes", &format!("{lo}..{hi}"));
+            })
+            .array("systems", Layout::Block, |systems| {
+                for sweep in sweeps {
+                    systems.object(Layout::Block, |sys| {
+                        sys.str("name", &sweep.name);
+                        sys.array("points", Layout::Block, |rows| {
+                            for p in &sweep.points {
+                                rows.object(Layout::Inline, |o| {
+                                    o.str("name", &format!("nodes-{}", p.nodes))
+                                        .num("nodes", p.nodes);
+                                    match &p.outcome {
+                                        Ok(m) => {
+                                            o.bool("feasible", true)
+                                                .num("iter-time-us", m.iter_time_us)
+                                                .num("tflops-per-node", m.tflops_per_node)
+                                                .num("tokens_per_sec", m.tokens_per_sec)
+                                                .num("gpu-util", m.gpu_util)
+                                                .num("comm-exposed-us", m.comm_exposed_us)
+                                                .num("comm-exposed-frac", m.comm_exposed_frac);
+                                        }
+                                        Err(reason) => {
+                                            o.bool("feasible", false).str("reason", reason);
+                                        }
+                                    }
+                                });
+                            }
+                        });
+                    });
                 }
-                Err(reason) => {
-                    let _ = write!(
-                        out,
-                        "\"feasible\": false, \"reason\": \"{}\"}}",
-                        escape_json(reason)
-                    );
-                }
-            }
-        }
-        out.push_str("\n      ]\n    }");
-    }
-    if !sweeps.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+            });
+    })
 }
 
 /// Prints the human table for one system's sweep.

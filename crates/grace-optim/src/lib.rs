@@ -11,9 +11,9 @@
 //!   paper's "PT-CPU" baseline).
 //! - [`CpuAdam`]: a single fused pass with manual 4-way unrolling — the
 //!   DeepSpeed CPU-Adam design (originally AVX2/AVX512).
-//! - [`GraceAdam`]: fused, cache-tiled chunks dispatched across threads
-//!   (`std::thread::scope`), mirroring GraceAdam's tiling + dual-level
-//!   parallelism.
+//! - [`GraceAdam`]: fused, cache-tiled chunks dispatched as tasks of the
+//!   persistent worker pool (`tensorlite::Pool`), mirroring GraceAdam's
+//!   tiling + dual-level parallelism.
 //!
 //! All three produce **bit-identical** parameter updates (verified by tests),
 //! so the choice is purely a performance decision — exactly the property the

@@ -33,7 +33,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use crate::engine::{ResourceId, TaskId, TaskKind, TaskTag};
-use crate::telemetry::escape_json;
+use crate::telemetry::{write_meta, JsonWriter, Layout};
 use crate::trace::{Interval, Trace};
 
 /// Schema identifier stamped into [`AnalysisReport::to_json`] output.
@@ -514,23 +514,6 @@ impl AnalysisReport {
     /// totals, the 32 longest steps); full per-task slack is reduced to
     /// counts so snapshots stay diff- and gate-friendly.
     pub fn to_json(&self, meta: &[(&str, String)]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", escape_json(ANALYSIS_SCHEMA));
-        out.push_str("  \"meta\": {");
-        for (i, (k, v)) in meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": \"{}\"", escape_json(k), escape_json(v));
-        }
-        if !meta.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        let _ = writeln!(out, "  \"makespan_us\": {},", self.makespan_us);
-
-        // Critical path.
         let mut by_res: BTreeMap<&str, u64> = BTreeMap::new();
         let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
         for s in &self.critical_path {
@@ -539,115 +522,85 @@ impl AnalysisReport {
                 .or_insert(0) += s.dur_us;
             *by_kind.entry(s.kind.to_string()).or_insert(0) += s.dur_us;
         }
-        out.push_str("  \"critical_path\": {\n");
-        let _ = writeln!(out, "    \"length_us\": {},", self.cp_len_us);
-        let _ = writeln!(out, "    \"tasks\": {},", self.critical_path.len());
         let frac = if self.makespan_us > 0 {
             self.cp_len_us as f64 / self.makespan_us as f64
         } else {
             0.0
         };
-        let _ = writeln!(out, "    \"makespan_fraction\": {frac},");
-        out.push_str("    \"by_resource_us\": {");
-        for (i, (k, v)) in by_res.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\": {v}", escape_json(k));
-        }
-        out.push_str("},\n    \"by_kind_us\": {");
-        for (i, (k, v)) in by_kind.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\": {v}", escape_json(k));
-        }
-        out.push_str("},\n    \"top_steps\": [");
-        for (i, s) in self.top_steps(32).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      {{\"task\": {}, \"resource\": \"{}\", \"kind\": \"{}\", \"label\": \"{}\", \"start_us\": {}, \"dur_us\": {}}}",
-                s.task.index(),
-                escape_json(&self.stalls[s.resource.index()].name),
-                s.kind,
-                escape_json(&s.label),
-                s.start_us,
-                s.dur_us,
-            );
-        }
-        if !self.critical_path.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  },\n");
-
-        // Slack summary.
-        let zero_slack = self.slack_us.iter().filter(|&&s| s == 0).count();
-        let total_slack: u64 = self.slack_us.iter().sum();
-        let _ = writeln!(
-            out,
-            "  \"slack\": {{\"tasks\": {}, \"zero_slack_tasks\": {zero_slack}, \"total_slack_us\": {total_slack}}},",
-            self.slack_us.len()
-        );
-
-        // Stalls.
-        out.push_str("  \"stalls\": {\n");
-        let _ = writeln!(out, "    \"total_idle_us\": {},", self.total_idle_us());
-        out.push_str("    \"by_class_us\": {");
-        for (i, (class, total)) in STALL_CLASSES.iter().zip(self.totals_by_class()).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{class}\": {total}");
-        }
-        out.push_str("},\n    \"resources\": [");
-        for (i, s) in self.stalls.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      {{\"name\": \"{}\", \"busy_us\": {}, \"idle_us\": {}, \"classes\": {{",
-                escape_json(&s.name),
-                s.busy_us,
-                s.idle_us
-            );
-            for (j, (class, v)) in STALL_CLASSES.iter().zip(&s.by_class).enumerate() {
-                if j > 0 {
-                    out.push(',');
+        JsonWriter::with_capacity(4096 + 160 * self.stalls.len()).document(Layout::Block, |doc| {
+            doc.str("schema", ANALYSIS_SCHEMA);
+            write_meta(doc, meta);
+            doc.num("makespan_us", self.makespan_us);
+            doc.object("critical_path", Layout::Block, |cp| {
+                cp.num("length_us", self.cp_len_us)
+                    .num("tasks", self.critical_path.len())
+                    .num("makespan_fraction", frac)
+                    .object("by_resource_us", Layout::Packed, |o| {
+                        for (k, v) in &by_res {
+                            o.num(k, *v);
+                        }
+                    })
+                    .object("by_kind_us", Layout::Packed, |o| {
+                        for (k, v) in &by_kind {
+                            o.num(k, *v);
+                        }
+                    })
+                    .array("top_steps", Layout::Block, |a| {
+                        for s in self.top_steps(32) {
+                            a.object(Layout::Inline, |o| {
+                                o.num("task", s.task.index())
+                                    .str("resource", &self.stalls[s.resource.index()].name)
+                                    .str("kind", s.kind.name())
+                                    .str("label", &s.label)
+                                    .num("start_us", s.start_us)
+                                    .num("dur_us", s.dur_us);
+                            });
+                        }
+                    });
+            });
+            // Slack summary.
+            doc.object("slack", Layout::Inline, |o| {
+                o.num("tasks", self.slack_us.len())
+                    .num(
+                        "zero_slack_tasks",
+                        self.slack_us.iter().filter(|&&s| s == 0).count(),
+                    )
+                    .num("total_slack_us", self.slack_us.iter().sum::<u64>());
+            });
+            doc.object("stalls", Layout::Block, |st| {
+                st.num("total_idle_us", self.total_idle_us())
+                    .object("by_class_us", Layout::Packed, |o| {
+                        for (class, total) in STALL_CLASSES.iter().zip(self.totals_by_class()) {
+                            o.num(class.name(), total);
+                        }
+                    })
+                    .array("resources", Layout::Block, |a| {
+                        for s in &self.stalls {
+                            a.object(Layout::Inline, |o| {
+                                o.str("name", &s.name)
+                                    .num("busy_us", s.busy_us)
+                                    .num("idle_us", s.idle_us)
+                                    .object("classes", Layout::Packed, |c| {
+                                        for (class, v) in STALL_CLASSES.iter().zip(&s.by_class) {
+                                            c.num(class.name(), *v);
+                                        }
+                                    });
+                            });
+                        }
+                    });
+            });
+            doc.array("bottlenecks", Layout::Block, |a| {
+                for b in &self.bottlenecks {
+                    a.object(Layout::Inline, |o| {
+                        o.str("resource", &b.resource)
+                            .num("critical_path_us", b.critical_path_us)
+                            .num("cp_share", b.cp_share)
+                            .num("busy_us", b.busy_us)
+                            .num("speedup_bound", b.speedup_bound);
+                    });
                 }
-                let _ = write!(out, "\"{class}\": {v}");
-            }
-            out.push_str("}}");
-        }
-        if !self.stalls.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  },\n");
-
-        // Bottlenecks.
-        out.push_str("  \"bottlenecks\": [");
-        for (i, b) in self.bottlenecks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"resource\": \"{}\", \"critical_path_us\": {}, \"cp_share\": {}, \"busy_us\": {}, \"speedup_bound\": {}}}",
-                escape_json(&b.resource),
-                b.critical_path_us,
-                b.cp_share,
-                b.busy_us,
-                b.speedup_bound,
-            );
-        }
-        if !self.bottlenecks.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+            });
+        })
     }
 
     /// Renders a human-readable summary table.

@@ -17,13 +17,11 @@
 //! [`crate::time::SimTime::as_micros_rounded`]) so output is byte-stable
 //! across runs.
 //!
-//! The JSON is emitted directly (the format is flat and fixed) to keep the
-//! crate free of serialization dependencies.
-
-use std::fmt::Write as _;
+//! The JSON is written through [`crate::telemetry::JsonWriter`], one
+//! record per line, to keep the crate free of serialization dependencies.
 
 use crate::engine::{node_of_resource, TaskKind};
-use crate::telemetry::{escape_json_into, MetricsRecorder};
+use crate::telemetry::{JsonArray, JsonWriter, Layout, MetricsRecorder};
 use crate::trace::{Interval, Trace};
 
 /// Whether a resource name denotes a link (a transfer or fabric timeline)
@@ -40,61 +38,69 @@ fn pids(resource_names: &[&str]) -> Vec<u32> {
     resource_names.iter().map(|n| node_of_resource(n)).collect()
 }
 
-/// Opens an event array sized for `intervals` slices. Every writer below
-/// appends records each followed by `",\n"`; [`close_array`] drops the
-/// last separator.
-fn open_array(intervals: usize) -> String {
+/// Writes a Trace Event array sized for `intervals` slices, one record
+/// per line, filled by `f`.
+fn event_array(intervals: usize, f: impl FnOnce(&mut JsonArray<'_>)) -> String {
     // A slice record is ~130 bytes; flows and counters add a few more.
-    let mut out = String::with_capacity(160 * intervals + 1024);
-    out.push('[');
-    out
-}
-
-fn close_array(mut out: String) -> String {
-    if out.ends_with(",\n") {
-        out.truncate(out.len() - 2);
-    }
-    out.push(']');
-    out
+    JsonWriter::with_capacity(160 * intervals + 1024).array(Layout::Lines, f)
 }
 
 /// One complete (`"ph":"X"`) slice record for `iv` on row `tid`.
-fn write_slice(out: &mut String, iv: &Interval, pid: u32, tid: usize) {
+fn write_slice(events: &mut JsonArray<'_>, iv: &Interval, pid: u32, tid: usize) {
     let label = if iv.label.is_empty() {
         "task"
     } else {
         &iv.label
     };
-    out.push_str("{\"name\":\"");
-    escape_json_into(out, label);
     let kind = iv.kind.name();
-    let _ = writeln!(
-        out,
-        "\",\"cat\":\"{kind}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"kind\":\"{kind}\"}}}},",
-        iv.start.as_micros_rounded(),
-        iv.duration().as_micros_rounded(),
-    );
+    events.object(Layout::Dense, |e| {
+        e.str("name", label)
+            .str("cat", kind)
+            .str("ph", "X")
+            .num("ts", iv.start.as_micros_rounded())
+            .num("dur", iv.duration().as_micros_rounded())
+            .num("pid", pid)
+            .num("tid", tid)
+            .object("args", Layout::Dense, |a| {
+                a.str("kind", kind);
+            });
+    });
 }
 
-/// A `thread_name` metadata record naming row `tid`.
-fn write_thread_name(out: &mut String, pid: u32, tid: usize, name: &str) {
-    let _ = write!(
-        out,
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
-    );
-    escape_json_into(out, name);
-    out.push_str("\"}},\n");
+/// A `"ph":"M"` metadata record `name` (`thread_name` or `process_name`)
+/// that gives its track the display name `value`.
+fn write_metadata(
+    events: &mut JsonArray<'_>,
+    name: &str,
+    pid: u32,
+    tid: Option<usize>,
+    value: &str,
+) {
+    events.object(Layout::Dense, |e| {
+        e.str("name", name).str("ph", "M").num("pid", pid);
+        if let Some(tid) = tid {
+            e.num("tid", tid);
+        }
+        e.object("args", Layout::Dense, |a| {
+            a.str("name", value);
+        });
+    });
 }
 
 /// Thread-name metadata for every row, then every row's slices in start
 /// order.
-fn write_rows(out: &mut String, rows: &[Vec<&Interval>], resource_names: &[&str], pids: &[u32]) {
+fn write_rows(
+    events: &mut JsonArray<'_>,
+    rows: &[Vec<&Interval>],
+    resource_names: &[&str],
+    pids: &[u32],
+) {
     for (tid, name) in resource_names.iter().enumerate() {
-        write_thread_name(out, pids[tid], tid, name);
+        write_metadata(events, "thread_name", pids[tid], Some(tid), name);
     }
     for (tid, row) in rows.iter().enumerate().take(resource_names.len()) {
         for iv in row {
-            write_slice(out, iv, pids[tid], tid);
+            write_slice(events, iv, pids[tid], tid);
         }
     }
 }
@@ -103,7 +109,7 @@ fn write_rows(out: &mut String, rows: &[Vec<&Interval>], resource_names: &[&str]
 /// only when the trace actually spans several nodes, so single-node exports
 /// stay byte-identical to the pre-fleet format.
 fn write_slice_events(
-    out: &mut String,
+    events: &mut JsonArray<'_>,
     rows: &[Vec<&Interval>],
     resource_names: &[&str],
     pids: &[u32],
@@ -113,14 +119,12 @@ fn write_slice_events(
         for &pid in pids {
             if !seen.contains(&pid) {
                 seen.push(pid);
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"node{pid}\"}}}},"
-                );
+                let node = format!("node{pid}");
+                write_metadata(events, "process_name", pid, None, &node);
             }
         }
     }
-    write_rows(out, rows, resource_names, pids);
+    write_rows(events, rows, resource_names, pids);
 }
 
 /// A timestamp guaranteed to fall *inside* the slice drawn for `iv` (flow
@@ -148,7 +152,7 @@ fn flow_ts(iv: &Interval) -> u64 {
 /// bind to the *enclosing* slice) to the collective's slice, and
 /// `ts(s) <= ts(f)` always, because a dependency finishes before its
 /// dependent starts.
-fn write_flow_events(out: &mut String, trace: &Trace, pids: &[u32]) {
+fn write_flow_events(events: &mut JsonArray<'_>, trace: &Trace, pids: &[u32]) {
     let pid_of = |iv: &Interval| pids.get(iv.resource.index()).copied().unwrap_or(0);
     let mut id = 0u64;
     for iv in trace.intervals() {
@@ -164,16 +168,17 @@ fn write_flow_events(out: &mut String, trace: &Trace, pids: &[u32]) {
             let Some(src) = trace.interval(dep) else {
                 continue;
             };
-            for (ph, end) in [(r#""ph":"s""#, src), (r#""ph":"f","bp":"e""#, iv)] {
-                out.push_str("{\"name\":\"");
-                escape_json_into(out, name);
-                let _ = writeln!(
-                    out,
-                    "\",\"cat\":\"flow\",{ph},\"id\":{id},\"ts\":{},\"pid\":{},\"tid\":{}}},",
-                    flow_ts(end),
-                    pid_of(end),
-                    end.resource.index(),
-                );
+            for (ph, end) in [("s", src), ("f", iv)] {
+                events.object(Layout::Dense, |e| {
+                    e.str("name", name).str("cat", "flow").str("ph", ph);
+                    if ph == "f" {
+                        e.str("bp", "e");
+                    }
+                    e.num("id", id)
+                        .num("ts", flow_ts(end))
+                        .num("pid", pid_of(end))
+                        .num("tid", end.resource.index());
+                });
             }
             id += 1;
         }
@@ -184,7 +189,7 @@ fn write_flow_events(out: &mut String, trace: &Trace, pids: &[u32]) {
 /// resource (C2C directions, fabric, pipeline links), toggled at every
 /// interval boundary, so link duty cycles read directly off the trace.
 fn write_link_occupancy_events(
-    out: &mut String,
+    events: &mut JsonArray<'_>,
     rows: &[Vec<&Interval>],
     resource_names: &[&str],
     pids: &[u32],
@@ -203,16 +208,17 @@ fn write_link_occupancy_events(
         // edge before the next rising edge at the same microsecond, so the
         // counter renders busy across the boundary.
         edges.sort_by_key(|&(ts, _)| ts);
-        let mut head = String::from("{\"name\":\"occupancy:");
-        escape_json_into(&mut head, name);
-        head.push_str("\",\"ph\":\"C\",\"ts\":");
+        let track = format!("occupancy:{name}");
         for &(ts, v) in &edges {
-            out.push_str(&head);
-            let _ = writeln!(
-                out,
-                "{ts},\"pid\":{},\"args\":{{\"busy\":{v}}}}},",
-                pids[tid]
-            );
+            events.object(Layout::Dense, |e| {
+                e.str("name", &track)
+                    .str("ph", "C")
+                    .num("ts", ts)
+                    .num("pid", pids[tid])
+                    .object("args", Layout::Dense, |a| {
+                        a.num("busy", v);
+                    });
+            });
         }
     }
 }
@@ -236,10 +242,10 @@ fn write_link_occupancy_events(
 /// ```
 pub fn to_chrome_trace(trace: &Trace, resource_names: &[&str]) -> String {
     let pids = pids(resource_names);
-    let mut out = open_array(trace.intervals().len());
-    write_slice_events(&mut out, &trace.rows(), resource_names, &pids);
-    write_flow_events(&mut out, trace, &pids);
-    close_array(out)
+    event_array(trace.intervals().len(), |events| {
+        write_slice_events(events, &trace.rows(), resource_names, &pids);
+        write_flow_events(events, trace, &pids);
+    })
 }
 
 /// Serializes a [`Trace`] plus the counter tracks of a [`MetricsRecorder`]
@@ -259,12 +265,12 @@ pub fn to_chrome_trace_with_counters(
 ) -> String {
     let pids = pids(resource_names);
     let rows = trace.rows();
-    let mut out = open_array(trace.intervals().len());
-    write_slice_events(&mut out, &rows, resource_names, &pids);
-    write_flow_events(&mut out, trace, &pids);
-    write_link_occupancy_events(&mut out, &rows, resource_names, &pids);
-    metrics.write_chrome_counter_events(&mut out, 0, trace.makespan_us());
-    close_array(out)
+    event_array(trace.intervals().len(), |events| {
+        write_slice_events(events, &rows, resource_names, &pids);
+        write_flow_events(events, trace, &pids);
+        write_link_occupancy_events(events, &rows, resource_names, &pids);
+        metrics.write_chrome_counter_events(events, 0, trace.makespan_us());
+    })
 }
 
 /// Serializes *two* runs into one Chrome Trace Event JSON array with
@@ -286,40 +292,41 @@ pub fn side_by_side_chrome_trace(
     trace_b: &Trace,
     metrics_b: &MetricsRecorder,
 ) -> String {
-    let mut out = open_array(trace_a.intervals().len() + trace_b.intervals().len());
-    for (side, (label, trace, metrics)) in
-        [(label_a, trace_a, metrics_a), (label_b, trace_b, metrics_b)]
-            .into_iter()
-            .enumerate()
-    {
-        let side = side as u32;
-        let names: Vec<&str> = trace.resource_names().iter().map(String::as_str).collect();
-        let pids: Vec<u32> = names
-            .iter()
-            .map(|n| 2 * node_of_resource(n) + side)
-            .collect();
-        let mut seen = Vec::new();
-        for &pid in &pids {
-            if !seen.contains(&pid) {
-                seen.push(pid);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\""
-                );
-                escape_json_into(&mut out, label);
-                // Keep a:nodeK directly above b:nodeK regardless of pid
-                // numerology in the viewer.
-                let _ = write!(
-                    out,
-                    ":node{}\"}}}},\n{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}},\n",
-                    (pid - side) / 2,
-                );
+    let intervals = trace_a.intervals().len() + trace_b.intervals().len();
+    event_array(intervals, |events| {
+        for (side, (label, trace, metrics)) in
+            [(label_a, trace_a, metrics_a), (label_b, trace_b, metrics_b)]
+                .into_iter()
+                .enumerate()
+        {
+            let side = side as u32;
+            let names: Vec<&str> = trace.resource_names().iter().map(String::as_str).collect();
+            let pids: Vec<u32> = names
+                .iter()
+                .map(|n| 2 * node_of_resource(n) + side)
+                .collect();
+            let mut seen = Vec::new();
+            for &pid in &pids {
+                if !seen.contains(&pid) {
+                    seen.push(pid);
+                    let process = format!("{label}:node{}", (pid - side) / 2);
+                    write_metadata(events, "process_name", pid, None, &process);
+                    // Keep a:nodeK directly above b:nodeK regardless of pid
+                    // numerology in the viewer.
+                    events.object(Layout::Dense, |e| {
+                        e.str("name", "process_sort_index")
+                            .str("ph", "M")
+                            .num("pid", pid)
+                            .object("args", Layout::Dense, |a| {
+                                a.num("sort_index", pid);
+                            });
+                    });
+                }
             }
+            write_rows(events, &trace.rows(), &names, &pids);
+            metrics.write_chrome_counter_events(events, side, trace.makespan_us());
         }
-        write_rows(&mut out, &trace.rows(), &names, &pids);
-        metrics.write_chrome_counter_events(&mut out, side, trace.makespan_us());
-    }
-    close_array(out)
+    })
 }
 
 /// One measured wall-clock interval from the *real* plane (the
@@ -356,25 +363,25 @@ pub fn real_spans_chrome_trace(
     metrics: Option<&MetricsRecorder>,
     end_us: u64,
 ) -> String {
-    let mut out = open_array(spans.len());
-    for (tid, name) in track_names {
-        write_thread_name(&mut out, 0, *tid as usize, name);
-    }
-    for s in spans {
-        out.push_str("{\"name\":\"");
-        escape_json_into(&mut out, &s.name);
-        out.push_str("\",\"cat\":\"");
-        escape_json_into(&mut out, &s.cat);
-        let _ = writeln!(
-            out,
-            "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}},",
-            s.ts_us, s.dur_us, s.tid,
-        );
-    }
-    if let Some(metrics) = metrics {
-        metrics.write_chrome_counter_events(&mut out, 0, end_us);
-    }
-    close_array(out)
+    event_array(spans.len(), |events| {
+        for (tid, name) in track_names {
+            write_metadata(events, "thread_name", 0, Some(*tid as usize), name);
+        }
+        for s in spans {
+            events.object(Layout::Dense, |e| {
+                e.str("name", &s.name)
+                    .str("cat", &s.cat)
+                    .str("ph", "X")
+                    .num("ts", s.ts_us)
+                    .num("dur", s.dur_us)
+                    .num("pid", 0u32)
+                    .num("tid", s.tid);
+            });
+        }
+        if let Some(metrics) = metrics {
+            metrics.write_chrome_counter_events(events, 0, end_us);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -384,9 +391,13 @@ mod tests {
     use crate::telemetry::validate_json;
     use crate::SimTime;
 
-    /// The records of an event array body written by the writers above.
-    fn records(out: &str) -> Vec<&str> {
-        out.split_terminator(",\n").collect()
+    /// The records one of the writers above appends to an empty event
+    /// array, one string each.
+    fn records(write: impl FnOnce(&mut JsonArray<'_>)) -> Vec<String> {
+        let json = event_array(0, write);
+        validate_json(&json).unwrap();
+        let body = &json[1..json.len() - 1];
+        body.split_terminator(",\n").map(str::to_string).collect()
     }
 
     fn sample() -> Trace {
@@ -590,12 +601,10 @@ mod tests {
     fn flow_pairs_share_ids_and_order_timestamps() {
         let (trace, names) = fleet_sample();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut out = String::new();
-        write_flow_events(&mut out, &trace, &pids(&refs));
-        let events = records(&out);
+        let events = records(|e| write_flow_events(e, &trace, &pids(&refs)));
         assert_eq!(events.len(), 8);
         for pair in events.chunks(2) {
-            let (s, f) = (&pair[0], &pair[1]);
+            let (s, f) = (pair[0].as_str(), pair[1].as_str());
             assert!(s.contains(r#""ph":"s""#) && f.contains(r#""ph":"f","bp":"e""#));
             let id_of = |e: &str| {
                 let i = e.find("\"id\":").unwrap() + 5;
@@ -614,9 +623,8 @@ mod tests {
     fn link_occupancy_toggles_per_interval() {
         let (trace, names) = fleet_sample();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut out = String::new();
-        write_link_occupancy_events(&mut out, &trace.rows(), &refs, &pids(&refs));
-        let events = records(&out);
+        let events =
+            records(|e| write_link_occupancy_events(e, &trace.rows(), &refs, &pids(&refs)));
         // Two fabric resources with one interval each: rise + fall per link.
         assert_eq!(events.len(), 4);
         assert!(events[0].contains(r#""name":"occupancy:fabric","ph":"C","ts":3000"#));

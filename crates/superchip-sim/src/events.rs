@@ -20,10 +20,8 @@
 //! node's resource timeline lives in one simulator, so no cross-node clock
 //! alignment is needed (see DESIGN.md §14).
 
-use std::fmt::Write as _;
-
 use crate::engine::{node_of_resource, TaskKind, TaskTag};
-use crate::telemetry::escape_json_into;
+use crate::telemetry::{JsonObject, JsonWriter, Layout};
 use crate::trace::Trace;
 
 /// Schema identifier stamped into the JSONL header line.
@@ -90,29 +88,17 @@ pub struct Event {
 }
 
 impl Event {
-    /// Appends the record as one JSON object (one JSONL line, without the
-    /// newline) to `out`.
-    pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, r#"{{"id":{},"parent":"#, self.id);
-        match self.parent {
-            Some(p) => {
-                let _ = write!(out, "{p}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            r#","kind":"{}","ts-us":{},"node":{},"scope":""#,
-            self.kind.name(),
-            self.ts_us,
-            self.node,
-        );
-        escape_json_into(out, &self.scope);
-        out.push_str(r#"","resource":""#);
-        escape_json_into(out, &self.resource);
-        out.push_str(r#"","label":""#);
-        escape_json_into(out, &self.label);
-        out.push_str("\"}");
+    /// Writes the record's members into `record` (one JSONL line).
+    pub fn write_json(&self, record: &mut JsonObject<'_>) {
+        record
+            .num("id", self.id)
+            .num("parent", self.parent)
+            .str("kind", self.kind.name())
+            .num("ts-us", self.ts_us)
+            .num("node", self.node)
+            .str("scope", &self.scope)
+            .str("resource", &self.resource)
+            .str("label", &self.label);
     }
 }
 
@@ -289,23 +275,18 @@ impl EventLog {
     /// `meta` entries (emitted in the given order) identify the run.
     pub fn to_jsonl(&self, meta: &[(&str, String)]) -> String {
         // A record is ~150 bytes plus its label.
-        let mut out = String::with_capacity(192 * (self.events.len() + 1));
-        out.push_str(r#"{"schema":""#);
-        escape_json_into(&mut out, EVENTS_SCHEMA);
-        out.push('"');
-        for (k, v) in meta {
-            out.push_str(r#",""#);
-            escape_json_into(&mut out, k);
-            out.push_str(r#"":""#);
-            escape_json_into(&mut out, v);
-            out.push('"');
-        }
-        let _ = writeln!(out, r#","events":{}}}"#, self.events.len());
+        let mut w = JsonWriter::with_capacity(192 * (self.events.len() + 1));
+        w.record(Layout::Dense, |head| {
+            head.str("schema", EVENTS_SCHEMA);
+            for (k, v) in meta {
+                head.str(k, v);
+            }
+            head.num("events", self.events.len());
+        });
         for e in &self.events {
-            e.write_json(&mut out);
-            out.push('\n');
+            w.record(Layout::Dense, |record| e.write_json(record));
         }
-        out
+        w.finish()
     }
 }
 

@@ -28,8 +28,20 @@ use crate::time::SimTime;
 pub const METRICS_SCHEMA: &str = "superoffload.metrics/v1";
 
 /// Appends `s` to `out`, escaped for embedding inside a JSON string
-/// literal. Runs of bytes that need no escape are copied whole.
-pub fn escape_json_into(out: &mut String, s: &str) {
+/// literal. Inlined so that the check folds away for a literal key; the
+/// rare string that needs escapes takes [`escape_runs`].
+#[inline(always)]
+fn escape_json_into(out: &mut String, s: &str) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        escape_runs(out, s);
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// Appends `s` escaped, copying the runs of bytes between escapes whole.
+#[cold]
+fn escape_runs(out: &mut String, s: &str) {
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         if b != b'"' && b != b'\\' && b >= 0x20 {
@@ -60,19 +72,332 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Displays an `f64` as a JSON number (non-finite values become `0`, which
-/// cannot be represented in JSON).
-struct JsonNum(f64);
+// ---------------------------------------------------------------------------
+// The JSON writer: every artifact of the workspace is emitted through it.
+// ---------------------------------------------------------------------------
 
-impl std::fmt::Display for JsonNum {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{}", self.0)
-        } else {
-            f.write_str("0")
+/// How a container the [`JsonWriter`] opens lays out its members or
+/// elements. Each artifact picks its layouts in code, so the bytes it
+/// writes are fixed by the emitter, not by the values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One item per line, indented two spaces per nesting level, `": "`
+    /// after keys: `{\n  "a": 1,\n  "b": 2\n}`.
+    Block,
+    /// On one line, `", "` between items and `": "` after keys:
+    /// `{"a": 1, "b": 2}`.
+    Inline,
+    /// On one line, `","` between items and `": "` after keys:
+    /// `{"a": 1,"b": 2}` (the analysis snapshot's class maps).
+    Packed,
+    /// On one line with no spaces: `{"a":1,"b":2}` (JSONL and Trace Event
+    /// records).
+    Dense,
+    /// One unindented item per line, no spaces inside: `[{"a":1},\n{"a":2}]`
+    /// (a Trace Event array).
+    Lines,
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// A number the [`JsonWriter`] formats itself: a `u8`, `u32`, `u64`,
+/// `usize` or `i64`; an `f32` or `f64` in its shortest round-trip form;
+/// `None` as `null`. A NaN or
+/// infinite float, which JSON cannot represent, is written as `null` too.
+pub trait JsonNumber: sealed::Sealed {
+    /// Appends the number's JSON text.
+    #[doc(hidden)]
+    fn write_number(&self, out: &mut String);
+}
+
+/// Appends the decimal digits of `v`, after a `-` when `negative`.
+fn write_integer(out: &mut String, negative: bool, mut v: u64) {
+    if negative {
+        out.push('-');
+    }
+    let len = v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut digits = [0u8; 20];
+    for d in digits[..len].iter_mut().rev() {
+        *d = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    out.extend(digits[..len].iter().map(|&d| char::from(d)));
+}
+
+/// An integral value below `$exact` skips `fmt`, since its `Display` text
+/// is exactly its digits (`-0` for negative zero): most numbers of an
+/// artifact are integers. `1e15` lies inside the range where `f64` holds
+/// every integer; an `f32` prints shortest round-trip digits, which are
+/// its exact digits only below 2^24.
+macro_rules! json_numbers {
+    ($($t:ty: $exact:expr),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl JsonNumber for $t {
+            #[allow(clippy::unnecessary_cast)]
+            fn write_number(&self, out: &mut String) {
+                let v = *self as f64;
+                if !v.is_finite() {
+                    out.push_str("null");
+                } else if v == v.trunc() && v.abs() < $exact {
+                    write_integer(out, v.is_sign_negative(), v.abs() as u64);
+                } else {
+                    let _ = write!(out, "{self}");
+                }
+            }
+        }
+    )*};
+}
+json_numbers!(u8: 1e15, u32: 1e15, u64: 1e15, usize: 1e15, i64: 1e15);
+json_numbers!(f32: 16_777_216.0, f64: 1e15);
+
+impl<T: JsonNumber> sealed::Sealed for Option<T> {}
+impl<T: JsonNumber> JsonNumber for Option<T> {
+    fn write_number(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_number(out),
+            None => out.push_str("null"),
         }
     }
 }
+
+/// A streaming JSON writer that is valid by construction.
+///
+/// It appends to one `String` sized by the caller. Containers open and
+/// close around a closure, so every bracket it opens is closed; every key
+/// and string is escaped; every number is formatted by the writer
+/// ([`JsonNumber`], `fixed`). There is no way to append raw
+/// text, so what it produces parses, and the artifacts need no re-parse
+/// when they are written.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+}
+
+impl JsonWriter {
+    /// An empty writer whose buffer holds `bytes` without growing.
+    pub fn with_capacity(bytes: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+        }
+    }
+
+    /// Appends one top-level object and the newline that ends it: one
+    /// JSONL record.
+    pub fn record(&mut self, layout: Layout, f: impl FnOnce(&mut JsonObject<'_>)) -> &mut Self {
+        write_object(&mut self.out, layout, 0, f);
+        self.out.push('\n');
+        self
+    }
+
+    /// Appends one top-level object and its closing newline, a whole
+    /// document, and returns everything written.
+    pub fn document(mut self, layout: Layout, f: impl FnOnce(&mut JsonObject<'_>)) -> String {
+        self.record(layout, f);
+        self.out
+    }
+
+    /// Appends one top-level object with nothing after it and returns
+    /// everything written.
+    pub fn object(mut self, layout: Layout, f: impl FnOnce(&mut JsonObject<'_>)) -> String {
+        write_object(&mut self.out, layout, 0, f);
+        self.out
+    }
+
+    /// Appends one top-level array with nothing after it and returns
+    /// everything written.
+    pub fn array(mut self, layout: Layout, f: impl FnOnce(&mut JsonArray<'_>)) -> String {
+        write_array(&mut self.out, layout, 0, f);
+        self.out
+    }
+
+    /// Everything written.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
+#[derive(Debug)]
+struct Scope<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    depth: usize,
+    empty: bool,
+}
+
+impl<'a> Scope<'a> {
+    fn open(out: &'a mut String, layout: Layout, depth: usize, bracket: char) -> Self {
+        out.push(bracket);
+        Scope {
+            out,
+            layout,
+            depth,
+            empty: true,
+        }
+    }
+
+    /// Starts the next item: the separator after the previous one, then,
+    /// in a block, a new line at the items' indent. The separator is
+    /// pushed byte by byte, which is cheaper than copying a short slice.
+    #[inline]
+    fn item(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+            match self.layout {
+                Layout::Inline => self.out.push(' '),
+                Layout::Lines => self.out.push('\n'),
+                _ => {}
+            }
+        }
+        self.empty = false;
+        if self.layout == Layout::Block {
+            self.newline(self.depth + 1);
+        }
+    }
+
+    fn newline(&mut self, depth: usize) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n(' ', 2 * depth));
+    }
+
+    fn close(mut self, bracket: char) {
+        if self.layout == Layout::Block && !self.empty {
+            self.newline(self.depth);
+        }
+        self.out.push(bracket);
+    }
+
+    #[inline]
+    fn string(&mut self, s: &str) {
+        self.out.push('"');
+        escape_json_into(self.out, s);
+        self.out.push('"');
+    }
+}
+
+fn write_object(
+    out: &mut String,
+    layout: Layout,
+    depth: usize,
+    f: impl FnOnce(&mut JsonObject<'_>),
+) {
+    let mut o = JsonObject(Scope::open(out, layout, depth, '{'));
+    f(&mut o);
+    o.0.close('}');
+}
+
+fn write_array(out: &mut String, layout: Layout, depth: usize, f: impl FnOnce(&mut JsonArray<'_>)) {
+    let mut a = JsonArray(Scope::open(out, layout, depth, '['));
+    f(&mut a);
+    a.0.close(']');
+}
+
+/// An open JSON object of a [`JsonWriter`]: each method appends one
+/// member, under `key`.
+#[derive(Debug)]
+pub struct JsonObject<'a>(Scope<'a>);
+
+impl JsonObject<'_> {
+    /// Starts the member `key` and returns where its value goes. Always
+    /// inlined, as are the value methods where the compiler agrees: with a
+    /// literal key, the escape check then folds away at compile time.
+    #[inline(always)]
+    fn slot(&mut self, key: &str) -> &mut String {
+        self.0.item();
+        self.0.string(key);
+        self.0.out.push(':');
+        if !matches!(self.0.layout, Layout::Dense | Layout::Lines) {
+            self.0.out.push(' ');
+        }
+        self.0.out
+    }
+}
+
+/// An open JSON array of a [`JsonWriter`]: each method appends one element.
+#[derive(Debug)]
+pub struct JsonArray<'a>(Scope<'a>);
+
+impl JsonArray<'_> {
+    /// Starts the next element and returns where it goes.
+    fn slot(&mut self) -> &mut String {
+        self.0.item();
+        self.0.out
+    }
+}
+
+/// The value methods of [`JsonObject`] (which take a key first) and
+/// [`JsonArray`] (which do not), defined once.
+macro_rules! json_values {
+    ($container:ident $(, $key:ident)?) => {
+        impl $container<'_> {
+            /// A number (see [`JsonNumber`]).
+            #[inline]
+            pub fn num(&mut self, $($key: &str,)? v: impl JsonNumber) -> &mut Self {
+                v.write_number(self.slot($($key)?));
+                self
+            }
+
+            /// An `f64` with exactly `decimals` digits after the point
+            /// (`null` when `v` is NaN or infinite).
+                        pub fn fixed(&mut self, $($key: &str,)? v: f64, decimals: usize) -> &mut Self {
+                let out = self.slot($($key)?);
+                if v.is_finite() {
+                    let _ = write!(out, "{v:.decimals$}");
+                } else {
+                    out.push_str("null");
+                }
+                self
+            }
+
+            /// A string, escaped.
+            #[inline]
+            pub fn str(&mut self, $($key: &str,)? v: &str) -> &mut Self {
+                self.slot($($key)?);
+                self.0.string(v);
+                self
+            }
+
+            /// `true` or `false`.
+                        pub fn bool(&mut self, $($key: &str,)? v: bool) -> &mut Self {
+                self.slot($($key)?).push_str(if v { "true" } else { "false" });
+                self
+            }
+
+            /// `null`.
+                        pub fn null(&mut self $(, $key: &str)?) -> &mut Self {
+                self.slot($($key)?).push_str("null");
+                self
+            }
+
+            /// An object, filled by `f`.
+            pub fn object(
+                &mut self,
+                $($key: &str,)?
+                layout: Layout,
+                f: impl FnOnce(&mut JsonObject<'_>),
+            ) -> &mut Self {
+                let depth = self.0.depth + 1;
+                write_object(self.slot($($key)?), layout, depth, f);
+                self
+            }
+
+            /// An array, filled by `f`.
+            pub fn array(
+                &mut self,
+                $($key: &str,)?
+                layout: Layout,
+                f: impl FnOnce(&mut JsonArray<'_>),
+            ) -> &mut Self {
+                let depth = self.0.depth + 1;
+                write_array(self.slot($($key)?), layout, depth, f);
+                self
+            }
+        }
+    };
+}
+json_values!(JsonObject, key);
+json_values!(JsonArray);
 
 /// A time-series counter track: `(integer microsecond, value)` samples plus
 /// a unit label, exported as one Perfetto counter row.
@@ -358,9 +683,8 @@ impl MetricsRecorder {
             && self.histograms.is_empty()
     }
 
-    /// Appends every track as Chrome Trace Event counter events
-    /// (`"ph":"C"`), one JSON object per sample, each followed by `",\n"`
-    /// (the record separator of a trace's event array).
+    /// Appends every track to a Trace Event array as counter events
+    /// (`"ph":"C"`), one record per sample.
     ///
     /// Samples within a track are emitted time-sorted (stable, so same-
     /// timestamp samples keep insertion order and the last one wins in
@@ -371,7 +695,7 @@ impl MetricsRecorder {
     /// extrapolates the last counter value past the end of the trace, which
     /// misreads as activity after the run finished. Tracks whose last
     /// sample is already at or past `end_us` are emitted unchanged.
-    pub fn write_chrome_counter_events(&self, out: &mut String, pid: u32, end_us: u64) {
+    pub fn write_chrome_counter_events(&self, events: &mut JsonArray<'_>, pid: u32, end_us: u64) {
         for (name, track) in &self.tracks {
             let mut samples = track.samples.clone();
             samples.sort_by_key(|&(ts, _)| ts);
@@ -381,18 +705,20 @@ impl MetricsRecorder {
                 }
             }
             let arg = if track.unit.is_empty() {
-                "value".to_string()
+                "value"
             } else {
-                escape_json(&track.unit)
+                &track.unit
             };
             for (ts, v) in samples {
-                out.push_str("{\"name\":\"");
-                escape_json_into(out, name);
-                let _ = writeln!(
-                    out,
-                    "\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"{arg}\":{}}}}},",
-                    JsonNum(v)
-                );
+                events.object(Layout::Dense, |e| {
+                    e.str("name", name)
+                        .str("ph", "C")
+                        .num("ts", ts)
+                        .num("pid", pid)
+                        .object("args", Layout::Dense, |a| {
+                            a.num(arg, v);
+                        });
+                });
             }
         }
     }
@@ -404,102 +730,68 @@ impl MetricsRecorder {
     /// output is byte-identical across repeated identical runs: keys are
     /// sorted, timestamps are integers, and no wall-clock values appear.
     pub fn snapshot_json(&self, meta: &[(&str, String)]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", escape_json(METRICS_SCHEMA));
-        out.push_str("  \"meta\": {");
-        for (i, (k, v)) in meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": \"{}\"", escape_json(k), escape_json(v));
-        }
-        if !meta.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-
-        out.push_str("  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {v}", escape_json(k));
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-
-        out.push_str("  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", escape_json(k), JsonNum(*v));
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-
-        out.push_str("  \"tracks\": {");
-        for (i, (k, track)) in self.tracks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"unit\": \"{}\", \"samples\": [",
-                escape_json(k),
-                escape_json(&track.unit)
-            );
-            let mut samples = track.samples.clone();
-            samples.sort_by_key(|&(ts, _)| ts);
-            for (j, (ts, v)) in samples.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        let samples: usize = self.tracks.values().map(|t| t.samples.len()).sum();
+        let capacity = 1024 + 64 * (self.counters.len() + self.gauges.len()) + 24 * samples;
+        JsonWriter::with_capacity(capacity).document(Layout::Block, |doc| {
+            doc.str("schema", METRICS_SCHEMA);
+            write_meta(doc, meta);
+            doc.object("counters", Layout::Block, |o| {
+                for (k, v) in &self.counters {
+                    o.num(k, *v);
                 }
-                let _ = write!(out, "[{ts},{}]", JsonNum(*v));
-            }
-            out.push_str("]}");
-        }
-        if !self.tracks.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-
-        out.push_str("  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"unit\": \"{}\", \"count\": {}, \"sum\": {}, \
-                 \"min\": {}, \"max\": {}, \"buckets\": [",
-                escape_json(k),
-                escape_json(&h.unit),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-            );
-            for (j, &(b, n)) in h.buckets().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            });
+            doc.object("gauges", Layout::Block, |o| {
+                for (k, v) in &self.gauges {
+                    o.num(k, *v);
                 }
-                let (lo, hi) = Histogram::bucket_bounds(b);
-                let _ = write!(out, "[{lo},{hi},{n}]");
-            }
-            out.push_str("]}");
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+            });
+            doc.object("tracks", Layout::Block, |o| {
+                for (k, track) in &self.tracks {
+                    let mut samples = track.samples.clone();
+                    samples.sort_by_key(|&(ts, _)| ts);
+                    o.object(k, Layout::Inline, |t| {
+                        t.str("unit", &track.unit);
+                        t.array("samples", Layout::Dense, |a| {
+                            for (ts, v) in samples {
+                                a.array(Layout::Dense, |s| {
+                                    s.num(ts).num(v);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            doc.object("histograms", Layout::Block, |o| {
+                for (k, h) in &self.histograms {
+                    o.object(k, Layout::Inline, |t| {
+                        t.str("unit", &h.unit)
+                            .num("count", h.count())
+                            .num("sum", h.sum())
+                            .num("min", h.min())
+                            .num("max", h.max())
+                            .array("buckets", Layout::Dense, |a| {
+                                for &(b, n) in h.buckets() {
+                                    let (lo, hi) = Histogram::bucket_bounds(b);
+                                    a.array(Layout::Dense, |r| {
+                                        r.num(lo).num(hi).num(n);
+                                    });
+                                }
+                            });
+                    });
+                }
+            });
+        })
     }
+}
+
+/// Writes `meta` as the block-laid `"meta"` object of a snapshot: string
+/// members, in the given order.
+pub(crate) fn write_meta(doc: &mut JsonObject<'_>, meta: &[(&str, String)]) {
+    doc.object("meta", Layout::Block, |m| {
+        for (k, v) in meta {
+            m.str(k, v);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1311,9 +1603,140 @@ mod tests {
     /// The counter records of `rec` closed at `end_us`, one string each.
     /// An `end_us` of 0 appends no closing sample.
     fn counter_records(rec: &MetricsRecorder, end_us: u64) -> Vec<String> {
-        let mut out = String::new();
-        rec.write_chrome_counter_events(&mut out, 0, end_us);
-        out.split_terminator(",\n").map(str::to_string).collect()
+        let json = JsonWriter::default().array(Layout::Lines, |events| {
+            rec.write_chrome_counter_events(events, 0, end_us);
+        });
+        validate_json(&json).unwrap();
+        let body = &json[1..json.len() - 1];
+        body.split_terminator(",\n").map(str::to_string).collect()
+    }
+
+    /// `v` as the member `"k"` of a dense object, through `num`.
+    fn num_member(v: impl JsonNumber) -> String {
+        JsonWriter::default().object(Layout::Dense, |o| {
+            o.num("k", v);
+        })
+    }
+
+    /// `v` as the member `"k"` of a dense object, through `fixed`.
+    fn fixed_member(v: f64, decimals: usize) -> String {
+        JsonWriter::default().object(Layout::Dense, |o| {
+            o.fixed("k", v, decimals);
+        })
+    }
+
+    #[test]
+    fn writer_turns_every_non_finite_number_into_null() {
+        let null = r#"{"k":null}"#;
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(num_member(v), null);
+            assert_eq!(num_member(v as f32), null);
+            assert_eq!(num_member(Some(v)), null);
+            assert_eq!(fixed_member(v, 3), null);
+            let elements = JsonWriter::default().array(Layout::Dense, |a| {
+                a.num(v).num(v as f32).num(Some(v)).fixed(v, 3);
+            });
+            assert_eq!(elements, "[null,null,null,null]");
+        }
+        assert_eq!(num_member(None::<u64>), null);
+    }
+
+    #[test]
+    fn writer_formats_numbers_like_rust() {
+        let floats = [
+            0.0,
+            -0.0,
+            -1.5,
+            1e-7,
+            123_456.789_012_345,
+            1e21,
+            2.0 / 3.0,
+            42.0,
+            -7.0,
+        ];
+        for v in floats
+            .into_iter()
+            .chain([999_999_999_999_999.0, 1e15, -(2f64.powi(53))])
+        {
+            for decimals in [0, 1, 3, 6, 9] {
+                assert_eq!(
+                    fixed_member(v, decimals),
+                    format!("{{\"k\":{v:.decimals$}}}")
+                );
+            }
+            assert_eq!(num_member(v), format!("{{\"k\":{v}}}"));
+        }
+        for v in [
+            0.1f32,
+            -3.0,
+            16_777_215.0,
+            16_777_216.0,
+            4_294_967_296.0,
+            123_456_790.0,
+            -0.0,
+        ] {
+            assert_eq!(num_member(v), format!("{{\"k\":{v}}}"));
+        }
+        assert_eq!(num_member(u64::MAX), format!("{{\"k\":{}}}", u64::MAX));
+        for v in [
+            0i64,
+            -7,
+            999_999_999_999_999,
+            1_000_000_000_000_001,
+            i64::MIN,
+            i64::MAX,
+        ] {
+            assert_eq!(num_member(v), format!("{{\"k\":{v}}}"));
+        }
+    }
+
+    #[test]
+    fn writer_layouts_space_and_indent_as_documented() {
+        let write = |o: &mut JsonObject<'_>| {
+            o.num("a", 1u32).array("b", Layout::Dense, |a| {
+                a.str("x").bool(true).null();
+            });
+        };
+        let expected = [
+            (
+                Layout::Block,
+                "{\n  \"a\": 1,\n  \"b\": [\"x\",true,null]\n}",
+            ),
+            (Layout::Inline, r#"{"a": 1, "b": ["x",true,null]}"#),
+            (Layout::Packed, r#"{"a": 1,"b": ["x",true,null]}"#),
+            (Layout::Dense, r#"{"a":1,"b":["x",true,null]}"#),
+            (Layout::Lines, "{\"a\":1,\n\"b\":[\"x\",true,null]}"),
+        ];
+        for (layout, text) in expected {
+            assert_eq!(
+                JsonWriter::default().object(layout, write),
+                text,
+                "{layout:?}"
+            );
+            // Empty containers print as a bare pair in every layout.
+            assert_eq!(JsonWriter::default().object(layout, |_| {}), "{}");
+            assert_eq!(JsonWriter::default().array(layout, |_| {}), "[]");
+            let nested = JsonWriter::default().array(layout, |a| {
+                a.object(Layout::Block, |_| {}).array(Layout::Block, |_| {});
+            });
+            validate_json(&nested).unwrap();
+            assert!(nested.contains("{}") && nested.contains("[]"), "{nested}");
+        }
+        // Blocks indent by nesting depth; records end with a newline.
+        let mut w = JsonWriter::default();
+        w.record(Layout::Block, |doc| {
+            doc.object("o", Layout::Block, |o| {
+                o.array("l", Layout::Block, |l| {
+                    l.num(1u32);
+                });
+            });
+        });
+        w.record(Layout::Dense, |r| {
+            r.str("k\"ey", "v\\al\n");
+        });
+        let expected =
+            "{\n  \"o\": {\n    \"l\": [\n      1\n    ]\n  }\n}\n{\"k\\\"ey\":\"v\\\\al\\n\"}\n";
+        assert_eq!(w.finish(), expected);
     }
 
     #[test]

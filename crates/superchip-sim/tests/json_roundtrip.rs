@@ -2,7 +2,8 @@
 //! metrics snapshots: adversarial string escaping, empty tracks, and deep
 //! nesting. `validate_json` must accept everything the emitters produce and
 //! `parse_json` must recover the exact values. Random value trees must
-//! survive serialize → parse unchanged, hostile nesting must fail cleanly,
+//! survive serialize → parse unchanged, both hand-serialized and emitted
+//! through `JsonWriter` in every layout; hostile nesting must fail cleanly,
 //! and one-byte mutations of valid documents must never panic and must get
 //! the same verdict from the parser and the check-only validator. Strings
 //! and keys on either side of `JsonStr`'s 22-byte inline limit must decode,
@@ -13,8 +14,18 @@ use std::fmt::Write as _;
 use proptest::prelude::*;
 use superchip_sim::prelude::*;
 use superchip_sim::telemetry::{
-    escape_json, parse_json, validate_json, JsonValue, MetricsRecorder, MAX_JSON_DEPTH,
+    escape_json, parse_json, validate_json, JsonArray, JsonObject, JsonStr, JsonValue, JsonWriter,
+    Layout, MetricsRecorder, MAX_JSON_DEPTH,
 };
+
+/// Every layout the writer offers.
+const LAYOUTS: [Layout; 5] = [
+    Layout::Block,
+    Layout::Inline,
+    Layout::Packed,
+    Layout::Dense,
+    Layout::Lines,
+];
 
 /// A trace whose task labels contain every character class the escaper has
 /// to handle: quotes, backslashes, control characters, and non-ASCII.
@@ -330,6 +341,42 @@ fn write_tree(out: &mut String, v: &JsonValue, spaced: bool, u_escapes: bool) {
     }
 }
 
+/// Emits `v` through the writer as the next element of `a`, every
+/// container in `layout`.
+fn emit_element(a: &mut JsonArray<'_>, v: &JsonValue, layout: Layout) {
+    match v {
+        JsonValue::Null => a.null(),
+        JsonValue::Bool(b) => a.bool(*b),
+        JsonValue::Num(n) => a.num(*n),
+        JsonValue::Str(s) => a.str(s),
+        JsonValue::Arr(items) => a.array(layout, |inner| {
+            items
+                .iter()
+                .for_each(|item| emit_element(inner, item, layout));
+        }),
+        JsonValue::Obj(members) => a.object(layout, |o| emit_members(o, members, layout)),
+    };
+}
+
+/// Emits `members` through the writer into `o`, every container in
+/// `layout`.
+fn emit_members(o: &mut JsonObject<'_>, members: &[(JsonStr, JsonValue)], layout: Layout) {
+    for (k, v) in members {
+        match v {
+            JsonValue::Null => o.null(k),
+            JsonValue::Bool(b) => o.bool(k, *b),
+            JsonValue::Num(n) => o.num(k, *n),
+            JsonValue::Str(s) => o.str(k, s),
+            JsonValue::Arr(items) => o.array(k, layout, |inner| {
+                items
+                    .iter()
+                    .for_each(|item| emit_element(inner, item, layout));
+            }),
+            JsonValue::Obj(inner) => o.object(k, layout, |o| emit_members(o, inner, layout)),
+        };
+    }
+}
+
 /// Byte offsets named by a parse error (`... at byte N ...`).
 fn error_offsets(err: &str) -> Vec<usize> {
     err.split("at byte ")
@@ -354,6 +401,14 @@ proptest! {
         write_tree(&mut doc, &tree, spaced, u_escapes);
         let parsed = parse_json(&doc).unwrap_or_else(|e| panic!("{e} in {doc:?}"));
         prop_assert_eq!(&parsed, &tree, "{}", doc);
+        // The writer's top level is a container: emit the tree as the one
+        // element of an array.
+        let wrapped = JsonValue::Arr(vec![tree.clone()]);
+        for layout in LAYOUTS {
+            let doc = JsonWriter::default().array(layout, |a| emit_element(a, &tree, layout));
+            let parsed = parse_json(&doc).unwrap_or_else(|e| panic!("{e} in {doc:?}"));
+            prop_assert_eq!(&parsed, &wrapped, "{:?}: {}", layout, doc);
+        }
     }
 
     /// Flipping, deleting or inserting one byte of a valid document never

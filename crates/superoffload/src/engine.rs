@@ -276,7 +276,7 @@ fn bucket_ranges(n: usize, buckets: usize) -> Vec<std::ops::Range<usize>> {
 
 /// Deterministic global norm from per-bucket partial sums (both engines use
 /// this helper so their floating-point reduction order is identical).
-fn norm_from_partials(partials: &[f64]) -> f64 {
+pub(crate) fn norm_from_partials(partials: &[f64]) -> f64 {
     partials.iter().sum::<f64>().sqrt()
 }
 
@@ -449,12 +449,12 @@ pub struct StvEngine {
 
 /// Per-bucket validation result produced by the validator task.
 #[derive(Debug, Clone, Copy)]
-struct BucketVerdict {
-    overflow: bool,
-    sum_sq_unscaled: f64,
+pub(crate) struct BucketVerdict {
+    pub(crate) overflow: bool,
+    pub(crate) sum_sq_unscaled: f64,
 }
 
-/// One task of an STV step's speculation region.
+/// One task of a speculation region.
 enum SpecTask<'a> {
     /// Scans every bucket, in order, into the verdict list.
     Validate(&'a mut Vec<BucketVerdict>),
@@ -466,6 +466,56 @@ enum SpecTask<'a> {
         m: &'a mut [f32],
         v: &'a mut [f32],
     },
+}
+
+/// Steps Adam over each of `ranges` (contiguous, in order, from 0) of
+/// `params` and `state`'s moments: one task per range of one pool region,
+/// over borrowed slices. With `verdicts`, a validator task of the same
+/// region scans each range of `grads` for overflow (the wire round-trip
+/// baked any overflow into the values as ±inf/NaN) and its unscaled sum
+/// of squares. The single-process and data-parallel STV engines both step
+/// through here.
+pub(crate) fn step_ranges(
+    adam: &AdamConfig,
+    step: u64,
+    params: &mut [f32],
+    state: &mut AdamState,
+    grads: &[f32],
+    ranges: &[std::ops::Range<usize>],
+    verdicts: Option<&mut Vec<BucketVerdict>>,
+) {
+    let mut tasks = Vec::with_capacity(ranges.len() + 1);
+    tasks.extend(verdicts.map(SpecTask::Validate));
+    let mut p_rest = params;
+    let mut m_rest = state.m.as_mut_slice();
+    let mut v_rest = state.v.as_mut_slice();
+    for r in ranges {
+        let (params, p_tail) = p_rest.split_at_mut(r.len());
+        let (m, m_tail) = m_rest.split_at_mut(r.len());
+        let (v, v_tail) = v_rest.split_at_mut(r.len());
+        (p_rest, m_rest, v_rest) = (p_tail, m_tail, v_tail);
+        tasks.push(SpecTask::Step {
+            params,
+            grads: &grads[r.clone()],
+            m,
+            v,
+        });
+    }
+    Pool::current().run_parts(tasks, |_, task| match task {
+        SpecTask::Validate(out) => out.extend(ranges.iter().map(|r| {
+            let bucket = &grads[r.clone()];
+            BucketVerdict {
+                overflow: bucket.iter().any(|g| !g.is_finite()),
+                sum_sq_unscaled: sum_of_squares(bucket),
+            }
+        })),
+        SpecTask::Step {
+            params,
+            grads,
+            m,
+            v,
+        } => GraceAdam::new(4096, 1).step_slices(adam, step, params, grads, m, v),
+    });
 }
 
 impl StvEngine {
@@ -570,46 +620,17 @@ impl StvEngine {
         }
 
         // --- Speculate and validate concurrently -------------------------
-        // One pool region: the validator task scans buckets for overflow
-        // (the wire round-trip baked any overflow into the values as
-        // ±inf/NaN) and accumulates the unscaled norm, while one task per
-        // bucket steps Adam over that bucket's slices of the parameters
-        // and moments in place.
         let speculate_from = std::time::Instant::now();
         let mut verdicts = Vec::with_capacity(ranges.len());
-        let mut tasks = Vec::with_capacity(ranges.len() + 1);
-        tasks.push(SpecTask::Validate(&mut verdicts));
-        let mut p_rest = self.model.params_mut();
-        let mut m_rest = self.state.m.as_mut_slice();
-        let mut v_rest = self.state.v.as_mut_slice();
-        for r in &ranges {
-            let (params, p_tail) = p_rest.split_at_mut(r.len());
-            let (m, m_tail) = m_rest.split_at_mut(r.len());
-            let (v, v_tail) = v_rest.split_at_mut(r.len());
-            (p_rest, m_rest, v_rest) = (p_tail, m_tail, v_tail);
-            tasks.push(SpecTask::Step {
-                params,
-                grads: &grads[r.clone()],
-                m,
-                v,
-            });
-        }
-        let adam = self.cfg.adam;
-        Pool::current().run_parts(tasks, |_, task| match task {
-            SpecTask::Validate(out) => out.extend(ranges.iter().map(|r| {
-                let bucket = &grads[r.clone()];
-                BucketVerdict {
-                    overflow: bucket.iter().any(|g| !g.is_finite()),
-                    sum_sq_unscaled: sum_of_squares(bucket),
-                }
-            })),
-            SpecTask::Step {
-                params,
-                grads,
-                m,
-                v,
-            } => GraceAdam::new(4096, 1).step_slices(&adam, speculative_step, params, grads, m, v),
-        });
+        step_ranges(
+            &cfg.adam,
+            speculative_step,
+            self.model.params_mut(),
+            &mut self.state,
+            &grads,
+            &ranges,
+            Some(&mut verdicts),
+        );
         self.spans.speculate.record(speculate_from);
 
         // --- Collect verdicts ---------------------------------------------

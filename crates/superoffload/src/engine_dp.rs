@@ -2,26 +2,30 @@
 //! counterpart of the ZeRO-DP integration (§4.7).
 //!
 //! `ranks` model replicas each compute gradients over their slice of the
-//! global batch on their own thread ("their GPU"); gradients FP16-round-trip
-//! ("cross the C2C link") and reduce across ranks in a fixed tree order;
-//! the flat parameter space is sharded so each rank speculatively steps
-//! only its own 1/N slice ("its local Grace CPU") while a validator scans
-//! concurrently; failed validation rolls every shard back in place; the
-//! committed parameters broadcast to all replicas ("all-gather").
+//! global batch as one task of a pool region ("their GPU"); gradients
+//! FP16-round-trip ("cross the C2C link") and reduce across ranks in a
+//! fixed tree order; the flat parameter space is sharded so each rank
+//! speculatively steps only its own 1/N slice ("its local Grace CPU") while
+//! a validator task scans concurrently in the same region; failed
+//! validation rolls every shard back in place; the committed parameters
+//! broadcast to all replicas ("all-gather").
 //!
 //! [`DpStvEngine`] is asserted bit-identical to [`DpSyncEngine`] (same
 //! reduction tree, synchronize-then-execute ordering) across overflow,
 //! clipping, and recovery — the §4.4 exactness claim at data-parallel scale.
 
-use grace_optim::adam::{AdamState, AdamStepper, GraceAdam};
+use grace_optim::adam::AdamState;
 use grace_optim::clip::{apply_clip, clip_factor};
 use grace_optim::mixed_precision::LossScaler;
 use grace_optim::rollback::RollbackGuard;
 use llm_model::transformer::GptModel;
 use tensorlite::cast::sum_of_squares;
-use tensorlite::TensorError;
+use tensorlite::{Pool, TensorError};
 
-use crate::engine::{EngineConfig, Precision, Sample, StepOutcome, StvStats};
+use crate::engine::{
+    norm_from_partials, step_ranges, BucketVerdict, EngineConfig, Precision, Sample, StepOutcome,
+    StvStats,
+};
 
 /// Splits `n` elements into `parts` contiguous shard ranges.
 fn shard_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
@@ -72,13 +76,13 @@ fn reduced_gradients(
     let global = batch.len();
 
     let mut results: Vec<RankResult> = (0..ranks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((rank, replica), slot) in replicas.iter_mut().enumerate().zip(results.iter_mut()) {
-            let chunk = &batch[rank * per..(rank + 1) * per];
-            scope.spawn(move || {
-                *slot = Some(rank_gradients(replica, chunk, scale, global, precision));
-            });
-        }
+    let tasks: Vec<_> = replicas
+        .iter_mut()
+        .zip(batch.chunks(per))
+        .zip(results.iter_mut())
+        .collect();
+    Pool::current().run_parts(tasks, |_, ((replica, chunk), slot)| {
+        *slot = Some(rank_gradients(replica, chunk, scale, global, precision));
     });
 
     let mut loss = 0.0f64;
@@ -100,10 +104,6 @@ fn reduced_gradients(
         (loss / global as f64) as f32,
         reduced.expect("at least one rank"),
     ))
-}
-
-fn norm_from_partials(partials: &[f64]) -> f64 {
-    partials.iter().sum::<f64>().sqrt()
 }
 
 /// Per-rank result slot: `(loss sum, reduced-precision gradients)`.
@@ -144,37 +144,22 @@ impl DpCore {
         }
     }
 
-    /// Steps shard `r` of replica 0's parameters with the shared Adam
-    /// config — used by both engines so numerics are identical.
-    fn step_shards(&mut self, grads: &[f32], step: u64) {
+    /// Steps every shard of replica 0's parameters with the shared Adam
+    /// config in one pool region (see [`step_ranges`]), with DP-STV's
+    /// validator as one more task when `verdicts` is given — used by both
+    /// engines so numerics are identical.
+    fn step_shards(&mut self, grads: &[f32], step: u64, verdicts: Option<&mut Vec<BucketVerdict>>) {
         let ranges = shard_ranges(grads.len(), self.replicas.len());
-        let canon = self.replicas[0].params_mut();
-        std::thread::scope(|scope| {
-            let mut p_rest = canon;
-            let mut m_rest = self.state.m.as_mut_slice();
-            let mut v_rest = self.state.v.as_mut_slice();
-            let mut taken = 0usize;
-            for r in &ranges {
-                let (p, pr) = p_rest.split_at_mut(r.end - taken);
-                let (m, mr) = m_rest.split_at_mut(r.end - taken);
-                let (v, vr) = v_rest.split_at_mut(r.end - taken);
-                p_rest = pr;
-                m_rest = mr;
-                v_rest = vr;
-                let g = &grads[r.clone()];
-                let cfg = self.cfg.adam;
-                taken = r.end;
-                scope.spawn(move || {
-                    let mut st = AdamState {
-                        m: m.to_vec(),
-                        v: v.to_vec(),
-                    };
-                    GraceAdam::new(4096, 1).step(&cfg, step, p, g, &mut st);
-                    m.copy_from_slice(&st.m);
-                    v.copy_from_slice(&st.v);
-                });
-            }
-        });
+        let (params, state) = (self.replicas[0].params_mut(), &mut self.state);
+        step_ranges(
+            &self.cfg.adam,
+            step,
+            params,
+            state,
+            grads,
+            &ranges,
+            verdicts,
+        );
     }
 }
 
@@ -241,7 +226,7 @@ impl DpSyncEngine {
 
         self.core.step += 1;
         let step = self.core.step;
-        self.core.step_shards(&grads, step);
+        self.core.step_shards(&grads, step, None);
         self.core.broadcast_params();
         self.core.stats.steps += 1;
         if factor < 1.0 {
@@ -324,27 +309,13 @@ impl DpStvEngine {
         }
 
         // Validator partials computed concurrently with the speculative
-        // shard steps (scaled-domain overflow check + unscaled norms).
-        let mut verdicts: Vec<(bool, f64)> = vec![(false, 0.0); ranges.len()];
-        {
-            let grads_ref: &[f32] = &grads;
-            let ranges_ref = &ranges;
-            let verdicts_ref = &mut verdicts;
-            let core = &mut self.core;
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    for (v, r) in verdicts_ref.iter_mut().zip(ranges_ref) {
-                        let bucket = &grads_ref[r.clone()];
-                        let overflow = bucket.iter().any(|g| !g.is_finite());
-                        *v = (overflow, sum_of_squares(bucket));
-                    }
-                });
-                core.step_shards(grads_ref, speculative_step);
-            });
-        }
+        // shard steps (overflow check + unscaled norms).
+        let mut verdicts = Vec::with_capacity(ranges.len());
+        self.core
+            .step_shards(&grads, speculative_step, Some(&mut verdicts));
 
-        let overflow = verdicts.iter().any(|&(o, _)| o);
-        let partials: Vec<f64> = verdicts.iter().map(|&(_, s)| s).collect();
+        let overflow = verdicts.iter().any(|v| v.overflow);
+        let partials: Vec<f64> = verdicts.iter().map(|v| v.sum_sq_unscaled).collect();
         let norm = norm_from_partials(&partials);
 
         if overflow {
@@ -365,7 +336,7 @@ impl DpStvEngine {
                 g.restore(self.core.replicas[0].params_mut(), &mut self.core.state);
             }
             apply_clip(&mut grads, factor);
-            self.core.step_shards(&grads, speculative_step);
+            self.core.step_shards(&grads, speculative_step, None);
             self.core.step = speculative_step;
             self.core.broadcast_params();
             self.core.stats.steps += 1;
@@ -391,6 +362,18 @@ mod tests {
     use super::*;
     use llm_model::transformer::GptConfig;
     use llm_model::SyntheticPile;
+    use tensorlite::pool::with_threads;
+
+    const THREADS: [usize; 3] = [1, 2, 7];
+
+    /// Runs `f` under every worker count in [`THREADS`] and asserts that
+    /// the parameters it returns are bit-identical across them.
+    fn at_every_thread_count(f: impl Fn() -> Vec<f32>) {
+        let runs = THREADS.map(|threads| with_threads(threads, &f));
+        for (params, threads) in runs.iter().zip(THREADS).skip(1) {
+            assert_eq!(params, &runs[0], "threads={threads}");
+        }
+    }
 
     fn tiny() -> GptModel {
         GptModel::new(
@@ -416,36 +399,42 @@ mod tests {
     #[test]
     fn dp_stv_is_bit_identical_to_dp_sync() {
         for ranks in [1usize, 2, 4] {
-            let mut stv = DpStvEngine::new(tiny(), ranks, cfg());
-            let mut sync = DpSyncEngine::new(tiny(), ranks, cfg());
-            let mut pile = SyntheticPile::new(41, 3);
-            for it in 0..15 {
-                let batch = pile.next_batch(4, 12);
-                let a = stv.train_step(&batch).unwrap();
-                let b = sync.train_step(&batch).unwrap();
-                assert_eq!(a.rolled_back(), b.rolled_back(), "ranks {ranks} iter {it}");
-                assert_eq!(
-                    stv.model().params(),
-                    sync.model().params(),
-                    "ranks {ranks} iter {it}: divergence"
-                );
-            }
-            assert!(stv.stats().steps > 0);
+            at_every_thread_count(|| {
+                let mut stv = DpStvEngine::new(tiny(), ranks, cfg());
+                let mut sync = DpSyncEngine::new(tiny(), ranks, cfg());
+                let mut pile = SyntheticPile::new(41, 3);
+                for it in 0..15 {
+                    let batch = pile.next_batch(4, 12);
+                    let a = stv.train_step(&batch).unwrap();
+                    let b = sync.train_step(&batch).unwrap();
+                    assert_eq!(a.rolled_back(), b.rolled_back(), "ranks {ranks} iter {it}");
+                    assert_eq!(
+                        stv.model().params(),
+                        sync.model().params(),
+                        "ranks {ranks} iter {it}: divergence"
+                    );
+                }
+                assert!(stv.stats().steps > 0);
+                stv.model().params().to_vec()
+            });
         }
     }
 
     #[test]
     fn replicas_stay_consistent_after_every_step() {
-        let mut stv = DpStvEngine::new(tiny(), 3, cfg());
-        let mut pile = SyntheticPile::new(41, 9);
-        for _ in 0..10 {
-            let batch = pile.next_batch(3, 12);
-            stv.train_step(&batch).unwrap();
-            let canon = stv.replicas()[0].params();
-            for (r, replica) in stv.replicas().iter().enumerate() {
-                assert_eq!(replica.params(), canon, "replica {r} diverged");
+        at_every_thread_count(|| {
+            let mut stv = DpStvEngine::new(tiny(), 3, cfg());
+            let mut pile = SyntheticPile::new(41, 9);
+            for _ in 0..10 {
+                let batch = pile.next_batch(3, 12);
+                stv.train_step(&batch).unwrap();
+                let canon = stv.replicas()[0].params();
+                for (r, replica) in stv.replicas().iter().enumerate() {
+                    assert_eq!(replica.params(), canon, "replica {r} diverged");
+                }
             }
-        }
+            stv.model().params().to_vec()
+        });
     }
 
     #[test]
@@ -455,18 +444,21 @@ mod tests {
             initial_loss_scale: 1e9,
             ..EngineConfig::default()
         };
-        let mut stv = DpStvEngine::new(tiny(), 2, hard);
-        let mut sync = DpSyncEngine::new(tiny(), 2, hard);
-        let mut pile = SyntheticPile::new(41, 21);
-        for _ in 0..30 {
-            let batch = pile.next_batch(2, 12);
-            stv.train_step(&batch).unwrap();
-            sync.train_step(&batch).unwrap();
-            assert_eq!(stv.model().params(), sync.model().params());
-        }
-        assert!(stv.stats().skipped > 0, "overflow path not exercised");
-        assert!(stv.stats().clip_rollbacks > 0, "clip path not exercised");
-        assert_eq!(stv.stats(), sync.stats());
+        at_every_thread_count(|| {
+            let mut stv = DpStvEngine::new(tiny(), 2, hard);
+            let mut sync = DpSyncEngine::new(tiny(), 2, hard);
+            let mut pile = SyntheticPile::new(41, 21);
+            for _ in 0..30 {
+                let batch = pile.next_batch(2, 12);
+                stv.train_step(&batch).unwrap();
+                sync.train_step(&batch).unwrap();
+                assert_eq!(stv.model().params(), sync.model().params());
+            }
+            assert!(stv.stats().skipped > 0, "overflow path not exercised");
+            assert!(stv.stats().clip_rollbacks > 0, "clip path not exercised");
+            assert_eq!(stv.stats(), sync.stats());
+            stv.model().params().to_vec()
+        });
     }
 
     #[test]
@@ -479,32 +471,38 @@ mod tests {
             max_grad_norm: 1e9,
             ..cfg()
         };
-        let mut dp = DpStvEngine::new(tiny(), 1, no_clip);
-        let mut single = StvEngine::new(tiny(), no_clip);
-        let mut pile = SyntheticPile::new(41, 13);
-        for _ in 0..10 {
-            let batch = pile.next_batch(2, 12);
-            dp.train_step(&batch).unwrap();
-            single.train_step(&batch).unwrap();
-            assert_eq!(dp.model().params(), single.model().params());
-        }
+        at_every_thread_count(|| {
+            let mut dp = DpStvEngine::new(tiny(), 1, no_clip);
+            let mut single = StvEngine::new(tiny(), no_clip);
+            let mut pile = SyntheticPile::new(41, 13);
+            for _ in 0..10 {
+                let batch = pile.next_batch(2, 12);
+                dp.train_step(&batch).unwrap();
+                single.train_step(&batch).unwrap();
+                assert_eq!(dp.model().params(), single.model().params());
+            }
+            dp.model().params().to_vec()
+        });
     }
 
     #[test]
     fn dp_training_reduces_loss() {
-        let mut dp = DpStvEngine::new(tiny(), 2, cfg());
-        let mut pile = SyntheticPile::new(41, 5);
-        let mut first = f32::NAN;
-        let mut last = f32::NAN;
-        for it in 0..60 {
-            let batch = pile.next_batch(4, 12);
-            let out = dp.train_step(&batch).unwrap();
-            if it == 0 {
-                first = out.loss();
+        at_every_thread_count(|| {
+            let mut dp = DpStvEngine::new(tiny(), 2, cfg());
+            let mut pile = SyntheticPile::new(41, 5);
+            let mut first = f32::NAN;
+            let mut last = f32::NAN;
+            for it in 0..60 {
+                let batch = pile.next_batch(4, 12);
+                let out = dp.train_step(&batch).unwrap();
+                if it == 0 {
+                    first = out.loss();
+                }
+                last = out.loss();
             }
-            last = out.loss();
-        }
-        assert!(last < first, "loss {first} -> {last}");
+            assert!(last < first, "loss {first} -> {last}");
+            dp.model().params().to_vec()
+        });
     }
 
     #[test]

@@ -16,12 +16,11 @@
 //! synchronous engine on request), records the loss history and rollback
 //! events, and supports periodic bit-exact checkpointing.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use grace_optim::ScaleEvent;
 use llm_model::transformer::GptModel;
-use superchip_sim::telemetry::MetricsRecorder;
+use superchip_sim::telemetry::{JsonObject, JsonWriter, Layout, MetricsRecorder};
 use tensorlite::{
     counters, spans, CounterSnapshot, OpKind, ParallelConfig, StoragePrecision, TensorError,
 };
@@ -147,22 +146,6 @@ pub struct JournalSummary {
     pub pool_regions: u64,
 }
 
-fn json_f32(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl StepRecord {
     /// Serializes this record as one JSONL line (no trailing newline).
     /// Deterministic: only thread-count-invariant counter fields appear
@@ -170,46 +153,34 @@ impl StepRecord {
     /// non-finite floats become `null`, and op kinds with zero calls are
     /// skipped.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"step\":{},\"outcome\":\"{}\",\"loss\":{},\"grad-norm\":{},\
-             \"loss-scale\":{},\"scale-event\":\"{}\",\"tokens\":{},\
-             \"flops\":{},\"alloc-bytes\":{},\"freed-bytes\":{},\
-             \"live-bytes\":{},\"pool-regions\":{},\"ops\":{{",
-            self.step,
-            self.outcome,
-            json_f32(self.loss),
-            self.grad_norm.map_or("null".to_string(), json_f64),
-            json_f32(self.loss_scale),
-            self.scale_event.name(),
-            self.tokens,
-            self.counters.total_flops(),
-            self.counters.allocated_bytes,
-            self.counters.freed_bytes,
-            self.counters.live_bytes,
-            self.counters.pool_regions,
-        );
-        let mut first = true;
-        for kind in OpKind::ALL {
-            if self.counters.calls(kind) == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(
-                s,
-                "\"{}\":[{},{},{}]",
-                kind.name(),
-                self.counters.calls(kind),
-                self.counters.elems(kind),
-                self.counters.flops(kind),
-            );
-        }
-        s.push_str("}}");
-        s
+        JsonWriter::with_capacity(256).object(Layout::Dense, |o| self.write_json(o))
+    }
+
+    fn write_json(&self, o: &mut JsonObject<'_>) {
+        o.num("step", self.step)
+            .str("outcome", self.outcome)
+            .num("loss", self.loss)
+            .num("grad-norm", self.grad_norm)
+            .num("loss-scale", self.loss_scale)
+            .str("scale-event", self.scale_event.name())
+            .num("tokens", self.tokens)
+            .num("flops", self.counters.total_flops())
+            .num("alloc-bytes", self.counters.allocated_bytes)
+            .num("freed-bytes", self.counters.freed_bytes)
+            .num("live-bytes", self.counters.live_bytes)
+            .num("pool-regions", self.counters.pool_regions)
+            .object("ops", Layout::Dense, |ops| {
+                for kind in OpKind::ALL {
+                    if self.counters.calls(kind) == 0 {
+                        continue;
+                    }
+                    ops.array(kind.name(), Layout::Dense, |a| {
+                        a.num(self.counters.calls(kind))
+                            .num(self.counters.elems(kind))
+                            .num(self.counters.flops(kind));
+                    });
+                }
+            });
     }
 }
 
@@ -253,53 +224,42 @@ impl StepJournal {
     /// one [`StepRecord`] line per step. Byte-identical across reruns and
     /// worker-thread counts.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"{JOURNAL_SCHEMA}\",\"steps\":{},\"peak-flops\":{}}}",
-            self.records.len(),
-            json_f64(self.cfg.peak_flops),
-        );
+        let mut w = JsonWriter::with_capacity(256 * (self.records.len() + 1));
+        w.record(Layout::Dense, |head| {
+            head.str("schema", JOURNAL_SCHEMA)
+                .num("steps", self.records.len())
+                .num("peak-flops", self.cfg.peak_flops);
+        });
         for r in &self.records {
-            out.push_str(&r.to_json_line());
-            out.push('\n');
+            w.record(Layout::Dense, |o| r.write_json(o));
         }
-        out
+        w.finish()
     }
 
     /// Serializes the wall-clock sidecar as a single JSON object. Explicitly
     /// *not* deterministic — it exists for dashboards and diagnosis, and is
     /// never compared byte-for-byte.
     pub fn timing_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{JOURNAL_SCHEMA}\",\"section\":\"timing\",\
-             \"note\":\"wall-clock diagnostic; not byte-stable\",\"steps\":[",
-        );
-        for (i, t) in self.timings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"step\":{},\"wall-secs\":{},\"speculate-secs\":{},\
-                 \"validate-secs\":{},\"rollback-secs\":{},\
-                 \"optimizer-secs\":{},\"tokens-per-sec\":{},\"mfu\":{},\
-                 \"kernel-secs\":{}}}",
-                t.step,
-                json_f64(t.wall_secs),
-                json_f64(t.speculate_secs),
-                json_f64(t.validate_secs),
-                json_f64(t.rollback_secs),
-                json_f64(t.optimizer_secs),
-                json_f64(t.tokens_per_sec),
-                json_f64(t.mfu),
-                json_f64(t.kernel_secs),
-            );
-        }
-        out.push_str("]}\n");
-        out
+        JsonWriter::with_capacity(4096).document(Layout::Dense, |doc| {
+            doc.str("schema", JOURNAL_SCHEMA)
+                .str("section", "timing")
+                .str("note", "wall-clock diagnostic; not byte-stable")
+                .array("steps", Layout::Dense, |a| {
+                    for t in &self.timings {
+                        a.object(Layout::Dense, |o| {
+                            o.num("step", t.step)
+                                .num("wall-secs", t.wall_secs)
+                                .num("speculate-secs", t.speculate_secs)
+                                .num("validate-secs", t.validate_secs)
+                                .num("rollback-secs", t.rollback_secs)
+                                .num("optimizer-secs", t.optimizer_secs)
+                                .num("tokens-per-sec", t.tokens_per_sec)
+                                .num("mfu", t.mfu)
+                                .num("kernel-secs", t.kernel_secs);
+                        });
+                    }
+                });
+        })
     }
 
     /// Deterministic aggregate over all records.

@@ -11,7 +11,7 @@
 //!   kernels a GPT-style model requires (matmul, softmax, layernorm, GELU).
 //! - [`cast`]: bulk f32↔f16 conversion with non-finite detection, mirroring
 //!   the cast operators that §4.5 of the paper places on the GPU or CPU.
-//! - [`Pool`]/[`ParallelConfig`]: a scoped-thread worker pool that
+//! - [`Pool`]/[`ParallelConfig`]: a persistent worker pool that
 //!   parallelizes the matrix and row kernels over disjoint output rows, so
 //!   results stay bit-identical to serial execution at any thread count
 //!   (configure via `SUPEROFFLOAD_THREADS` or [`pool::set_threads`]).

@@ -31,11 +31,11 @@
 //!   one exception, cross-entropy's internal softmax, starts its span
 //!   after the softmax returns), so per-kind busy time adds up without
 //!   double counting.
-//! - [`RegionSpan`] — one per parallel pool region (the `thread::scope`
-//!   in `Pool::run_parts`), on the launching thread's track.
-//! - [`WorkerSpan`] — one per worker per parallel region, keyed by worker
-//!   *index* (not OS thread), because scoped workers are fresh threads
-//!   each region; the index is the stable identity.
+//! - [`RegionSpan`] — one per parallel pool region (a `Pool::run_parts`
+//!   fork/join), on the launching thread's track.
+//! - [`WorkerSpan`] — one per worker per parallel region, keyed by task
+//!   *index* (not OS thread), because whichever thread claims a task runs
+//!   it; the index is the stable identity.
 //!
 //! Alongside the log, cumulative per-kind busy nanoseconds accumulate in
 //! relaxed atomics so cheap aggregates ([`kind_busy_nanos`],
