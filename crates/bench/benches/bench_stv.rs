@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
-use superoffload::engine::{EngineConfig, StvEngine, SyncEngine};
+use superoffload::engine::{Discipline, Engine, EngineConfig};
 
 fn model() -> GptModel {
     GptModel::new(
@@ -29,7 +29,7 @@ fn bench_stv(c: &mut Criterion) {
             ..EngineConfig::default()
         };
         group.bench_with_input(BenchmarkId::new("stv", buckets), &cfg, |b, cfg| {
-            let mut engine = StvEngine::new(model(), *cfg);
+            let mut engine = Engine::new(Discipline::Stv, model(), 1, *cfg);
             let mut pile = SyntheticPile::new(128, 3);
             b.iter(|| {
                 let batch = pile.next_batch(2, 48);
@@ -37,7 +37,7 @@ fn bench_stv(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("sync", buckets), &cfg, |b, cfg| {
-            let mut engine = SyncEngine::new(model(), *cfg);
+            let mut engine = Engine::new(Discipline::Sync, model(), 1, *cfg);
             let mut pile = SyntheticPile::new(128, 3);
             b.iter(|| {
                 let batch = pile.next_batch(2, 48);

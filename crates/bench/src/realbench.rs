@@ -12,7 +12,7 @@ use grace_optim::adam::{AdamConfig, AdamState, AdamStepper, CpuAdam, GraceAdam, 
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
 use superchip_sim::telemetry::{JsonWriter, Layout};
-use superoffload::engine::{EngineConfig, StepOutcome, StvEngine, SyncEngine};
+use superoffload::engine::{Discipline, Engine, EngineConfig, StepOutcome};
 use tensorlite::pool::with_threads;
 use tensorlite::{Tensor, XorShiftRng};
 
@@ -167,8 +167,18 @@ pub fn fig14_run(iterations: u64, seed: u64) -> TrainingRun {
         precision: superoffload::engine::Precision::F16,
         storage: tensorlite::StoragePrecision::F32,
     };
-    let mut stv = StvEngine::new(GptModel::new(model_cfg.clone(), seed), engine_cfg);
-    let mut sync = SyncEngine::new(GptModel::new(model_cfg, seed), engine_cfg);
+    let mut stv = Engine::new(
+        Discipline::Stv,
+        GptModel::new(model_cfg.clone(), seed),
+        1,
+        engine_cfg,
+    );
+    let mut sync = Engine::new(
+        Discipline::Sync,
+        GptModel::new(model_cfg, seed),
+        1,
+        engine_cfg,
+    );
     let mut pile = SyntheticPile::new(64, seed);
 
     let mut losses = Vec::new();
@@ -177,11 +187,10 @@ pub fn fig14_run(iterations: u64, seed: u64) -> TrainingRun {
     for it in 0..iterations {
         let batch = pile.next_batch(2, 24);
         let out = stv.train_step(&batch).expect("training step");
-        let sync_out = sync.train_step(&batch).expect("reference step");
+        sync.train_step(&batch).expect("reference step");
         if stv.model().params() != sync.model().params() {
             exact = false;
         }
-        let _ = sync_out;
         if out.rolled_back() {
             rollback_iters.push(it);
         }

@@ -1,22 +1,40 @@
-//! The real numeric Speculation-then-Validation training engine (§4.4).
+//! The real numeric training engine: speculation-then-validation (§4.4)
+//! and its synchronous reference, at any data-parallel rank count (§4.7).
 //!
-//! Two engines over the miniature GPT of [`llm_model`]:
+//! One type, [`Engine`], runs a [`Discipline`] over `ranks >= 1` replicas
+//! of the miniature GPT of [`llm_model`]:
 //!
-//! - [`SyncEngine`] — the reference synchronize-then-execute loop: wait for
-//!   all gradients, check NaN/Inf, compute the global norm, clip, then step.
-//! - [`StvEngine`] — the paper's scheme: partition gradients into buckets;
-//!   speculatively Adam-step each bucket as a task on the shared worker
-//!   pool *while* a validator task concurrently scans for NaN/Inf and
-//!   accumulates the global norm; on a violation, roll the update back in
-//!   place and either skip (overflow) or re-execute with clipped gradients.
+//! - [`Discipline::Sync`] — the reference synchronize-then-execute loop:
+//!   wait for all gradients, check NaN/Inf, compute the global norm, clip,
+//!   then step.
+//! - [`Discipline::Stv`] — the paper's scheme: partition gradients into
+//!   buckets; speculatively Adam-step each bucket as a task on the shared
+//!   worker pool *while* a validator task concurrently scans for NaN/Inf
+//!   and accumulates the global norm; on a violation, roll the update back
+//!   in place and either skip (overflow) or re-execute with clipped
+//!   gradients.
 //!
-//! Both engines compute a batch's gradients with
-//! [`GptModel::batch_forward_backward`], which runs the batch's sequences
-//! side by side on the pool with a bit-exact ordered reduction.
+//! Each rank computes its slice of the batch's gradients with
+//! [`GptModel::batch_forward_backward`], which runs the slice's sequences
+//! side by side on the pool with a bit-exact ordered reduction. With more
+//! than one rank, each rank's pass is one task of a pool region ("its
+//! GPU"), its gradients cross the link in half precision, and the ranks'
+//! gradients sum in fixed rank order (the all-reduce). From there every
+//! numeric decision is made once, for every rank count and discipline: the
+//! gradient scale (`g · scale · 1/batch`, then the wire round-trip), the
+//! norm reduction tree (one partial sum per `cfg.buckets` range, summed in
+//! order), the optimizer's grouping (the same bucket ranges), and the
+//! storage commit (bf16 re-quantization of the committed parameters). The
+//! optimizer steps replica 0; each commit broadcasts it to the other
+//! replicas (the all-gather). One rank is the single-process engine, with
+//! no gradient copy and no broadcast.
 //!
-//! STV is an **exact** optimization: the test suite drives both engines on
-//! identical streams — including forced overflow and clipping events — and
-//! asserts bit-identical parameters after every step.
+//! STV is an **exact** optimization: the test suite drives both
+//! disciplines on identical streams, at 1, 2 and 4 ranks and including
+//! forced overflow and clipping events, and asserts bit-identical
+//! parameters after every step.
+
+use std::time::Instant;
 
 use grace_optim::adam::{AdamConfig, AdamState, AdamStepper, GraceAdam};
 use grace_optim::clip::{apply_clip, clip_factor};
@@ -132,7 +150,7 @@ impl SpanStats {
     }
 
     /// Counts an occurrence with no measurable work (e.g. a logical
-    /// rollback the synchronous engine never had to materialize).
+    /// rollback the synchronous discipline never had to materialize).
     fn bump(&mut self) {
         self.count += 1;
     }
@@ -154,17 +172,17 @@ impl SpanStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineSpans {
     /// Speculative per-bucket optimizer execution (the concurrent
-    /// speculate+validate window in STV; never runs in the sync engine).
+    /// speculate+validate window in STV; never runs under Sync).
     pub speculate: SpanStats,
     /// Overflow scan and global-norm reduction (verdict collection in STV;
-    /// the post-wait check in the sync engine).
+    /// the post-wait check under Sync).
     pub validate: SpanStats,
     /// In-place state restoration after a failed validation. The count
-    /// always equals [`StvStats::rollbacks`]; in the sync engine the time
-    /// is zero because nothing was speculated.
+    /// always equals [`StvStats::rollbacks`]; under Sync the time is zero
+    /// because nothing was speculated.
     pub rollback: SpanStats,
     /// The committed optimizer step (the clipped re-execution in STV; the
-    /// main Adam step in the sync engine).
+    /// main Adam step under Sync).
     pub optimizer_step: SpanStats,
 }
 
@@ -200,7 +218,8 @@ pub struct EngineConfig {
     /// Storage precision for model state between kernels. Under
     /// [`StoragePrecision::Bf16`], gradients quantize as they enter the
     /// optimizer and parameters re-quantize as each step commits —
-    /// identically in both engines, so STV exactness is preserved.
+    /// identically in both disciplines and at every rank count, so STV
+    /// exactness is preserved.
     pub storage: StoragePrecision,
 }
 
@@ -220,44 +239,39 @@ impl Default for EngineConfig {
 /// One (input, target) sequence pair.
 pub type Sample = (Vec<usize>, Vec<usize>);
 
-/// Computes scaled-FP16-roundtripped gradients for a batch: the numeric
-/// equivalent of producing FP16 gradients on the GPU and shipping them to
-/// the CPU. Returns `(mean_loss, grads_fp32_after_roundtrip)` where the
-/// gradients are still multiplied by the loss scale.
-///
-/// An empty batch is [`TensorError::Empty`], returned before any state
-/// (gradients included) is touched, so the engines never step on it.
-fn batch_gradients(
-    model: &mut GptModel,
-    batch: &[Sample],
-    scale: f32,
-    cfg: &EngineConfig,
-) -> Result<(f32, Vec<f32>), TensorError> {
-    if batch.is_empty() {
-        return Err(TensorError::Empty { what: "batch" });
-    }
-    model.zero_grads();
-    let losses = model.batch_forward_backward(batch)?;
-    let loss_sum = losses.iter().fold(0.0f64, |sum, &l| sum + l as f64);
-    let mean_loss = (loss_sum / batch.len() as f64) as f32;
-    let inv_b = 1.0 / batch.len() as f32;
-    // Scale (emulating scaled loss) and round-trip through the half-precision
-    // wire format — exactly what crossing the link does to the values.
-    let scaled: Vec<f32> = model.grads().iter().map(|g| g * scale * inv_b).collect();
-    let mut grads = cfg.precision.roundtrip(&scaled);
-    // Under bf16 storage, gradients quantize at the optimizer boundary (a
-    // no-op when the wire format was already bf16 — quantization is
-    // idempotent). Both engines share this helper, so STV sees the exact
-    // same values the sync engine does.
-    if cfg.storage == StoragePrecision::Bf16 {
-        bf16_roundtrip_slice(&mut grads);
-    }
-    Ok((mean_loss, grads))
+/// Which execution discipline drives the optimizer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Discipline {
+    /// Speculation-then-validation (SuperOffload, §4.4).
+    #[default]
+    Stv,
+    /// Synchronize-then-execute (the conventional reference).
+    Sync,
 }
+
+/// One rank's share of a batch: the losses of `slice` on `model` and its
+/// gradients scaled by `scale · inv_b` (emulating a scaled loss over the
+/// whole batch) and round-tripped through the half-precision wire format —
+/// exactly what crossing the link does to the values.
+fn rank_gradients(
+    model: &mut GptModel,
+    slice: &[Sample],
+    scale: f32,
+    inv_b: f32,
+    precision: Precision,
+) -> Result<(Vec<f32>, Vec<f32>), TensorError> {
+    model.zero_grads();
+    let losses = model.batch_forward_backward(slice)?;
+    let scaled: Vec<f32> = model.grads().iter().map(|g| g * scale * inv_b).collect();
+    Ok((losses, precision.roundtrip(&scaled)))
+}
+
+/// Per-rank result slot of a data-parallel gradient pass.
+type RankResult = Option<Result<(Vec<f32>, Vec<f32>), TensorError>>;
 
 /// Re-quantizes committed parameters under bf16 storage (no-op for f32) —
 /// the "parameters re-quantize as each step commits" half of the storage
-/// discipline. Both engines call this at every commit point.
+/// discipline.
 fn commit_params(storage: StoragePrecision, params: &mut [f32]) {
     if storage == StoragePrecision::Bf16 {
         bf16_roundtrip_slice(params);
@@ -274,184 +288,25 @@ fn bucket_ranges(n: usize, buckets: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// Deterministic global norm from per-bucket partial sums (both engines use
-/// this helper so their floating-point reduction order is identical).
-pub(crate) fn norm_from_partials(partials: &[f64]) -> f64 {
+/// Deterministic global norm from per-bucket partial sums: the one
+/// reduction tree of every discipline and rank count.
+fn norm_from_partials(partials: &[f64]) -> f64 {
     partials.iter().sum::<f64>().sqrt()
 }
 
-/// The synchronous reference engine (synchronize-then-execute).
-#[derive(Debug)]
-pub struct SyncEngine {
-    model: GptModel,
-    state: AdamState,
-    scaler: LossScaler,
-    cfg: EngineConfig,
-    step: u64,
-    stats: StvStats,
-    spans: EngineSpans,
-    last_scale_event: ScaleEvent,
-}
-
-impl SyncEngine {
-    /// Wraps a model in a synchronous training loop.
-    pub fn new(model: GptModel, cfg: EngineConfig) -> Self {
-        let n = model.num_params();
-        SyncEngine {
-            model,
-            state: AdamState::new(n),
-            scaler: LossScaler::new(cfg.initial_loss_scale),
-            cfg,
-            step: 0,
-            stats: StvStats::default(),
-            spans: EngineSpans::default(),
-            last_scale_event: ScaleEvent::default(),
-        }
+/// Undoes the loss scale in place.
+fn unscale(grads: &mut [f32], scale: f32) {
+    let inv = 1.0 / scale;
+    for g in grads {
+        *g *= inv;
     }
-
-    /// The current dynamic loss scale.
-    pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
-    }
-
-    /// What the most recent step did to the loss scale.
-    pub fn last_scale_event(&self) -> ScaleEvent {
-        self.last_scale_event
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &GptModel {
-        &self.model
-    }
-
-    /// Run statistics so far.
-    pub fn stats(&self) -> StvStats {
-        self.stats
-    }
-
-    /// Wall-clock span totals accumulated so far.
-    pub fn spans(&self) -> EngineSpans {
-        self.spans
-    }
-
-    /// Snapshots the full training state.
-    pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        crate::checkpoint::Checkpoint {
-            params: self.model.params().to_vec(),
-            m: self.state.m.clone(),
-            v: self.state.v.clone(),
-            step: self.step,
-            loss_scale: self.scaler.scale(),
-            scaler_good_steps: self.scaler.good_steps(),
-            overflow_count: self.scaler.overflow_count(),
-        }
-    }
-
-    /// Restores training state from a checkpoint; the continued trajectory
-    /// is bit-identical to an uninterrupted run.
-    ///
-    /// # Panics
-    /// Panics if the checkpoint's parameter count differs from the model's.
-    pub fn restore(&mut self, ckpt: &crate::checkpoint::Checkpoint) {
-        assert_eq!(
-            ckpt.params.len(),
-            self.model.num_params(),
-            "checkpoint shape mismatch"
-        );
-        self.model.params_mut().copy_from_slice(&ckpt.params);
-        self.state.m.copy_from_slice(&ckpt.m);
-        self.state.v.copy_from_slice(&ckpt.v);
-        self.step = ckpt.step;
-        self.scaler =
-            LossScaler::from_state(ckpt.loss_scale, ckpt.scaler_good_steps, ckpt.overflow_count);
-    }
-
-    /// Executes one synchronous training step.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::Empty`] for an empty batch (no state is
-    /// touched) and propagates [`TensorError`] from the forward/backward
-    /// pass.
-    pub fn train_step(&mut self, batch: &[Sample]) -> Result<StepOutcome, TensorError> {
-        let scale = self.scaler.scale();
-        let cfg = self.cfg;
-        let (loss, mut grads) = batch_gradients(&mut self.model, batch, scale, &cfg)?;
-
-        // Wait-for-everything, then validate (the STE ordering). The
-        // round-trip already baked any overflow into the values as ±inf.
-        let validate_from = std::time::Instant::now();
-        let overflow = grads.iter().any(|g| !g.is_finite());
-        if overflow {
-            self.spans.validate.record(validate_from);
-            // Nothing was speculated, so the "rollback" is purely logical.
-            self.spans.rollback.bump();
-            self.last_scale_event = self.scaler.update_with(true);
-            self.stats.skipped += 1;
-            return Ok(StepOutcome::Skipped { loss });
-        }
-        self.last_scale_event = self.scaler.update_with(false);
-
-        // Unscale, then global norm over the same bucket partials STV uses.
-        let inv = 1.0 / scale;
-        for g in &mut grads {
-            *g *= inv;
-        }
-        let ranges = bucket_ranges(grads.len(), self.cfg.buckets);
-        let partials: Vec<f64> = ranges
-            .iter()
-            .map(|r| sum_of_squares(&grads[r.clone()]))
-            .collect();
-        let norm = norm_from_partials(&partials);
-        let factor = clip_factor(norm, self.cfg.max_grad_norm);
-        apply_clip(&mut grads, factor);
-        self.spans.validate.record(validate_from);
-
-        let step_from = std::time::Instant::now();
-        self.step += 1;
-        GraceAdam::default().step(
-            &self.cfg.adam,
-            self.step,
-            self.model.params_mut(),
-            &grads,
-            &mut self.state,
-        );
-        commit_params(self.cfg.storage, self.model.params_mut());
-        self.spans.optimizer_step.record(step_from);
-        self.stats.steps += 1;
-        if factor < 1.0 {
-            self.spans.rollback.bump();
-            self.stats.clip_rollbacks += 1; // counted as "would clip" events
-            Ok(StepOutcome::Clipped {
-                loss,
-                grad_norm: norm,
-            })
-        } else {
-            Ok(StepOutcome::Applied {
-                loss,
-                grad_norm: norm,
-            })
-        }
-    }
-}
-
-/// The speculation-then-validation engine.
-#[derive(Debug)]
-pub struct StvEngine {
-    model: GptModel,
-    state: AdamState,
-    scaler: LossScaler,
-    cfg: EngineConfig,
-    step: u64,
-    stats: StvStats,
-    spans: EngineSpans,
-    last_scale_event: ScaleEvent,
 }
 
 /// Per-bucket validation result produced by the validator task.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BucketVerdict {
-    pub(crate) overflow: bool,
-    pub(crate) sum_sq_unscaled: f64,
+struct BucketVerdict {
+    overflow: bool,
+    sum_sq_unscaled: f64,
 }
 
 /// One task of a speculation region.
@@ -468,24 +323,23 @@ enum SpecTask<'a> {
     },
 }
 
-/// Steps Adam over each of `ranges` (contiguous, in order, from 0) of
-/// `params` and `state`'s moments: one task per range of one pool region,
-/// over borrowed slices. With `verdicts`, a validator task of the same
+/// Speculatively steps Adam over each of `ranges` (contiguous, in order,
+/// from 0) of `params` and `state`'s moments — one task per range of one
+/// pool region, over borrowed slices — while a validator task of the same
 /// region scans each range of `grads` for overflow (the wire round-trip
-/// baked any overflow into the values as ±inf/NaN) and its unscaled sum
-/// of squares. The single-process and data-parallel STV engines both step
-/// through here.
-pub(crate) fn step_ranges(
+/// baked any overflow into the values as ±inf/NaN) and its unscaled sum of
+/// squares. Returns the verdicts, one per range.
+fn speculate(
     adam: &AdamConfig,
     step: u64,
     params: &mut [f32],
     state: &mut AdamState,
     grads: &[f32],
     ranges: &[std::ops::Range<usize>],
-    verdicts: Option<&mut Vec<BucketVerdict>>,
-) {
+) -> Vec<BucketVerdict> {
+    let mut verdicts = Vec::with_capacity(ranges.len());
     let mut tasks = Vec::with_capacity(ranges.len() + 1);
-    tasks.extend(verdicts.map(SpecTask::Validate));
+    tasks.push(SpecTask::Validate(&mut verdicts));
     let mut p_rest = params;
     let mut m_rest = state.m.as_mut_slice();
     let mut v_rest = state.v.as_mut_slice();
@@ -516,14 +370,38 @@ pub(crate) fn step_ranges(
             v,
         } => GraceAdam::new(4096, 1).step_slices(adam, step, params, grads, m, v),
     });
+    verdicts
 }
 
-impl StvEngine {
-    /// Wraps a model in an STV training loop.
-    pub fn new(model: GptModel, cfg: EngineConfig) -> Self {
+/// The training engine: one [`Discipline`] over `ranks >= 1` data-parallel
+/// model replicas.
+#[derive(Debug)]
+pub struct Engine {
+    discipline: Discipline,
+    /// One model per rank. The optimizer steps replica 0, the canonical
+    /// copy; every commit broadcasts it to the others.
+    replicas: Vec<GptModel>,
+    state: AdamState,
+    scaler: LossScaler,
+    cfg: EngineConfig,
+    step: u64,
+    stats: StvStats,
+    spans: EngineSpans,
+    last_scale_event: ScaleEvent,
+}
+
+impl Engine {
+    /// Wraps `model` in a `discipline` training loop over `ranks`
+    /// data-parallel replicas of it (`1` is the single-process engine).
+    ///
+    /// # Panics
+    /// Panics if `ranks` is zero.
+    pub fn new(discipline: Discipline, model: GptModel, ranks: usize, cfg: EngineConfig) -> Self {
+        assert!(ranks >= 1, "need at least one rank");
         let n = model.num_params();
-        StvEngine {
-            model,
+        Engine {
+            discipline,
+            replicas: vec![model; ranks],
             state: AdamState::new(n),
             scaler: LossScaler::new(cfg.initial_loss_scale),
             cfg,
@@ -532,6 +410,11 @@ impl StvEngine {
             spans: EngineSpans::default(),
             last_scale_event: ScaleEvent::default(),
         }
+    }
+
+    /// The execution discipline.
+    pub fn discipline(&self) -> Discipline {
+        self.discipline
     }
 
     /// The current dynamic loss scale.
@@ -544,9 +427,14 @@ impl StvEngine {
         self.last_scale_event
     }
 
-    /// The wrapped model.
+    /// The canonical (rank-0) model.
     pub fn model(&self) -> &GptModel {
-        &self.model
+        &self.replicas[0]
+    }
+
+    /// Every rank's replica, canonical first (identical after every step).
+    pub fn replicas(&self) -> &[GptModel] {
+        &self.replicas
     }
 
     /// Run statistics so far.
@@ -562,7 +450,7 @@ impl StvEngine {
     /// Snapshots the full training state.
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
         crate::checkpoint::Checkpoint {
-            params: self.model.params().to_vec(),
+            params: self.model().params().to_vec(),
             m: self.state.m.clone(),
             v: self.state.v.clone(),
             step: self.step,
@@ -572,18 +460,21 @@ impl StvEngine {
         }
     }
 
-    /// Restores training state from a checkpoint; the continued trajectory
-    /// is bit-identical to an uninterrupted run.
+    /// Restores training state, every replica's parameters included, from a
+    /// checkpoint; the continued trajectory is bit-identical to an
+    /// uninterrupted run.
     ///
     /// # Panics
     /// Panics if the checkpoint's parameter count differs from the model's.
     pub fn restore(&mut self, ckpt: &crate::checkpoint::Checkpoint) {
         assert_eq!(
             ckpt.params.len(),
-            self.model.num_params(),
+            self.model().num_params(),
             "checkpoint shape mismatch"
         );
-        self.model.params_mut().copy_from_slice(&ckpt.params);
+        for replica in &mut self.replicas {
+            replica.params_mut().copy_from_slice(&ckpt.params);
+        }
         self.state.m.copy_from_slice(&ckpt.m);
         self.state.v.copy_from_slice(&ckpt.v);
         self.step = ckpt.step;
@@ -591,104 +482,214 @@ impl StvEngine {
             LossScaler::from_state(ckpt.loss_scale, ckpt.scaler_good_steps, ckpt.overflow_count);
     }
 
-    /// Executes one STV training step: speculative per-bucket optimizer
-    /// updates race ahead of a concurrent validator; a failed validation
-    /// rolls back in place.
+    /// Executes one training step over `batch`, whose sequences split
+    /// evenly across the ranks in order.
     ///
     /// # Errors
-    /// Returns [`TensorError::Empty`] for an empty batch (no state is
-    /// touched) and propagates [`TensorError`] from the forward/backward
-    /// pass.
+    /// Returns [`TensorError::Empty`] for an empty batch and
+    /// [`TensorError::Indivisible`] for one that does not split evenly
+    /// across the ranks (no state is touched), and propagates
+    /// [`TensorError`] from the forward/backward pass.
     pub fn train_step(&mut self, batch: &[Sample]) -> Result<StepOutcome, TensorError> {
         let scale = self.scaler.scale();
-        let cfg = self.cfg;
-        let (loss, mut grads) = batch_gradients(&mut self.model, batch, scale, &cfg)?;
-        let n = grads.len();
-        let ranges = bucket_ranges(n, self.cfg.buckets);
-        let speculative_step = self.step + 1;
+        let (loss, grads) = self.gradients(batch, scale)?;
+        Ok(match self.discipline {
+            Discipline::Sync => self.sync_step(loss, grads, scale),
+            Discipline::Stv => self.stv_step(loss, grads, scale),
+        })
+    }
 
-        // Capture rollback guards before speculating.
+    /// The batch's mean loss and its gradients as they enter the optimizer,
+    /// still multiplied by the loss scale: each rank's
+    /// [`rank_gradients`] over its slice (one pool task per rank when
+    /// there are several), summed in fixed rank order (the deterministic
+    /// all-reduce tree), then quantized under bf16 storage.
+    fn gradients(&mut self, batch: &[Sample], scale: f32) -> Result<(f32, Vec<f32>), TensorError> {
+        let ranks = self.replicas.len();
+        if batch.is_empty() {
+            return Err(TensorError::Empty { what: "batch" });
+        }
+        if !batch.len().is_multiple_of(ranks) {
+            return Err(TensorError::Indivisible {
+                what: "batch",
+                len: batch.len(),
+                parts: ranks,
+            });
+        }
+        let inv_b = 1.0 / batch.len() as f32;
+        let precision = self.cfg.precision;
+        let (losses, mut grads) = if let [model] = self.replicas.as_mut_slice() {
+            rank_gradients(model, batch, scale, inv_b, precision)?
+        } else {
+            let mut results: Vec<RankResult> = (0..ranks).map(|_| None).collect();
+            let tasks: Vec<_> = self
+                .replicas
+                .iter_mut()
+                .zip(batch.chunks(batch.len() / ranks))
+                .zip(results.iter_mut())
+                .collect();
+            Pool::current().run_parts(tasks, |_, ((model, slice), slot)| {
+                *slot = Some(rank_gradients(model, slice, scale, inv_b, precision));
+            });
+            let mut losses = Vec::with_capacity(batch.len());
+            let mut sum: Option<Vec<f32>> = None;
+            for slot in results {
+                let (l, g) = slot.expect("every rank ran")?;
+                losses.extend(l);
+                sum = Some(match sum {
+                    None => g,
+                    Some(mut acc) => {
+                        for (a, b) in acc.iter_mut().zip(&g) {
+                            *a += b;
+                        }
+                        acc
+                    }
+                });
+            }
+            (losses, sum.expect("at least one rank"))
+        };
+        // Under bf16 storage, gradients quantize at the optimizer boundary
+        // (a no-op when the wire format was already bf16 — quantization is
+        // idempotent).
+        if self.cfg.storage == StoragePrecision::Bf16 {
+            bf16_roundtrip_slice(&mut grads);
+        }
+        let loss_sum = losses.iter().fold(0.0f64, |sum, &l| sum + l as f64);
+        Ok(((loss_sum / batch.len() as f64) as f32, grads))
+    }
+
+    /// The synchronize-then-execute step: wait for every gradient, check
+    /// for overflow, compute the global norm, clip, then step.
+    fn sync_step(&mut self, loss: f32, mut grads: Vec<f32>, scale: f32) -> StepOutcome {
+        // The round-trip already baked any overflow into the values as ±inf.
+        let validate_from = Instant::now();
+        if grads.iter().any(|g| !g.is_finite()) {
+            self.spans.validate.record(validate_from);
+            // Nothing was speculated, so the "rollback" is purely logical.
+            self.spans.rollback.bump();
+            return self.skip(loss);
+        }
+        self.last_scale_event = self.scaler.update_with(false);
+        unscale(&mut grads, scale);
+        let partials: Vec<f64> = bucket_ranges(grads.len(), self.cfg.buckets)
+            .into_iter()
+            .map(|r| sum_of_squares(&grads[r]))
+            .collect();
+        let norm = norm_from_partials(&partials);
+        let factor = clip_factor(norm, self.cfg.max_grad_norm);
+        self.spans.validate.record(validate_from);
+
+        self.commit_step(grads, factor);
+        if factor < 1.0 {
+            self.spans.rollback.bump();
+            self.clipped(loss, norm) // counted as a "would clip" event
+        } else {
+            StepOutcome::Applied {
+                loss,
+                grad_norm: norm,
+            }
+        }
+    }
+
+    /// The speculation-then-validation step: speculative per-bucket
+    /// optimizer updates race ahead of a concurrent validator; a failed
+    /// validation rolls back in place.
+    fn stv_step(&mut self, loss: f32, mut grads: Vec<f32>, scale: f32) -> StepOutcome {
+        let ranges = bucket_ranges(grads.len(), self.cfg.buckets);
+        let step = self.step + 1;
         let guards: Vec<RollbackGuard> = ranges
             .iter()
-            .map(|r| RollbackGuard::capture(self.model.params(), &self.state, r.start, r.len()))
+            .map(|r| RollbackGuard::capture(self.model().params(), &self.state, r.start, r.len()))
             .collect();
+        unscale(&mut grads, scale);
 
-        // Unscale in place (same elementwise op the sync engine performs).
-        let inv = 1.0 / scale;
-        for g in &mut grads {
-            *g *= inv;
-        }
-
-        // --- Speculate and validate concurrently -------------------------
-        let speculate_from = std::time::Instant::now();
-        let mut verdicts = Vec::with_capacity(ranges.len());
-        step_ranges(
-            &cfg.adam,
-            speculative_step,
-            self.model.params_mut(),
+        let speculate_from = Instant::now();
+        let verdicts = speculate(
+            &self.cfg.adam,
+            step,
+            self.replicas[0].params_mut(),
             &mut self.state,
             &grads,
             &ranges,
-            Some(&mut verdicts),
         );
         self.spans.speculate.record(speculate_from);
 
-        // --- Collect verdicts ---------------------------------------------
-        let validate_from = std::time::Instant::now();
+        let validate_from = Instant::now();
         let overflow = verdicts.iter().any(|v| v.overflow);
         let partials: Vec<f64> = verdicts.iter().map(|v| v.sum_sq_unscaled).collect();
         let norm = norm_from_partials(&partials);
         self.spans.validate.record(validate_from);
 
         if overflow {
-            // Rollback: restore every bucket, skip the iteration.
-            let rollback_from = std::time::Instant::now();
-            for g in &guards {
-                g.restore(self.model.params_mut(), &mut self.state);
-            }
-            self.spans.rollback.record(rollback_from);
-            self.last_scale_event = self.scaler.update_with(true);
-            self.stats.skipped += 1;
-            return Ok(StepOutcome::Skipped { loss });
+            // Roll every bucket back and skip the iteration.
+            self.roll_back(&guards);
+            return self.skip(loss);
         }
         self.last_scale_event = self.scaler.update_with(false);
-
         let factor = clip_factor(norm, self.cfg.max_grad_norm);
         if factor < 1.0 {
-            // Rollback and re-execute with clipped gradients.
-            let rollback_from = std::time::Instant::now();
-            for g in &guards {
-                g.restore(self.model.params_mut(), &mut self.state);
-            }
-            self.spans.rollback.record(rollback_from);
-            let step_from = std::time::Instant::now();
-            apply_clip(&mut grads, factor);
-            GraceAdam::default().step(
-                &self.cfg.adam,
-                speculative_step,
-                self.model.params_mut(),
-                &grads,
-                &mut self.state,
-            );
-            commit_params(self.cfg.storage, self.model.params_mut());
-            self.spans.optimizer_step.record(step_from);
-            self.step = speculative_step;
-            self.stats.steps += 1;
-            self.stats.clip_rollbacks += 1;
-            return Ok(StepOutcome::Clipped {
-                loss,
-                grad_norm: norm,
-            });
+            // Roll back and re-execute with clipped gradients.
+            self.roll_back(&guards);
+            self.commit_step(grads, factor);
+            return self.clipped(loss, norm);
         }
-
-        // Commit the speculation.
-        commit_params(self.cfg.storage, self.model.params_mut());
-        self.step = speculative_step;
-        self.stats.steps += 1;
-        Ok(StepOutcome::Applied {
+        self.commit(step);
+        StepOutcome::Applied {
             loss,
             grad_norm: norm,
-        })
+        }
+    }
+
+    /// The committed optimizer step: Adam over the canonical parameters
+    /// with `grads` clipped by `factor`, then [`Engine::commit`].
+    fn commit_step(&mut self, mut grads: Vec<f32>, factor: f32) {
+        let step_from = Instant::now();
+        let step = self.step + 1;
+        apply_clip(&mut grads, factor);
+        GraceAdam::default().step(
+            &self.cfg.adam,
+            step,
+            self.replicas[0].params_mut(),
+            &grads,
+            &mut self.state,
+        );
+        self.commit(step);
+        self.spans.optimizer_step.record(step_from);
+    }
+
+    /// Commits optimizer step `step`: re-quantizes the canonical parameters
+    /// under bf16 storage and broadcasts them to every other replica (the
+    /// post-step all-gather).
+    fn commit(&mut self, step: u64) {
+        let (canon, rest) = self.replicas.split_first_mut().expect("ranks >= 1");
+        commit_params(self.cfg.storage, canon.params_mut());
+        for replica in rest {
+            replica.params_mut().copy_from_slice(canon.params());
+        }
+        self.step = step;
+        self.stats.steps += 1;
+    }
+
+    /// Restores every speculated bucket from its guard.
+    fn roll_back(&mut self, guards: &[RollbackGuard]) {
+        let rollback_from = Instant::now();
+        for g in guards {
+            g.restore(self.replicas[0].params_mut(), &mut self.state);
+        }
+        self.spans.rollback.record(rollback_from);
+    }
+
+    /// Skips an overflowed iteration and backs the loss scale off.
+    fn skip(&mut self, loss: f32) -> StepOutcome {
+        self.last_scale_event = self.scaler.update_with(true);
+        self.stats.skipped += 1;
+        StepOutcome::Skipped { loss }
+    }
+
+    /// Counts a clip rollback.
+    fn clipped(&mut self, loss: f32, grad_norm: f64) -> StepOutcome {
+        self.stats.clip_rollbacks += 1;
+        StepOutcome::Clipped { loss, grad_norm }
     }
 }
 
@@ -721,8 +722,8 @@ mod tests {
 
     #[test]
     fn stv_is_bit_identical_to_sync() {
-        let mut sync = SyncEngine::new(tiny(), cfg());
-        let mut stv = StvEngine::new(tiny(), cfg());
+        let mut sync = Engine::new(Discipline::Sync, tiny(), 1, cfg());
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, cfg());
         let mut pile = SyntheticPile::new(37, 5);
         for it in 0..30 {
             let batch = pile.next_batch(2, 12);
@@ -751,8 +752,8 @@ mod tests {
             buckets: 4,
             ..EngineConfig::default()
         };
-        let mut sync = SyncEngine::new(tiny(), tight);
-        let mut stv = StvEngine::new(tiny(), tight);
+        let mut sync = Engine::new(Discipline::Sync, tiny(), 1, tight);
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, tight);
         let mut pile = SyntheticPile::new(37, 9);
         let mut clipped = 0;
         for _ in 0..15 {
@@ -776,8 +777,8 @@ mod tests {
             initial_loss_scale: 1e9,
             ..cfg()
         };
-        let mut sync = SyncEngine::new(tiny(), overflow_cfg);
-        let mut stv = StvEngine::new(tiny(), overflow_cfg);
+        let mut sync = Engine::new(Discipline::Sync, tiny(), 1, overflow_cfg);
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, overflow_cfg);
         let mut pile = SyntheticPile::new(37, 11);
         let batch = pile.next_batch(2, 12);
         let a = sync.train_step(&batch).unwrap();
@@ -806,7 +807,7 @@ mod tests {
             max_grad_norm: 5.0,
             ..EngineConfig::default()
         };
-        let mut stv = StvEngine::new(tiny(), lr_cfg);
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, lr_cfg);
         let mut pile = SyntheticPile::new(37, 7);
         let mut first = f32::NAN;
         let mut last = f32::NAN;
@@ -833,8 +834,8 @@ mod tests {
             precision,
             ..cfg()
         };
-        let mut f16 = StvEngine::new(tiny(), scale_cfg(Precision::F16));
-        let mut bf16 = StvEngine::new(tiny(), scale_cfg(Precision::Bf16));
+        let mut f16 = Engine::new(Discipline::Stv, tiny(), 1, scale_cfg(Precision::F16));
+        let mut bf16 = Engine::new(Discipline::Stv, tiny(), 1, scale_cfg(Precision::Bf16));
         let mut pile = SyntheticPile::new(37, 77);
         for _ in 0..8 {
             let batch = pile.next_batch(2, 12);
@@ -852,8 +853,8 @@ mod tests {
             precision: Precision::Bf16,
             ..cfg()
         };
-        let mut sync = SyncEngine::new(tiny(), bf_cfg);
-        let mut stv = StvEngine::new(tiny(), bf_cfg);
+        let mut sync = Engine::new(Discipline::Sync, tiny(), 1, bf_cfg);
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, bf_cfg);
         let mut pile = SyntheticPile::new(37, 91);
         for _ in 0..15 {
             let batch = pile.next_batch(2, 12);
@@ -865,7 +866,7 @@ mod tests {
 
     #[test]
     fn stv_exactness_holds_under_bf16_storage() {
-        // With bf16 *storage* (not just the wire format), both engines
+        // With bf16 *storage* (not just the wire format), both disciplines
         // quantize gradients entering the optimizer and parameters at each
         // commit — and must still agree bit for bit, rollbacks included.
         let storage_cfg = EngineConfig {
@@ -873,8 +874,8 @@ mod tests {
             max_grad_norm: 0.5,
             ..cfg()
         };
-        let mut sync = SyncEngine::new(tiny(), storage_cfg);
-        let mut stv = StvEngine::new(tiny(), storage_cfg);
+        let mut sync = Engine::new(Discipline::Sync, tiny(), 1, storage_cfg);
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, storage_cfg);
         let mut pile = SyntheticPile::new(37, 63);
         for it in 0..20 {
             let batch = pile.next_batch(2, 12);
@@ -897,7 +898,7 @@ mod tests {
             storage: StoragePrecision::Bf16,
             ..cfg()
         };
-        let mut stv = StvEngine::new(tiny(), storage_cfg);
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, storage_cfg);
         let mut pile = SyntheticPile::new(37, 29);
         let mut stepped = 0;
         for _ in 0..10 {
@@ -931,7 +932,7 @@ mod tests {
     fn checkpoint_resume_is_bit_exact() {
         // Train 8 steps, checkpoint, train 8 more; separately restore a
         // fresh engine from the checkpoint and train the same 8 — identical.
-        let mut full = StvEngine::new(tiny(), cfg());
+        let mut full = Engine::new(Discipline::Stv, tiny(), 1, cfg());
         let mut pile = SyntheticPile::new(37, 55);
         let mut batches = Vec::new();
         for _ in 0..16 {
@@ -946,7 +947,7 @@ mod tests {
         }
 
         let ckpt = crate::checkpoint::Checkpoint::from_bytes(&bytes).unwrap();
-        let mut resumed = StvEngine::new(tiny(), cfg());
+        let mut resumed = Engine::new(Discipline::Stv, tiny(), 1, cfg());
         resumed.restore(&ckpt);
         for b in &batches[8..] {
             resumed.train_step(b).unwrap();
@@ -986,15 +987,15 @@ mod tests {
     fn span_counters_agree_with_stats() {
         // Tight clipping plus an overflowing loss scale exercises every
         // phase; the rollback span count must equal the stats' rollback
-        // total in both engines.
+        // total in both disciplines.
         let stress = EngineConfig {
             max_grad_norm: 0.05,
             initial_loss_scale: 1e9,
             buckets: 3,
             ..EngineConfig::default()
         };
-        let mut sync = SyncEngine::new(tiny(), stress);
-        let mut stv = StvEngine::new(tiny(), stress);
+        let mut sync = Engine::new(Discipline::Sync, tiny(), 1, stress);
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, stress);
         let mut pile = SyntheticPile::new(37, 13);
         for _ in 0..25 {
             let batch = pile.next_batch(2, 12);
@@ -1006,7 +1007,7 @@ mod tests {
             assert_eq!(spans.validate.count, stats.steps + stats.skipped);
             assert!(stats.skipped > 0 && stats.clip_rollbacks > 0);
         }
-        // Speculation happens on every STV step, never in the sync engine.
+        // Speculation happens on every STV step, never under Sync.
         assert_eq!(
             stv.spans().speculate.count,
             stv.stats().steps + stv.stats().skipped
@@ -1019,7 +1020,7 @@ mod tests {
 
     #[test]
     fn spans_fold_into_recorder() {
-        let mut stv = StvEngine::new(tiny(), cfg());
+        let mut stv = Engine::new(Discipline::Stv, tiny(), 1, cfg());
         let mut pile = SyntheticPile::new(37, 5);
         for _ in 0..5 {
             let batch = pile.next_batch(2, 12);

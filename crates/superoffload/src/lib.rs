@@ -11,11 +11,12 @@
 //!   collectives, schedule contexts) through [`fleet`] leases rather than
 //!   ambient globals. The paper's throughput, scale, and utilization
 //!   results are regenerated from these.
-//! - **Numeric plane** — [`engine`], a real multi-threaded
-//!   speculation-then-validation training executor over the miniature GPT of
-//!   [`llm_model`], demonstrating that STV is an *exact* optimization
+//! - **Numeric plane** — [`engine`], one real multi-threaded training
+//!   executor over the miniature GPT of [`llm_model`] for both disciplines
+//!   (speculation-then-validation and synchronous) at any data-parallel
+//!   rank count, demonstrating that STV is an *exact* optimization
 //!   (bit-identical to synchronous training) while overlapping optimizer
-//!   work with the next forward pass.
+//!   work with validation.
 //!
 //! The individual techniques of §4 each have a module:
 //!
@@ -27,7 +28,7 @@
 //! | §4.4 speculation-then-validation    | [`engine`] (real), [`schedule`] (modeled) |
 //! | §4.5 Superchip-aware casting        | [`casting`] |
 //! | §4.6 GraceAdam                      | [`costs`] (model), `grace_optim` (real) |
-//! | §4.7 multi-Superchip schedule       | [`zero_dp`], [`ulysses`], [`numa`] |
+//! | §4.7 multi-Superchip schedule       | [`zero_dp`], [`ulysses`], [`numa`] (modeled), [`engine`] (real, `ranks > 1`) |
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -37,7 +38,6 @@ pub mod casting;
 pub mod checkpoint;
 pub mod costs;
 pub mod engine;
-pub mod engine_dp;
 pub mod fleet;
 pub mod numa;
 pub mod policy;
@@ -54,8 +54,7 @@ pub use bucket::BucketPlan;
 pub use casting::CastPlacement;
 pub use checkpoint::Checkpoint;
 pub use costs::OptimizerImpl;
-pub use engine::{EngineSpans, SpanStats, StvEngine, StvStats, SyncEngine};
-pub use engine_dp::{DpStvEngine, DpSyncEngine};
+pub use engine::{Engine, EngineSpans, SpanStats, StvStats};
 pub use fleet::{FleetCtx, NodeLease};
 pub use policy::WeightPolicy;
 pub use report::{RunProfile, TrainReport};

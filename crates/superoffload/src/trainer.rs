@@ -12,8 +12,8 @@
 //!     model.step()                    }
 //! ```
 //!
-//! [`Trainer`] drives the real STV engine underneath (falling back to the
-//! synchronous engine on request), records the loss history and rollback
+//! [`Trainer`] drives the real engine underneath (STV, or the synchronous
+//! discipline on request), records the loss history and rollback
 //! events, and supports periodic bit-exact checkpointing.
 
 use std::time::Instant;
@@ -26,23 +26,12 @@ use tensorlite::{
 };
 
 use crate::checkpoint::Checkpoint;
-use crate::engine::{
-    EngineConfig, EngineSpans, Precision, Sample, StepOutcome, StvEngine, StvStats, SyncEngine,
-};
+pub use crate::engine::Discipline;
+use crate::engine::{Engine, EngineConfig, EngineSpans, Precision, Sample, StepOutcome, StvStats};
 use crate::report::TrainReport;
 
 /// Schema identifier for step-journal JSONL records and snapshots.
 pub const JOURNAL_SCHEMA: &str = "superoffload.journal/v1";
-
-/// Which execution discipline drives the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Discipline {
-    /// Speculation-then-validation (SuperOffload, §4.4).
-    #[default]
-    Stv,
-    /// Synchronize-then-execute (the conventional reference).
-    Sync,
-}
 
 /// Configuration for the step journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -465,12 +454,8 @@ impl TrainerBuilder {
             counters::enable();
             StepJournal::new(cfg)
         });
-        let engine = match self.discipline {
-            Discipline::Stv => Engine::Stv(StvEngine::new(self.model.clone(), self.cfg)),
-            Discipline::Sync => Engine::Sync(SyncEngine::new(self.model.clone(), self.cfg)),
-        };
         Trainer {
-            engine,
+            engine: Engine::new(self.discipline, self.model.clone(), 1, self.cfg),
             checkpoint_every: self.checkpoint_every,
             steps_taken: 0,
             losses: Vec::new(),
@@ -479,12 +464,6 @@ impl TrainerBuilder {
             journal,
         }
     }
-}
-
-#[derive(Debug)]
-enum Engine {
-    Stv(StvEngine),
-    Sync(SyncEngine),
 }
 
 /// A training loop over the numeric plane with history, rollback tracking,
@@ -529,10 +508,7 @@ impl Trainer {
                 Instant::now(),
             )
         });
-        let out = match &mut self.engine {
-            Engine::Stv(e) => e.train_step(batch)?,
-            Engine::Sync(e) => e.train_step(batch)?,
-        };
+        let out = self.engine.train_step(batch)?;
         self.steps_taken += 1;
         if let Some((ctr0, spans0, kernel0, t0)) = pre {
             self.journal_step(
@@ -585,10 +561,6 @@ impl Trainer {
         // One relaxed atomic read; zero when span recording is off.
         let kernel_secs = spans::total_busy_nanos().saturating_sub(kernel0) as f64 / 1e9;
         let spans1 = self.spans();
-        let (loss_scale, scale_event) = match &self.engine {
-            Engine::Stv(e) => (e.loss_scale(), e.last_scale_event()),
-            Engine::Sync(e) => (e.loss_scale(), e.last_scale_event()),
-        };
         let tokens: u64 = batch.iter().map(|(x, _)| x.len() as u64).sum();
         let (outcome, grad_norm) = match *out {
             StepOutcome::Applied { grad_norm, .. } => ("applied", Some(grad_norm)),
@@ -602,8 +574,8 @@ impl Trainer {
             outcome,
             loss: out.loss(),
             grad_norm,
-            loss_scale,
-            scale_event,
+            loss_scale: self.engine.loss_scale(),
+            scale_event: self.engine.last_scale_event(),
             tokens,
             counters: delta,
         });
@@ -639,43 +611,28 @@ impl Trainer {
 
     /// Current dynamic loss scale.
     pub fn loss_scale(&self) -> f32 {
-        match &self.engine {
-            Engine::Stv(e) => e.loss_scale(),
-            Engine::Sync(e) => e.loss_scale(),
-        }
+        self.engine.loss_scale()
     }
 
     /// What the loss scaler did on the most recent step.
     pub fn last_scale_event(&self) -> ScaleEvent {
-        match &self.engine {
-            Engine::Stv(e) => e.last_scale_event(),
-            Engine::Sync(e) => e.last_scale_event(),
-        }
+        self.engine.last_scale_event()
     }
 
     /// The wrapped model.
     pub fn model(&self) -> &GptModel {
-        match &self.engine {
-            Engine::Stv(e) => e.model(),
-            Engine::Sync(e) => e.model(),
-        }
+        self.engine.model()
     }
 
     /// Engine statistics (steps, skips, clip rollbacks).
     pub fn stats(&self) -> StvStats {
-        match &self.engine {
-            Engine::Stv(e) => e.stats(),
-            Engine::Sync(e) => e.stats(),
-        }
+        self.engine.stats()
     }
 
     /// Wall-clock span totals of the engine's step phases (speculate,
     /// validate, rollback, optimizer step).
     pub fn spans(&self) -> EngineSpans {
-        match &self.engine {
-            Engine::Stv(e) => e.spans(),
-            Engine::Sync(e) => e.spans(),
-        }
+        self.engine.spans()
     }
 
     /// Folds this run's numeric-plane counters into a performance-plane
@@ -701,10 +658,7 @@ impl Trainer {
 
     /// Takes an on-demand snapshot of the full training state.
     pub fn snapshot(&self) -> Checkpoint {
-        match &self.engine {
-            Engine::Stv(e) => e.checkpoint(),
-            Engine::Sync(e) => e.checkpoint(),
-        }
+        self.engine.checkpoint()
     }
 
     /// Restores training state from a snapshot; the continued trajectory is
@@ -713,10 +667,7 @@ impl Trainer {
     /// # Panics
     /// Panics on a parameter-count mismatch.
     pub fn restore(&mut self, ckpt: &Checkpoint) {
-        match &mut self.engine {
-            Engine::Stv(e) => e.restore(ckpt),
-            Engine::Sync(e) => e.restore(ckpt),
-        }
+        self.engine.restore(ckpt)
     }
 }
 

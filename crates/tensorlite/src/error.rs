@@ -45,6 +45,15 @@ pub enum TensorError {
         /// What was empty, e.g. `"sequence"` or `"batch"`.
         what: &'static str,
     },
+    /// A collection must split into equal parts and does not.
+    Indivisible {
+        /// What was split, e.g. `"batch"`.
+        what: &'static str,
+        /// Its length.
+        len: usize,
+        /// The number of equal parts it must split into.
+        parts: usize,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -65,6 +74,9 @@ impl fmt::Display for TensorError {
                 write!(f, "index {index} out of bounds for dimension of size {len}")
             }
             TensorError::Empty { what } => write!(f, "{what} is empty"),
+            TensorError::Indivisible { what, len, parts } => {
+                write!(f, "{what} of {len} does not split into {parts} equal parts")
+            }
         }
     }
 }
@@ -90,6 +102,15 @@ mod tests {
         assert!(e.to_string().contains("matmul"));
         let e = TensorError::Empty { what: "batch" };
         assert_eq!(e.to_string(), "batch is empty");
+        let e = TensorError::Indivisible {
+            what: "batch",
+            len: 3,
+            parts: 2,
+        };
+        assert_eq!(
+            e.to_string(),
+            "batch of 3 does not split into 2 equal parts"
+        );
     }
 
     #[test]

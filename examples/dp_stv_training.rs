@@ -1,14 +1,15 @@
-//! Data-parallel speculation-then-validation: four model replicas, sharded
-//! optimizer state, concurrent speculative shard steps, and a validator —
-//! the numeric-plane counterpart of §4.7's ZeRO-DP integration, verified
-//! bit-identical against the synchronous data-parallel reference.
+//! Data-parallel speculation-then-validation: four model replicas computing
+//! gradients side by side, a rank-ordered all-reduce, concurrent
+//! speculative bucket steps with a validator, and a broadcast of every
+//! commit — the numeric-plane counterpart of §4.7's ZeRO-DP integration,
+//! verified bit-identical against the synchronous data-parallel reference.
 //!
-//! Run with: `cargo run --release --example dp_stv_training`
+//! Run with: `cargo run --release --example dp_stv_training` (exits
+//! non-zero if STV diverges from the reference or the replicas disagree).
 
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
-use superoffload::engine::EngineConfig;
-use superoffload::engine_dp::{DpStvEngine, DpSyncEngine};
+use superoffload::engine::{Discipline, Engine, EngineConfig};
 
 fn main() {
     let ranks = 4;
@@ -25,12 +26,22 @@ fn main() {
         ..EngineConfig::default()
     };
 
-    let mut stv = DpStvEngine::new(GptModel::new(model_cfg.clone(), 2024), ranks, engine_cfg);
-    let mut sync = DpSyncEngine::new(GptModel::new(model_cfg, 2024), ranks, engine_cfg);
+    let mut stv = Engine::new(
+        Discipline::Stv,
+        GptModel::new(model_cfg.clone(), 2024),
+        ranks,
+        engine_cfg,
+    );
+    let mut sync = Engine::new(
+        Discipline::Sync,
+        GptModel::new(model_cfg, 2024),
+        ranks,
+        engine_cfg,
+    );
     let mut pile = SyntheticPile::new(64, 2024);
 
     println!("training with {ranks} data-parallel ranks (replicas on threads)\n");
-    let mut divergences = 0;
+    let (mut divergences, mut inconsistent) = (0, 0);
     for it in 0..120 {
         // Global batch of 8 sequences: 2 per rank.
         let batch = pile.next_batch(8, 20);
@@ -38,6 +49,11 @@ fn main() {
         sync.train_step(&batch).expect("dp sync step");
         if stv.model().params() != sync.model().params() {
             divergences += 1;
+        }
+        // Replica consistency: every rank holds the committed parameters.
+        let canon = stv.model().params();
+        if stv.replicas().iter().any(|r| r.params() != canon) {
+            inconsistent += 1;
         }
         if it % 20 == 0 {
             println!(
@@ -48,16 +64,19 @@ fn main() {
         }
     }
 
-    // Replica consistency: every rank ends with identical parameters.
-    let canon = stv.replicas()[0].params();
-    let consistent = stv.replicas().iter().all(|r| r.params() == canon);
-
     println!("\nsteps: {}", stv.stats().steps);
     println!("overflow skips: {}", stv.stats().skipped);
     println!("clip rollbacks: {}", stv.stats().clip_rollbacks);
-    println!("replicas consistent: {consistent}");
+    println!(
+        "replicas consistent: {}",
+        if inconsistent == 0 { "YES" } else { "NO" }
+    );
     println!(
         "bit-identical to synchronous DP reference: {}",
         if divergences == 0 { "YES" } else { "NO" }
     );
+    if divergences > 0 || inconsistent > 0 {
+        eprintln!("{divergences} divergent steps, {inconsistent} steps with inconsistent replicas");
+        std::process::exit(1);
+    }
 }

@@ -3,12 +3,13 @@
 //! bit-identical against a synchronous reference every iteration (the
 //! paper's §4.4 / Fig. 14 exactness claim).
 //!
-//! Run with: `cargo run --release --example stv_training`
+//! Run with: `cargo run --release --example stv_training` (exits non-zero
+//! if STV ever diverges from the reference).
 
 use grace_optim::adam::AdamConfig;
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
-use superoffload::engine::{EngineConfig, StepOutcome, StvEngine, SyncEngine};
+use superoffload::engine::{Discipline, Engine, EngineConfig, StepOutcome};
 
 fn main() {
     let model_cfg = GptConfig {
@@ -31,8 +32,18 @@ fn main() {
         ..EngineConfig::default()
     };
 
-    let mut stv = StvEngine::new(GptModel::new(model_cfg.clone(), 1234), engine_cfg);
-    let mut sync = SyncEngine::new(GptModel::new(model_cfg, 1234), engine_cfg);
+    let mut stv = Engine::new(
+        Discipline::Stv,
+        GptModel::new(model_cfg.clone(), 1234),
+        1,
+        engine_cfg,
+    );
+    let mut sync = Engine::new(
+        Discipline::Sync,
+        GptModel::new(model_cfg, 1234),
+        1,
+        engine_cfg,
+    );
     let mut pile = SyntheticPile::new(64, 1234);
 
     println!("training a real GPT with STV (speculative steps + validator task)\n");
@@ -59,12 +70,11 @@ fn main() {
     println!("\nsteps applied:   {}", stats.steps);
     println!("overflow skips:  {}", stats.skipped);
     println!("clip rollbacks:  {}", stats.clip_rollbacks);
+    if divergences > 0 {
+        println!("bit-identical to synchronous reference: NO ({divergences} divergent steps)");
+        std::process::exit(1);
+    }
     println!(
-        "bit-identical to synchronous reference: {}",
-        if divergences == 0 {
-            "YES (exact optimization, as the paper claims)"
-        } else {
-            "NO"
-        }
+        "bit-identical to synchronous reference: YES (exact optimization, as the paper claims)"
     );
 }

@@ -2,14 +2,13 @@
 //! batch's sequences side by side on the worker pool and must give
 //! bit-identical losses and gradients to the serial per-sequence loop, at
 //! any thread count, on both sides of the sequence-parallelism gate, and
-//! through a failing sequence. Empty inputs are typed errors that touch no
-//! state, in the single-process and the data-parallel engines alike.
+//! through a failing sequence. Empty inputs, and batches that do not split
+//! across the data-parallel ranks, are typed errors that touch no state.
 
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
-use superoffload::engine::{EngineConfig, Sample, StvEngine, SyncEngine};
-use superoffload::engine_dp::{DpStvEngine, DpSyncEngine};
-use superoffload::trainer::{Discipline, Trainer};
+use superoffload::engine::{Discipline, Engine, EngineConfig, Sample};
+use superoffload::trainer::Trainer;
 use tensorlite::pool::{family_threshold, with_threads};
 use tensorlite::{KernelFamily, TensorError};
 
@@ -216,25 +215,38 @@ fn empty_sequence_and_empty_batch_are_typed_errors() {
     );
 }
 
+/// Asserts that both disciplines at `ranks` reject `bad` with `want` after
+/// a warm-up step and leave every replica's parameters, the moments, the
+/// step count and the loss scaler as they were (checkpoint bytes).
+fn assert_rejected_without_stepping(ranks: usize, bad: &[Sample], want: &TensorError) {
+    let cfg = small_cfg();
+    let warm = SyntheticPile::new(cfg.vocab, 8).next_batch(4, 10);
+    for discipline in [Discipline::Stv, Discipline::Sync] {
+        let at = format!("{discipline:?} ranks={ranks}");
+        let model = GptModel::new(cfg.clone(), 3);
+        let mut engine = Engine::new(discipline, model, ranks, EngineConfig::default());
+        engine.train_step(&warm).unwrap();
+        let (before, stats) = (engine.checkpoint().to_bytes(), engine.stats());
+        assert_eq!(&engine.train_step(bad).unwrap_err(), want, "{at}");
+        assert!(
+            engine.checkpoint().to_bytes() == before,
+            "{at}: state moved"
+        );
+        assert_eq!(engine.stats(), stats, "{at}");
+        for replica in engine.replicas() {
+            assert_eq!(replica.params(), engine.model().params(), "{at}");
+        }
+    }
+}
+
 #[test]
 fn engines_reject_an_empty_batch_without_stepping() {
-    let cfg = small_cfg();
-    let mut pile = SyntheticPile::new(cfg.vocab, 8);
-    let warm = pile.next_batch(2, 10);
-    let mut stv = StvEngine::new(GptModel::new(cfg.clone(), 3), EngineConfig::default());
-    let mut sync = SyncEngine::new(GptModel::new(cfg.clone(), 3), EngineConfig::default());
-    stv.train_step(&warm).unwrap();
-    sync.train_step(&warm).unwrap();
-    let (stv_before, sync_before) = (stv.checkpoint().to_bytes(), sync.checkpoint().to_bytes());
-    let (stv_stats, sync_stats) = (stv.stats(), sync.stats());
     let empty = TensorError::Empty { what: "batch" };
-    assert_eq!(stv.train_step(&[]).unwrap_err(), empty);
-    assert_eq!(sync.train_step(&[]).unwrap_err(), empty);
-    // Parameters, moments, step counter and loss scaler are untouched.
-    assert_eq!(stv.checkpoint().to_bytes(), stv_before);
-    assert_eq!(sync.checkpoint().to_bytes(), sync_before);
-    assert_eq!((stv.stats(), sync.stats()), (stv_stats, sync_stats));
+    for ranks in [1, 2] {
+        assert_rejected_without_stepping(ranks, &[], &empty);
+    }
 
+    let cfg = small_cfg();
     for discipline in [Discipline::Stv, Discipline::Sync] {
         let mut trainer = Trainer::new(GptModel::new(cfg.clone(), 3))
             .discipline(discipline)
@@ -246,29 +258,18 @@ fn engines_reject_an_empty_batch_without_stepping() {
             GptModel::new(cfg.clone(), 3).params()
         );
     }
+}
 
-    // The data-parallel engines keep no checkpoint, so a twin that never
-    // sees the empty batch stands in for one: the next real step lands
-    // where the twin's does only if the rejected step left weights,
-    // moments, step count and loss scaler as they were.
-    let next = pile.next_batch(2, 10);
-    macro_rules! check_dp_engine {
-        ($engine:ident) => {{
-            let new = || $engine::new(GptModel::new(cfg.clone(), 3), 2, EngineConfig::default());
-            let (mut engine, mut twin) = (new(), new());
-            engine.train_step(&warm).unwrap();
-            twin.train_step(&warm).unwrap();
-            assert_eq!(engine.train_step(&[]).unwrap_err(), empty);
-            assert_eq!(engine.model().params(), twin.model().params());
-            assert_eq!(engine.stats(), twin.stats());
-            assert_eq!(
-                engine.train_step(&next).unwrap(),
-                twin.train_step(&next).unwrap()
-            );
-            assert_eq!(engine.model().params(), twin.model().params());
-            assert_eq!(engine.stats(), twin.stats());
-        }};
+#[test]
+fn engines_reject_an_indivisible_batch_without_stepping() {
+    let mut pile = SyntheticPile::new(small_cfg().vocab, 12);
+    for (ranks, len) in [(2, 3), (4, 2), (4, 6)] {
+        let bad = pile.next_batch(len, 8);
+        let want = TensorError::Indivisible {
+            what: "batch",
+            len,
+            parts: ranks,
+        };
+        assert_rejected_without_stepping(ranks, &bad, &want);
     }
-    check_dp_engine!(DpSyncEngine);
-    check_dp_engine!(DpStvEngine);
 }

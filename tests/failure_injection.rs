@@ -7,7 +7,7 @@ use grace_optim::rollback::RollbackGuard;
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
 use superoffload::checkpoint::Checkpoint;
-use superoffload::engine::{EngineConfig, StepOutcome, StvEngine, SyncEngine};
+use superoffload::engine::{Discipline, Engine, EngineConfig, StepOutcome};
 use tensorlite::XorShiftRng;
 
 fn tiny() -> GptModel {
@@ -36,8 +36,8 @@ fn injected_parameter_nan_forces_identical_skips() {
         let view = model.view("lnf.gamma").expect("lnf.gamma exists");
         let idx = view.offset + rng.next_usize(view.len);
         model.params_mut()[idx] = f32::NAN;
-        let mut stv = StvEngine::new(model.clone(), cfg);
-        let mut sync = SyncEngine::new(model, cfg);
+        let mut stv = Engine::new(Discipline::Stv, model.clone(), 1, cfg);
+        let mut sync = Engine::new(Discipline::Sync, model, 1, cfg);
         let mut pile = SyntheticPile::new(53, 1);
         let batch = pile.next_batch(2, 12);
         let a = stv.train_step(&batch).unwrap();
@@ -58,7 +58,7 @@ fn injected_parameter_nan_forces_identical_skips() {
 /// structural invariants).
 #[test]
 fn corrupted_checkpoints_never_load_invalid_structure() {
-    let engine = StvEngine::new(tiny(), EngineConfig::default());
+    let engine = Engine::new(Discipline::Stv, tiny(), 1, EngineConfig::default());
     let bytes = engine.checkpoint().to_bytes();
     let mut rng = XorShiftRng::new(77);
     for _ in 0..50 {
@@ -81,7 +81,7 @@ fn corrupted_checkpoints_never_load_invalid_structure() {
 /// misinterpreted.
 #[test]
 fn truncated_checkpoints_always_rejected() {
-    let engine = SyncEngine::new(tiny(), EngineConfig::default());
+    let engine = Engine::new(Discipline::Sync, tiny(), 1, EngineConfig::default());
     let bytes = engine.checkpoint().to_bytes();
     for cut in (0..bytes.len()).step_by(97) {
         assert!(
@@ -153,7 +153,7 @@ fn sustained_overflow_never_corrupts_parameters() {
         initial_loss_scale: 3.4e38,
         ..EngineConfig::default()
     };
-    let mut engine = StvEngine::new(tiny(), cfg);
+    let mut engine = Engine::new(Discipline::Stv, tiny(), 1, cfg);
     let initial = engine.model().params().to_vec();
     let mut pile = SyntheticPile::new(53, 3);
     let mut recovered = false;

@@ -9,9 +9,9 @@ use llm_model::workload::Workload;
 use llm_model::{ModelConfig, SyntheticPile};
 use superchip_sim::presets;
 use superchip_sim::telemetry::{validate_json, MetricsRecorder, METRICS_SCHEMA};
-use superoffload::engine::EngineConfig;
+use superoffload::engine::{Discipline, Engine, EngineConfig};
 use superoffload::schedule::{simulate_single_chip_profiled, SuperOffloadOptions};
-use superoffload::{StvEngine, Trainer};
+use superoffload::Trainer;
 
 fn smoke_workload() -> Workload {
     Workload::new(ModelConfig::by_name("3B").unwrap(), 8, 2048)
@@ -123,7 +123,7 @@ fn engine_spans_match_engine_stats() {
         max_grad_norm: 0.05,
         ..EngineConfig::default()
     };
-    let mut eng = StvEngine::new(tiny_model(21), stress);
+    let mut eng = Engine::new(Discipline::Stv, tiny_model(21), 1, stress);
     let mut pile = SyntheticPile::new(37, 21);
     for _ in 0..8 {
         let batch = pile.next_batch(2, 12);
