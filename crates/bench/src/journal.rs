@@ -20,7 +20,7 @@ use llm_model::SyntheticPile;
 use superchip_sim::telemetry::{JsonWriter, Layout};
 use superoffload::trainer::{JournalConfig, StepJournal, Trainer, JOURNAL_SCHEMA};
 use tensorlite::counters::N_OP_KINDS;
-use tensorlite::{spans, CounterSnapshot};
+use tensorlite::{CounterSnapshot, Recorder, SpanLog, StoragePrecision};
 
 use crate::cli::{parse_flag, parse_out_dir, write_artifacts};
 use crate::roofline::{self, RooflineArgs, RooflineReport};
@@ -115,12 +115,12 @@ pub fn journaled_run(args: JournalArgs) -> Result<Trainer, String> {
 }
 
 /// Builds the dashboard's roofline summary by joining the journal's exact
-/// per-step ledger with the kernel spans recorded over the same run. Call
-/// right after [`spans::with_spans`] returns (the cumulative busy-nanos
-/// atomics still hold the run's totals at that point).
+/// per-step ledger with the kernel spans `timer` recorded over the same
+/// run.
 fn journal_roofline(
     journal: &StepJournal,
-    log: &spans::SpanLog,
+    timer: &Recorder,
+    log: &SpanLog,
     args: JournalArgs,
 ) -> RooflineReport {
     let mut ctr = CounterSnapshot::default();
@@ -135,8 +135,7 @@ fn journal_roofline(
     let wall_secs: f64 = journal.timings().iter().map(|t| t.wall_secs).sum();
     roofline::report_from_parts(
         &ctr,
-        &spans::kind_busy_nanos(),
-        spans::total_busy_nanos(),
+        timer,
         wall_secs,
         log,
         RooflineArgs {
@@ -169,10 +168,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // Kernel spans are recorded over the run so the dashboard can show the
     // measured roofline; the deterministic artifacts are byte-identical
     // whether recording is on or off (enforced by `bench/tests/roofline.rs`).
-    let (trainer, span_log) = spans::with_spans(|| journaled_run(parsed));
-    let trainer = trainer?;
+    let timer = Recorder::traced(StoragePrecision::F32);
+    let trainer = timer.scope(|| journaled_run(parsed))?;
+    let span_log = timer.take_log();
     let journal = trainer.journal().expect("journal was enabled");
-    let roofline = journal_roofline(journal, &span_log, parsed);
+    let roofline = journal_roofline(journal, &timer, &span_log, parsed);
 
     let jsonl = journal.to_jsonl();
     let timing = journal.timing_json();

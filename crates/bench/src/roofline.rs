@@ -1,8 +1,9 @@
 //! The `repro -- roofline` subcommand: join the numeric plane's **exact**
 //! FLOP/byte ledger ([`tensorlite::counters`]) against **measured**
-//! wall-clock kernel spans ([`tensorlite::spans`]) over the realbench
-//! training workload, and report achieved GFLOP/s, GB/s, arithmetic
-//! intensity, and percent-of-peak per kernel family.
+//! wall-clock kernel spans ([`tensorlite::spans`]), both kept by one
+//! [`Recorder`] scoped around the realbench training workload, and report
+//! achieved GFLOP/s, GB/s, arithmetic intensity, and percent-of-peak per
+//! kernel family.
 //!
 //! Artifacts:
 //!
@@ -16,13 +17,14 @@
 //!
 //! The FLOP and byte columns are copied verbatim (`u64`) from the counter
 //! ledger, so the sidecar reconciles bit-exactly with
-//! [`tensorlite::counters::snapshot`] by construction — CI asserts the
-//! per-kernel sums equal the ledger totals.
+//! [`Recorder::snapshot`] by construction — CI asserts the per-kernel sums
+//! equal the ledger totals.
 
 use superchip_sim::chrome_trace::{real_spans_chrome_trace, RealSpan};
 use superchip_sim::telemetry::{JsonWriter, Layout, MetricsRecorder};
-use tensorlite::counters::{self, OpKind};
-use tensorlite::spans::{self, SpanLog, WorkerUtilization};
+use tensorlite::counters::{CounterSnapshot, OpKind};
+use tensorlite::spans::{SpanLog, WorkerUtilization};
+use tensorlite::{Recorder, StoragePrecision};
 
 use crate::cli::parse_flag;
 use crate::realbench::{self, REALPLANE_BATCH, REALPLANE_SEED, REALPLANE_SEQ, REALPLANE_STEPS};
@@ -209,20 +211,20 @@ pub struct RooflineReport {
     pub dropped_spans: u64,
 }
 
-/// Joins an already-measured counter ledger with per-kind busy nanos and
-/// a span log into a report. `repro -- roofline` feeds it the realbench
-/// workload; `repro -- journal` reuses it to embed a roofline summary in
-/// the dashboard from the journal's own ledger.
-#[allow(clippy::too_many_arguments)]
+/// Joins an already-measured counter ledger with the busy nanos of the
+/// recorder that timed its kernels (`timer`) and its span log into a
+/// report. `repro -- roofline` feeds it the realbench workload; `repro --
+/// journal` reuses it to embed a roofline summary in the dashboard from
+/// the journal's own ledger.
 pub fn report_from_parts(
-    ctr: &counters::CounterSnapshot,
-    kind_nanos: &[u64; tensorlite::counters::N_OP_KINDS],
-    total_busy_nanos: u64,
+    ctr: &CounterSnapshot,
+    timer: &Recorder,
     wall_secs: f64,
     log: &SpanLog,
     args: RooflineArgs,
 ) -> RooflineReport {
     let host_threads = realbench::host_threads();
+    let kind_nanos = timer.kind_busy_nanos();
     let rows: Vec<KernelRow> = OpKind::ALL
         .iter()
         .filter(|&&kind| ctr.calls(kind) > 0)
@@ -245,7 +247,7 @@ pub fn report_from_parts(
         degraded_host: realbench::degraded_host(host_threads),
         total_flops: ctr.total_flops(),
         total_bytes: ctr.total_op_bytes(),
-        total_busy_secs: total_busy_nanos as f64 / 1e9,
+        total_busy_secs: timer.total_busy_nanos() as f64 / 1e9,
         wall_secs,
         utilization: log.worker_utilization(),
         dropped_spans: log.dropped,
@@ -253,31 +255,26 @@ pub fn report_from_parts(
     }
 }
 
-/// Runs the realbench training workload under counters + spans and joins
-/// the two into a report. Returns the drained span log alongside so the
-/// caller can export the trace.
+/// Runs the realbench training workload (f32 storage) under one traced
+/// recorder and joins its ledger and spans into a report. Returns the
+/// drained span log alongside so the caller can export the trace.
 pub fn measure(args: RooflineArgs) -> (RooflineReport, SpanLog) {
-    let (((_params, per_step, _fwd, _bwd, _opt), ctr), log) = spans::with_spans(|| {
-        counters::with_counters(|| {
-            realbench::run_training(
-                args.threads,
-                args.steps,
-                REALPLANE_BATCH,
-                REALPLANE_SEQ,
-                args.seed,
-            )
-        })
+    let rec = Recorder::traced(StoragePrecision::F32);
+    let (_params, per_step, _fwd, _bwd, _opt) = rec.scope(|| {
+        realbench::run_training(
+            args.threads,
+            args.steps,
+            REALPLANE_BATCH,
+            REALPLANE_SEQ,
+            args.seed,
+        )
     });
-    let kind_nanos = spans::kind_busy_nanos();
-    let report = report_from_parts(
-        &ctr,
-        &kind_nanos,
-        spans::total_busy_nanos(),
-        per_step * args.steps as f64,
-        &log,
-        args,
-    );
-    (report, log)
+    let log = rec.take_log();
+    let wall_secs = per_step * args.steps as f64;
+    (
+        report_from_parts(&rec.snapshot(), &rec, wall_secs, &log, args),
+        log,
+    )
 }
 
 /// Digits after the point of the sidecar's wall-clock-derived floats:

@@ -1,7 +1,7 @@
-//! Cross-cutting roofline guarantees, in their own test process:
+//! Cross-cutting roofline guarantees:
 //!
 //! 1. The roofline report's FLOP/byte columns reconcile **bit-exactly**
-//!    with an independent `tensorlite::counters` ledger over the same
+//!    with an independent `tensorlite::Recorder` ledger over the same
 //!    workload, at thread counts 1 / 2 / 7 (the ledger is thread-count
 //!    invariant, so the roofline is too).
 //! 2. Span recording is a pure observer: the deterministic artifacts
@@ -12,21 +12,10 @@ use superoffload_bench::journal::{self, JournalArgs};
 use superoffload_bench::realbench::{REALPLANE_BATCH, REALPLANE_SEED, REALPLANE_SEQ};
 use superoffload_bench::roofline::{measure, RooflineArgs};
 use superoffload_bench::{realbench, roofline};
-use tensorlite::{counters, spans};
-
-/// Counters and spans are process-wide; tests that enable them must not
-/// overlap (integration tests in one file share a process).
-fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
-    use std::sync::{Mutex, OnceLock, PoisonError};
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
+use tensorlite::{Recorder, StoragePrecision};
 
 #[test]
 fn roofline_reconciles_bit_exactly_with_the_counter_ledger() {
-    let _g = serial_guard();
     let steps = 2;
     let mut invariant: Option<(u64, u64)> = None;
     for threads in [1usize, 2, 7] {
@@ -36,7 +25,8 @@ fn roofline_reconciles_bit_exactly_with_the_counter_ledger() {
             ..RooflineArgs::default()
         });
         // Replay the identical workload under a fresh, independent ledger.
-        let (_, ctr) = counters::with_counters(|| {
+        let ledger = Recorder::new(StoragePrecision::F32);
+        ledger.scope(|| {
             realbench::run_training(
                 threads,
                 steps,
@@ -45,6 +35,7 @@ fn roofline_reconciles_bit_exactly_with_the_counter_ledger() {
                 REALPLANE_SEED,
             )
         });
+        let ctr = ledger.snapshot();
         assert_eq!(
             report.total_flops,
             ctr.total_flops(),
@@ -91,7 +82,6 @@ fn roofline_reconciles_bit_exactly_with_the_counter_ledger() {
 
 #[test]
 fn parallel_runs_record_worker_spans_and_a_loadable_trace() {
-    let _g = serial_guard();
     let (report, log) = measure(RooflineArgs {
         threads: 2,
         steps: 1,
@@ -121,7 +111,6 @@ fn trace_is_valid(log: &tensorlite::SpanLog) -> String {
 
 #[test]
 fn span_recording_leaves_deterministic_artifacts_byte_identical() {
-    let _g = serial_guard();
     let args = JournalArgs {
         steps: 4,
         seed: 5,
@@ -129,14 +118,15 @@ fn span_recording_leaves_deterministic_artifacts_byte_identical() {
     };
     let meta = [("seed", "5".to_string()), ("steps", "4".to_string())];
 
-    spans::disable();
-    spans::reset();
     let off = journal::journaled_run(args).expect("journaled run (spans off)");
     let off_journal = off.journal().expect("journal enabled");
     let (jsonl_off, snap_off) = (off_journal.to_jsonl(), off_journal.snapshot_json(&meta));
 
-    let (on, log) = spans::with_spans(|| journal::journaled_run(args));
-    let on = on.expect("journaled run (spans on)");
+    let timer = Recorder::traced(StoragePrecision::F32);
+    let on = timer
+        .scope(|| journal::journaled_run(args))
+        .expect("journaled run (spans on)");
+    let log = timer.take_log();
     let on_journal = on.journal().expect("journal enabled");
 
     assert!(

@@ -3,9 +3,9 @@
 
 use std::fmt;
 
-use tensorlite::counters;
+use tensorlite::spans::SpanGuard;
 use tensorlite::storage::Bf16Vec;
-use tensorlite::{KernelFamily, OpKind, Pool};
+use tensorlite::{recorder, KernelFamily, OpKind, Pool};
 
 /// FLOPs per parameter for one Adam element update, counted against
 /// [`tensorlite::OpKind::AdamStep`]: the canonical `adam_update_one` does
@@ -15,25 +15,21 @@ pub const ADAM_FLOPS_PER_PARAM: u64 = 12;
 
 /// Stored-element accesses per parameter for one Adam element update:
 /// read p/g/m/v, write back p/m/v. Byte traffic is this times the
-/// installed storage element size ([`counters::elem_bytes`]).
+/// recording ledger's element size.
 pub const ADAM_ELEM_ACCESSES_PER_PARAM: u64 = 7;
 
-/// Memory traffic per parameter for one Adam element update at the f32
-/// default of 4 B/element (7 element accesses × 4 B).
-pub const ADAM_BYTES_PER_PARAM: u64 = 28;
-
-/// Reports one optimizer step over `n` parameters to the numeric-plane
-/// accounting core and opens its wall-clock span; hold the returned guard
-/// for the duration of the step so the span covers the whole update.
+/// Reports one optimizer step over `n` parameters to the recorders in
+/// scope and opens its wall-clock span; hold the returned guard for the
+/// duration of the step so the span covers the whole update.
 #[must_use]
-fn record_adam_step(n: usize) -> Option<tensorlite::spans::KernelGuard> {
-    counters::record_op(
+fn record_adam_step(n: usize) -> Option<SpanGuard> {
+    let n64 = n as u64;
+    recorder::kernel(
         OpKind::AdamStep,
         n,
-        n as u64 * ADAM_FLOPS_PER_PARAM,
-        n as u64 * ADAM_ELEM_ACCESSES_PER_PARAM * counters::elem_bytes(),
-    );
-    tensorlite::spans::kernel(OpKind::AdamStep)
+        n64 * ADAM_FLOPS_PER_PARAM,
+        n64 * ADAM_ELEM_ACCESSES_PER_PARAM,
+    )
 }
 
 /// Adam hyper-parameters (decoupled weight decay, as in AdamW).

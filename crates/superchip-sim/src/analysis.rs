@@ -23,7 +23,8 @@
 //!   bound if that resource ran 2× faster, from a critical-path recompute
 //!   with its durations halved (schedule shape held fixed).
 //!
-//! All arithmetic is on integer microseconds ([`SimTime::as_micros_rounded`],
+//! All arithmetic is on integer microseconds
+//! ([`SimTime::as_micros_rounded`](crate::time::SimTime::as_micros_rounded),
 //! the same quantization every export uses), so reports are byte-stable and
 //! the attribution invariants hold exactly, not within epsilon.
 

@@ -609,8 +609,7 @@ impl ScheduleCtx {
     }
 
     /// Runs the simulation and extracts the steady-state report between the
-    /// first and last iteration gates (see
-    /// [`finalize_report`](crate::schedule::finalize_report)).
+    /// first and last iteration gates (see [`finalize_report`]).
     pub fn finish(
         self,
         system: &str,

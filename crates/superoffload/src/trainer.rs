@@ -22,7 +22,7 @@ use grace_optim::ScaleEvent;
 use llm_model::transformer::GptModel;
 use superchip_sim::telemetry::{JsonObject, JsonWriter, Layout, MetricsRecorder};
 use tensorlite::{
-    counters, spans, CounterSnapshot, OpKind, ParallelConfig, StoragePrecision, TensorError,
+    CounterSnapshot, OpKind, ParallelConfig, Recorder, StoragePrecision, TensorError,
 };
 
 use crate::checkpoint::Checkpoint;
@@ -99,10 +99,11 @@ pub struct StepTiming {
     /// Measured MFU: counted FLOPs over `wall_secs ·`
     /// [`JournalConfig::peak_flops`].
     pub mfu: f64,
-    /// Wall time inside numeric-plane kernels (the cumulative
-    /// `tensorlite::spans` busy-nanos delta for this step). Zero when span
-    /// recording is disabled; the gap to `wall_secs` is everything outside
-    /// the kernels — batch prep, engine bookkeeping, journaling.
+    /// Wall time inside numeric-plane kernels (the busy-nanos delta of
+    /// the trainer's recorder for this step). Zero unless an enclosing
+    /// `tensorlite::Recorder` traces spans; the gap to `wall_secs` is
+    /// everything outside the kernels — batch prep, engine bookkeeping,
+    /// journaling.
     pub kernel_secs: f64,
 }
 
@@ -393,10 +394,8 @@ impl TrainerBuilder {
     /// Selects the storage precision for model state between kernels.
     /// Under [`StoragePrecision::Bf16`], gradients quantize as they enter
     /// the optimizer and parameters re-quantize as each step commits (2
-    /// B/element of state traffic); arithmetic stays f32.
-    /// [`TrainerBuilder::build`] installs the matching element size into
-    /// the process-wide byte-accounting conventions
-    /// (`tensorlite::counters::set_storage_elem_bytes`).
+    /// B/element of state traffic); arithmetic stays f32. A journaled
+    /// trainer's recorder counts bytes at the matching element size.
     pub fn storage(&mut self, storage: StoragePrecision) -> &mut Self {
         self.cfg.storage = storage;
         self
@@ -431,11 +430,12 @@ impl TrainerBuilder {
         self.parallel(ParallelConfig::with_threads(threads))
     }
 
-    /// Enables the step journal: [`TrainerBuilder::build`] resets and
-    /// enables the process-wide `tensorlite` op counters (like
-    /// [`TrainerBuilder::parallel`], a process-wide effect), and every
-    /// [`Trainer::step`] appends one [`StepRecord`] + [`StepTiming`] pair,
-    /// retrievable via [`Trainer::journal`].
+    /// Enables the step journal: the trainer owns a `tensorlite::Recorder`
+    /// at its storage precision and scopes it around each step's engine
+    /// work only, so its ledger holds this run's steps and nothing else,
+    /// even with other runs in the process. Every [`Trainer::step`]
+    /// appends one [`StepRecord`] + [`StepTiming`] pair, retrievable via
+    /// [`Trainer::journal`].
     pub fn journal(&mut self, cfg: JournalConfig) -> &mut Self {
         self.journal = Some(cfg);
         self
@@ -446,14 +446,9 @@ impl TrainerBuilder {
         if let Some(parallel) = &self.parallel {
             parallel.install();
         }
-        // Byte-accounting convention follows the storage precision (a
-        // process-wide effect, like `parallel` above).
-        self.cfg.storage.install();
-        let journal = self.journal.map(|cfg| {
-            counters::reset();
-            counters::enable();
-            StepJournal::new(cfg)
-        });
+        let journal = self
+            .journal
+            .map(|cfg| (StepJournal::new(cfg), Recorder::new(self.cfg.storage)));
         Trainer {
             engine: Engine::new(self.discipline, self.model.clone(), 1, self.cfg),
             checkpoint_every: self.checkpoint_every,
@@ -476,7 +471,7 @@ pub struct Trainer {
     losses: Vec<(u64, f32)>,
     rollback_steps: Vec<u64>,
     checkpoints: Vec<(u64, Checkpoint)>,
-    journal: Option<StepJournal>,
+    journal: Option<(StepJournal, Recorder)>,
 }
 
 impl Trainer {
@@ -500,15 +495,18 @@ impl Trainer {
     /// # Errors
     /// Propagates [`TensorError`] from the forward/backward pass.
     pub fn step(&mut self, batch: &[Sample]) -> Result<StepOutcome, TensorError> {
-        let pre = self.journal.is_some().then(|| {
+        let pre = self.journal.as_ref().map(|(_, rec)| {
             (
-                counters::snapshot(),
+                rec.snapshot(),
                 self.spans(),
-                spans::total_busy_nanos(),
+                rec.total_busy_nanos(),
                 Instant::now(),
             )
         });
-        let out = self.engine.train_step(batch)?;
+        let out = match &self.journal {
+            Some((_, rec)) => rec.scope(|| self.engine.train_step(batch)),
+            None => self.engine.train_step(batch),
+        }?;
         self.steps_taken += 1;
         if let Some((ctr0, spans0, kernel0, t0)) = pre {
             self.journal_step(
@@ -557,10 +555,11 @@ impl Trainer {
         kernel0: u64,
         wall_secs: f64,
     ) {
-        let delta = counters::snapshot().delta_since(&ctr0);
-        // One relaxed atomic read; zero when span recording is off.
-        let kernel_secs = spans::total_busy_nanos().saturating_sub(kernel0) as f64 / 1e9;
         let spans1 = self.spans();
+        let (journal, rec) = self.journal.as_mut().expect("journaling enabled");
+        let delta = rec.snapshot().delta_since(&ctr0);
+        // One relaxed atomic read; zero when no recorder in scope traces.
+        let kernel_secs = rec.total_busy_nanos().saturating_sub(kernel0) as f64 / 1e9;
         let tokens: u64 = batch.iter().map(|(x, _)| x.len() as u64).sum();
         let (outcome, grad_norm) = match *out {
             StepOutcome::Applied { grad_norm, .. } => ("applied", Some(grad_norm)),
@@ -568,7 +567,6 @@ impl Trainer {
             StepOutcome::Skipped { .. } => ("skipped", None),
         };
         let step = self.steps_taken;
-        let journal = self.journal.as_mut().expect("journaling enabled");
         journal.records.push(StepRecord {
             step,
             outcome,
@@ -606,7 +604,7 @@ impl Trainer {
 
     /// The step journal, if enabled via [`TrainerBuilder::journal`].
     pub fn journal(&self) -> Option<&StepJournal> {
-        self.journal.as_ref()
+        self.journal.as_ref().map(|(journal, _)| journal)
     }
 
     /// Current dynamic loss scale.
@@ -802,15 +800,6 @@ mod tests {
 
     #[test]
     fn storage_knob_trains_and_disciplines_agree() {
-        // Byte-convention restore guard: this test installs the bf16
-        // element size process-wide; put f32 back for concurrent tests.
-        struct RestoreF32;
-        impl Drop for RestoreF32 {
-            fn drop(&mut self) {
-                StoragePrecision::F32.install();
-            }
-        }
-        let _restore = RestoreF32;
         let run = |discipline| {
             let mut b = Trainer::new(model());
             b.storage(StoragePrecision::Bf16).discipline(discipline);
@@ -828,10 +817,6 @@ mod tests {
         assert!(trainer.journal().is_none());
     }
 
-    // Counter-VALUE assertions live in tests/journal.rs (own process): the
-    // counters are process-wide, so concurrent unit tests would pollute
-    // them. Here we only assert journal structure, which pollution cannot
-    // affect.
     #[test]
     fn journal_records_structure_and_serializes() {
         let mut b = Trainer::new(model());

@@ -1,25 +1,10 @@
 //! Step-journal determinism and accounting tests.
-//!
-//! These live in their own integration-test binary (separate process) on
-//! purpose: the tensorlite op counters are process-wide, and the crate's
-//! unit tests run tensor kernels concurrently, which would pollute
-//! counter-delta assertions. Within this binary, tests that enable the
-//! counters serialize through [`guard`].
-
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
 use superoffload::engine::Sample;
 use superoffload::trainer::{JournalConfig, Trainer, JOURNAL_SCHEMA};
 use tensorlite::OpKind;
-
-fn guard() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
 
 fn model() -> GptModel {
     GptModel::new(
@@ -49,7 +34,6 @@ fn journaled_jsonl(threads: usize, steps: u64, seed: u64) -> String {
 
 #[test]
 fn jsonl_is_byte_identical_across_reruns_and_thread_counts() {
-    let _g = guard();
     let base = journaled_jsonl(1, 6, 42);
     assert_eq!(journaled_jsonl(1, 6, 42), base, "rerun must be identical");
     assert_eq!(journaled_jsonl(2, 6, 42), base, "threads=2 must match");
@@ -59,7 +43,6 @@ fn jsonl_is_byte_identical_across_reruns_and_thread_counts() {
 
 #[test]
 fn per_step_counters_account_the_whole_stack() {
-    let _g = guard();
     let mut b = Trainer::new(model());
     b.journal(JournalConfig::default());
     let mut trainer = b.build();
@@ -90,7 +73,6 @@ fn per_step_counters_account_the_whole_stack() {
 
 #[test]
 fn measured_mfu_is_sane() {
-    let _g = guard();
     let mut b = Trainer::new(model());
     b.journal(JournalConfig::default());
     let mut trainer = b.build();
@@ -115,7 +97,6 @@ fn measured_mfu_is_sane() {
 
 #[test]
 fn journal_attaches_to_run_profile() {
-    let _g = guard();
     use superoffload::report::{RunProfile, TrainReport};
     let mut b = Trainer::new(model());
     b.journal(JournalConfig::default());
@@ -139,7 +120,6 @@ fn journal_attaches_to_run_profile() {
 
 #[test]
 fn journaling_does_not_change_the_trajectory() {
-    let _g = guard();
     let batches: Vec<Vec<Sample>> = {
         let mut pile = SyntheticPile::new(43, 21);
         (0..5).map(|_| pile.next_batch(2, 12)).collect()

@@ -1,11 +1,13 @@
-//! Process-wide, thread-safe per-op accounting for the numeric plane.
+//! The op ledger of the numeric plane: per-kind calls, elements, FLOPs
+//! and memory traffic, tensor-storage bytes, and pool regions.
 //!
 //! Every kernel in `tensor.rs` / `ops.rs` reports (op kind, output
-//! elements, FLOPs) here, every tensor-storage allocation and free reports
-//! its bytes, and the worker pool reports each parallel region it enters.
-//! The counters feed the step journal (`superoffload::trainer`), which
-//! turns per-step deltas into ground-truth measured work — the numeric-
-//! plane analogue of the simulator plane's telemetry.
+//! elements, FLOPs, element accesses) through one
+//! [`crate::recorder::kernel`] hook, every tensor-storage allocation and
+//! free reports its elements, and the worker pool reports each region it
+//! enters — into the ledger of each [`Recorder`] scoped around the work.
+//! The step journal (`superoffload::trainer`) turns per-step deltas of its
+//! own recorder's ledger into ground-truth measured work.
 //!
 //! # Cost model
 //!
@@ -16,25 +18,16 @@
 //! not micro-architectural truth, chosen so totals reconcile with the
 //! model-level formulas.
 //!
-//! Byte accounting covers *tensor storage only*: [`elem_bytes`] bytes per
-//! element (4 for f32 storage — the default — or 2 when bf16 storage is
-//! installed, see [`set_storage_elem_bytes`]) counted when a buffer becomes
-//! a [`crate::Tensor`]'s storage and again when that storage is dropped (or
+//! Byte accounting covers *tensor storage only*: each element is counted,
+//! at the ledger's element size, when a buffer becomes a
+//! [`crate::Tensor`]'s storage and again when that storage is dropped (or
 //! handed back via `into_vec`). Kernel scratch (packed GEMM panels,
 //! per-worker transpose stripes) is deliberately excluded — it is bounded
-//! and transient.
-//!
-//! Separately from storage accounting, every kernel reports its *memory
-//! traffic* in bytes — the minimum reads + writes the kernel performs on
-//! tensor operands at [`elem_bytes`] B per element, ignoring cache reuse.
-//! This is the denominator of arithmetic intensity (FLOPs / byte) in the
-//! roofline report; like the FLOP counts it is an analytic convention,
-//! documented per kind on [`OpKind`] (the per-kind docs quote the default
-//! 4 B/elem; under bf16 storage every `4·` factor becomes `2·`). The
-//! element size is a *convention knob*, not a counter: [`reset`] does not
-//! touch it, and it should only change at quiescent points alongside a
-//! storage-precision switch (the `TrainerBuilder` storage knob installs
-//! it).
+//! and transient. Separately, every kernel reports its *memory traffic* as
+//! element accesses — the minimum operand reads + writes, ignoring cache
+//! reuse, documented per kind on [`OpKind`] — which the ledger multiplies
+//! by the same element size: the arithmetic-intensity denominator of the
+//! roofline report.
 //!
 //! # Determinism
 //!
@@ -51,66 +44,57 @@
 //! Everything else (calls, elements, FLOPs, allocated/freed/live bytes,
 //! total pool regions) is a pure function of the executed kernels.
 //!
-//! # Overhead when disabled
-//!
-//! Recording is gated on one `AtomicBool` loaded with `Relaxed` ordering;
-//! when disabled every hook is a single predictable-branch load, so the
-//! numeric plane pays no measurable cost (the realbench compare gate in CI
-//! holds tokens/sec within 1% of the pre-counter baseline).
-//!
-//! # Enable/reset protocol
-//!
-//! Call [`reset`] + [`enable`] at a quiescent point (no live tensors you
-//! intend to account for, no kernels in flight). Frees are only recorded
-//! while enabled, so a tensor allocated before [`enable`] and dropped
-//! after it would show up as an unmatched free; the conservation invariant
-//! `allocated − freed = live` is maintained by construction for every
-//! alloc/free observed while enabled.
+//! [`enable`], [`disable`], [`reset`] and [`snapshot`] act on the calling
+//! thread's ambient recorder ([`crate::recorder`]).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+
+use crate::recorder::{self, Half, Recorder};
+use crate::storage::StoragePrecision;
 
 /// The op kinds the accounting core distinguishes, with their per-element
 /// FLOP conventions (GEMM kinds use `2·m·k·n` instead) and memory-traffic
-/// conventions in bytes (minimum operand reads + writes at 4 B/f32,
-/// ignoring cache reuse — the arithmetic-intensity denominator).
+/// conventions in element accesses (minimum operand reads + writes,
+/// ignoring cache reuse — the ledger multiplies them by its element size
+/// into the arithmetic-intensity denominator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum OpKind {
-    /// `[m,k] @ [k,n]` GEMM — `2·m·k·n` FLOPs; `4·(m·k + k·n + m·n)` B.
+    /// `[m,k] @ [k,n]` GEMM — `2·m·k·n` FLOPs; `m·k + k·n + m·n` accesses.
     MatMul = 0,
-    /// Fused `Aᵀ @ B` GEMM — `2·m·k·n` FLOPs; `4·(m·k + k·n + m·n)` B.
+    /// Fused `Aᵀ @ B` GEMM — `2·m·k·n` FLOPs; `m·k + k·n + m·n` accesses.
     MatMulAt = 1,
-    /// Fused `A @ Bᵀ` GEMM — `2·m·k·n` FLOPs; `4·(m·k + k·n + m·n)` B.
+    /// Fused `A @ Bᵀ` GEMM — `2·m·k·n` FLOPs; `m·k + k·n + m·n` accesses.
     MatMulBt = 2,
-    /// Blocked transpose — 0 FLOPs (pure data movement); 8 B/element
-    /// (read + write).
+    /// Blocked transpose — 0 FLOPs (pure data movement); 2 accesses
+    /// per element (read + write).
     Transpose = 3,
     /// Row-wise softmax — 5 FLOPs/element (sub, exp, add, mul, scale);
-    /// 8 B/element (read + write).
+    /// 2 accesses per element (read + write).
     Softmax = 4,
-    /// Softmax backward — 4 FLOPs/element; 12 B/element (read y and dy,
-    /// write dx).
+    /// Softmax backward — 4 FLOPs/element; 3 accesses per element
+    /// (read y and dy, write dx).
     SoftmaxBackward = 5,
-    /// Layer norm forward — 8 FLOPs/element; `4·(2·m·n + 2·n + 2·m)` B
+    /// Layer norm forward — 8 FLOPs/element; `2·m·n + 2·n + 2·m` accesses
     /// (read x/γ/β, write y and per-row mean/rstd).
     LayerNorm = 6,
-    /// Layer norm backward — 16 FLOPs/element; `4·(3·m·n + 3·n + 2·m)` B
+    /// Layer norm backward — 16 FLOPs/element; `3·m·n + 3·n + 2·m` accesses
     /// (read x/dy/γ + per-row stats, write dx/dγ/dβ).
     LayerNormBackward = 7,
-    /// GELU (tanh approximation) — 10 FLOPs/element; 8 B/element.
+    /// GELU (tanh approximation) — 10 FLOPs/element; 2 accesses/element.
     Gelu = 8,
-    /// GELU backward — 20 FLOPs/element; 12 B/element (read x and dy,
-    /// write dx).
+    /// GELU backward — 20 FLOPs/element; 3 accesses per element
+    /// (read x and dy, write dx).
     GeluBackward = 9,
     /// Cross-entropy on top of its internal softmax — 3 FLOPs/element;
-    /// 8 B/element for the epilogue (the internal softmax reports its own
-    /// traffic).
+    /// 2 accesses per element for the epilogue (the internal softmax
+    /// reports its own traffic).
     CrossEntropy = 10,
     /// Named element-wise tensor ops (`add`/`sub`/`mul`: 1 FLOP/element,
-    /// 12 B; `axpy`: 2 FLOPs/element, 12 B; `scale`: 1 FLOP/element, 8 B).
+    /// 3 accesses; `axpy`: 2 FLOPs, 3 accesses; `scale`: 1 FLOP, 2).
     Elementwise = 11,
-    /// One Adam parameter update — 12 FLOPs/element; 28 B/element (read
-    /// p/g/m/v, write p/m/v; see `grace-optim`).
+    /// One Adam parameter update — 12 FLOPs/element; 7 accesses per
+    /// element (read p/g/m/v, write p/m/v; see `grace-optim`).
     AdamStep = 12,
 }
 
@@ -160,127 +144,128 @@ impl OpKind {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CALLS: [AtomicU64; N_OP_KINDS] = [const { AtomicU64::new(0) }; N_OP_KINDS];
-static ELEMS: [AtomicU64; N_OP_KINDS] = [const { AtomicU64::new(0) }; N_OP_KINDS];
-static FLOPS: [AtomicU64; N_OP_KINDS] = [const { AtomicU64::new(0) }; N_OP_KINDS];
-static OP_BYTES: [AtomicU64; N_OP_KINDS] = [const { AtomicU64::new(0) }; N_OP_KINDS];
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
-static POOL_REGIONS: AtomicU64 = AtomicU64::new(0);
-static POOL_PARALLEL_REGIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes per stored tensor element — a convention knob (4 = f32 storage,
-/// 2 = bf16 storage), deliberately *not* cleared by [`reset`].
-static STORAGE_ELEM_BYTES: AtomicU64 = AtomicU64::new(4);
-
-/// Bytes per stored tensor element used by every byte convention (storage
-/// accounting and kernel memory traffic). 4 under f32 storage (default),
-/// 2 under bf16 storage.
-#[inline]
-pub fn elem_bytes() -> u64 {
-    STORAGE_ELEM_BYTES.load(Ordering::Relaxed)
+/// A run's op ledger: the atomic form of [`CounterSnapshot`], counting
+/// bytes at the run's element size.
+#[derive(Debug)]
+pub(crate) struct Ledger {
+    elem_bytes: u64,
+    calls: [AtomicU64; N_OP_KINDS],
+    elems: [AtomicU64; N_OP_KINDS],
+    flops: [AtomicU64; N_OP_KINDS],
+    op_bytes: [AtomicU64; N_OP_KINDS],
+    allocated: AtomicU64,
+    freed: AtomicU64,
+    live: AtomicI64,
+    peak: AtomicI64,
+    regions: AtomicU64,
+    parallel_regions: AtomicU64,
 }
 
-/// Installs the storage element size for the byte conventions. Call at a
-/// quiescent point (no kernel in flight, ideally right after [`reset`])
-/// when switching the training stack's storage precision; mixing
-/// conventions within one measurement window would make the byte ledger
-/// incoherent.
+impl Ledger {
+    pub(crate) fn new(storage: StoragePrecision) -> Ledger {
+        let zeros = || [const { AtomicU64::new(0) }; N_OP_KINDS];
+        Ledger {
+            elem_bytes: storage.elem_bytes(),
+            calls: zeros(),
+            elems: zeros(),
+            flops: zeros(),
+            op_bytes: zeros(),
+            allocated: AtomicU64::new(0),
+            freed: AtomicU64::new(0),
+            live: AtomicI64::new(0),
+            peak: AtomicI64::new(0),
+            regions: AtomicU64::new(0),
+            parallel_regions: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn op(&self, kind: OpKind, elems: usize, flops: u64, accesses: u64) {
+        let i = kind.index();
+        self.calls[i].fetch_add(1, Ordering::Relaxed);
+        self.elems[i].fetch_add(elems as u64, Ordering::Relaxed);
+        self.flops[i].fetch_add(flops, Ordering::Relaxed);
+        self.op_bytes[i].fetch_add(accesses * self.elem_bytes, Ordering::Relaxed);
+    }
+
+    pub(crate) fn alloc(&self, elems: usize) {
+        let bytes = elems as u64 * self.elem_bytes;
+        self.allocated.fetch_add(bytes, Ordering::Relaxed);
+        let live = self.live.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+    }
+
+    pub(crate) fn free(&self, elems: usize) {
+        let bytes = elems as u64 * self.elem_bytes;
+        self.freed.fetch_add(bytes, Ordering::Relaxed);
+        self.live.fetch_sub(bytes as i64, Ordering::Relaxed);
+    }
+
+    /// One kernel region on the pool (`parallel` = whether it actually
+    /// forked; the total is thread-count-invariant, the split is not).
+    pub(crate) fn region(&self, parallel: bool) {
+        self.regions.fetch_add(1, Ordering::Relaxed);
+        if parallel {
+            self.parallel_regions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> CounterSnapshot {
+        let load = |a: &[AtomicU64; N_OP_KINDS]| a.each_ref().map(|c| c.load(Ordering::Relaxed));
+        CounterSnapshot {
+            calls: load(&self.calls),
+            elems: load(&self.elems),
+            flops: load(&self.flops),
+            op_bytes: load(&self.op_bytes),
+            allocated_bytes: self.allocated.load(Ordering::Relaxed),
+            freed_bytes: self.freed.load(Ordering::Relaxed),
+            live_bytes: self.live.load(Ordering::Relaxed),
+            peak_bytes: self.peak.load(Ordering::Relaxed),
+            pool_regions: self.regions.load(Ordering::Relaxed),
+            pool_parallel_regions: self.parallel_regions.load(Ordering::Relaxed),
+        }
+    }
+
+    pub(crate) fn reset(&self) {
+        for c in [&self.calls, &self.elems, &self.flops, &self.op_bytes]
+            .into_iter()
+            .flatten()
+            .chain([
+                &self.allocated,
+                &self.freed,
+                &self.regions,
+                &self.parallel_regions,
+            ])
+        {
+            c.store(0, Ordering::Relaxed);
+        }
+        self.live.store(0, Ordering::Relaxed);
+        self.peak.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Turns the calling thread's ambient ledger on, for this thread and the
+/// pool regions it launches ([`crate::recorder`]).
 ///
 /// # Panics
-/// Panics unless `bytes` is 2 (bf16) or 4 (f32).
-pub fn set_storage_elem_bytes(bytes: u64) {
-    assert!(
-        bytes == 2 || bytes == 4,
-        "storage element size must be 2 (bf16) or 4 (f32), got {bytes}"
-    );
-    STORAGE_ELEM_BYTES.store(bytes, Ordering::Relaxed);
-}
-
-/// Turns op accounting on. Call at a quiescent point (see module docs).
+/// Panics inside a [`Recorder::scope`].
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    recorder::switch_ambient(Half::Ledger, true);
 }
 
-/// Turns op accounting off. Hooks revert to a single relaxed load.
+/// Turns the calling thread's ambient ledger off; its totals stay
+/// readable through [`snapshot`].
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    recorder::switch_ambient(Half::Ledger, false);
 }
 
-/// Whether accounting is currently on.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Zeroes every counter. Call at a quiescent point.
+/// Zeroes the calling thread's ambient ledger.
 pub fn reset() {
-    for i in 0..N_OP_KINDS {
-        CALLS[i].store(0, Ordering::Relaxed);
-        ELEMS[i].store(0, Ordering::Relaxed);
-        FLOPS[i].store(0, Ordering::Relaxed);
-        OP_BYTES[i].store(0, Ordering::Relaxed);
-    }
-    ALLOC_BYTES.store(0, Ordering::Relaxed);
-    FREED_BYTES.store(0, Ordering::Relaxed);
-    LIVE_BYTES.store(0, Ordering::Relaxed);
-    PEAK_BYTES.store(0, Ordering::Relaxed);
-    POOL_REGIONS.store(0, Ordering::Relaxed);
-    POOL_PARALLEL_REGIONS.store(0, Ordering::Relaxed);
+    recorder::ambient(|r| r.ledger().reset());
 }
 
-/// Records one kernel invocation with its FLOPs and memory traffic in
-/// bytes (see the [`OpKind`] conventions). Public so sibling numeric-plane
-/// crates (`grace-optim` records [`OpKind::AdamStep`]) can report ops
-/// executed outside `tensorlite` itself.
-#[inline]
-pub fn record_op(kind: OpKind, elems: usize, flops: u64, bytes: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let i = kind.index();
-    CALLS[i].fetch_add(1, Ordering::Relaxed);
-    ELEMS[i].fetch_add(elems as u64, Ordering::Relaxed);
-    FLOPS[i].fetch_add(flops, Ordering::Relaxed);
-    OP_BYTES[i].fetch_add(bytes, Ordering::Relaxed);
-}
-
-/// Records `elems` f32s becoming tensor storage.
-#[inline]
-pub(crate) fn record_alloc(elems: usize) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let bytes = elems as u64 * elem_bytes();
-    ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    let live = LIVE_BYTES.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-/// Records `elems` f32s of tensor storage being released.
-#[inline]
-pub(crate) fn record_free(elems: usize) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let bytes = elems as u64 * elem_bytes();
-    FREED_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    LIVE_BYTES.fetch_sub(bytes as i64, Ordering::Relaxed);
-}
-
-/// Records the pool entering one kernel region (`parallel` = whether it
-/// actually spawned workers; the total is thread-count-invariant, the
-/// parallel split is not).
-#[inline]
-pub(crate) fn record_pool_region(parallel: bool) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    POOL_REGIONS.fetch_add(1, Ordering::Relaxed);
-    if parallel {
-        POOL_PARALLEL_REGIONS.fetch_add(1, Ordering::Relaxed);
-    }
+/// The calling thread's ambient ledger. Exact at quiescent points.
+pub fn snapshot() -> CounterSnapshot {
+    recorder::ambient(Recorder::snapshot)
 }
 
 /// A point-in-time copy of every counter. Exact when taken at a quiescent
@@ -303,7 +288,8 @@ pub struct CounterSnapshot {
     /// Total bytes of tensor storage released.
     pub freed_bytes: u64,
     /// Currently-live tensor-storage bytes (`allocated − freed`; can go
-    /// negative if [`enable`] was called with tensors already live).
+    /// negative when storage allocated outside the ledger's scope is freed
+    /// inside it).
     pub live_bytes: i64,
     /// High-water mark of `live_bytes`. Thread-timing-dependent — never
     /// put this in a deterministic artifact.
@@ -390,69 +376,45 @@ impl CounterSnapshot {
     }
 }
 
-/// Takes a snapshot of all counters. Exact at quiescent points.
-pub fn snapshot() -> CounterSnapshot {
-    let mut s = CounterSnapshot::default();
-    for i in 0..N_OP_KINDS {
-        s.calls[i] = CALLS[i].load(Ordering::Relaxed);
-        s.elems[i] = ELEMS[i].load(Ordering::Relaxed);
-        s.flops[i] = FLOPS[i].load(Ordering::Relaxed);
-        s.op_bytes[i] = OP_BYTES[i].load(Ordering::Relaxed);
-    }
-    s.allocated_bytes = ALLOC_BYTES.load(Ordering::Relaxed);
-    s.freed_bytes = FREED_BYTES.load(Ordering::Relaxed);
-    s.live_bytes = LIVE_BYTES.load(Ordering::Relaxed);
-    s.peak_bytes = PEAK_BYTES.load(Ordering::Relaxed);
-    s.pool_regions = POOL_REGIONS.load(Ordering::Relaxed);
-    s.pool_parallel_regions = POOL_PARALLEL_REGIONS.load(Ordering::Relaxed);
-    s
-}
-
-/// Runs `f` with counters reset and enabled, restoring the previous
-/// enabled state afterwards and returning `f`'s result alongside the
-/// final snapshot. The serialized-access guard for tests and short
-/// measurement regions: take it around a quiescent section.
-pub fn with_counters<R>(f: impl FnOnce() -> R) -> (R, CounterSnapshot) {
-    let was = is_enabled();
-    reset();
-    enable();
-    let r = f();
-    let snap = snapshot();
-    if !was {
-        disable();
-    }
-    (r, snap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
-    use std::sync::{Mutex, OnceLock};
 
-    /// Counters are process-wide; tests that enable them must not overlap.
-    pub(crate) fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Runs `f` under a fresh f32 recorder and returns its ledger.
+    fn ledger_of(f: impl FnOnce()) -> CounterSnapshot {
+        let rec = Recorder::new(StoragePrecision::F32);
+        rec.scope(f);
+        rec.snapshot()
     }
 
     #[test]
     fn disabled_records_nothing() {
-        let _g = serial_guard();
         disable();
         reset();
+        let idle = Recorder::new(StoragePrecision::F32);
         let a = Tensor::zeros(&[8, 8]);
         let _ = a.matmul(&a).unwrap();
+        assert_eq!(snapshot(), CounterSnapshot::default());
+        assert_eq!(idle.snapshot(), CounterSnapshot::default(), "never scoped");
+    }
+
+    #[test]
+    fn ambient_ledger_records_between_enable_and_disable() {
+        reset();
+        enable();
+        let a = Tensor::zeros(&[4, 4]);
+        let _ = a.matmul(&a).unwrap();
+        disable();
+        let _ = a.matmul(&a).unwrap();
         let s = snapshot();
-        assert_eq!(s, CounterSnapshot::default());
+        assert_eq!(s.calls(OpKind::MatMul), 1, "only the enabled call counts");
+        assert_eq!(s.bytes(OpKind::MatMul), 4 * 3 * 4 * 4, "f32 element size");
     }
 
     #[test]
     fn conservation_and_peak_invariants() {
-        let _g = serial_guard();
-        let ((), s) = with_counters(|| {
+        let s = ledger_of(|| {
             let a = Tensor::zeros(&[16, 16]);
             let b = a.clone();
             let c = a.matmul(&b).unwrap();
@@ -478,14 +440,13 @@ mod tests {
 
     #[test]
     fn op_totals_are_thread_count_invariant() {
-        let _g = serial_guard();
         let mut rng = crate::rng::XorShiftRng::new(42);
         // Big enough to clear PAR_WORK_THRESHOLD so the pool really forks.
         let a = Tensor::randn(&[64, 64], 1.0, &mut rng);
         let b = Tensor::randn(&[64, 64], 1.0, &mut rng);
         let mut per_threads = Vec::new();
         for threads in [1usize, 2, 7] {
-            let ((), s) = with_counters(|| {
+            let s = ledger_of(|| {
                 crate::pool::with_threads(threads, || {
                     let c = a.matmul(&b).unwrap();
                     let d = crate::ops::softmax_rows(&c).unwrap();
@@ -530,31 +491,17 @@ mod tests {
     }
 
     #[test]
-    fn storage_elem_bytes_scales_alloc_accounting() {
-        let _g = serial_guard();
-        struct RestoreF32;
-        impl Drop for RestoreF32 {
-            fn drop(&mut self) {
-                set_storage_elem_bytes(4);
-            }
-        }
-        let _restore = RestoreF32;
-        assert_eq!(elem_bytes(), 4);
-        set_storage_elem_bytes(2);
-        assert_eq!(elem_bytes(), 2);
-        let ((), s) = with_counters(|| {
+    fn bf16_ledger_counts_two_bytes_per_element() {
+        let rec = Recorder::new(StoragePrecision::Bf16);
+        rec.scope(|| {
             let t = Tensor::zeros(&[10]);
-            drop(t);
+            let _ = t.scale(2.0);
         });
-        assert_eq!(s.allocated_bytes, 20, "10 elems at 2 B under bf16 storage");
-        assert_eq!(s.freed_bytes, 20);
+        let s = rec.snapshot();
+        assert_eq!(s.allocated_bytes, 40, "two 10-elem tensors at 2 B");
+        assert_eq!(s.freed_bytes, 40);
         assert_eq!(s.live_bytes, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "storage element size")]
-    fn storage_elem_bytes_rejects_bad_sizes() {
-        set_storage_elem_bytes(3);
+        assert_eq!(s.bytes(OpKind::Elementwise), 2 * 2 * 10, "read + write");
     }
 
     #[test]

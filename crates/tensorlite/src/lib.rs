@@ -40,6 +40,7 @@ pub mod error;
 pub mod f16;
 pub mod ops;
 pub mod pool;
+pub mod recorder;
 pub mod rng;
 pub mod spans;
 pub mod storage;
@@ -50,6 +51,7 @@ pub use counters::{CounterSnapshot, OpKind};
 pub use error::TensorError;
 pub use f16::{Bf16, F16};
 pub use pool::{KernelFamily, ParallelConfig, Pool};
+pub use recorder::Recorder;
 pub use rng::XorShiftRng;
 pub use spans::SpanLog;
 pub use storage::{Bf16Vec, StoragePrecision};

@@ -4,10 +4,10 @@
 //! analytic gradient, verified against finite differences in the test suite.
 //! These kernels are composed by `llm-model` into a real GPT-style model.
 
-use crate::counters::{self, OpKind};
+use crate::counters::OpKind;
 use crate::error::TensorError;
 use crate::pool::{KernelFamily, Pool};
-use crate::spans;
+use crate::recorder;
 use crate::tensor::Tensor;
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
@@ -20,8 +20,13 @@ use crate::tensor::Tensor;
 /// Returns [`TensorError::BadRank`] for non-matrices.
 pub fn softmax_rows(x: &Tensor) -> Result<Tensor, TensorError> {
     ensure_rank2(x, "softmax_rows")?;
-    let _span = spans::kernel(OpKind::Softmax);
     let (m, n) = (x.shape()[0], x.shape()[1]);
+    let _kernel = recorder::kernel(
+        OpKind::Softmax,
+        m * n,
+        5 * (m * n) as u64,
+        2 * (m * n) as u64,
+    );
     let mut out = vec![0.0f32; m * n];
     let pool = Pool::current().limit_for_family(KernelFamily::Softmax, m * n * 8);
     pool.par_row_chunks(&mut out, n, |first_row, block| {
@@ -41,12 +46,6 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor, TensorError> {
             }
         }
     });
-    counters::record_op(
-        OpKind::Softmax,
-        m * n,
-        5 * (m * n) as u64,
-        2 * counters::elem_bytes() * (m * n) as u64,
-    );
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -58,8 +57,13 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor, TensorError> {
 pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
     ensure_rank2(y, "softmax_rows_backward")?;
     ensure_same_shape(y, dy, "softmax_rows_backward")?;
-    let _span = spans::kernel(OpKind::SoftmaxBackward);
     let (m, n) = (y.shape()[0], y.shape()[1]);
+    let _kernel = recorder::kernel(
+        OpKind::SoftmaxBackward,
+        m * n,
+        4 * (m * n) as u64,
+        3 * (m * n) as u64,
+    );
     let mut out = vec![0.0f32; m * n];
     let pool = Pool::current().limit_for_family(KernelFamily::Softmax, m * n * 4);
     pool.par_row_chunks(&mut out, n, |first_row, block| {
@@ -78,12 +82,6 @@ pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Result<Tensor, TensorEr
             }
         }
     });
-    counters::record_op(
-        OpKind::SoftmaxBackward,
-        m * n,
-        4 * (m * n) as u64,
-        3 * counters::elem_bytes() * (m * n) as u64,
-    );
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -104,7 +102,12 @@ pub fn layer_norm(
     let (m, n) = (x.shape()[0], x.shape()[1]);
     ensure_param_len(gamma, n, "layer_norm gamma")?;
     ensure_param_len(beta, n, "layer_norm beta")?;
-    let _span = spans::kernel(OpKind::LayerNorm);
+    let _kernel = recorder::kernel(
+        OpKind::LayerNorm,
+        m * n,
+        8 * (m * n) as u64,
+        (2 * m * n + 2 * n + 2 * m) as u64,
+    );
     let mut out = vec![0.0f32; m * n];
     let mut means = vec![0.0f32; m];
     let mut inv_stds = vec![0.0f32; m];
@@ -134,12 +137,6 @@ pub fn layer_norm(
             }
         }
     });
-    counters::record_op(
-        OpKind::LayerNorm,
-        m * n,
-        8 * (m * n) as u64,
-        counters::elem_bytes() * (2 * m * n + 2 * n + 2 * m) as u64,
-    );
     Ok((Tensor::from_vec(out, &[m, n])?, means, inv_stds))
 }
 
@@ -190,7 +187,12 @@ pub fn layer_norm_backward(
     ensure_same_shape(x, dy, "layer_norm_backward")?;
     let (m, n) = (x.shape()[0], x.shape()[1]);
     ensure_param_len(gamma, n, "layer_norm_backward gamma")?;
-    let _span = spans::kernel(OpKind::LayerNormBackward);
+    let _kernel = recorder::kernel(
+        OpKind::LayerNormBackward,
+        m * n,
+        16 * (m * n) as u64,
+        (3 * m * n + 3 * n + 2 * m) as u64,
+    );
     let mut dx = vec![0.0f32; m * n];
     let mut dgamma = vec![0.0f32; n];
     let mut dbeta = vec![0.0f32; n];
@@ -235,12 +237,6 @@ pub fn layer_norm_backward(
             dbeta[j] += dyr[j];
         }
     }
-    counters::record_op(
-        OpKind::LayerNormBackward,
-        m * n,
-        16 * (m * n) as u64,
-        counters::elem_bytes() * (3 * m * n + 3 * n + 2 * m) as u64,
-    );
     Ok((Tensor::from_vec(dx, &[m, n])?, dgamma, dbeta))
 }
 
@@ -271,12 +267,11 @@ fn par_elementwise(x: &Tensor, fill: impl Fn(&mut [f32], usize) + Sync) -> Tenso
 /// Rows are partitioned over the pool once the tensor reaches the
 /// [`KernelFamily::Elementwise`] threshold ([`elementwise_pool`]).
 pub fn gelu(x: &Tensor) -> Tensor {
-    let _span = spans::kernel(OpKind::Gelu);
-    counters::record_op(
+    let _kernel = recorder::kernel(
         OpKind::Gelu,
         x.len(),
         10 * x.len() as u64,
-        2 * counters::elem_bytes() * x.len() as u64,
+        2 * x.len() as u64,
     );
     par_elementwise(x, |block, start| {
         for (o, &xv) in block.iter_mut().zip(&x.data()[start..]) {
@@ -291,13 +286,8 @@ pub fn gelu(x: &Tensor) -> Tensor {
 /// Returns [`TensorError::IncompatibleShapes`] on shape mismatch.
 pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
     ensure_same_shape(x, dy, "gelu_backward")?;
-    let _span = spans::kernel(OpKind::GeluBackward);
-    counters::record_op(
-        OpKind::GeluBackward,
-        x.len(),
-        20 * x.len() as u64,
-        3 * counters::elem_bytes() * x.len() as u64,
-    );
+    let len = x.len();
+    let _kernel = recorder::kernel(OpKind::GeluBackward, len, 20 * len as u64, 3 * len as u64);
     Ok(par_elementwise(x, |block, start| {
         let (xs, dys) = (&x.data()[start..], &dy.data()[start..]);
         for ((o, &xv), &dyv) in block.iter_mut().zip(xs).zip(dys) {
@@ -337,17 +327,23 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
             op: "cross_entropy",
         });
     }
+    if let Some(&t) = targets.iter().find(|&&t| t >= n) {
+        return Err(TensorError::IndexOutOfBounds { index: t, len: n });
+    }
     let probs = softmax_rows(logits)?;
-    // Span opens after the internal softmax so the two kinds never overlap
-    // (matching the FLOP/byte split below).
-    let _span = spans::kernel(OpKind::CrossEntropy);
+    // The hook runs after the internal softmax, which recorded itself, so
+    // the two spans never overlap; this is the loss/grad epilogue.
+    let elems = m * n;
+    let _kernel = recorder::kernel(
+        OpKind::CrossEntropy,
+        elems,
+        3 * elems as u64,
+        2 * elems as u64,
+    );
     let mut loss = 0.0f64;
     let mut grad = probs.data().to_vec();
     let inv_m = 1.0 / m as f32;
     for (i, &t) in targets.iter().enumerate() {
-        if t >= n {
-            return Err(TensorError::IndexOutOfBounds { index: t, len: n });
-        }
         let p = probs.data()[i * n + t].max(1e-30);
         loss -= (p as f64).ln();
         grad[i * n + t] -= 1.0;
@@ -355,13 +351,6 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
     for g in &mut grad {
         *g *= inv_m;
     }
-    // The internal softmax recorded itself; this is the loss/grad epilogue.
-    counters::record_op(
-        OpKind::CrossEntropy,
-        m * n,
-        3 * (m * n) as u64,
-        2 * counters::elem_bytes() * (m * n) as u64,
-    );
     Ok(((loss / m as f64) as f32, Tensor::from_vec(grad, &[m, n])?))
 }
 

@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::counters;
+use crate::recorder;
 use crate::spans;
 
 /// Sentinel meaning "not configured" in the global thread-count cell.
@@ -529,25 +529,32 @@ impl Pool {
     /// disjoint unit of work, so execution order cannot affect results.
     pub fn run_parts<S: Send>(&self, parts: Vec<S>, f: impl Fn(usize, S) + Sync) {
         if self.threads <= 1 || parts.len() <= 1 {
-            counters::record_pool_region(false);
+            recorder::pool_region(false);
             for (i, p) in parts.into_iter().enumerate() {
                 f(i, p);
             }
             return;
         }
-        counters::record_pool_region(true);
-        // When span recording is on, wrap the fork/join in a region span
-        // and each task's body in a busy span keyed by task index, so the
-        // profiler can attribute join-barrier idle time per worker slot.
+        recorder::pool_region(true);
+        // Each task runs inside the launching thread's recorders. When one
+        // of them traces, the fork/join gets a region span and each task's
+        // body a busy span keyed by task index, so the profiler can
+        // attribute join-barrier idle time per worker slot.
         let region = spans::region(parts.len());
         let total = parts.len();
         let slots = PartSlots::new(parts);
-        let region = region.as_ref();
+        let (region, carried) = (region.as_ref(), recorder::carry());
         let task = |i: usize| {
             // SAFETY: the region dispenser hands out each index once.
             let part = unsafe { slots.take(i) };
-            let _busy = region.map(|r| r.worker(i));
-            with_threads(1, || f(i, part));
+            // SAFETY: the launching thread waits in `execute_region`, inside
+            // its recorder scopes, until every task has returned.
+            unsafe {
+                carried.enter(|| {
+                    let _busy = region.map(|r| r.worker(i));
+                    with_threads(1, || f(i, part));
+                })
+            };
         };
         execute_region(&task, total);
     }
@@ -561,7 +568,7 @@ impl Pool {
             // One region per kernel invocation, matching the delegation to
             // `run_parts` on the parallel path: the total region count is
             // thread-count-invariant.
-            counters::record_pool_region(false);
+            recorder::pool_region(false);
             for (i, slot) in out.iter_mut().enumerate() {
                 *slot = Some(f(i));
             }
@@ -609,7 +616,7 @@ impl Pool {
         let rows = data.len() / row_len;
         let t = self.threads.min(rows).max(1);
         if t <= 1 {
-            counters::record_pool_region(false);
+            recorder::pool_region(false);
             f(0, data);
             return;
         }

@@ -12,19 +12,20 @@
 //!
 //! # Discipline (same as `counters.rs`)
 //!
-//! - **Off by default.** Every hook starts with one `Relaxed` load of a
-//!   process-wide `AtomicBool` and returns `None` immediately when
-//!   disabled — a single predictable branch per kernel call, nothing else.
+//! - **Per run.** Spans land only in the recorders scoped around the work
+//!   ([`crate::recorder`]) that were made with [`Recorder::traced`]; a
+//!   kernel is timed only when one of them is in scope, and every recorder
+//!   in scope then adds its busy time.
 //! - **Wall-clock never enters byte-stable artifacts.** Spans are a
 //!   diagnostic sidecar, exactly like `StepTiming`: the deterministic
 //!   journal / metrics snapshots must be byte-identical whether span
 //!   recording is on or off (enforced by `bench/tests/roofline.rs`).
-//! - **Enable/reset at quiescent points** (no kernel in flight), like the
-//!   counters: spans recorded across a reset would tear.
+//! - **Take logs at quiescent points** (no kernel in flight) — spans
+//!   recorded across a reset would tear.
 //!
 //! # Data model
 //!
-//! Three span kinds accumulate in a process-wide log:
+//! Three span kinds accumulate in each recorder's log:
 //!
 //! - [`KernelSpan`] — one per kernel invocation (e.g. one `matmul` call),
 //!   on the *calling* thread's track. Kernel entry points never nest (the
@@ -38,30 +39,30 @@
 //!   it; the index is the stable identity.
 //!
 //! Alongside the log, cumulative per-kind busy nanoseconds accumulate in
-//! relaxed atomics so cheap aggregates ([`kind_busy_nanos`],
-//! [`total_busy_nanos`]) are available without draining or locking the
-//! log — the trainer reads a delta of one atomic per step to fill
-//! `StepTiming::kernel_secs`.
+//! relaxed atomics, so aggregates are available without draining or
+//! locking the log — the trainer reads a delta of one atomic per step to
+//! fill `StepTiming::kernel_secs`. The log is bounded ([`MAX_SPANS`] per
+//! span kind); once full, further spans are counted in
+//! [`SpanLog::dropped`] instead of stored, and the atomics stay exact.
+//! Track ids, region ids and the span clock's epoch are process-wide, so
+//! spans from different recorders share one timeline.
 //!
-//! The log is bounded ([`MAX_SPANS`] per span kind); once full, further
-//! spans are counted in [`SpanLog::dropped`] instead of stored, and the
-//! cumulative atomics stay exact regardless.
+//! [`enable`], [`disable`], [`reset`], [`take_log`] and [`kind_busy_nanos`]
+//! act on the calling thread's ambient recorder ([`crate::recorder`]).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::counters::{OpKind, N_OP_KINDS};
+use crate::recorder::{self, Half, Recorder};
 
 /// Maximum stored spans per span kind (kernel / region / worker). Chosen so
 /// a worst-case full log stays a few tens of MiB; overflow increments
 /// [`SpanLog::dropped`] and the cumulative busy-nanos atomics stay exact.
 pub const MAX_SPANS: usize = 1 << 18;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static KIND_NANOS: [AtomicU64; N_OP_KINDS] = [const { AtomicU64::new(0) }; N_OP_KINDS];
-static TOTAL_NANOS: AtomicU64 = AtomicU64::new(0);
 static NEXT_TRACK: AtomicU32 = AtomicU32::new(0);
 static NEXT_REGION: AtomicU64 = AtomicU64::new(0);
 
@@ -159,8 +160,8 @@ impl WorkerUtilization {
     }
 }
 
-/// The drained span log: everything recorded since the last [`reset`] /
-/// [`take_log`].
+/// A drained span log: everything a recorder stored since its log was
+/// last taken or reset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanLog {
     /// Kernel spans, in completion order.
@@ -193,8 +194,9 @@ impl SpanLog {
     }
 
     /// Per-kind busy nanoseconds summed from the *stored* kernel spans.
-    /// Prefer [`kind_busy_nanos`] (the cumulative atomics) for totals —
-    /// it stays exact even when spans were dropped.
+    /// Prefer the recorder's cumulative busy nanos for totals
+    /// ([`crate::Recorder::kind_busy_nanos`]) — they stay exact even when
+    /// spans were dropped.
     pub fn stored_kind_nanos(&self) -> [u64; N_OP_KINDS] {
         let mut out = [0u64; N_OP_KINDS];
         for s in &self.kernels {
@@ -229,267 +231,289 @@ impl SpanLog {
     }
 }
 
-static LOG: Mutex<SpanLog> = Mutex::new(SpanLog {
-    kernels: Vec::new(),
-    regions: Vec::new(),
-    workers: Vec::new(),
-    dropped: 0,
-});
-
-fn lock_log() -> std::sync::MutexGuard<'static, SpanLog> {
-    LOG.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// A recorder's span state: the bounded log and cumulative busy nanos.
+#[derive(Debug, Default)]
+pub(crate) struct Trace {
+    kind_nanos: [AtomicU64; N_OP_KINDS],
+    total_nanos: AtomicU64,
+    log: Mutex<SpanLog>,
 }
 
-/// Turns span recording on. Call at a quiescent point (no kernel in
-/// flight), same protocol as [`crate::counters::enable`].
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns span recording off. Hooks revert to a single relaxed load.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether span recording is currently on.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Clears the span log and the cumulative busy-nanos counters. Call at a
-/// quiescent point.
-pub fn reset() {
-    for n in &KIND_NANOS {
-        n.store(0, Ordering::Relaxed);
+impl Trace {
+    fn lock(&self) -> std::sync::MutexGuard<'_, SpanLog> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    TOTAL_NANOS.store(0, Ordering::Relaxed);
-    *lock_log() = SpanLog::default();
-}
 
-/// Drains the span log, leaving it empty (the cumulative busy-nanos
-/// counters are *not* cleared; use [`reset`] for that).
-pub fn take_log() -> SpanLog {
-    std::mem::take(&mut *lock_log())
-}
-
-/// Cumulative busy nanoseconds per [`OpKind`] since the last [`reset`].
-/// Exact even when the log overflowed.
-pub fn kind_busy_nanos() -> [u64; N_OP_KINDS] {
-    let mut out = [0u64; N_OP_KINDS];
-    for (o, n) in out.iter_mut().zip(&KIND_NANOS) {
-        *o = n.load(Ordering::Relaxed);
-    }
-    out
-}
-
-/// Cumulative busy nanoseconds across all kernel kinds since the last
-/// [`reset`] — one relaxed load, cheap enough for per-step deltas.
-pub fn total_busy_nanos() -> u64 {
-    TOTAL_NANOS.load(Ordering::Relaxed)
-}
-
-/// Runs `f` with spans reset and enabled, restoring the previous enabled
-/// state afterwards and returning `f`'s result alongside the drained log.
-pub fn with_spans<R>(f: impl FnOnce() -> R) -> (R, SpanLog) {
-    let was = is_enabled();
-    reset();
-    enable();
-    let r = f();
-    if !was {
-        disable();
-    }
-    (r, take_log())
-}
-
-/// Drop guard for one kernel span. Created by [`kernel`]; records the span
-/// on drop.
-#[derive(Debug)]
-pub struct KernelGuard {
-    kind: OpKind,
-    start_nanos: u64,
-}
-
-impl Drop for KernelGuard {
-    fn drop(&mut self) {
-        let dur = now_nanos().saturating_sub(self.start_nanos);
-        KIND_NANOS[self.kind.index()].fetch_add(dur, Ordering::Relaxed);
-        TOTAL_NANOS.fetch_add(dur, Ordering::Relaxed);
-        let track = track_id();
-        let mut log = lock_log();
-        if log.kernels.len() < MAX_SPANS {
-            log.kernels.push(KernelSpan {
-                kind: self.kind,
-                track,
-                start_nanos: self.start_nanos,
-                dur_nanos: dur,
-            });
-        } else {
+    /// Records one closed span: a kernel's busy time always, and the span
+    /// itself when `store` (its recorder traces).
+    fn record(&self, open: Open, track: u32, start_nanos: u64, dur_nanos: u64, store: bool) {
+        if let Open::Kernel(kind) = open {
+            self.kind_nanos[kind.index()].fetch_add(dur_nanos, Ordering::Relaxed);
+            self.total_nanos.fetch_add(dur_nanos, Ordering::Relaxed);
+        }
+        if !store {
+            return;
+        }
+        let mut log = self.lock();
+        let log = &mut *log;
+        let stored = match open {
+            Open::Kernel(kind) => push(
+                &mut log.kernels,
+                KernelSpan {
+                    kind,
+                    track,
+                    start_nanos,
+                    dur_nanos,
+                },
+            ),
+            Open::Region { region, workers } => push(
+                &mut log.regions,
+                RegionSpan {
+                    region,
+                    workers,
+                    track,
+                    start_nanos,
+                    dur_nanos,
+                },
+            ),
+            Open::Worker { region, worker } => push(
+                &mut log.workers,
+                WorkerSpan {
+                    region,
+                    worker,
+                    start_nanos,
+                    dur_nanos,
+                },
+            ),
+        };
+        if !stored {
             log.dropped += 1;
         }
     }
+
+    pub(crate) fn take_log(&self) -> SpanLog {
+        std::mem::take(&mut *self.lock())
+    }
+
+    pub(crate) fn kind_busy_nanos(&self) -> [u64; N_OP_KINDS] {
+        self.kind_nanos
+            .each_ref()
+            .map(|n| n.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn total_busy_nanos(&self) -> u64 {
+        self.total_nanos.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn reset(&self) {
+        for n in self.kind_nanos.iter().chain([&self.total_nanos]) {
+            n.store(0, Ordering::Relaxed);
+        }
+        *self.lock() = SpanLog::default();
+    }
 }
 
-/// Opens a wall-clock span for one kernel invocation. Returns `None` —
-/// after exactly one relaxed atomic load — when recording is disabled;
-/// hold the guard for the kernel's duration:
+/// Pushes `span` unless the log section already holds [`MAX_SPANS`].
+fn push<T>(section: &mut Vec<T>, span: T) -> bool {
+    let room = section.len() < MAX_SPANS;
+    if room {
+        section.push(span);
+    }
+    room
+}
+
+/// Turns span recording on for the calling thread's ambient recorder
+/// ([`crate::recorder`]).
+///
+/// # Panics
+/// Panics inside a [`Recorder::scope`].
+pub fn enable() {
+    recorder::switch_ambient(Half::Spans, true);
+}
+
+/// Turns span recording off for the calling thread's ambient recorder; its
+/// log and busy nanos stay readable.
+pub fn disable() {
+    recorder::switch_ambient(Half::Spans, false);
+}
+
+/// Clears the ambient span log and busy nanos. Call at a quiescent point.
+pub fn reset() {
+    recorder::ambient(|r| r.trace().reset());
+}
+
+/// Drains the ambient span log, leaving it empty (the cumulative busy
+/// nanos are *not* cleared; use [`reset`] for that).
+pub fn take_log() -> SpanLog {
+    recorder::ambient(Recorder::take_log)
+}
+
+/// Cumulative ambient busy nanoseconds per [`OpKind`] since the last
+/// [`reset`]. Exact even when the log overflowed.
+pub fn kind_busy_nanos() -> [u64; N_OP_KINDS] {
+    recorder::ambient(Recorder::kind_busy_nanos)
+}
+
+/// What an open span records when its guard drops.
+#[derive(Debug, Clone, Copy)]
+enum Open {
+    Kernel(OpKind),
+    Region { region: u64, workers: u32 },
+    Worker { region: u64, worker: u32 },
+}
+
+/// Drop guard for one open span: a kernel's, a parallel pool region's, or
+/// one worker's busy interval inside a region. On drop it records the span
+/// into every recorder in scope that traces, and a kernel's busy time
+/// into every recorder in scope.
+#[derive(Debug)]
+pub struct SpanGuard {
+    open: Open,
+    start_nanos: u64,
+}
+
+impl SpanGuard {
+    fn start(open: Open) -> SpanGuard {
+        SpanGuard {
+            open,
+            start_nanos: now_nanos(),
+        }
+    }
+
+    pub(crate) fn kernel(kind: OpKind) -> SpanGuard {
+        SpanGuard::start(Open::Kernel(kind))
+    }
+
+    /// Opens the busy span of task `index` of this region guard; call on
+    /// the task's thread, inside the region's carried recorders.
+    pub(crate) fn worker(&self, index: usize) -> SpanGuard {
+        let Open::Region { region, .. } = self.open else {
+            unreachable!("worker spans open inside a region span");
+        };
+        SpanGuard::start(Open::Worker {
+            region,
+            worker: index as u32,
+        })
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let dur = now_nanos().saturating_sub(self.start_nanos);
+        let track = match self.open {
+            Open::Worker { .. } => 0,
+            _ => track_id(),
+        };
+        recorder::each(|r| {
+            r.trace
+                .record(self.open, track, self.start_nanos, dur, r.tracing())
+        });
+    }
+}
+
+/// Opens a wall-clock span for a stretch of work that records no op —
+/// kernels open theirs through [`crate::recorder::kernel`], which also
+/// records the op. Returns `None` — after one thread-local load — when no
+/// recorder is in scope, and when none in scope traces; hold the guard
+/// for the span's duration:
 ///
 /// ```
 /// # use tensorlite::{spans, OpKind};
 /// let _span = spans::kernel(OpKind::MatMul);
-/// // ... kernel body; the span closes when `_span` drops ...
+/// // ... work; the span closes when `_span` drops ...
 /// ```
 #[inline]
-pub fn kernel(kind: OpKind) -> Option<KernelGuard> {
-    if !ENABLED.load(Ordering::Relaxed) {
+pub fn kernel(kind: OpKind) -> Option<SpanGuard> {
+    if !recorder::active() {
         return None;
     }
-    Some(KernelGuard {
-        kind,
-        start_nanos: now_nanos(),
-    })
+    recorder::open(kind, None)
 }
 
-/// Drop guard for one parallel pool region. Created by [`region`] on the
-/// launching thread; hand out one [`RegionGuard::worker`] guard per spawned
-/// worker, and drop this guard after the join to record the region span.
-#[derive(Debug)]
-pub struct RegionGuard {
-    region: u64,
-    workers: u32,
-    start_nanos: u64,
-}
-
-impl RegionGuard {
-    /// Opens the busy span for worker `index`; call on the worker thread,
-    /// drop when the worker's part is done.
-    pub fn worker(&self, index: usize) -> WorkerGuard {
-        WorkerGuard {
-            region: self.region,
-            worker: index as u32,
-            start_nanos: now_nanos(),
-        }
-    }
-}
-
-impl Drop for RegionGuard {
-    fn drop(&mut self) {
-        let dur = now_nanos().saturating_sub(self.start_nanos);
-        let track = track_id();
-        let mut log = lock_log();
-        if log.regions.len() < MAX_SPANS {
-            log.regions.push(RegionSpan {
-                region: self.region,
-                workers: self.workers,
-                track,
-                start_nanos: self.start_nanos,
-                dur_nanos: dur,
-            });
-        } else {
-            log.dropped += 1;
-        }
-    }
-}
-
-/// Opens a span for a parallel pool region about to spawn `workers`
-/// scoped threads. Returns `None` — after one relaxed atomic load — when
-/// recording is disabled.
+/// Opens the span of a parallel pool region about to run `workers` tasks,
+/// when a recorder in scope traces.
 #[inline]
-pub fn region(workers: usize) -> Option<RegionGuard> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    Some(RegionGuard {
-        region: NEXT_REGION.fetch_add(1, Ordering::Relaxed),
-        workers: workers as u32,
-        start_nanos: now_nanos(),
+pub(crate) fn region(workers: usize) -> Option<SpanGuard> {
+    recorder::tracing().then(|| {
+        SpanGuard::start(Open::Region {
+            region: NEXT_REGION.fetch_add(1, Ordering::Relaxed),
+            workers: workers as u32,
+        })
     })
-}
-
-/// Drop guard for one worker's busy interval (see [`RegionGuard::worker`]).
-#[derive(Debug)]
-pub struct WorkerGuard {
-    region: u64,
-    worker: u32,
-    start_nanos: u64,
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        let dur = now_nanos().saturating_sub(self.start_nanos);
-        let mut log = lock_log();
-        if log.workers.len() < MAX_SPANS {
-            log.workers.push(WorkerSpan {
-                region: self.region,
-                worker: self.worker,
-                start_nanos: self.start_nanos,
-                dur_nanos: dur,
-            });
-        } else {
-            log.dropped += 1;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::StoragePrecision;
     use crate::tensor::Tensor;
-    use std::sync::{Mutex as TestMutex, OnceLock as TestOnceLock};
 
-    /// Spans are process-wide; tests that enable them must not overlap.
-    fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: TestOnceLock<TestMutex<()>> = TestOnceLock::new();
-        LOCK.get_or_init(|| TestMutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Runs `f` under a fresh traced recorder and returns it.
+    fn traced(f: impl FnOnce()) -> Recorder {
+        let rec = Recorder::traced(StoragePrecision::F32);
+        rec.scope(f);
+        rec
     }
 
     #[test]
     fn disabled_records_nothing_and_returns_none() {
-        let _g = serial_guard();
         disable();
+        crate::counters::disable();
         reset();
         assert!(kernel(OpKind::MatMul).is_none());
         assert!(region(4).is_none());
         let a = Tensor::zeros(&[16, 16]);
         let _ = a.matmul(&a).unwrap();
         assert!(take_log().is_empty());
-        assert_eq!(total_busy_nanos(), 0);
+        assert_eq!(kind_busy_nanos(), [0; N_OP_KINDS]);
+        // A ledger-only recorder in scope times nothing either.
+        let ledger = Recorder::new(StoragePrecision::F32);
+        ledger.scope(|| assert!(kernel(OpKind::MatMul).is_none()));
+    }
+
+    #[test]
+    fn ambient_spans_and_cumulative_nanos_agree() {
+        reset();
+        enable();
+        let a = Tensor::zeros(&[16, 16]);
+        let _ = a.matmul(&a).unwrap();
+        let _ = crate::ops::gelu(&a);
+        disable();
+        let log = take_log();
+        assert!(log.kernels.iter().any(|s| s.kind == OpKind::MatMul));
+        assert!(log.kernels.iter().any(|s| s.kind == OpKind::Gelu));
+        // take_log drained the log but left the atomics.
+        assert_eq!(log.stored_kind_nanos(), kind_busy_nanos(), "no drops");
+        reset();
+        assert_eq!(kind_busy_nanos(), [0; N_OP_KINDS]);
     }
 
     #[test]
     fn kernel_spans_and_cumulative_nanos_agree() {
-        let _g = serial_guard();
-        let ((), log) = with_spans(|| {
+        let rec = traced(|| {
             let a = Tensor::zeros(&[16, 16]);
             let _ = a.matmul(&a).unwrap();
             let _ = crate::ops::gelu(&a);
         });
-        // with_spans drained the log but left the atomics.
-        assert!(log.kernels.iter().any(|s| s.kind == OpKind::MatMul));
-        assert!(log.kernels.iter().any(|s| s.kind == OpKind::Gelu));
-        let stored = log.stored_kind_nanos();
-        let cumulative = kind_busy_nanos();
-        assert_eq!(stored, cumulative, "no drops: stored == cumulative");
+        let log = rec.take_log();
+        let cumulative = rec.kind_busy_nanos();
+        assert_eq!(log.stored_kind_nanos(), cumulative, "no drops");
         assert_eq!(
             cumulative.iter().sum::<u64>(),
-            total_busy_nanos(),
+            rec.total_busy_nanos(),
             "total tracks the per-kind sum"
         );
-        reset();
-        assert_eq!(total_busy_nanos(), 0);
     }
 
     #[test]
     fn worker_spans_cover_parallel_regions() {
-        let _g = serial_guard();
-        let ((), log) = with_spans(|| {
+        let log = traced(|| {
             let pool = crate::pool::Pool::new(3);
             pool.run_parts(vec![0usize, 1, 2], |_, _| {
                 std::hint::black_box(0u64);
             });
-        });
+        })
+        .take_log();
         assert_eq!(log.regions.len(), 1);
         assert_eq!(log.regions[0].workers, 3);
         assert_eq!(log.workers.len(), 3);
@@ -507,23 +531,23 @@ mod tests {
 
     #[test]
     fn serial_regions_record_no_worker_spans() {
-        let _g = serial_guard();
-        let ((), log) = with_spans(|| {
+        let log = traced(|| {
             let pool = crate::pool::Pool::new(1);
             pool.run_parts(vec![0usize, 1], |_, _| {});
-        });
+        })
+        .take_log();
         assert!(log.regions.is_empty());
         assert!(log.workers.is_empty());
     }
 
     #[test]
     fn tracks_are_dense_and_stable_per_thread() {
-        let _g = serial_guard();
-        let ((), log) = with_spans(|| {
+        let log = traced(|| {
             let a = Tensor::zeros(&[8, 8]);
             let _ = a.matmul(&a).unwrap();
             let _ = a.matmul(&a).unwrap();
-        });
+        })
+        .take_log();
         let this_thread: Vec<u32> = log.kernels.iter().map(|s| s.track).collect();
         assert!(!this_thread.is_empty());
         assert!(

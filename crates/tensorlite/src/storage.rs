@@ -5,10 +5,10 @@
 //! activation traffic); what bf16 buys is *storage and transfer traffic*:
 //! a parameter or gradient held as bf16 is 2 bytes instead of 4, halving
 //! the bandwidth every read/modify/write of model state costs. The
-//! training stack opts in via the `TrainerBuilder` storage knob, which
-//! also installs the 2-byte element convention into
-//! [`crate::counters::set_storage_elem_bytes`] so the roofline's
-//! arithmetic-intensity denominators reflect the thinner traffic.
+//! training stack opts in via the `TrainerBuilder` storage knob; a run's
+//! [`crate::Recorder`] is made with the same precision, so its ledger
+//! counts 2 bytes per element and the roofline's arithmetic-intensity
+//! denominators reflect the thinner traffic.
 //!
 //! The storage discipline is round-trip quantization at well-defined
 //! boundaries (gradients as they enter the optimizer, parameters as an
@@ -18,7 +18,6 @@
 //! are untouched — both sides of any comparison quantize identically.
 
 use crate::cast;
-use crate::counters;
 use crate::f16::Bf16;
 
 /// A dense buffer of bf16 values with f32 encode/decode endpoints — the
@@ -93,8 +92,8 @@ impl Bf16Vec {
 /// Storage precision for the training stack's parameter/gradient buffers.
 ///
 /// Selects how model state is *stored between kernels*; arithmetic is f32
-/// regardless. Installed process-wide by `TrainerBuilder::storage` (which
-/// forwards the element size to the byte-accounting conventions).
+/// regardless. Chosen per run by `TrainerBuilder::storage`, which also
+/// gives the run's recorder its element size ([`crate::Recorder::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StoragePrecision {
     /// Full f32 storage (4 B/element) — the default.
@@ -121,13 +120,6 @@ impl StoragePrecision {
             StoragePrecision::F32 => "f32",
             StoragePrecision::Bf16 => "bf16",
         }
-    }
-
-    /// Installs this precision's element size into the byte-accounting
-    /// conventions ([`counters::set_storage_elem_bytes`]). Call at a
-    /// quiescent point, before the measurement window opens.
-    pub fn install(self) {
-        counters::set_storage_elem_bytes(self.elem_bytes());
     }
 }
 

@@ -1,10 +1,10 @@
 //! Dense row-major `f32` tensors.
 
-use crate::counters::{self, OpKind};
+use crate::counters::OpKind;
 use crate::error::TensorError;
 use crate::pool::{KernelFamily, Pool};
+use crate::recorder;
 use crate::rng::XorShiftRng;
-use crate::spans;
 
 /// Column width of a packed B panel. 64 f32s = 256 B per panel row: a
 /// handful of cache lines that stay resident while the k loop streams over
@@ -53,17 +53,17 @@ impl Clone for Tensor {
 impl Drop for Tensor {
     fn drop(&mut self) {
         if !self.data.is_empty() {
-            counters::record_free(self.data.len());
+            recorder::free(self.data.len());
         }
     }
 }
 
 impl Tensor {
     /// The one construction funnel: every buffer that becomes tensor
-    /// storage passes through here so the byte accounting in
-    /// [`crate::counters`] sees it.
+    /// storage passes through here so the byte accounting of the
+    /// recorders in scope ([`crate::recorder`]) sees it.
     fn new_unchecked(data: Vec<f32>, shape: Vec<usize>) -> Self {
-        counters::record_alloc(data.len());
+        recorder::alloc(data.len());
         Tensor { data, shape }
     }
 
@@ -149,7 +149,7 @@ impl Tensor {
     /// tensor accounting here (counted as freed).
     pub fn into_vec(mut self) -> Vec<f32> {
         let data = std::mem::take(&mut self.data);
-        counters::record_free(data.len());
+        recorder::free(data.len());
         data
     }
 
@@ -223,13 +223,8 @@ impl Tensor {
     /// Returns [`TensorError::IncompatibleShapes`] on shape mismatch.
     pub fn add(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         self.check_same_shape(other, "add")?;
-        let _span = spans::kernel(OpKind::Elementwise);
-        counters::record_op(
-            OpKind::Elementwise,
-            self.len(),
-            self.len() as u64,
-            3 * counters::elem_bytes() * self.len() as u64,
-        );
+        let len = self.len();
+        let _kernel = recorder::kernel(OpKind::Elementwise, len, len as u64, 3 * len as u64);
         Ok(self.zip_map(other, |a, b| a + b))
     }
 
@@ -239,13 +234,8 @@ impl Tensor {
     /// Returns [`TensorError::IncompatibleShapes`] on shape mismatch.
     pub fn sub(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         self.check_same_shape(other, "sub")?;
-        let _span = spans::kernel(OpKind::Elementwise);
-        counters::record_op(
-            OpKind::Elementwise,
-            self.len(),
-            self.len() as u64,
-            3 * counters::elem_bytes() * self.len() as u64,
-        );
+        let len = self.len();
+        let _kernel = recorder::kernel(OpKind::Elementwise, len, len as u64, 3 * len as u64);
         Ok(self.zip_map(other, |a, b| a - b))
     }
 
@@ -255,13 +245,8 @@ impl Tensor {
     /// Returns [`TensorError::IncompatibleShapes`] on shape mismatch.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         self.check_same_shape(other, "mul")?;
-        let _span = spans::kernel(OpKind::Elementwise);
-        counters::record_op(
-            OpKind::Elementwise,
-            self.len(),
-            self.len() as u64,
-            3 * counters::elem_bytes() * self.len() as u64,
-        );
+        let len = self.len();
+        let _kernel = recorder::kernel(OpKind::Elementwise, len, len as u64, 3 * len as u64);
         Ok(self.zip_map(other, |a, b| a * b))
     }
 
@@ -271,13 +256,8 @@ impl Tensor {
     /// Returns [`TensorError::IncompatibleShapes`] on shape mismatch.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<(), TensorError> {
         self.check_same_shape(other, "axpy")?;
-        let _span = spans::kernel(OpKind::Elementwise);
-        counters::record_op(
-            OpKind::Elementwise,
-            self.len(),
-            2 * self.len() as u64,
-            3 * counters::elem_bytes() * self.len() as u64,
-        );
+        let len = self.len();
+        let _kernel = recorder::kernel(OpKind::Elementwise, len, 2 * len as u64, 3 * len as u64);
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a = alpha.mul_add(*b, *a);
         }
@@ -286,13 +266,8 @@ impl Tensor {
 
     /// Tensor scaled by a constant.
     pub fn scale(&self, alpha: f32) -> Tensor {
-        let _span = spans::kernel(OpKind::Elementwise);
-        counters::record_op(
-            OpKind::Elementwise,
-            self.len(),
-            self.len() as u64,
-            2 * counters::elem_bytes() * self.len() as u64,
-        );
+        let len = self.len();
+        let _kernel = recorder::kernel(OpKind::Elementwise, len, len as u64, 2 * len as u64);
         self.map(|x| x * alpha)
     }
 
@@ -344,12 +319,16 @@ impl Tensor {
                 op: "matmul",
             });
         }
-        let _span = spans::kernel(OpKind::MatMul);
+        let _kernel = recorder::kernel(
+            OpKind::MatMul,
+            m * n,
+            gemm_flops(m, k, n),
+            gemm_accesses(m, k, n),
+        );
         let mut out = vec![0.0f32; m * n];
         // Degenerate matmul (`m·0`, `0·n`, or `k = 0`): the all-zeros
         // output is the answer; skip packing and the pool entirely.
         if m == 0 || n == 0 || k == 0 {
-            counters::record_op(OpKind::MatMul, m * n, 0, gemm_bytes(m, k, n));
             return Tensor::from_vec(out, &[m, n]);
         }
         let packed = pack_b_panels(&other.data, k, n);
@@ -358,12 +337,6 @@ impl Tensor {
             let a_rows = &self.data[first_row * k..first_row * k + (block.len() / n) * k];
             gemm_packed_block(a_rows, k, &packed, n, block);
         });
-        counters::record_op(
-            OpKind::MatMul,
-            m * n,
-            gemm_flops(m, k, n),
-            gemm_bytes(m, k, n),
-        );
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -391,10 +364,14 @@ impl Tensor {
                 op: "matmul_at",
             });
         }
-        let _span = spans::kernel(OpKind::MatMulAt);
+        let _kernel = recorder::kernel(
+            OpKind::MatMulAt,
+            m * n,
+            gemm_flops(m, k, n),
+            gemm_accesses(m, k, n),
+        );
         let mut out = vec![0.0f32; m * n];
         if m == 0 || n == 0 || k == 0 {
-            counters::record_op(OpKind::MatMulAt, m * n, 0, gemm_bytes(m, k, n));
             return Tensor::from_vec(out, &[m, n]);
         }
         let packed = pack_b_panels(&other.data, k, n);
@@ -414,12 +391,6 @@ impl Tensor {
             }
             gemm_packed_block(&at, k, &packed, n, block);
         });
-        counters::record_op(
-            OpKind::MatMulAt,
-            m * n,
-            gemm_flops(m, k, n),
-            gemm_bytes(m, k, n),
-        );
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -447,10 +418,14 @@ impl Tensor {
                 op: "matmul_bt",
             });
         }
-        let _span = spans::kernel(OpKind::MatMulBt);
+        let _kernel = recorder::kernel(
+            OpKind::MatMulBt,
+            m * n,
+            gemm_flops(m, k, n),
+            gemm_accesses(m, k, n),
+        );
         let mut out = vec![0.0f32; m * n];
         if m == 0 || n == 0 || k == 0 {
-            counters::record_op(OpKind::MatMulBt, m * n, 0, gemm_bytes(m, k, n));
             return Tensor::from_vec(out, &[m, n]);
         }
         // Repack `other` ([n, k], row-major) into the same `GEMM_KC ×
@@ -465,12 +440,6 @@ impl Tensor {
             let a_rows = &self.data[first_row * k..first_row * k + (block.len() / n) * k];
             gemm_packed_block(a_rows, k, &packed, n, block);
         });
-        counters::record_op(
-            OpKind::MatMulBt,
-            m * n,
-            gemm_flops(m, k, n),
-            gemm_bytes(m, k, n),
-        );
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -482,8 +451,8 @@ impl Tensor {
     /// Returns [`TensorError::BadRank`] for non-matrices.
     pub fn transpose(&self) -> Result<Tensor, TensorError> {
         self.check_rank2("transpose")?;
-        let _span = spans::kernel(OpKind::Transpose);
         let (m, n) = (self.shape[0], self.shape[1]);
+        let _kernel = recorder::kernel(OpKind::Transpose, m * n, 0, 2 * (m * n) as u64);
         let mut out = vec![0.0f32; m * n];
         let mut ii = 0;
         while ii < m {
@@ -500,12 +469,6 @@ impl Tensor {
             }
             ii = i_hi;
         }
-        counters::record_op(
-            OpKind::Transpose,
-            m * n,
-            0,
-            2 * counters::elem_bytes() * (m * n) as u64,
-        );
         Tensor::from_vec(out, &[n, m])
     }
 
@@ -561,12 +524,11 @@ fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * m as u64 * k as u64 * n as u64
 }
 
-/// GEMM memory-traffic convention: read both operands once, write the
-/// output once, at [`counters::elem_bytes`] per element (ignoring cache
-/// reuse). Operand sizes are the same for all three matmul variants, so
-/// they share this formula.
-fn gemm_bytes(m: usize, k: usize, n: usize) -> u64 {
-    counters::elem_bytes() * (m as u64 * k as u64 + k as u64 * n as u64 + m as u64 * n as u64)
+/// GEMM memory-traffic convention in element accesses: read both operands
+/// once, write the output once (ignoring cache reuse). Operand sizes are
+/// the same for all three matmul variants, so they share this formula.
+fn gemm_accesses(m: usize, k: usize, n: usize) -> u64 {
+    m as u64 * k as u64 + k as u64 * n as u64 + m as u64 * n as u64
 }
 
 /// Packs a row-major `[k, n]` matrix into column panels of [`GEMM_NC`]
