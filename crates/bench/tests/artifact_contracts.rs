@@ -8,8 +8,12 @@
 //! `ci/baselines/` snapshot against it, every other one against the FNV-1a
 //! table in `golden/artifacts.digests`. `realbench` and `calibrate` write
 //! into the cwd, so their cases build the documents through the library.
-//! The span and counter recorders are process-global, so the cases run one
-//! after another in one test.
+//! The cases run one after another in one test; each run records into its
+//! own scoped `tensorlite::Recorder` (DESIGN.md §24), so none depends on
+//! that order. The printed tables of `repro fig10` and `repro bucket-sweep`,
+//! both fed by the §4.3 retention search, are pinned as well: a second test
+//! runs the `repro` binary and compares each stdout with its FNV-1a row in
+//! `golden/stdout.digests`.
 
 use std::path::Path;
 
@@ -252,6 +256,28 @@ fn artifacts_keep_their_contracts() {
         digests_checked, rows,
         "a golden/artifacts.digests row was not produced"
     );
+}
+
+/// `experiment length digest` rows: the stdout of `repro <experiment>`.
+const STDOUT_DIGESTS: &str = include_str!("golden/stdout.digests");
+
+#[test]
+fn search_figures_keep_their_stdout() {
+    for row in STDOUT_DIGESTS.lines().filter(|l| !l.starts_with('#')) {
+        let name = row.split(' ').next().unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(name)
+            .output()
+            .unwrap_or_else(|e| panic!("repro {name}: {e}"));
+        assert!(out.status.success(), "repro {name} exited {}", out.status);
+        let line = format!("{name} {} {:016x}", out.stdout.len(), fnv1a(&out.stdout));
+        assert_eq!(
+            row,
+            line,
+            "repro {name}: stdout drifted from golden/stdout.digests:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
 }
 
 fn check_analyze(dir: &Path) {

@@ -71,7 +71,7 @@ pub enum TaskKind {
 }
 
 /// Every [`TaskKind`], indexed by discriminant.
-const TASK_KINDS: [TaskKind; 5] = [
+pub(crate) const TASK_KINDS: [TaskKind; 5] = [
     TaskKind::Compute,
     TaskKind::Transfer,
     TaskKind::Cast,
@@ -167,14 +167,42 @@ impl TaskLabel {
             index: Some(index.into()),
         }
     }
+
+    /// The rendered label, built without the formatting machinery: one
+    /// allocation of the exact capacity.
+    pub(crate) fn render(&self) -> String {
+        let mut digits = [0u8; 20];
+        let index = self.index.map(|i| decimal(i, &mut digits));
+        let extra = index.map_or(0, |d| d.len() + 2);
+        let mut s = String::with_capacity(self.base.len() + extra);
+        s.push_str(&self.base);
+        if let Some(d) = index {
+            s.push('[');
+            s.push_str(d);
+            s.push(']');
+        }
+        s
+    }
+}
+
+/// `n` in decimal, written into the tail of `buf` (20 bytes hold any
+/// `u64`).
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 impl fmt::Display for TaskLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.index {
-            Some(i) => write!(f, "{}[{i}]", self.base),
-            None => f.write_str(&self.base),
-        }
+        f.write_str(&self.render())
     }
 }
 
@@ -196,6 +224,55 @@ impl From<String> for TaskLabel {
     }
 }
 
+/// How many dependencies a [`TaskSpec`] stores inline, with no heap
+/// allocation. A larger fan-in spills the whole list to the heap.
+pub const INLINE_DEPS: usize = 4;
+
+/// A task's dependency list: up to [`INLINE_DEPS`] ids inline, the rest
+/// of a larger fan-in on the heap. Building a graph whose tasks wait on at
+/// most that many others allocates nothing per task.
+#[derive(Clone)]
+enum Deps {
+    Inline { len: u8, ids: [TaskId; INLINE_DEPS] },
+    Spilled(Vec<TaskId>),
+}
+
+impl Deps {
+    const EMPTY: Deps = Deps::Inline {
+        len: 0,
+        ids: [TaskId(0); INLINE_DEPS],
+    };
+
+    fn push(&mut self, dep: TaskId) {
+        match self {
+            Deps::Inline { len, ids } if usize::from(*len) < INLINE_DEPS => {
+                ids[usize::from(*len)] = dep;
+                *len += 1;
+            }
+            Deps::Inline { ids, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_DEPS);
+                spilled.extend_from_slice(ids);
+                spilled.push(dep);
+                *self = Deps::Spilled(spilled);
+            }
+            Deps::Spilled(v) => v.push(dep),
+        }
+    }
+
+    fn as_slice(&self) -> &[TaskId] {
+        match self {
+            Deps::Inline { len, ids } => &ids[..usize::from(*len)],
+            Deps::Spilled(v) => v,
+        }
+    }
+}
+
+impl fmt::Debug for Deps {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Specification of one task in the graph.
 ///
 /// Build with the kind-specific constructors and chain [`TaskSpec::after`] /
@@ -214,14 +291,14 @@ impl From<String> for TaskLabel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TaskSpec {
-    pub(crate) resource: ResourceId,
-    pub(crate) duration: SimTime,
-    pub(crate) deps: Vec<TaskId>,
-    pub(crate) label: TaskLabel,
-    pub(crate) kind: TaskKind,
-    pub(crate) tag: TaskTag,
+    resource: ResourceId,
+    duration: SimTime,
+    deps: Deps,
+    label: TaskLabel,
+    kind: TaskKind,
+    tag: TaskTag,
     /// Earliest time the task may start regardless of dependencies.
-    pub(crate) not_before: SimTime,
+    not_before: SimTime,
 }
 
 impl TaskSpec {
@@ -230,7 +307,7 @@ impl TaskSpec {
         TaskSpec {
             resource,
             duration,
-            deps: Vec::new(),
+            deps: Deps::EMPTY,
             label: TaskLabel::default(),
             kind,
             tag: TaskTag::Generic,
@@ -273,7 +350,9 @@ impl TaskSpec {
     /// Adds several dependencies at once.
     #[must_use]
     pub fn after_all<I: IntoIterator<Item = TaskId>>(mut self, deps: I) -> Self {
-        self.deps.extend(deps);
+        for dep in deps {
+            self.deps.push(dep);
+        }
         self
     }
 
@@ -307,13 +386,69 @@ impl TaskSpec {
     }
 }
 
+/// Every task's dependencies in one flat list, indexed by task submission
+/// order: task `t` waits for `ids[start[t]..start[t + 1]]`. The simulator
+/// appends to it on submission and a [`Trace`] keeps a copy, so neither
+/// holds a list per task.
+#[derive(Debug, Clone)]
+pub(crate) struct DepLists {
+    ids: Vec<TaskId>,
+    /// Offsets into `ids`, one per task plus the end.
+    start: Vec<usize>,
+}
+
+impl Default for DepLists {
+    fn default() -> Self {
+        DepLists {
+            ids: Vec::new(),
+            start: vec![0],
+        }
+    }
+}
+
+impl DepLists {
+    /// Appends the next task's dependencies.
+    fn push(&mut self, deps: &[TaskId]) {
+        self.ids.extend_from_slice(deps);
+        self.start.push(self.ids.len());
+    }
+
+    /// The dependencies of task `t`, or `None` past the last task.
+    pub(crate) fn get(&self, t: usize) -> Option<&[TaskId]> {
+        let end = *self.start.get(t.checked_add(1)?)?;
+        Some(&self.ids[self.start[t]..end])
+    }
+
+    /// The dependencies of task `t`.
+    ///
+    /// # Panics
+    /// If `t` is past the last task.
+    fn of(&self, t: usize) -> &[TaskId] {
+        &self.ids[self.start[t]..self.start[t + 1]]
+    }
+}
+
+/// A submitted task: the fields the scheduler reads. Its label and its
+/// dependencies are stored apart, in [`Simulator`]'s `labels` and `deps`.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    resource: ResourceId,
+    duration: SimTime,
+    not_before: SimTime,
+    kind: TaskKind,
+    tag: TaskTag,
+}
+
 /// Deterministic discrete-event simulator executing a task DAG on resources.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug, Default)]
 pub struct Simulator {
     resources: Vec<String>,
-    tasks: Vec<TaskSpec>,
+    tasks: Vec<Task>,
+    /// Task labels, indexed like `tasks`; rendered only into a [`Trace`].
+    labels: Vec<TaskLabel>,
+    deps: DepLists,
 }
 
 impl Simulator {
@@ -369,12 +504,19 @@ impl Simulator {
             return Err(SimError::UnknownResource(spec.resource));
         }
         let id = TaskId(self.tasks.len());
-        for &dep in &spec.deps {
-            if dep.0 >= self.tasks.len() {
-                return Err(SimError::UnknownTask(dep));
-            }
+        let deps = spec.deps.as_slice();
+        if let Some(&dep) = deps.iter().find(|d| d.0 >= id.0) {
+            return Err(SimError::UnknownTask(dep));
         }
-        self.tasks.push(spec);
+        self.deps.push(deps);
+        self.tasks.push(Task {
+            resource: spec.resource,
+            duration: spec.duration,
+            not_before: spec.not_before,
+            kind: spec.kind,
+            tag: spec.tag,
+        });
+        self.labels.push(spec.label);
         Ok(id)
     }
 
@@ -479,9 +621,10 @@ impl Simulator {
         let tasks = self.tasks.get(..=target.0)?;
         // Earliest start of every task: its longest release-aware chain.
         let mut head: Vec<SimTime> = Vec::with_capacity(tasks.len());
-        for t in tasks {
-            let h = t
+        for (i, t) in tasks.iter().enumerate() {
+            let h = self
                 .deps
+                .of(i)
                 .iter()
                 .fold(t.not_before, |h, d| h.max(head[d.0] + tasks[d.0].duration));
             head.push(h);
@@ -498,7 +641,7 @@ impl Simulator {
         for (i, t) in tasks.iter().enumerate().rev() {
             let Some(ti) = tail[i] else { continue };
             let through = ti + t.duration;
-            for d in &t.deps {
+            for d in self.deps.of(i) {
                 tail[d.0] = Some(tail[d.0].map_or(through, |x| x.max(through)));
             }
             if i != target.0 {
@@ -524,7 +667,7 @@ impl Simulator {
     {
         let n = self.tasks.len();
         let (first_dependent, dependents) = self.dependents();
-        let mut pending: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
+        let mut pending: Vec<usize> = self.deps.start.windows(2).map(|w| w[1] - w[0]).collect();
         let mut ready_at: Vec<SimTime> = self.tasks.iter().map(|t| t.not_before).collect();
         // Ready queue: (ready_at, task id), minimum first.
         let mut ready: BinaryHeap<Reverse<(SimTime, TaskId)>> = (0..n)
@@ -568,18 +711,16 @@ impl Simulator {
     /// per-task dependents list.
     fn dependents(&self) -> (Vec<usize>, Vec<TaskId>) {
         let mut first = vec![0usize; self.tasks.len() + 1];
-        for t in &self.tasks {
-            for dep in &t.deps {
-                first[dep.0 + 1] += 1;
-            }
+        for dep in &self.deps.ids {
+            first[dep.0 + 1] += 1;
         }
         for i in 1..first.len() {
             first[i] += first[i - 1];
         }
         let mut next = first.clone();
         let mut dependents = vec![TaskId(0); first[self.tasks.len()]];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for dep in &t.deps {
+        for i in 0..self.tasks.len() {
+            for dep in self.deps.of(i) {
                 dependents[next[dep.0]] = TaskId(i);
                 next[dep.0] += 1;
             }
@@ -588,26 +729,31 @@ impl Simulator {
     }
 
     /// Materializes the trace of a run from each task's `(start, end)`,
-    /// rendering the labels.
+    /// rendering the labels. Interval `i` is task `i`.
     fn trace(&self, spans: Vec<(SimTime, SimTime)>) -> Trace {
-        let intervals: Vec<Interval> = self
+        let intervals = self
             .tasks
             .iter()
+            .zip(&self.labels)
             .zip(spans)
             .enumerate()
-            .map(|(i, (t, (start, end)))| Interval {
+            .map(|(i, ((t, label), (start, end)))| Interval {
                 task: TaskId(i),
                 resource: t.resource,
                 kind: t.kind,
                 tag: t.tag,
-                label: t.label.to_string(),
+                label: label.render(),
                 start,
                 end,
             })
             .collect();
-        let deps: Vec<Vec<TaskId>> = self.tasks.iter().map(|t| t.deps.clone()).collect();
-        let not_before: Vec<SimTime> = self.tasks.iter().map(|t| t.not_before).collect();
-        Trace::new(self.resources.clone(), intervals, deps, not_before)
+        let not_before = self.tasks.iter().map(|t| t.not_before).collect();
+        Trace::new(
+            self.resources.clone(),
+            intervals,
+            self.deps.clone(),
+            not_before,
+        )
     }
 }
 

@@ -63,7 +63,7 @@ pub use analysis::{
 pub use engine::{Simulator, TaskId, TaskKind, TaskLabel, TaskSpec, TaskTag};
 pub use error::SimError;
 pub use events::{Event, EventKind, EventLog};
-pub use link::{BandwidthCurve, Link, LinkKind};
+pub use link::{BandwidthCurve, Link, LinkKind, TransferKeys};
 pub use memory::MemoryPool;
 pub use telemetry::{diff_metrics, CounterTrack, MetricsDiff, MetricsRecorder};
 pub use time::SimTime;
@@ -78,7 +78,7 @@ pub mod prelude {
         ResourceId, Simulator, TaskId, TaskKind, TaskLabel, TaskSpec, TaskTag,
     };
     pub use crate::error::SimError;
-    pub use crate::link::{BandwidthCurve, Link, LinkKind};
+    pub use crate::link::{BandwidthCurve, Link, LinkKind, TransferKeys};
     pub use crate::memory::MemoryPool;
     pub use crate::presets;
     pub use crate::telemetry::{CounterTrack, MetricsRecorder};

@@ -171,8 +171,8 @@ impl Link {
     }
 
     /// Records one executed transfer of `bytes` over the interval
-    /// `[start, end]` into `rec` under track name `track` (typically the
-    /// resource name, e.g. `c2c-d2h`):
+    /// `[start, end]` into `rec`, under the keys of one track (`keys`,
+    /// typically built from the resource name, e.g. `c2c-d2h`):
     ///
     /// * a `bw:<track>` counter track (GB/s) sampling the *achieved*
     ///   bandwidth at `start` and dropping to 0 at `end`, so Perfetto shows
@@ -180,21 +180,43 @@ impl Link {
     /// * `bytes:<track>` and `transfers:<track>` counters.
     ///
     /// Zero-duration transfers record the counters but no bandwidth sample.
+    /// Nothing is allocated once the track's keys exist in `rec`.
     pub fn record_transfer(
         &self,
         rec: &mut MetricsRecorder,
-        track: &str,
+        keys: &TransferKeys,
         start: SimTime,
         end: SimTime,
         bytes: u64,
     ) {
-        rec.add(&format!("transfers:{track}"), 1);
-        rec.add(&format!("bytes:{track}"), bytes);
+        rec.add(&keys.transfers, 1);
+        rec.add(&keys.bytes, bytes);
         let dur = end.saturating_sub(start).as_secs();
         if dur > 0.0 {
             let gbps = bytes as f64 / dur / 1e9;
-            rec.sample(&format!("bw:{track}"), "GB/s", start, gbps);
-            rec.sample(&format!("bw:{track}"), "GB/s", end, 0.0);
+            rec.sample(&keys.bw, "GB/s", start, gbps);
+            rec.sample(&keys.bw, "GB/s", end, 0.0);
+        }
+    }
+}
+
+/// The telemetry keys [`Link::record_transfer`] writes for one track,
+/// built once per track and reused for every transfer on it.
+#[derive(Debug, Clone)]
+pub struct TransferKeys {
+    transfers: String,
+    bytes: String,
+    bw: String,
+}
+
+impl TransferKeys {
+    /// The keys of track `track`: `transfers:<track>`, `bytes:<track>` and
+    /// `bw:<track>`.
+    pub fn new(track: &str) -> Self {
+        TransferKeys {
+            transfers: format!("transfers:{track}"),
+            bytes: format!("bytes:{track}"),
+            bw: format!("bw:{track}"),
         }
     }
 }
@@ -274,7 +296,8 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         let start = SimTime::from_micros(100.0);
         let end = start + SimTime::from_secs(0.001); // 1 ms for 100 MB -> 100 GB/s
-        link.record_transfer(&mut rec, "c2c-d2h", start, end, 100_000_000);
+        let keys = TransferKeys::new("c2c-d2h");
+        link.record_transfer(&mut rec, &keys, start, end, 100_000_000);
         assert_eq!(rec.counter("transfers:c2c-d2h"), 1);
         assert_eq!(rec.counter("bytes:c2c-d2h"), 100_000_000);
         let track = rec.track("bw:c2c-d2h").unwrap();
@@ -290,7 +313,7 @@ mod tests {
         let link = Link::new(LinkKind::NvlinkC2c, c2c());
         let mut rec = MetricsRecorder::new();
         let t = SimTime::from_micros(5.0);
-        link.record_transfer(&mut rec, "x", t, t, 64);
+        link.record_transfer(&mut rec, &TransferKeys::new("x"), t, t, 64);
         assert_eq!(rec.counter("bytes:x"), 64);
         assert!(rec.track("bw:x").is_none());
     }

@@ -158,8 +158,9 @@ impl MemoryPool {
     pub fn record_into(&self, rec: &mut MetricsRecorder) {
         let mut samples = self.timeline.clone();
         samples.sort_by_key(|&(ts, _)| ts);
+        let track = format!("mem:{}", self.name);
         for (ts, allocated) in samples {
-            rec.sample_us(&format!("mem:{}", self.name), "bytes", ts, allocated as f64);
+            rec.sample_us(&track, "bytes", ts, allocated as f64);
         }
         rec.set_gauge(&format!("peak-bytes:{}", self.name), self.peak as f64);
         rec.set_gauge(

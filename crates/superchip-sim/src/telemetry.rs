@@ -589,9 +589,14 @@ impl MetricsRecorder {
         Self::default()
     }
 
-    /// Increments counter `name` by `n` (creating it at zero first).
+    /// Increments counter `name` by `n` (creating it at zero first). The
+    /// key is copied only when the counter is new.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        if let Some(c) = self.counters.get_mut(name) {
+            *c += n;
+        } else {
+            self.counters.insert(name.to_string(), n);
+        }
     }
 
     /// Current value of counter `name` (0 if never incremented).

@@ -1,9 +1,8 @@
 //! Execution traces and utilization statistics.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::engine::{ResourceId, TaskId, TaskKind, TaskTag};
+use crate::engine::{DepLists, ResourceId, TaskId, TaskKind, TaskTag, TASK_KINDS};
 use crate::time::SimTime;
 
 /// One executed task occurrence on a resource timeline.
@@ -51,7 +50,8 @@ pub struct ResourceStats {
     pub idle: SimTime,
     /// Busy fraction of the makespan, in `[0, 1]`.
     pub utilization: f64,
-    /// Busy time broken down by task kind.
+    /// Busy time broken down by the task kinds that ran on the resource,
+    /// longest first; equal times keep [`TaskKind`] declaration order.
     pub busy_by_kind: Vec<(TaskKind, SimTime)>,
 }
 
@@ -63,16 +63,18 @@ impl ResourceStats {
 }
 
 /// The complete record of one simulation run.
+///
+/// Every per-task table is indexed by task submission order: interval `i`
+/// belongs to task `i`, so a task's interval is found by index, not looked
+/// up.
 #[derive(Debug, Clone)]
 pub struct Trace {
     resource_names: Vec<String>,
     intervals: Vec<Interval>,
-    by_task: HashMap<TaskId, usize>,
     makespan: SimTime,
-    /// Dependency edges of the executed DAG, indexed by task submission
-    /// order (`deps[t]` are the tasks `t` waited for).
-    deps: Vec<Vec<TaskId>>,
-    /// Per-task `not_before` release times, indexed like `deps`.
+    /// Dependency edges of the executed DAG, as submitted.
+    deps: DepLists,
+    /// Per-task `not_before` release times.
     not_before: Vec<SimTime>,
 }
 
@@ -80,23 +82,21 @@ impl Trace {
     pub(crate) fn new(
         resource_names: Vec<String>,
         intervals: Vec<Interval>,
-        deps: Vec<Vec<TaskId>>,
+        deps: DepLists,
         not_before: Vec<SimTime>,
     ) -> Self {
+        debug_assert!(intervals
+            .iter()
+            .enumerate()
+            .all(|(i, iv)| iv.task.index() == i));
         let makespan = intervals
             .iter()
             .map(|i| i.end)
             .max()
             .unwrap_or(SimTime::ZERO);
-        let by_task = intervals
-            .iter()
-            .enumerate()
-            .map(|(idx, i)| (i.task, idx))
-            .collect();
         Trace {
             resource_names,
             intervals,
-            by_task,
             makespan,
             deps,
             not_before,
@@ -116,7 +116,7 @@ impl Trace {
     /// Dependency edges of `task` as submitted to the simulator, or an
     /// empty slice for an unknown task.
     pub fn deps_of(&self, task: TaskId) -> &[TaskId] {
-        self.deps.get(task.index()).map_or(&[], Vec::as_slice)
+        self.deps.get(task.index()).unwrap_or(&[])
     }
 
     /// The `not_before` release time `task` was submitted with.
@@ -153,17 +153,17 @@ impl Trace {
 
     /// Start time of a task, if it was part of this run.
     pub fn start_time(&self, task: TaskId) -> Option<SimTime> {
-        self.by_task.get(&task).map(|&i| self.intervals[i].start)
+        self.interval(task).map(|i| i.start)
     }
 
     /// End time of a task, if it was part of this run.
     pub fn end_time(&self, task: TaskId) -> Option<SimTime> {
-        self.by_task.get(&task).map(|&i| self.intervals[i].end)
+        self.interval(task).map(|i| i.end)
     }
 
     /// The executed interval of a task, if it was part of this run.
     pub fn interval(&self, task: TaskId) -> Option<&Interval> {
-        self.by_task.get(&task).map(|&i| &self.intervals[i])
+        self.intervals.get(task.index())
     }
 
     /// All executed intervals, in submission order.
@@ -208,10 +208,13 @@ impl Trace {
             .cloned()
             .unwrap_or_else(|| format!("resource{}", resource.0));
         let mut busy = SimTime::ZERO;
-        let mut by_kind: HashMap<TaskKind, SimTime> = HashMap::new();
+        // Per kind, indexed like `TASK_KINDS`: `None` until a task of that
+        // kind runs here.
+        let mut by_kind: [Option<SimTime>; TASK_KINDS.len()] = [None; TASK_KINDS.len()];
         for i in self.intervals.iter().filter(|i| i.resource == resource) {
             busy += i.duration();
-            *by_kind.entry(i.kind).or_insert(SimTime::ZERO) += i.duration();
+            let k = &mut by_kind[i.kind as usize];
+            *k = Some(k.unwrap_or(SimTime::ZERO) + i.duration());
         }
         let idle = self.makespan.saturating_sub(busy);
         let utilization = if self.makespan > SimTime::ZERO {
@@ -219,7 +222,12 @@ impl Trace {
         } else {
             0.0
         };
-        let mut busy_by_kind: Vec<(TaskKind, SimTime)> = by_kind.into_iter().collect();
+        let mut busy_by_kind: Vec<(TaskKind, SimTime)> = TASK_KINDS
+            .into_iter()
+            .zip(by_kind)
+            .filter_map(|(kind, t)| Some((kind, t?)))
+            .collect();
+        // Stable: equal busy times keep `TASK_KINDS` order.
         busy_by_kind.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
         ResourceStats {
             name,
@@ -341,6 +349,28 @@ mod tests {
         let gpu = trace.resource_stats(ResourceId(0));
         let total: SimTime = gpu.busy_by_kind.iter().map(|(_, t)| *t).sum();
         assert_eq!(total, gpu.busy);
+    }
+
+    #[test]
+    fn busy_by_kind_breaks_ties_in_kind_order() {
+        // A transfer and a compute task of equal length, submitted
+        // transfer first, plus a longer cast and a zero-length sync.
+        let mut sim = Simulator::new();
+        let r = sim.add_resource("mixed");
+        sim.add_task(TaskSpec::transfer(r, ms(2.0))).unwrap();
+        sim.add_task(TaskSpec::sync(r)).unwrap();
+        sim.add_task(TaskSpec::compute(r, ms(2.0))).unwrap();
+        sim.add_task(TaskSpec::cast(r, ms(3.0))).unwrap();
+        let stats = sim.run().unwrap().resource_stats(r);
+        assert_eq!(
+            stats.busy_by_kind,
+            vec![
+                (TaskKind::Cast, ms(3.0)),
+                (TaskKind::Compute, ms(2.0)),
+                (TaskKind::Transfer, ms(2.0)),
+                (TaskKind::Sync, SimTime::ZERO),
+            ]
+        );
     }
 
     #[test]

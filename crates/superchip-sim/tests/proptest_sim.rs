@@ -1,6 +1,7 @@
 //! Property-based tests of the simulator's scheduling invariants.
 
 use proptest::prelude::*;
+use superchip_sim::engine::INLINE_DEPS;
 use superchip_sim::prelude::*;
 
 /// Strategy: a random DAG of up to `n` tasks over `r` resources, where each
@@ -25,6 +26,47 @@ fn arb_dag(
             .map(|(i, (res, dur, deps))| {
                 let deps: Vec<usize> = deps.into_iter().filter(|&d| d < i).collect();
                 (res, dur, deps)
+            })
+            .collect()
+    })
+}
+
+/// One submitted task of [`arb_fan_in_dag`]: resource, duration (ms),
+/// release time (ms, if any) and dependencies (indices of earlier tasks).
+type FanInTask = (usize, f64, Option<f64>, Vec<usize>);
+
+/// Strategy: a random DAG of up to 40 tasks over 3 resources whose fan-ins
+/// cover every dependency-storage case: none, one, exactly [`INLINE_DEPS`]
+/// (the most stored inline) and spilled (`INLINE_DEPS + 1` to
+/// `2 * INLINE_DEPS + 1`). Dependencies are drawn with repetition from the
+/// earlier tasks, so a dependency may be listed twice.
+fn arb_fan_in_dag() -> impl Strategy<Value = Vec<FanInTask>> {
+    prop::collection::vec(
+        (
+            0..3usize,
+            0.0f64..10.0,
+            (any::<bool>(), 0.0f64..20.0),
+            (0..4usize, 0..=INLINE_DEPS),
+            prop::collection::vec(0..u64::MAX, 2 * INLINE_DEPS + 1),
+        ),
+        1..40,
+    )
+    .prop_map(|tasks| {
+        tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, (res, dur, (released, at), (class, extra), picks))| {
+                let fan_in = match (i, class) {
+                    (0, _) | (_, 0) => 0,
+                    (_, 1) => 1,
+                    (_, 2) => INLINE_DEPS,
+                    _ => INLINE_DEPS + 1 + extra,
+                };
+                let deps = picks[..fan_in]
+                    .iter()
+                    .map(|&p| (p % i as u64) as usize)
+                    .collect();
+                (res, dur, released.then_some(at), deps)
             })
             .collect()
     })
@@ -154,6 +196,59 @@ proptest! {
             prop_assert_eq!(&iv.label, &format!("t[{}]", iv.task.index()));
         }
         prop_assert_eq!(rec.counter("tasks.transfer"), ids.len() as u64);
+    }
+
+    /// A trace answers every per-task query from the graph as submitted:
+    /// `deps_of` returns the dependency list in submission order at every
+    /// fan-in (none, one, exactly inline, spilled), `release_time` the
+    /// `not_before`, and `interval`, `start_time` and `end_time` the task's
+    /// own interval, whose end is bit-identical to `run_end_times`. An
+    /// unknown task has no dependencies, release time zero and no interval.
+    #[test]
+    fn trace_queries_agree_with_the_submitted_graph(dag in arb_fan_in_dag()) {
+        let mut sim = Simulator::new();
+        let rids: Vec<_> = (0..3).map(|i| sim.add_resource(format!("r{i}"))).collect();
+        let mut ids: Vec<TaskId> = Vec::new();
+        for (i, (res, dur, release, deps)) in dag.iter().enumerate() {
+            let mut spec = TaskSpec::compute(rids[*res], SimTime::from_millis(*dur))
+                .with_indexed_label("task", i as u64);
+            if let Some(at) = release {
+                spec = spec.not_before(SimTime::from_millis(*at));
+            }
+            // Half through `after`, half through `after_all`.
+            spec = if i % 2 == 0 {
+                deps.iter().fold(spec, |s, &d| s.after(ids[d]))
+            } else {
+                spec.after_all(deps.iter().map(|&d| ids[d]))
+            };
+            ids.push(sim.add_task(spec).unwrap());
+        }
+        let trace = sim.run().unwrap();
+        let ends = sim.run_end_times().unwrap();
+        prop_assert_eq!(trace.intervals().len(), ids.len());
+        for (i, (_, _, release, deps)) in dag.iter().enumerate() {
+            let id = ids[i];
+            let want: Vec<TaskId> = deps.iter().map(|&d| ids[d]).collect();
+            prop_assert_eq!(trace.deps_of(id), &want[..]);
+            let at = release.map_or(SimTime::ZERO, SimTime::from_millis);
+            prop_assert_eq!(trace.release_time(id), at);
+            let iv = trace.interval(id).unwrap();
+            prop_assert_eq!(iv.task, id);
+            prop_assert_eq!(iv.resource, rids[dag[i].0]);
+            prop_assert_eq!(&iv.label, &format!("task[{i}]"));
+            prop_assert_eq!(trace.start_time(id), Some(iv.start));
+            prop_assert_eq!(trace.end_time(id), Some(iv.end));
+            prop_assert_eq!(iv.end.as_secs().to_bits(), ends[i].as_secs().to_bits());
+            prop_assert!(iv.start >= at);
+        }
+        for unknown in [ids.len(), ids.len() + 1, usize::MAX] {
+            let id = TaskId::from_index(unknown);
+            prop_assert!(trace.deps_of(id).is_empty());
+            prop_assert_eq!(trace.release_time(id), SimTime::ZERO);
+            prop_assert!(trace.interval(id).is_none());
+            prop_assert_eq!(trace.start_time(id), None);
+            prop_assert_eq!(trace.end_time(id), None);
+        }
     }
 
     /// An indexed label renders exactly as `format!("{base}[{i}]")`.

@@ -124,9 +124,17 @@ impl RunProfile {
         let mut metrics = MetricsRecorder::new();
         let names = trace.resource_names().to_vec();
         let mut busy = vec![SimTime::ZERO; names.len()];
+        // Tasks per kind, so each `tasks.<kind>` key is built once.
+        let mut per_kind: Vec<(TaskKind, u64)> = Vec::new();
         for iv in trace.intervals() {
-            metrics.add(&format!("tasks.{}", iv.kind), 1);
+            match per_kind.iter_mut().find(|(k, _)| *k == iv.kind) {
+                Some((_, n)) => *n += 1,
+                None => per_kind.push((iv.kind, 1)),
+            }
             busy[iv.resource.index()] += iv.duration();
+        }
+        for (kind, n) in per_kind {
+            metrics.add(&format!("tasks.{kind}"), n);
         }
         let makespan = trace.makespan();
         for (name, b) in names.iter().zip(&busy) {
@@ -139,11 +147,14 @@ impl RunProfile {
             metrics.set_gauge(&format!("util:{name}"), util);
         }
         metrics.set_gauge("makespan-us", makespan.as_micros());
+        // One `active:` key per resource, built on its first transfer.
+        let mut active: Vec<Option<String>> = vec![None; names.len()];
         for iv in trace.intervals() {
             if matches!(iv.kind, TaskKind::Transfer | TaskKind::Collective) {
-                let track = format!("active:{}", names[iv.resource.index()]);
-                metrics.sample(&track, "busy", iv.start, 1.0);
-                metrics.sample(&track, "busy", iv.end, 0.0);
+                let r = iv.resource.index();
+                let track = active[r].get_or_insert_with(|| format!("active:{}", names[r]));
+                metrics.sample(track, "busy", iv.start, 1.0);
+                metrics.sample(track, "busy", iv.end, 0.0);
             }
         }
         for (pool, bytes) in &report.peaks {

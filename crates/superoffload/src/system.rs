@@ -658,11 +658,15 @@ impl ScheduleCtx {
         let mut metrics = MetricsRecorder::new();
         let trace = self.sim.run_instrumented(&mut metrics)?;
 
+        // One set of keys per transfer resource, built on its first transfer.
+        let mut keys: Vec<Option<TransferKeys>> = vec![None; trace.resource_names().len()];
         for t in &self.xfers {
             if let Some(iv) = trace.interval(t.task) {
-                let track = trace.resource_names()[iv.resource.index()].clone();
+                let r = iv.resource.index();
+                let keys =
+                    keys[r].get_or_insert_with(|| TransferKeys::new(&trace.resource_names()[r]));
                 t.link
-                    .record_transfer(&mut metrics, &track, iv.start, iv.end, t.bytes);
+                    .record_transfer(&mut metrics, keys, iv.start, iv.end, t.bytes);
             }
         }
 

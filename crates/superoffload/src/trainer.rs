@@ -99,11 +99,11 @@ pub struct StepTiming {
     /// Measured MFU: counted FLOPs over `wall_secs ·`
     /// [`JournalConfig::peak_flops`].
     pub mfu: f64,
-    /// Wall time inside numeric-plane kernels (the busy-nanos delta of
-    /// the trainer's recorder for this step). Zero unless an enclosing
-    /// `tensorlite::Recorder` traces spans; the gap to `wall_secs` is
-    /// everything outside the kernels — batch prep, engine bookkeeping,
-    /// journaling.
+    /// Kernel busy time of this step: the busy-nanos delta of the
+    /// trainer's recorder, summed over every pool thread that ran a kernel.
+    /// Zero unless an enclosing `tensorlite::Recorder` traces spans. When
+    /// kernels run on several threads at once, it counts each thread's time,
+    /// so it can exceed `wall_secs`.
     pub kernel_secs: f64,
 }
 
@@ -137,15 +137,10 @@ pub struct JournalSummary {
 }
 
 impl StepRecord {
-    /// Serializes this record as one JSONL line (no trailing newline).
-    /// Deterministic: only thread-count-invariant counter fields appear
-    /// (`peak_bytes` and `pool_parallel_regions` are deliberately omitted),
-    /// non-finite floats become `null`, and op kinds with zero calls are
-    /// skipped.
-    pub fn to_json_line(&self) -> String {
-        JsonWriter::with_capacity(256).object(Layout::Dense, |o| self.write_json(o))
-    }
-
+    /// Writes this record's fields as one JSONL line. Deterministic: only
+    /// thread-count-invariant counter fields appear (`peak_bytes` and
+    /// `pool_parallel_regions` are deliberately omitted), non-finite floats
+    /// become `null`, and op kinds with zero calls are skipped.
     fn write_json(&self, o: &mut JsonObject<'_>) {
         o.num("step", self.step)
             .str("outcome", self.outcome)

@@ -338,11 +338,6 @@ impl CounterSnapshot {
         self.op_bytes[kind.index()]
     }
 
-    /// Total kernel invocations across all kinds.
-    pub fn total_calls(&self) -> u64 {
-        self.calls.iter().sum()
-    }
-
     /// Total FLOPs across all kinds.
     pub fn total_flops(&self) -> u64 {
         self.flops.iter().sum()
@@ -441,7 +436,8 @@ mod tests {
     #[test]
     fn op_totals_are_thread_count_invariant() {
         let mut rng = crate::rng::XorShiftRng::new(42);
-        // Big enough to clear PAR_WORK_THRESHOLD so the pool really forks.
+        // Big enough to clear the GEMM family threshold so the pool really
+        // forks.
         let a = Tensor::randn(&[64, 64], 1.0, &mut rng);
         let b = Tensor::randn(&[64, 64], 1.0, &mut rng);
         let mut per_threads = Vec::new();

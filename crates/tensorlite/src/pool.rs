@@ -48,11 +48,6 @@ use crate::spans;
 /// Sentinel meaning "not configured" in the global thread-count cell.
 const UNSET: usize = usize::MAX;
 
-/// Legacy single global work threshold, kept as the default for callers
-/// that have no kernel-family information ([`Pool::limit_for`]). Kernels in
-/// this workspace use the per-family thresholds below instead.
-pub const PAR_WORK_THRESHOLD: usize = 32_768;
-
 /// Kernel families with independently calibrated parallelism thresholds.
 ///
 /// The cost of going parallel is (mostly) fixed per region, but the work
@@ -496,18 +491,6 @@ impl Pool {
     }
 
     /// A copy of this pool limited to one thread when `work` (an estimate
-    /// of element-operations) is below [`PAR_WORK_THRESHOLD`]. Prefer
-    /// [`Pool::limit_for_family`], which uses the calibrated per-family
-    /// thresholds; this remains for callers with no family information.
-    pub fn limit_for(&self, work: usize) -> Pool {
-        if work < PAR_WORK_THRESHOLD {
-            Pool { threads: 1 }
-        } else {
-            *self
-        }
-    }
-
-    /// A copy of this pool limited to one thread when `work` (an estimate
     /// of element-operations) is below the family's calibrated threshold
     /// ([`family_threshold`]). The decision depends only on `work`, keeping
     /// execution deterministic — and parallel results are bit-identical to
@@ -742,13 +725,6 @@ mod tests {
         let pool = Pool::new(4);
         let nested = pool.run(4, |_| threads());
         assert!(nested.iter().all(|&t| t == 1), "nested counts {nested:?}");
-    }
-
-    #[test]
-    fn limit_for_small_work_is_serial() {
-        let pool = Pool::new(8);
-        assert_eq!(pool.limit_for(10).threads(), 1);
-        assert_eq!(pool.limit_for(PAR_WORK_THRESHOLD).threads(), 8);
     }
 
     #[test]
