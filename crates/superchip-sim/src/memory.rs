@@ -9,6 +9,8 @@
 //! [`MemoryPool::record_into`] exports as a `mem:<name>` counter track plus
 //! peak/capacity gauges.
 
+use std::borrow::Cow;
+
 use crate::error::SimError;
 use crate::telemetry::MetricsRecorder;
 use crate::time::SimTime;
@@ -154,12 +156,19 @@ impl MemoryPool {
 
     /// Exports the pool's occupancy timeline as a `mem:<name>` counter track
     /// (unit `bytes`) plus `peak-bytes:<name>` and `capacity-bytes:<name>`
-    /// gauges on `rec`.
+    /// gauges on `rec`. Samples are exported in time order (stable for
+    /// equal times); a timeline recorded in time order, as a replay of an
+    /// executed schedule is, is exported without a copy.
     pub fn record_into(&self, rec: &mut MetricsRecorder) {
-        let mut samples = self.timeline.clone();
-        samples.sort_by_key(|&(ts, _)| ts);
+        let samples: Cow<'_, [(u64, u64)]> = if self.timeline.is_sorted_by_key(|&(ts, _)| ts) {
+            Cow::Borrowed(&self.timeline)
+        } else {
+            let mut sorted = self.timeline.clone();
+            sorted.sort_by_key(|&(ts, _)| ts);
+            Cow::Owned(sorted)
+        };
         let track = format!("mem:{}", self.name);
-        for (ts, allocated) in samples {
+        for &(ts, allocated) in samples.iter() {
             rec.sample_us(&track, "bytes", ts, allocated as f64);
         }
         rec.set_gauge(&format!("peak-bytes:{}", self.name), self.peak as f64);
@@ -268,5 +277,21 @@ mod tests {
         assert_eq!(track.samples, vec![(5, GIB as f64), (9, 0.0)]);
         assert_eq!(rec.gauge("peak-bytes:hbm"), Some(GIB as f64));
         assert_eq!(rec.gauge("capacity-bytes:hbm"), Some(2.0 * GIB as f64));
+    }
+
+    #[test]
+    fn record_into_sorts_an_out_of_order_timeline() {
+        let mut pool = MemoryPool::new("ddr", 4 * GIB);
+        pool.allocate_at(GIB, SimTime::from_micros(9.0)).unwrap();
+        pool.allocate_at(GIB, SimTime::from_micros(5.0)).unwrap();
+        pool.free_at(GIB, SimTime::from_micros(9.0)).unwrap();
+        let mut rec = crate::telemetry::MetricsRecorder::new();
+        pool.record_into(&mut rec);
+        let samples = &rec.track("mem:ddr").unwrap().samples;
+        // Time order, and call order among equal times.
+        assert_eq!(
+            samples,
+            &vec![(5, 2.0 * GIB as f64), (9, GIB as f64), (9, GIB as f64)]
+        );
     }
 }

@@ -673,25 +673,27 @@ impl ScheduleCtx {
         let mut peaks: Vec<(String, u64)> = Vec::new();
         let mut dropped = 0u64;
         let mut applied = vec![false; self.allocs.len()];
-        for (pi, planned) in self.pools.iter().enumerate() {
+        // One pass groups the allocation events by pool (an allocation
+        // naming no registered pool is not replayed).
+        let mut pool_events: Vec<Vec<(SimTime, u8, usize)>> = vec![Vec::new(); self.pools.len()];
+        for (ai, a) in self.allocs.iter().enumerate() {
+            let Some(events) = pool_events.get_mut(a.pool) else {
+                continue;
+            };
+            let at = trace.end_time(a.alloc_after).unwrap_or(SimTime::ZERO);
+            events.push((at, 1, ai));
+            if let Some(f) = a.free_after {
+                let ft = trace.end_time(f).unwrap_or(at).max(at);
+                events.push((ft, 0, ai));
+            }
+        }
+        for (planned, mut events) in self.pools.iter().zip(pool_events) {
             let mut pool = MemoryPool::new(&planned.name, planned.capacity);
             if planned.base > 0 && pool.allocate_at(planned.base, SimTime::ZERO).is_err() {
                 dropped += 1;
             }
             // Replay events in executed order; frees sort before allocs at
             // the same instant so back-to-back buffers don't double-count.
-            let mut events: Vec<(SimTime, u8, usize)> = Vec::new();
-            for (ai, a) in self.allocs.iter().enumerate() {
-                if a.pool != pi {
-                    continue;
-                }
-                let at = trace.end_time(a.alloc_after).unwrap_or(SimTime::ZERO);
-                events.push((at, 1, ai));
-                if let Some(f) = a.free_after {
-                    let ft = trace.end_time(f).unwrap_or(at).max(at);
-                    events.push((ft, 0, ai));
-                }
-            }
             events.sort_by_key(|&(ts, kind, ai)| (ts.as_micros_rounded(), kind, ai));
             for (ts, kind, ai) in events {
                 let bytes = self.allocs[ai].bytes;

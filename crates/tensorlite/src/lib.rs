@@ -38,6 +38,7 @@ pub mod cast;
 pub mod counters;
 pub mod error;
 pub mod f16;
+mod math;
 pub mod ops;
 pub mod pool;
 pub mod recorder;

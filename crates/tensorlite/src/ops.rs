@@ -6,6 +6,7 @@
 
 use crate::counters::OpKind;
 use crate::error::TensorError;
+use crate::math;
 use crate::pool::{KernelFamily, Pool};
 use crate::recorder;
 use crate::tensor::Tensor;
@@ -297,17 +298,24 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
 }
 
 /// Scalar GELU (tanh approximation).
+///
+/// Its `tanh` is the crate's branch-free port of fdlibm's `tanhf`, bit for
+/// bit the same as `f32::tanh` on a glibc host, so the [`gelu`] loop
+/// vectorizes and its bits do not depend on the host's libm.
+#[inline]
 pub fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + math::tanh(C * (x + 0.044715 * x * x * x)))
 }
 
-/// Scalar GELU derivative (tanh approximation).
+/// Scalar GELU derivative (tanh approximation), with the same `tanh` as
+/// [`gelu_scalar`].
+#[inline]
 pub fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
+    let t = math::tanh(inner);
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
 }

@@ -182,3 +182,111 @@ fn gelu_bit_identical_across_threads_and_the_threshold() {
         }
     }
 }
+
+/// The branch of the `tanh` port (and of the `expm1` under it) that GELU's
+/// argument `C (x + 0.044715 x^3)` takes, computed with the same `f32`
+/// operations as `ops::gelu_scalar`.
+fn tanh_branch(x: f32) -> &'static str {
+    let inner = 0.797_884_6 * (x + 0.044715 * x * x * x);
+    let a = inner.abs();
+    if !a.is_finite() {
+        return "inf-or-nan";
+    }
+    if a < f32::from_bits(0x2400_0000) {
+        return "tiny";
+    }
+    if a >= 22.0 {
+        return "saturated";
+    }
+    // tanh calls expm1(2|u|) for |u| >= 1 and expm1(-2|u|) below.
+    let arg = if a >= 1.0 { 2.0 * a } else { -2.0 * a };
+    let hx = arg.to_bits() & 0x7fff_ffff;
+    if hx < 0x3300_0000 {
+        return "|u|<1, expm1 tiny";
+    }
+    if hx <= 0x3eb1_7218 {
+        return "|u|<1, k=0";
+    }
+    if hx < 0x3f85_1592 {
+        // Only negative arguments land here, so k = 1 is unreachable.
+        return "|u|<1, k=-1";
+    }
+    let k = (f32::from_bits(0x3fb8_aa3b) * arg + 0.5f32.copysign(arg)).trunc();
+    match k {
+        k if k <= -2.0 => "|u|<1, k<=-2",
+        k if k <= 22.0 => "1<=|u|<22, 2<=k<=22",
+        k if k <= 56.0 => "1<=|u|<22, 23<=k<=56",
+        _ => "1<=|u|<22, k>56",
+    }
+}
+
+/// The GELU kernels' vectorized bodies and scalar tails agree bit for bit
+/// with the scalar functions, on lengths around the vector width and on
+/// inputs that reach every branch of the `tanh` port. Positive `expm1`
+/// arguments from `tanh` are at least 2, so its k = 1 branch and k = 2 are
+/// never reached here (the `tensorlite` unit tests pin them).
+#[test]
+fn gelu_vector_body_and_tail_match_the_scalar_maps() {
+    let mut values = Vec::new();
+    for v in [
+        0.0,
+        1e-20,
+        1e-9,
+        0.1,
+        0.4,
+        1.0,
+        1.5,
+        3.0,
+        5.0,
+        6.5,
+        7.5,
+        8.0,
+        100.0,
+        f32::INFINITY,
+        f32::NAN,
+    ] {
+        values.extend([v, -v]);
+    }
+    let covered: std::collections::BTreeSet<_> = values.iter().map(|&v| tanh_branch(v)).collect();
+    assert_eq!(
+        covered.len(),
+        10,
+        "every tanh/expm1 branch reached: {covered:?}"
+    );
+
+    // Calls through a pointer the optimizer cannot see through, so the
+    // reference is the scalar code, not another vectorized loop.
+    let gelu_scalar: fn(f32) -> f32 = std::hint::black_box(ops::gelu_scalar);
+    let gelu_grad_scalar: fn(f32) -> f32 = std::hint::black_box(ops::gelu_grad_scalar);
+    for len in [1, 7, 8, 9, 15, 16, 17, 33] {
+        for rotation in 0..values.len() {
+            let xs: Vec<f32> = (0..len)
+                .map(|i| values[(i + rotation) % values.len()])
+                .collect();
+            let dys: Vec<f32> = (0..len).map(|i| 0.75 - 0.125 * i as f32).collect();
+            let want_y: Vec<u32> = xs.iter().map(|&v| gelu_scalar(v).to_bits()).collect();
+            let want_dx: Vec<u32> = xs
+                .iter()
+                .zip(&dys)
+                .map(|(&v, &dy)| (dy * gelu_grad_scalar(v)).to_bits())
+                .collect();
+            let x = Tensor::from_vec(xs, &[len]).unwrap();
+            let dy = Tensor::from_vec(dys, &[len]).unwrap();
+            for threads in [1, 2] {
+                let (y, dx) = with_threads(threads, || {
+                    (ops::gelu(&x), ops::gelu_backward(&x, &dy).unwrap())
+                });
+                assert_eq!(
+                    bits(&y),
+                    want_y,
+                    "gelu len={len} rot={rotation} t={threads}"
+                );
+                assert_eq!(
+                    bits(&dx),
+                    want_dx,
+                    "gelu' len={len} rot={rotation} t={threads}"
+                );
+            }
+        }
+    }
+}
