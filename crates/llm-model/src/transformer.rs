@@ -293,11 +293,6 @@ impl GptModel {
         &self.grads
     }
 
-    /// Flat mutable gradient vector.
-    pub fn grads_mut(&mut self) -> &mut [f32] {
-        &mut self.grads
-    }
-
     /// Zeroes all accumulated gradients.
     pub fn zero_grads(&mut self) {
         self.grads.iter_mut().for_each(|g| *g = 0.0);

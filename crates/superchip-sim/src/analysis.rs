@@ -536,12 +536,12 @@ impl AnalysisReport {
                 cp.num("length_us", self.cp_len_us)
                     .num("tasks", self.critical_path.len())
                     .num("makespan_fraction", frac)
-                    .object("by_resource_us", Layout::Packed, |o| {
+                    .object("by_resource_us", Layout::Inline, |o| {
                         for (k, v) in &by_res {
                             o.num(k, *v);
                         }
                     })
-                    .object("by_kind_us", Layout::Packed, |o| {
+                    .object("by_kind_us", Layout::Inline, |o| {
                         for (k, v) in &by_kind {
                             o.num(k, *v);
                         }
@@ -570,7 +570,7 @@ impl AnalysisReport {
             });
             doc.object("stalls", Layout::Block, |st| {
                 st.num("total_idle_us", self.total_idle_us())
-                    .object("by_class_us", Layout::Packed, |o| {
+                    .object("by_class_us", Layout::Inline, |o| {
                         for (class, total) in STALL_CLASSES.iter().zip(self.totals_by_class()) {
                             o.num(class.name(), total);
                         }
@@ -581,7 +581,7 @@ impl AnalysisReport {
                                 o.str("name", &s.name)
                                     .num("busy_us", s.busy_us)
                                     .num("idle_us", s.idle_us)
-                                    .object("classes", Layout::Packed, |c| {
+                                    .object("classes", Layout::Inline, |c| {
                                         for (class, v) in STALL_CLASSES.iter().zip(&s.by_class) {
                                             c.num(class.name(), *v);
                                         }

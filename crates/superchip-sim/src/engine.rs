@@ -487,11 +487,6 @@ impl Simulator {
         self.resources.len()
     }
 
-    /// Number of submitted tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Submits a task to the graph.
     ///
     /// # Errors

@@ -130,17 +130,6 @@ impl Link {
         }
     }
 
-    /// Overrides the pageable-staging bandwidth multiplier.
-    ///
-    /// # Panics
-    /// Panics unless `0 < factor <= 1`.
-    #[must_use]
-    pub fn with_pageable_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1]");
-        self.pageable_factor = factor;
-        self
-    }
-
     /// Time to move `bytes` via the pinned (DMA) path.
     pub fn transfer_time(&self, bytes: u64) -> SimTime {
         self.curve.transfer_time(bytes)

@@ -87,9 +87,6 @@ pub enum Layout {
     /// On one line, `", "` between items and `": "` after keys:
     /// `{"a": 1, "b": 2}`.
     Inline,
-    /// On one line, `","` between items and `": "` after keys:
-    /// `{"a": 1,"b": 2}` (the analysis snapshot's class maps).
-    Packed,
     /// On one line with no spaces: `{"a":1,"b":2}` (JSONL and Trace Event
     /// records).
     Dense,
@@ -1708,7 +1705,6 @@ mod tests {
                 "{\n  \"a\": 1,\n  \"b\": [\"x\",true,null]\n}",
             ),
             (Layout::Inline, r#"{"a": 1, "b": ["x",true,null]}"#),
-            (Layout::Packed, r#"{"a": 1,"b": ["x",true,null]}"#),
             (Layout::Dense, r#"{"a":1,"b":["x",true,null]}"#),
             (Layout::Lines, "{\"a\":1,\n\"b\":[\"x\",true,null]}"),
         ];

@@ -2,7 +2,6 @@
 
 use crate::error::SimError;
 use crate::link::{BandwidthCurve, Link, LinkKind};
-use crate::memory::MemoryPool;
 use crate::time::SimTime;
 
 /// A compute device (a GPU or a CPU) with its attached memory.
@@ -32,17 +31,6 @@ impl ComputeDevice {
     /// rate.
     pub fn time_for_flops(&self, flops: f64) -> SimTime {
         SimTime::from_secs(flops / self.achievable_flops())
-    }
-
-    /// Time to stream `bytes` through the device's attached memory (used for
-    /// bandwidth-bound kernels such as optimizer updates and casts).
-    pub fn time_for_mem_bytes(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs(bytes as f64 / self.mem_bandwidth)
-    }
-
-    /// Fresh capacity-tracked pool over this device's memory.
-    pub fn memory_pool(&self) -> MemoryPool {
-        MemoryPool::new(self.name.clone(), self.mem_bytes)
     }
 
     /// Validates that the device parameters are physically meaningful.
@@ -202,12 +190,6 @@ impl ClusterSpec {
         } else {
             &self.inter_link
         })
-    }
-
-    /// Aggregate CPU memory available to one GPU's offloaded state when the
-    /// cluster is partitioned evenly.
-    pub fn cpu_mem_per_gpu(&self) -> u64 {
-        self.node.chip.cpu.mem_bytes
     }
 }
 

@@ -19,13 +19,7 @@ use superchip_sim::telemetry::{
 };
 
 /// Every layout the writer offers.
-const LAYOUTS: [Layout; 5] = [
-    Layout::Block,
-    Layout::Inline,
-    Layout::Packed,
-    Layout::Dense,
-    Layout::Lines,
-];
+const LAYOUTS: [Layout; 4] = [Layout::Block, Layout::Inline, Layout::Dense, Layout::Lines];
 
 /// A trace whose task labels contain every character class the escaper has
 /// to handle: quotes, backslashes, control characters, and non-ASCII.

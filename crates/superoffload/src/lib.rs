@@ -22,7 +22,7 @@
 //!
 //! | Paper section | Module |
 //! |---|---|
-//! | §4.1 SA-DFG                        | [`sadfg`] |
+//! | §4.1 SA-DFG                        | [`schedule`]'s task graph on [`superchip_sim`], costed with overlap by its event engine; placement from [`policy`], [`casting`], and [`bucket::min_retained`] with [`schedule::select_retention`] |
 //! | §4.2 adaptive weight offloading     | [`policy`] |
 //! | §4.3 bucketization repartitioning   | [`bucket`] |
 //! | §4.4 speculation-then-validation    | [`engine`] (real), [`schedule`] (modeled) |
@@ -42,7 +42,6 @@ pub mod fleet;
 pub mod numa;
 pub mod policy;
 pub mod report;
-pub mod sadfg;
 pub mod schedule;
 pub mod system;
 pub mod trainer;

@@ -5,11 +5,13 @@
 use llm_model::memory::ModelStateMemory;
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::{ModelConfig, Workload};
+use superchip_sim::engine::TaskTag;
 use superchip_sim::presets;
+use superchip_sim::trace::Interval;
 use superoffload::bucket::{BucketPlan, DEFAULT_BUCKET_BYTES};
 use superoffload::casting::CastPlacement;
 use superoffload::policy::{choose_policy, WeightPolicy};
-use superoffload::sadfg::{build_iteration_graph, Device, OpKind};
+use superoffload::schedule::{simulate_single_chip_profiled, SuperOffloadOptions};
 
 /// The real flat model's parameter count matches the analytic formula for
 /// a same-shaped config (with learned positions added, which the analytic
@@ -58,9 +60,8 @@ fn sixteen_psi_matches_buffer_sum() {
     assert_eq!(m.total(), fp16 + fp16 + fp32 + fp32 + fp32);
 }
 
-/// Policy + casting + partitioning compose: on a GH200 the adaptive stack
-/// picks GPU-side casting, keeps compute on the GPU, offloads the optimizer,
-/// and goes weight-stationary for small models.
+/// Policy and casting compose: on a GH200 the adaptive stack picks
+/// GPU-side casting and goes weight-stationary for small models.
 #[test]
 fn adaptive_stack_is_coherent_on_gh200() {
     let chip = presets::gh200_chip();
@@ -71,14 +72,92 @@ fn adaptive_stack_is_coherent_on_gh200() {
         CastPlacement::choose(&chip, DEFAULT_BUCKET_BYTES / 4),
         CastPlacement::GpuCastMoveFp32
     );
+}
 
-    let g = build_iteration_graph(&chip, 8, 100_000_000, 8 * 2048);
-    let placement = g.partition(&chip);
-    for (node, dev) in g.nodes().iter().zip(&placement) {
-        match node.kind {
-            OpKind::OptimizerStep => assert_eq!(*dev, Device::Cpu),
-            OpKind::Forward | OpKind::Backward => assert_eq!(*dev, Device::Gpu),
-            _ => {}
+/// §4.1's placement, read from the trace of the builder that decides it:
+/// compute stays on the GPU, the optimizer runs on the CPU except for one
+/// trailing run of retained buckets (§4.3), the parameter casts follow
+/// [`CastPlacement::choose`] (§4.5), and a GH200 streams no weights (§4.2).
+#[test]
+fn superoffload_trace_places_work_as_section_4_1_says() {
+    let wl = Workload::new(ModelConfig::appendix_a_5b(), 8, 2048);
+    let chips = [
+        ("GH200", presets::gh200_chip()),
+        ("DGX-2", presets::dgx2_chip()),
+        ("DGX-A100", presets::dgx_a100_chip()),
+    ];
+    for (name, chip) in chips {
+        let profile = simulate_single_chip_profiled(&chip, &wl, &SuperOffloadOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: 5B is infeasible: {e}"));
+        let trace = &profile.trace;
+        let on = |iv: &Interval| trace.resource_names()[iv.resource.index()].as_str();
+        let intervals = trace.intervals();
+
+        for iv in intervals {
+            if iv.label == "fwd" || iv.label.starts_with("bwd[") {
+                assert_eq!(on(iv), "gpu", "{name}: {} left the GPU", iv.label);
+            }
+        }
+        assert!(intervals.iter().any(|iv| iv.label == "fwd"), "{name}");
+
+        // Tasks are submitted iteration by iteration, each closed by its
+        // gate, so the intervals split into iterations at the gates.
+        let mut retained_per_iter = Vec::new();
+        for iteration in intervals.split_inclusive(|iv| iv.label == "iter-gate") {
+            let mut gpu_buckets = Vec::new();
+            let mut steps = 0;
+            for iv in iteration
+                .iter()
+                .filter(|iv| iv.tag == TaskTag::OptimizerStep)
+            {
+                steps += 1;
+                let gpu_bucket = iv
+                    .label
+                    .strip_prefix("step-gpu[")
+                    .and_then(|rest| rest.strip_suffix(']'))
+                    .map(|bi| bi.parse::<u32>().expect("a bucket index"));
+                match gpu_bucket {
+                    Some(bi) => {
+                        assert_eq!(on(iv), "gpu", "{name}: {} left the GPU", iv.label);
+                        gpu_buckets.push(bi);
+                    }
+                    None => assert_eq!(on(iv), "cpu", "{name}: {} left the CPU", iv.label),
+                }
+            }
+            gpu_buckets.sort_unstable();
+            let retained = gpu_buckets.len() as u32;
+            assert!(retained < steps, "{name}: no bucket steps on the CPU");
+            assert_eq!(
+                gpu_buckets,
+                (steps - retained..steps).collect::<Vec<_>>(),
+                "{name}: the GPU-stepped buckets are not the trailing run"
+            );
+            retained_per_iter.push(retained);
+        }
+        assert!(
+            retained_per_iter.len() >= 2,
+            "{name}: {retained_per_iter:?}"
+        );
+        assert!(
+            retained_per_iter.iter().all(|&n| n == retained_per_iter[0]),
+            "{name}: retention changes between iterations: {retained_per_iter:?}"
+        );
+
+        let gpu_param_casts = intervals
+            .iter()
+            .any(|iv| iv.label.starts_with("cast-param-gpu["));
+        assert_eq!(
+            gpu_param_casts,
+            CastPlacement::choose(&chip, DEFAULT_BUCKET_BYTES / 4)
+                == CastPlacement::GpuCastMoveFp32,
+            "{name}: parameter casts disagree with CastPlacement::choose"
+        );
+
+        if name == "GH200" {
+            assert!(
+                intervals.iter().all(|iv| iv.label != "weight-fetch-fwd"),
+                "GH200: a weight-stationary 5B streams weights"
+            );
         }
     }
 }
