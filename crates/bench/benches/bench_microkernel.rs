@@ -1,8 +1,9 @@
-//! Register-blocked GEMM microkernel benchmark: aligned vs remainder
-//! shapes (the 4×8 `mul_add` microkernel has dedicated edge paths when
-//! `m % 4 != 0` or `n % 8 != 0`), the fused-Adam element kernel, and the
-//! bf16 storage casts. CI uploads this output as an artifact so kernel
-//! regressions are visible per-commit.
+//! Packed GEMM microkernel benchmark: aligned vs remainder shapes for
+//! all three variants (the 4×16 `mul_add` register tile has a scalar
+//! tail for the last `n % 16` columns and single-row groups for the last
+//! `m % 4` rows), the fused-Adam element kernel, and the bf16 storage
+//! casts. CI uploads this output as an artifact so kernel regressions are
+//! visible per-commit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grace_optim::adam::{AdamConfig, AdamState, AdamStepper, CpuAdam, GraceAdam};
@@ -11,27 +12,42 @@ use tensorlite::pool::with_threads;
 use tensorlite::{Tensor, XorShiftRng};
 
 /// The microkernel proper: every shape class the packed GEMM dispatches
-/// to. Aligned shapes stay inside the 4×8 register block; the remainder
-/// shapes force the row/column edge paths.
+/// to, for each variant. Aligned shapes stay inside full 4×16 tiles; the
+/// remainder shapes force the scalar tail (8 and 3 columns wide) and the
+/// single-row groups. `matmul_at` reads its `[k, m]` operand and
+/// `matmul_bt` its `[n, k]` one, so each variant packs a different
+/// layout.
 fn bench_microkernel_shapes(c: &mut Criterion) {
     let mut rng = XorShiftRng::new(31);
     let shapes: &[(&str, usize, usize, usize)] = &[
         ("aligned_128x128x128", 128, 128, 128),
         ("row_edge_130x128x128", 130, 128, 128),
-        ("col_edge_128x128x132", 128, 128, 132),
-        ("both_edges_67x96x77", 67, 96, 77),
+        ("tail8_128x128x136", 128, 128, 136),
+        ("odd_tail_128x128x131", 128, 128, 131),
+        ("all_edges_67x96x77", 67, 96, 77),
         ("skinny_k_256x8x256", 256, 8, 256),
-        ("panel_512x64x8", 512, 64, 8),
+        ("head_dim_128x128x24", 128, 128, 24),
+    ];
+    // (name, A stored transposed, B stored transposed, kernel)
+    type Variant = (&'static str, bool, bool, fn(&Tensor, &Tensor) -> Tensor);
+    let variants: [Variant; 3] = [
+        ("matmul", false, false, |a, b| a.matmul(b).unwrap()),
+        ("matmul_at", true, false, |a, b| a.matmul_at(b).unwrap()),
+        ("matmul_bt", false, true, |a, b| a.matmul_bt(b).unwrap()),
     ];
     let mut group = c.benchmark_group("microkernel_gemm");
-    for &(name, m, k, n) in shapes {
-        group.throughput(Throughput::Elements((2 * m * k * n) as u64));
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        group.bench_function(name, |bench| {
-            // One worker: this measures the microkernel, not the pool.
-            bench.iter(|| with_threads(1, || a.matmul(&b).unwrap()));
-        });
+    for (variant, a_t, b_t, run) in variants {
+        for &(name, m, k, n) in shapes {
+            group.throughput(Throughput::Elements((2 * m * k * n) as u64));
+            let a_shape = if a_t { [k, m] } else { [m, k] };
+            let b_shape = if b_t { [n, k] } else { [k, n] };
+            let a = Tensor::randn(&a_shape, 1.0, &mut rng);
+            let b = Tensor::randn(&b_shape, 1.0, &mut rng);
+            group.bench_function(format!("{variant}/{name}"), |bench| {
+                // One worker: this measures the microkernel, not the pool.
+                bench.iter(|| with_threads(1, || run(&a, &b)));
+            });
+        }
     }
     group.finish();
 }

@@ -23,6 +23,11 @@
 //! plus pool overhead, so no crossover exists; the snapshot is marked
 //! `"degraded_host": true` (same convention as `repro -- realbench`) and
 //! the table says so instead of reporting an artifact.
+//!
+//! The sweep also measures one compute ceiling: the per-thread GFLOP/s of
+//! independent `f32::mul_add` chains at the GEMM tile's vector width
+//! ([`fma_peak_gflops`]), the figure a GEMM's measured GFLOP/s is a
+//! share of.
 
 use std::time::Instant;
 
@@ -31,6 +36,7 @@ use llm_model::transformer::{GptConfig, GptModel};
 use superchip_sim::telemetry::{JsonWriter, Layout};
 use tensorlite::ops;
 use tensorlite::pool::{family_threshold, set_family_threshold, with_threads};
+use tensorlite::tensor::GEMM_NR;
 use tensorlite::{KernelFamily, Pool, Tensor, XorShiftRng};
 
 /// One timed point on a family's work ladder.
@@ -72,6 +78,9 @@ pub struct FamilyCalibration {
 pub struct Calibration {
     /// Hardware threads on this host.
     pub host_threads: usize,
+    /// Measured single-thread `mul_add` throughput (see
+    /// [`fma_peak_gflops`]).
+    pub fma_peak_gflops: f64,
     /// Per-family results, in [`KernelFamily::ALL`] order.
     pub families: Vec<FamilyCalibration>,
 }
@@ -98,6 +107,7 @@ impl Calibration {
             doc.str("schema", "superoffload.calibration/v1")
                 .num("host_threads", self.host_threads)
                 .bool("degraded_host", self.degraded_host())
+                .fixed("fma_peak_gflops", self.fma_peak_gflops, 3)
                 .array("families", Layout::Block, |families| {
                     for f in &self.families {
                         families.object(Layout::Block, |o| {
@@ -143,6 +153,36 @@ fn best_of(reps: u32, mut op: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Vector rows of the FMA probe: `FMA_PROBE_ROWS × GEMM_NR` independent
+/// chains (12 256-bit registers) — more than the eight that two FMA ports
+/// at four cycles' latency keep busy, and few enough to stay in
+/// registers without AVX-512's extra sixteen.
+const FMA_PROBE_ROWS: usize = 6;
+/// `mul_add` steps per chain per timed run (~38 MFLOP per run).
+const FMA_PROBE_STEPS: usize = 200_000;
+
+/// Per-thread compute ceiling: GFLOP/s (2 per `mul_add`) of
+/// `FMA_PROBE_ROWS × GEMM_NR` independent `f32::mul_add` chains on the
+/// calling thread, best of `reps`. The chains are laid out like the GEMM's
+/// accumulator tile, so the figure is what its microkernel could issue
+/// with no loads in the way.
+pub fn fma_peak_gflops(reps: u32) -> f64 {
+    let (scale, shift) = (std::hint::black_box(0.5f32), std::hint::black_box(0.25f32));
+    let secs = best_of(reps, || {
+        let mut acc = [[1.0f32; GEMM_NR]; FMA_PROBE_ROWS];
+        for _ in 0..FMA_PROBE_STEPS {
+            for row in acc.iter_mut() {
+                for v in row.iter_mut() {
+                    *v = v.mul_add(scale, shift);
+                }
+            }
+        }
+        std::hint::black_box(acc);
+    });
+    let flops = 2.0 * (FMA_PROBE_ROWS * GEMM_NR * FMA_PROBE_STEPS) as f64;
+    flops / secs / 1e9
 }
 
 /// The representative kernel for one family at roughly `target` element-ops
@@ -292,6 +332,7 @@ fn probe_family(family: KernelFamily, max_work: usize, reps: u32) -> FamilyCalib
 pub fn calibrate(max_work: usize, reps: u32) -> Calibration {
     Calibration {
         host_threads: crate::realbench::host_threads(),
+        fma_peak_gflops: fma_peak_gflops(reps),
         families: KernelFamily::ALL
             .iter()
             .map(|&f| probe_family(f, max_work, reps))
@@ -326,6 +367,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
              degraded_host). Thresholds are left at the defaults."
         );
     }
+    println!(
+        "fma peak: {:.1} GFLOP/s per thread ({}-lane mul_add chains)",
+        cal.fma_peak_gflops, GEMM_NR
+    );
     println!(
         "{:<12} {:>11} {:>11}  verdict",
         "family", "default", "crossover"
@@ -392,6 +437,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"superoffload.calibration/v1\""));
         assert!(json.contains("\"degraded_host\""));
         assert!(json.contains("\"crossover_work\""));
+        assert!(json.contains("\"fma_peak_gflops\""));
         // Wall-clock fields must use the `_secs` suffix the compare gate
         // skips on degraded hosts.
         assert!(json.contains("serial_secs"));

@@ -141,6 +141,7 @@ const CASES: &[Case] = &[
         check: |dir| {
             let c = doc(dir, "calibration.json");
             assert_eq!(text(&c, "schema"), "superoffload.calibration/v1");
+            assert!(num(&c, "fma_peak_gflops") > 0.0);
             assert_eq!(list(&c, "families").len(), 6);
             for f in list(&c, "families") {
                 assert!(!list(f, "points").is_empty() && num(f, "default_threshold") > 0.0);

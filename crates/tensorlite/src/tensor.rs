@@ -6,21 +6,18 @@ use crate::pool::{KernelFamily, Pool};
 use crate::recorder;
 use crate::rng::XorShiftRng;
 
-/// Column width of a packed B panel. 64 f32s = 256 B per panel row: a
-/// handful of cache lines that stay resident while the k loop streams over
-/// them, and a multiple of every SIMD width the compiler may pick.
-const GEMM_NC: usize = 64;
-/// Rows of B (the k extent) per packed tile; `GEMM_KC × GEMM_NC` f32s =
-/// 64 KiB, sized to sit in L1/L2 while every output row of a worker's
-/// block is swept over it.
+/// Rows of the k extent per cache tile: one `GEMM_KC × GEMM_NR` B
+/// micro-panel slice is 16 KiB, so it stays in L1 while every row group
+/// of a worker's block is swept over it.
 const GEMM_KC: usize = 256;
-/// Rows per register-blocked microkernel tile: four A rows share every
-/// loaded B panel row, quartering B traffic from L1 into registers.
+/// Rows per register tile: four A rows share every loaded B row.
 const GEMM_MR: usize = 4;
-/// Columns per microkernel tile: 8 f32s = one 256-bit vector (or two
-/// 128-bit ones), so a fixed-size `[f32; GEMM_NR]` accumulator row lowers
-/// to whole SIMD registers.
-const GEMM_NR: usize = 8;
+/// Columns per register tile: 16 f32s = two 256-bit vectors, so the
+/// `GEMM_MR × GEMM_NR` accumulator tile is eight independent `mul_add`
+/// chains — enough to cover two FMA ports at four cycles' latency.
+/// Public so host probes (`repro -- calibrate`) measure at the width the
+/// GEMM issues.
+pub const GEMM_NR: usize = 16;
 /// Square tile edge for the blocked transpose (32×32×4 B = 4 KiB per
 /// operand tile, so one source and one destination tile fit in L1
 /// together).
@@ -297,9 +294,10 @@ impl Tensor {
 
     /// Matrix product of two rank-2 tensors.
     ///
-    /// The kernel packs `other` into cache-sized column panels, tiles the
-    /// inner dimension, and parallelizes over disjoint blocks of output
-    /// rows on the shared worker pool ([`Pool`]). Every output element
+    /// The kernel packs `other` into k-major column micro-panels, tiles
+    /// the inner dimension, and parallelizes over disjoint blocks of
+    /// output rows on the shared worker pool ([`Pool`]), each worker
+    /// packing its own rows of `self`. Every output element
     /// accumulates its `k` contributions in ascending order regardless of
     /// blocking or thread count, so results are bit-identical to the
     /// straightforward serial i-k-j loop.
@@ -325,19 +323,9 @@ impl Tensor {
             gemm_flops(m, k, n),
             gemm_accesses(m, k, n),
         );
-        let mut out = vec![0.0f32; m * n];
-        // Degenerate matmul (`m·0`, `0·n`, or `k = 0`): the all-zeros
-        // output is the answer; skip packing and the pool entirely.
-        if m == 0 || n == 0 || k == 0 {
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        let packed = pack_b_panels(&other.data, k, n);
-        let pool = Pool::current().limit_for_family(KernelFamily::Gemm, m * n * k);
-        pool.par_row_chunks(&mut out, n, |first_row, block| {
-            let a_rows = &self.data[first_row * k..first_row * k + (block.len() / n) * k];
-            gemm_packed_block(a_rows, k, &packed, n, block);
-        });
-        Tensor::from_vec(out, &[m, n])
+        let a = Operand::rows(&self.data, k);
+        let b = Operand::cols(&other.data, n);
+        Tensor::from_vec(gemm(a, b, m, k, n), &[m, n])
     }
 
     /// Fused `selfᵀ @ other` for rank-2 tensors (`self` is `[k, m]`,
@@ -370,28 +358,11 @@ impl Tensor {
             gemm_flops(m, k, n),
             gemm_accesses(m, k, n),
         );
-        let mut out = vec![0.0f32; m * n];
-        if m == 0 || n == 0 || k == 0 {
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        let packed = pack_b_panels(&other.data, k, n);
-        let pool = Pool::current().limit_for_family(KernelFamily::Gemm, m * n * k);
-        pool.par_row_chunks(&mut out, n, |first_row, block| {
-            // Pack the worker's stripe of selfᵀ: rows `first_row..` of the
-            // transpose, i.e. columns of `self`. This is the only transpose
-            // work done, it is local to the worker, and it reads each
-            // source cache line once per k-row.
-            let rows = block.len() / n;
-            let mut at = vec![0.0f32; rows * k];
-            for kk in 0..k {
-                let src = &self.data[kk * m + first_row..kk * m + first_row + rows];
-                for (r, &v) in src.iter().enumerate() {
-                    at[r * k + kk] = v;
-                }
-            }
-            gemm_packed_block(&at, k, &packed, n, block);
-        });
-        Tensor::from_vec(out, &[m, n])
+        // The worker's stripe of selfᵀ is a column stripe of `self`;
+        // packing it is the only transpose work done.
+        let a = Operand::cols(&self.data, m);
+        let b = Operand::cols(&other.data, n);
+        Tensor::from_vec(gemm(a, b, m, k, n), &[m, n])
     }
 
     /// Fused `self @ otherᵀ` for rank-2 tensors (`self` is `[m, k]`,
@@ -399,8 +370,8 @@ impl Tensor {
     ///
     /// Equivalent to `self.matmul(&other.transpose()?)` — bit-identical,
     /// since both accumulate over `k` in ascending order — but without
-    /// materializing the transposed operand: every output element is a dot
-    /// product of two contiguous rows.
+    /// materializing the transposed operand: packing `other`'s rows into
+    /// the column micro-panels `matmul` builds is the only transpose work.
     ///
     /// # Errors
     /// Returns [`TensorError::BadRank`] for non-matrices or
@@ -424,23 +395,12 @@ impl Tensor {
             gemm_flops(m, k, n),
             gemm_accesses(m, k, n),
         );
-        let mut out = vec![0.0f32; m * n];
-        if m == 0 || n == 0 || k == 0 {
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        // Repack `other` ([n, k], row-major) into the same `GEMM_KC ×
-        // GEMM_NC` column panels `matmul` packs its B into, reading the
-        // source k-contiguously. One O(n·k) pass buys the O(m·n·k)
-        // multiply the register-blocked microkernel — the row-dot
-        // formulation this replaces could not vectorize its k-strided B
-        // loads and ran latency-bound on a single fma chain per element.
-        let packed = pack_bt_panels(&other.data, k, n);
-        let pool = Pool::current().limit_for_family(KernelFamily::Gemm, m * n * k);
-        pool.par_row_chunks(&mut out, n, |first_row, block| {
-            let a_rows = &self.data[first_row * k..first_row * k + (block.len() / n) * k];
-            gemm_packed_block(a_rows, k, &packed, n, block);
-        });
-        Tensor::from_vec(out, &[m, n])
+        // One O(n·k) pack buys the O(m·n·k) multiply the register-tiled
+        // microkernel: a row-dot formulation could not vectorize its
+        // k-strided B loads and ran latency-bound on one fma chain.
+        let a = Operand::rows(&self.data, k);
+        let b = Operand::rows(&other.data, k);
+        Tensor::from_vec(gemm(a, b, m, k, n), &[m, n])
     }
 
     /// Transpose of a rank-2 tensor (blocked into square cache tiles so
@@ -531,213 +491,227 @@ fn gemm_accesses(m: usize, k: usize, n: usize) -> u64 {
     m as u64 * k as u64 + k as u64 * n as u64 + m as u64 * n as u64
 }
 
-/// Packs a row-major `[k, n]` matrix into column panels of [`GEMM_NC`]
-/// columns: panel-major, each panel holding its `k` rows contiguously.
-/// The GEMM inner loop then streams a panel row (a few cache lines) per
-/// `k` step instead of striding across the full matrix width, and the
-/// packed panels are shared read-only by every worker.
-fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut packed = vec![0.0f32; k * n];
-    let mut off = 0;
-    let mut jj = 0;
-    while jj < n {
-        let ncw = GEMM_NC.min(n - jj);
-        for kk in 0..k {
-            let src = &b[kk * n + jj..kk * n + jj + ncw];
-            packed[off..off + ncw].copy_from_slice(src);
-            off += ncw;
-        }
-        jj += ncw;
-    }
-    packed
+/// A GEMM operand viewed as `[lines, k]`: A's rows or B's columns.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    /// Leading dimension of the stored matrix.
+    ld: usize,
+    /// Element `(i, kk)` is `data[i * ld + kk]` when true (A of `matmul`
+    /// and `matmul_bt`, B of `matmul_bt`), else `data[kk * ld + i]` (A of
+    /// `matmul_at`, B of `matmul` and `matmul_at`).
+    k_contiguous: bool,
 }
 
-/// Packs a transposed `B` (`[n, k]`, row-major — the `matmul_bt`
-/// operand layout) into the identical panel layout [`pack_b_panels`]
-/// produces for an un-transposed `[k, n]` `B`: `GEMM_NC`-column panels,
-/// each holding rows `0..k` of its column slice contiguously.
+impl<'a> Operand<'a> {
+    /// Lines are the rows of a row-major matrix with `ld` columns.
+    fn rows(data: &'a [f32], ld: usize) -> Self {
+        Operand {
+            data,
+            ld,
+            k_contiguous: true,
+        }
+    }
+
+    /// Lines are the columns of a row-major matrix with `ld` columns.
+    fn cols(data: &'a [f32], ld: usize) -> Self {
+        Operand {
+            data,
+            ld,
+            k_contiguous: false,
+        }
+    }
+
+    /// The same view with its first `lines` lines dropped.
+    fn skip(self, lines: usize) -> Operand<'a> {
+        let offset = if self.k_contiguous {
+            lines * self.ld
+        } else {
+            lines
+        };
+        Operand {
+            data: &self.data[offset..],
+            ..self
+        }
+    }
+}
+
+/// The packed GEMM behind all three variants: the `[m, n]` product of
+/// the `[m, k]` view `a` and the `[n, k]` view `b` (each transposed or
+/// not by its layout).
 ///
-/// The source is read k-contiguously (one `bt` row at a time) and
-/// scattered into the panel, so this is the only transposing pass —
-/// after it, `matmul_bt` runs the same packed microkernel as `matmul`.
-fn pack_bt_panels(bt: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut packed = vec![0.0f32; k * n];
-    let mut off = 0;
-    let mut jj = 0;
-    while jj < n {
-        let ncw = GEMM_NC.min(n - jj);
-        for u in 0..ncw {
-            let src = &bt[(jj + u) * k..(jj + u + 1) * k];
-            for (kk, &v) in src.iter().enumerate() {
-                packed[off + kk * ncw + u] = v;
+/// B is packed once on the calling thread and shared read-only; each
+/// worker packs only the rows of A its block of output rows needs.
+/// Every output element accumulates its `k` contributions in ascending
+/// order regardless of blocking or thread count, so results are
+/// bit-identical to the serial fma i-k-j loop.
+fn gemm(a: Operand, b: Operand, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    // Degenerate product (`m·0`, `0·n`, or `k = 0`): the all-zeros output
+    // is the answer; skip packing and the pool entirely.
+    if m == 0 || n == 0 || k == 0 {
+        return out;
+    }
+    let packed_b = pack_panels(b, n, k, panel_width);
+    let pool = Pool::current().limit_for_family(KernelFamily::Gemm, m * n * k);
+    pool.par_row_chunks(&mut out, n, |first_row, block| {
+        let rows = block.len() / n;
+        let packed_a = pack_panels(a.skip(first_row), rows, k, row_group_height);
+        gemm_packed_block(&packed_a, k, &packed_b, n, block);
+    });
+    out
+}
+
+/// Width of the packed B micro-panel that starts `rest` columns before
+/// the end of the matrix: full [`GEMM_NR`] tiles, then one scalar tail
+/// of the last `n % GEMM_NR` columns.
+fn panel_width(rest: usize) -> usize {
+    rest.min(GEMM_NR)
+}
+
+/// Height of the packed A row group that starts `rest` rows before the
+/// end of a worker's block: full [`GEMM_MR`] groups, then single rows.
+fn row_group_height(rest: usize) -> usize {
+    if rest >= GEMM_MR {
+        GEMM_MR
+    } else {
+        1
+    }
+}
+
+/// Packs the first `lines` lines of `src` into k-major groups of
+/// `width(lines left)` lines: the group at line `i0` of width `g` holds
+/// `(i0 + u, kk)` at `i0 * k + kk * g + u`, so the microkernel reads one
+/// contiguous `g`-float step per k. A k-contiguous operand is interleaved
+/// from `g` line streams, the other copied in `g`-float runs; either way
+/// this is the only transposing pass a fused variant makes.
+fn pack_panels(src: Operand, lines: usize, k: usize, width: fn(usize) -> usize) -> Vec<f32> {
+    let mut packed = vec![0.0f32; lines * k];
+    let mut i0 = 0;
+    while i0 < lines {
+        let g = width(lines - i0);
+        let dst = &mut packed[i0 * k..(i0 + g) * k];
+        let src = src.skip(i0);
+        match g {
+            GEMM_NR => pack_group::<GEMM_NR>(src, k, dst),
+            GEMM_MR => pack_group::<GEMM_MR>(src, k, dst),
+            _ => {
+                for (kk, step) in dst.chunks_exact_mut(g).enumerate() {
+                    for (u, v) in step.iter_mut().enumerate() {
+                        *v = if src.k_contiguous {
+                            src.data[u * src.ld + kk]
+                        } else {
+                            src.data[kk * src.ld + u]
+                        };
+                    }
+                }
             }
         }
-        off += k * ncw;
-        jj += ncw;
+        i0 += g;
     }
     packed
 }
 
-/// Multiplies a block of `A` rows (`[rows, k]`, contiguous) by a
-/// panel-packed `B` (see [`pack_b_panels`]) into `out` (`[rows, n]`,
-/// zero-initialized).
-///
-/// Loop order is panel → k-tile → row-quad → k → j: every output element
-/// sees its `k` contributions in ascending order (panels partition `j`,
-/// and the k-tiles are visited in order), so the result is bit-identical
-/// to a fused-multiply-add i-k-j loop while each `GEMM_KC × GEMM_NC` tile
-/// of `B` stays cache-resident across all rows of the block. Inside a
-/// k-tile, a [`GEMM_MR`]`×`[`GEMM_NR`] register-blocked microkernel holds
-/// the accumulator tile in locals and uses `f32::mul_add` (one rounding
-/// per step — the microkernel and the reference differ from the old
-/// two-rounding `+= a*b` kernel, identically in serial and parallel).
-fn gemm_packed_block(a_rows: &[f32], k: usize, packed_b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 || k == 0 || out.is_empty() {
-        // Degenerate `m·0` / `0·n` / `k = 0` block: the zero-initialized
-        // output is already the product (there is nothing to accumulate).
-        return;
+/// One `G`-line group of [`pack_panels`], with fixed-size steps so both
+/// layouts compile to vector moves.
+fn pack_group<const G: usize>(src: Operand, k: usize, dst: &mut [f32]) {
+    let (steps, _) = dst.as_chunks_mut::<G>();
+    if src.k_contiguous {
+        let streams: [&[f32]; G] = std::array::from_fn(|u| &src.data[u * src.ld..][..k]);
+        for (kk, step) in steps.iter_mut().enumerate() {
+            for (v, stream) in step.iter_mut().zip(&streams) {
+                *v = stream[kk];
+            }
+        }
+    } else {
+        for (kk, step) in steps.iter_mut().enumerate() {
+            step.copy_from_slice(&src.data[kk * src.ld..][..G]);
+        }
     }
+}
+
+/// Multiplies a packed block of A rows by a packed B (both laid out by
+/// [`pack_panels`]) into `out` (`[rows, n]`, zero-initialized).
+///
+/// Loop order is k-tile → B micro-panel → row group → k: every output
+/// element sees its `k` contributions in ascending order (the k-tiles are
+/// visited in order, and each microkernel call walks its tile in order),
+/// so the result is bit-identical to a fused-multiply-add i-k-j loop,
+/// while each `GEMM_KC`-row slice of a B micro-panel stays in L1 across
+/// all row groups of the block.
+fn gemm_packed_block(a_packed: &[f32], k: usize, packed_b: &[f32], n: usize, out: &mut [f32]) {
     let rows = out.len() / n;
     debug_assert_eq!(out.len(), rows * n);
-    debug_assert_eq!(a_rows.len(), rows * k);
-    let mut panel_off = 0;
-    let mut jj = 0;
-    while jj < n {
-        let ncw = GEMM_NC.min(n - jj);
-        let panel = &packed_b[panel_off..panel_off + k * ncw];
-        let mut kk = 0;
-        while kk < k {
-            let k_hi = (kk + GEMM_KC).min(k);
-            let mut r = 0;
-            while r + GEMM_MR <= rows {
-                let a_quad = &a_rows[r * k..(r + GEMM_MR) * k];
-                let (o0, rest) = out[r * n..(r + GEMM_MR) * n].split_at_mut(n);
-                let (o1, rest) = rest.split_at_mut(n);
-                let (o2, o3) = rest.split_at_mut(n);
-                microkernel_mr4(
-                    [
-                        &a_quad[..k],
-                        &a_quad[k..2 * k],
-                        &a_quad[2 * k..3 * k],
-                        &a_quad[3 * k..],
-                    ],
-                    panel,
-                    ncw,
-                    kk,
-                    k_hi,
-                    [
-                        &mut o0[jj..jj + ncw],
-                        &mut o1[jj..jj + ncw],
-                        &mut o2[jj..jj + ncw],
-                        &mut o3[jj..jj + ncw],
-                    ],
-                );
-                r += GEMM_MR;
+    debug_assert_eq!(a_packed.len(), rows * k);
+    let mut kk = 0;
+    while kk < k {
+        let k_hi = (kk + GEMM_KC).min(k);
+        let mut j0 = 0;
+        while j0 < n {
+            let w = panel_width(n - j0);
+            let b = &packed_b[j0 * k + kk * w..j0 * k + k_hi * w];
+            let mut r0 = 0;
+            while r0 < rows {
+                let g = row_group_height(rows - r0);
+                let a = &a_packed[r0 * k + kk * g..r0 * k + k_hi * g];
+                let o = &mut out[r0 * n + j0..];
+                if g == GEMM_MR {
+                    row_group::<GEMM_MR>(a, b, w, o, n);
+                } else {
+                    row_group::<1>(a, b, w, o, n);
+                }
+                r0 += g;
             }
-            while r < rows {
-                let a_row = &a_rows[r * k..(r + 1) * k];
-                let out_row = &mut out[r * n + jj..r * n + jj + ncw];
-                microkernel_mr1(a_row, panel, ncw, kk, k_hi, out_row);
-                r += 1;
-            }
-            kk = k_hi;
+            j0 += w;
         }
-        panel_off += k * ncw;
-        jj += ncw;
+        kk = k_hi;
     }
 }
 
-/// Register-blocked `GEMM_MR × GEMM_NR` microkernel: multiplies `GEMM_MR`
-/// full A rows against one packed-B panel's `kk..k_hi` tile into the
-/// matching `ncw`-wide output row slices.
+/// Dispatches one `R`-row group against one B micro-panel of width `w`
+/// to the full tile or the scalar tail.
+fn row_group<const R: usize>(a: &[f32], b: &[f32], w: usize, out: &mut [f32], n: usize) {
+    if w == GEMM_NR {
+        microkernel::<R>(a, b, out, n);
+        return;
+    }
+    for (a_k, b_k) in a.chunks_exact(R).zip(b.chunks_exact(w)) {
+        for (i, &av) in a_k.iter().enumerate() {
+            for (o, &bv) in out[i * n..i * n + w].iter_mut().zip(b_k) {
+                *o = av.mul_add(bv, *o);
+            }
+        }
+    }
+}
+
+/// Register-tiled `R × GEMM_NR` microkernel: multiplies one packed
+/// `R`-row group of A by one full packed B micro-panel over a k-tile, into
+/// the `R × GEMM_NR` output tile at the front of `out` (row stride `n`).
 ///
-/// Per [`GEMM_NR`]-column block, the accumulator tile lives in a
-/// `[[f32; GEMM_NR]; GEMM_MR]` local (whole SIMD registers) loaded from
-/// and stored back to `out` once per k-tile; every k step is one
-/// `mul_add` per lane, in ascending-k order, so the element-wise rounding
-/// sequence is identical to the single-row kernel and to the fma i-k-j
-/// reference. The fixed-size `&[f32; GEMM_NR]` panel loads give the
-/// autovectorizer provable bounds.
-fn microkernel_mr4(
-    a: [&[f32]; GEMM_MR],
-    panel: &[f32],
-    ncw: usize,
-    kk: usize,
-    k_hi: usize,
-    mut o: [&mut [f32]; GEMM_MR],
-) {
-    let mut jb = 0;
-    while jb + GEMM_NR <= ncw {
-        let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
-        for (acc_row, o_row) in acc.iter_mut().zip(o.iter()) {
-            acc_row.copy_from_slice(&o_row[jb..jb + GEMM_NR]);
-        }
-        for kidx in kk..k_hi {
-            let b: &[f32; GEMM_NR] = panel[kidx * ncw + jb..kidx * ncw + jb + GEMM_NR]
-                .try_into()
-                .expect("NR-wide panel slice");
-            for (acc_row, a_row) in acc.iter_mut().zip(&a) {
-                let av = a_row[kidx];
-                for (acc_v, &bv) in acc_row.iter_mut().zip(b) {
-                    *acc_v = av.mul_add(bv, *acc_v);
-                }
-            }
-        }
-        for (acc_row, o_row) in acc.iter().zip(o.iter_mut()) {
-            o_row[jb..jb + GEMM_NR].copy_from_slice(acc_row);
-        }
-        jb += GEMM_NR;
+/// The accumulator tile is an `[[f32; GEMM_NR]; R]` local (whole SIMD
+/// registers) loaded from and stored back to `out` once per k-tile. Every
+/// k step is one `mul_add` per element, in ascending-k order, so the
+/// element-wise rounding sequence is the fma i-k-j reference's. The
+/// fixed-size `R`- and `GEMM_NR`-wide chunks give the autovectorizer
+/// provable bounds, and with `R = 4` the tile is eight independent vector
+/// accumulators.
+#[inline(always)]
+fn microkernel<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], n: usize) {
+    let mut acc = [[0.0f32; GEMM_NR]; R];
+    for (i, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&out[i * n..i * n + GEMM_NR]);
     }
-    // Column remainder (< GEMM_NR wide): same ascending-k mul_add per
-    // element, scalar lanes.
-    if jb < ncw {
-        for kidx in kk..k_hi {
-            let b_tail = &panel[kidx * ncw + jb..(kidx + 1) * ncw];
-            for (o_row, a_row) in o.iter_mut().zip(&a) {
-                let av = a_row[kidx];
-                for (o_v, &bv) in o_row[jb..].iter_mut().zip(b_tail) {
-                    *o_v = av.mul_add(bv, *o_v);
-                }
-            }
-        }
-    }
-}
-
-/// Single-row variant of [`microkernel_mr4`] for the `rows % GEMM_MR`
-/// remainder — same `GEMM_NR`-wide register accumulator, same ascending-k
-/// `mul_add` order per output element.
-fn microkernel_mr1(
-    a_row: &[f32],
-    panel: &[f32],
-    ncw: usize,
-    kk: usize,
-    k_hi: usize,
-    out_row: &mut [f32],
-) {
-    let mut jb = 0;
-    while jb + GEMM_NR <= ncw {
-        let mut acc = [0.0f32; GEMM_NR];
-        acc.copy_from_slice(&out_row[jb..jb + GEMM_NR]);
-        for kidx in kk..k_hi {
-            let av = a_row[kidx];
-            let b: &[f32; GEMM_NR] = panel[kidx * ncw + jb..kidx * ncw + jb + GEMM_NR]
-                .try_into()
-                .expect("NR-wide panel slice");
-            for (acc_v, &bv) in acc.iter_mut().zip(b) {
+    let (a_steps, _) = a.as_chunks::<R>();
+    let (b_steps, _) = b.as_chunks::<GEMM_NR>();
+    for (a_k, b_k) in a_steps.iter().zip(b_steps) {
+        for (acc_row, &av) in acc.iter_mut().zip(a_k) {
+            for (acc_v, &bv) in acc_row.iter_mut().zip(b_k) {
                 *acc_v = av.mul_add(bv, *acc_v);
             }
         }
-        out_row[jb..jb + GEMM_NR].copy_from_slice(&acc);
-        jb += GEMM_NR;
     }
-    if jb < ncw {
-        for kidx in kk..k_hi {
-            let av = a_row[kidx];
-            let b_tail = &panel[kidx * ncw + jb..(kidx + 1) * ncw];
-            for (o_v, &bv) in out_row[jb..].iter_mut().zip(b_tail) {
-                *o_v = av.mul_add(bv, *o_v);
-            }
-        }
+    for (i, acc_row) in acc.iter().enumerate() {
+        out[i * n..i * n + GEMM_NR].copy_from_slice(acc_row);
     }
 }
 

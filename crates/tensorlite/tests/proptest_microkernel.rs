@@ -1,13 +1,15 @@
-//! Property tests pinning the register-blocked GEMM microkernel to its
-//! reference semantics.
+//! Property tests pinning the packed GEMM to its reference semantics.
 //!
-//! The microkernel (4×8 accumulator tile, `f32::mul_add` per k step) must
-//! be *exactly* — bit for bit — the fused-multiply-add i-k-j loop it
-//! replaced, for every shape: the blocking (panels of 64 columns, k-tiles
-//! of 256) and the register tiling only reorder independent output
-//! elements, never the per-element ascending-k accumulation. The shape
-//! strategies deliberately straddle the panel/tile/microtile remainders
-//! (`n % 64`, `n % 8`, `m % 4`, `k` above and below 256).
+//! All three variants (`matmul`, `matmul_at`, `matmul_bt`) pack their
+//! operands into k-major micro-panels and run one register-tiled
+//! microkernel: a 4×16 accumulator tile, a scalar tail for the last
+//! `n % 16` columns, and single-row groups for the last `m % 4` rows of
+//! each worker's block, over k-tiles of 256. Each must be *exactly* — bit for bit — the
+//! fused-multiply-add i-k-j loop, for every shape and thread count: the
+//! packing and tiling only reorder independent output elements, never
+//! the per-element ascending-k `mul_add` chain. The shape strategies
+//! straddle every remainder (`n % 16` of 0, 8 and odd values, `m % 4`,
+//! `k` below, at and above 256).
 
 use proptest::prelude::*;
 use tensorlite::pool::with_threads;
@@ -30,37 +32,55 @@ fn fma_ikj_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
     out
 }
 
+/// Elementwise transpose of a rank-2 tensor (independent of the library's
+/// blocked `transpose`, so a fault there cannot hide one here).
+fn transposed(t: &Tensor) -> Tensor {
+    let (r, c) = (t.shape()[0], t.shape()[1]);
+    let data = (0..c)
+        .flat_map(|j| (0..r).map(move |i| (i, j)))
+        .map(|(i, j)| t.data()[i * c + j])
+        .collect();
+    Tensor::from_vec(data, &[c, r]).unwrap()
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// General dims straddling the microtile remainders (m % 4, n % 8).
+/// Checks `matmul`, `matmul_at` (on Aᵀ) and `matmul_bt` (on Bᵀ) against
+/// the reference at every listed thread count.
+fn check_all_variants(a: &Tensor, b: &Tensor, threads: &[usize]) {
+    let expect = bits(&fma_ikj_reference(a, b));
+    let (at, bt) = (transposed(a), transposed(b));
+    for &t in threads {
+        let (c, c_at, c_bt) = with_threads(t, || {
+            (
+                a.matmul(b).unwrap(),
+                at.matmul_at(b).unwrap(),
+                a.matmul_bt(&bt).unwrap(),
+            )
+        });
+        assert_eq!(expect, bits(c.data()), "matmul, threads={t}");
+        assert_eq!(expect, bits(c_at.data()), "matmul_at, threads={t}");
+        assert_eq!(expect, bits(c_bt.data()), "matmul_bt, threads={t}");
+    }
+}
+
+/// General dims across the row-group and column-tile remainders.
 fn arb_dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..22, 1usize..50, 1usize..80)
 }
 
-/// Dims pinned to the panel/k-tile edge cases the issue calls out:
-/// `n % GEMM_NC != 0` (partial trailing panel) and `k < GEMM_KC` vs
-/// `k > GEMM_KC` (single partial k-tile vs multiple tiles). A class
-/// selector mapped over raw draws stands in for `prop_oneof!`.
+/// Dims pinned to the tile edges: `n = 16·q + r` with `r` of 0 (full
+/// tiles only), 8 or odd (scalar tail, narrower or wider than half a
+/// tile); `m` across `m % 4` at 1 and 2 threads' blocks;
+/// `k` below, at and just above the 256-row k-tile, or over two tiles.
 fn edge_dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (0usize..3, 1usize..8, 1usize..40, 0usize..6, 0usize..12).prop_map(
-        |(class, m, other, pick6, pick12)| match class {
-            // Partial trailing panel: n just off the 64-column boundary.
-            0 => (m, other, [63, 64, 65, 127, 128, 129][pick6]),
-            // k straddling the 256-row tile: one partial tile vs tile + rest.
-            1 => {
-                let k = if pick6 < 3 {
-                    1 + pick12 % 7
-                } else {
-                    250 + pick12
-                };
-                (1 + m % 5, k, other)
-            }
-            // Both remainders at once, tiny everything.
-            _ => (1 + m % 4, 1 + pick6 % 4, 1 + pick12 % 8),
-        },
-    )
+    (1usize..14, 0usize..9, 0usize..4, 0usize..10).prop_map(|(m, k_pick, q, r_pick)| {
+        let k = [1, 2, 7, 31, 255, 256, 257, 300, 513][k_pick];
+        let r = [0, 8, 1, 3, 5, 7, 9, 11, 13, 15][r_pick];
+        (m, k, (16 * q + r).max(1))
+    })
 }
 
 fn randn_pair(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
@@ -73,28 +93,24 @@ fn randn_pair(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Microkernel GEMM == fma i-k-j reference, bit for bit, serial and
-    /// parallel.
+    /// Every variant == fma i-k-j reference, bit for bit, serial and
+    /// parallel (including more workers than rows).
     #[test]
     fn microkernel_equals_fma_ikj_reference((m, k, n) in arb_dims(), seed in 0u64..1000) {
         let (a, b) = randn_pair(m, k, n, seed);
-        let expect = fma_ikj_reference(&a, &b);
-        for threads in [1usize, 2, 7, 0] {
-            let c = with_threads(threads, || a.matmul(&b).unwrap());
-            prop_assert_eq!(bits(&expect), bits(c.data()), "threads={}", threads);
-        }
+        check_all_variants(&a, &b, &[1, 2, 7, 0]);
     }
 
-    /// The panel/k-tile remainder shapes hit the same reference exactly.
+    /// The scalar-tail, row-remainder and k-tile edge shapes
+    /// hit the same reference exactly, for every variant at 1 and 2
+    /// threads.
     #[test]
     fn microkernel_handles_panel_and_ktile_remainders(
         (m, k, n) in edge_dims(),
         seed in 0u64..1000,
     ) {
         let (a, b) = randn_pair(m, k, n, seed.wrapping_add(7));
-        let expect = fma_ikj_reference(&a, &b);
-        let c = a.matmul(&b).unwrap();
-        prop_assert_eq!(bits(&expect), bits(c.data()), "shape ({},{},{})", m, k, n);
+        check_all_variants(&a, &b, &[1, 2]);
     }
 
     /// Degenerate shapes: any dimension of zero yields the (possibly
@@ -111,8 +127,7 @@ proptest! {
         };
         let a = Tensor::zeros(&[m, k]);
         let b = Tensor::zeros(&[k, n]);
-        let c = a.matmul(&b).unwrap();
-        prop_assert_eq!(c.shape(), &[m, n]);
-        prop_assert_eq!(bits(&fma_ikj_reference(&a, &b)), bits(c.data()));
+        prop_assert_eq!(a.matmul(&b).unwrap().shape(), &[m, n]);
+        check_all_variants(&a, &b, &[1, 2]);
     }
 }
