@@ -106,7 +106,7 @@ fn bench_parallel_attention(c: &mut Criterion) {
             with_threads(1, || {
                 model.zero_grads();
                 let cache = model.forward(&tokens, &targets).unwrap();
-                model.backward(&cache).unwrap();
+                model.backward(cache).unwrap();
             })
         });
     });
@@ -115,7 +115,7 @@ fn bench_parallel_attention(c: &mut Criterion) {
             with_threads(0, || {
                 model.zero_grads();
                 let cache = model.forward(&tokens, &targets).unwrap();
-                model.backward(&cache).unwrap();
+                model.backward(cache).unwrap();
             })
         });
     });

@@ -410,7 +410,7 @@ fn timed_step(
         let cache = model.forward(x, y).expect("forward");
         fwd += t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        model.backward(&cache).expect("backward");
+        model.backward(cache).expect("backward");
         bwd += t1.elapsed().as_secs_f64();
     }
     let t2 = Instant::now();

@@ -14,10 +14,10 @@
 use std::collections::HashMap;
 
 use tensorlite::ops::{
-    cross_entropy, elementwise_pool, gelu, gelu_backward, layer_norm, layer_norm_backward, linear,
-    linear_backward, softmax_rows, softmax_rows_backward,
+    cross_entropy, gelu, gelu_backward, layer_norm, layer_norm_backward, linear, linear_backward,
+    softmax_rows, softmax_rows_backward,
 };
-use tensorlite::{KernelFamily, Pool, Tensor, TensorError, XorShiftRng};
+use tensorlite::{KernelFamily, Pool, Tensor, TensorError, TensorView, XorShiftRng};
 
 /// Configuration of the miniature GPT.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +66,7 @@ pub struct ParamView {
 }
 
 /// Per-layer forward cache (inputs and statistics needed by backward).
+/// Backward takes it by value and drops each tensor at its last use.
 #[derive(Debug)]
 struct BlockCache {
     x_in: Tensor, // block input [T, h]
@@ -83,7 +84,8 @@ struct BlockCache {
     mlp_act: Tensor, // [T, 4h] post-GELU
 }
 
-/// Full forward cache for one sequence.
+/// Full forward cache for one sequence. [`GptModel::backward`] consumes
+/// it, releasing each activation once its gradient has been taken.
 #[derive(Debug)]
 pub struct ForwardCache {
     tokens: Vec<usize>,
@@ -313,9 +315,10 @@ impl GptModel {
 }
 
 impl Weights {
-    fn tensor_of(&self, name: &str) -> Tensor {
+    /// The named parameter as a borrowed matrix of the flat vector.
+    fn matrix(&self, name: &str) -> TensorView<'_> {
         let v = self.view_named(name);
-        Tensor::from_vec(self.params[v.offset..v.offset + v.len].to_vec(), &v.shape)
+        TensorView::new(&self.params[v.offset..v.offset + v.len], &v.shape)
             .expect("view shape matches storage")
     }
 
@@ -358,7 +361,7 @@ impl Weights {
         let mut x = Tensor::from_vec(emb, &[t, h])?;
         let mut blocks = Vec::with_capacity(self.cfg.layers);
         for l in 0..self.cfg.layers {
-            let (cache, out) = self.block_forward(l, &x)?;
+            let (cache, out) = self.block_forward(l, x)?;
             blocks.push(cache);
             x = out;
         }
@@ -371,7 +374,7 @@ impl Weights {
             1e-5,
         )?;
         // Tied LM head: logits = lnf_out @ wte^T (fused, no transpose).
-        let logits = lnf_out.matmul_bt(&self.tensor_of("wte"))?;
+        let logits = lnf_out.matmul_bt(self.matrix("wte"))?;
         let (loss, dlogits) = cross_entropy(&logits, targets)?;
 
         Ok(ForwardCache {
@@ -386,7 +389,7 @@ impl Weights {
         })
     }
 
-    fn block_forward(&self, l: usize, x: &Tensor) -> Result<(BlockCache, Tensor), TensorError> {
+    fn block_forward(&self, l: usize, x: Tensor) -> Result<(BlockCache, Tensor), TensorError> {
         let p = |s: &str| format!("block{l}.{s}");
         let t = x.shape()[0];
         let h = self.cfg.hidden;
@@ -395,14 +398,14 @@ impl Weights {
         let scale = 1.0 / (d as f32).sqrt();
 
         let (ln1_out, ln1_mean, ln1_inv_std) = layer_norm(
-            x,
+            &x,
             self.slice_of(&p("ln1.gamma")),
             self.slice_of(&p("ln1.beta")),
             1e-5,
         )?;
         let qkv = linear(
             &ln1_out,
-            &self.tensor_of(&p("attn.wqkv")),
+            self.matrix(&p("attn.wqkv")),
             self.slice_of(&p("attn.bqkv")),
         )?;
 
@@ -432,7 +435,7 @@ impl Weights {
         let attn_concat = Tensor::from_vec(concat, &[t, h])?;
         let attn_out = linear(
             &attn_concat,
-            &self.tensor_of(&p("attn.wo")),
+            self.matrix(&p("attn.wo")),
             self.slice_of(&p("attn.bo")),
         )?;
         let x_mid = x.add(&attn_out)?;
@@ -445,20 +448,20 @@ impl Weights {
         )?;
         let mlp_pre = linear(
             &ln2_out,
-            &self.tensor_of(&p("mlp.w1")),
+            self.matrix(&p("mlp.w1")),
             self.slice_of(&p("mlp.b1")),
         )?;
         let mlp_act = gelu(&mlp_pre);
         let mlp_out = linear(
             &mlp_act,
-            &self.tensor_of(&p("mlp.w2")),
+            self.matrix(&p("mlp.w2")),
             self.slice_of(&p("mlp.b2")),
         )?;
         let out = x_mid.add(&mlp_out)?;
 
         Ok((
             BlockCache {
-                x_in: x.clone(),
+                x_in: x,
                 ln1_mean,
                 ln1_inv_std,
                 ln1_out,
@@ -477,36 +480,49 @@ impl Weights {
     }
 
     /// Backward over `cache`, handing every gradient contribution to
-    /// `sink` in a fixed call order.
-    fn backward(&self, cache: &ForwardCache, sink: &mut GradSink<'_>) -> Result<(), TensorError> {
+    /// `sink` in a fixed call order. Activations are consumed in reverse
+    /// order of creation, and each is dropped at its last use, so the
+    /// cache shrinks while the gradients grow.
+    fn backward(&self, cache: ForwardCache, sink: &mut GradSink<'_>) -> Result<(), TensorError> {
         let h = self.cfg.hidden;
+        let ForwardCache {
+            tokens,
+            mut blocks,
+            lnf_mean,
+            lnf_inv_std,
+            lnf_in,
+            lnf_out,
+            dlogits,
+            loss: _,
+        } = cache;
 
         // LM head (tied): logits = lnf_out @ wte^T
-        // d(lnf_out) = dlogits @ wte ; d(wte) += dlogits^T @ lnf_out
-        let wte = self.tensor_of("wte");
-        let d_lnf_out = cache.dlogits.matmul(&wte)?;
-        let d_wte_head = cache.dlogits.matmul_at(&cache.lnf_out)?;
+        // d(wte) += dlogits^T @ lnf_out ; d(lnf_out) = dlogits @ wte
+        let d_wte_head = dlogits.matmul_at(&lnf_out)?;
+        drop(lnf_out);
         sink.add(self.view_named("wte"), d_wte_head.into_vec());
+        let d_lnf_out = dlogits.matmul(self.matrix("wte"))?;
+        drop(dlogits);
 
-        let gamma_f = self.slice_of("lnf.gamma").to_vec();
         let (mut dx, dgamma, dbeta) = layer_norm_backward(
-            &cache.lnf_in,
+            &lnf_in,
             &d_lnf_out,
-            &gamma_f,
-            &cache.lnf_mean,
-            &cache.lnf_inv_std,
+            self.slice_of("lnf.gamma"),
+            &lnf_mean,
+            &lnf_inv_std,
         )?;
+        drop((lnf_in, d_lnf_out));
         sink.add(self.view_named("lnf.gamma"), dgamma);
         sink.add(self.view_named("lnf.beta"), dbeta);
 
-        for l in (0..self.cfg.layers).rev() {
-            dx = self.block_backward(l, &cache.blocks[l], &dx, sink)?;
+        while let Some(block) = blocks.pop() {
+            dx = self.block_backward(blocks.len(), block, &dx, sink)?;
         }
 
         // Embedding backward: dx over wte rows and wpe rows.
         let mut d_wte = vec![0.0f32; self.cfg.vocab * h];
         let mut d_wpe = vec![0.0f32; self.cfg.max_seq * h];
-        for (i, &tok) in cache.tokens.iter().enumerate() {
+        for (i, &tok) in tokens.iter().enumerate() {
             for j in 0..h {
                 let g = dx.data()[i * h + j];
                 d_wte[tok * h + j] += g;
@@ -521,48 +537,62 @@ impl Weights {
     fn block_backward(
         &self,
         l: usize,
-        cache: &BlockCache,
+        cache: BlockCache,
         dout: &Tensor,
         sink: &mut GradSink<'_>,
     ) -> Result<Tensor, TensorError> {
         let p = |s: &str| format!("block{l}.{s}");
-        let t = cache.x_in.shape()[0];
+        let BlockCache {
+            x_in,
+            ln1_mean,
+            ln1_inv_std,
+            ln1_out,
+            qkv,
+            head_probs,
+            attn_concat,
+            x_mid,
+            ln2_mean,
+            ln2_inv_std,
+            ln2_out,
+            mlp_pre,
+            mlp_act,
+        } = cache;
+        let t = x_in.shape()[0];
         let h = self.cfg.hidden;
         let heads = self.cfg.heads;
         let d = self.cfg.head_dim();
         let scale = 1.0 / (d as f32).sqrt();
 
-        // out = x_mid + mlp_out
-        let d_mlp_out = dout.clone();
-        // MLP backward.
-        let w2 = self.tensor_of(&p("mlp.w2"));
-        let (d_mlp_act, d_w2, d_b2) = linear_backward(&cache.mlp_act, &w2, &d_mlp_out)?;
+        // MLP backward; out = x_mid + mlp_out, so d(mlp_out) is dout.
+        let (d_mlp_act, d_w2, d_b2) = linear_backward(mlp_act, self.matrix(&p("mlp.w2")), dout)?;
         sink.add(self.view_named(&p("mlp.w2")), d_w2.into_vec());
         sink.add(self.view_named(&p("mlp.b2")), d_b2);
-        let d_mlp_pre = gelu_backward(&cache.mlp_pre, &d_mlp_act)?;
-        let w1 = self.tensor_of(&p("mlp.w1"));
-        let (d_ln2_out, d_w1, d_b1) = linear_backward(&cache.ln2_out, &w1, &d_mlp_pre)?;
+        let d_mlp_pre = gelu_backward(&mlp_pre, d_mlp_act)?;
+        drop(mlp_pre);
+        let (d_ln2_out, d_w1, d_b1) =
+            linear_backward(ln2_out, self.matrix(&p("mlp.w1")), &d_mlp_pre)?;
+        drop(d_mlp_pre);
         sink.add(self.view_named(&p("mlp.w1")), d_w1.into_vec());
         sink.add(self.view_named(&p("mlp.b1")), d_b1);
 
-        let gamma2 = self.slice_of(&p("ln2.gamma")).to_vec();
         let (d_x_mid_ln, d_gamma2, d_beta2) = layer_norm_backward(
-            &cache.x_mid,
+            &x_mid,
             &d_ln2_out,
-            &gamma2,
-            &cache.ln2_mean,
-            &cache.ln2_inv_std,
+            self.slice_of(&p("ln2.gamma")),
+            &ln2_mean,
+            &ln2_inv_std,
         )?;
+        drop((x_mid, d_ln2_out));
         sink.add(self.view_named(&p("ln2.gamma")), d_gamma2);
         sink.add(self.view_named(&p("ln2.beta")), d_beta2);
 
         // x_mid receives gradient from both the residual skip (dout) and LN2.
         let d_x_mid = dout.add(&d_x_mid_ln)?;
+        drop(d_x_mid_ln);
 
-        // x_mid = x_in + attn_out
-        let d_attn_out = d_x_mid.clone();
-        let wo = self.tensor_of(&p("attn.wo"));
-        let (d_attn_concat, d_wo, d_bo) = linear_backward(&cache.attn_concat, &wo, &d_attn_out)?;
+        // x_mid = x_in + attn_out, so d(attn_out) is d_x_mid.
+        let (d_attn_concat, d_wo, d_bo) =
+            linear_backward(attn_concat, self.matrix(&p("attn.wo")), &d_x_mid)?;
         sink.add(self.view_named(&p("attn.wo")), d_wo.into_vec());
         sink.add(self.view_named(&p("attn.bo")), d_bo);
 
@@ -573,8 +603,8 @@ impl Weights {
         let pool = Pool::current().limit_for_family(KernelFamily::Attention, heads * t * t * 6 * d);
         let head_grads: Vec<Result<(Tensor, Tensor, Tensor), TensorError>> =
             pool.run(heads, |head| {
-                let (q, k, v) = split_qkv(&cache.qkv, head, d, h);
-                let probs = &cache.head_probs[head];
+                let (q, k, v) = split_qkv(&qkv, head, d, h);
+                let probs = &head_probs[head];
                 // d_out_head from d_attn_concat columns.
                 let mut d_out = vec![0.0f32; t * d];
                 for i in 0..t {
@@ -594,24 +624,26 @@ impl Weights {
                 let d_k = d_scores.matmul_at(&q)?;
                 Ok((d_q, d_k, d_v))
             });
+        drop((qkv, head_probs, d_attn_concat));
         for (head, grads) in head_grads.into_iter().enumerate() {
             let (d_q, d_k, d_v) = grads?;
             merge_qkv_grad(&mut d_qkv, &d_q, &d_k, &d_v, head, d, h);
         }
 
-        let wqkv = self.tensor_of(&p("attn.wqkv"));
-        let (d_ln1_out, d_wqkv, d_bqkv) = linear_backward(&cache.ln1_out, &wqkv, &d_qkv)?;
+        let (d_ln1_out, d_wqkv, d_bqkv) =
+            linear_backward(ln1_out, self.matrix(&p("attn.wqkv")), &d_qkv)?;
+        drop(d_qkv);
         sink.add(self.view_named(&p("attn.wqkv")), d_wqkv.into_vec());
         sink.add(self.view_named(&p("attn.bqkv")), d_bqkv);
 
-        let gamma1 = self.slice_of(&p("ln1.gamma")).to_vec();
         let (d_x_ln, d_gamma1, d_beta1) = layer_norm_backward(
-            &cache.x_in,
+            &x_in,
             &d_ln1_out,
-            &gamma1,
-            &cache.ln1_mean,
-            &cache.ln1_inv_std,
+            self.slice_of(&p("ln1.gamma")),
+            &ln1_mean,
+            &ln1_inv_std,
         )?;
+        drop((x_in, d_ln1_out));
         sink.add(self.view_named(&p("ln1.gamma")), d_gamma1);
         sink.add(self.view_named(&p("ln1.beta")), d_beta1);
 
@@ -626,8 +658,9 @@ impl Weights {
         sink: &mut GradSink<'_>,
     ) -> Result<f32, TensorError> {
         let cache = self.forward(tokens, targets)?;
-        self.backward(&cache, sink)?;
-        Ok(cache.loss)
+        let loss = cache.loss;
+        self.backward(cache, sink)?;
+        Ok(loss)
     }
 }
 
@@ -648,12 +681,14 @@ impl GptModel {
     }
 
     /// Runs the backward pass, accumulating gradients into the flat gradient
-    /// vector (call [`GptModel::zero_grads`] between iterations).
+    /// vector (call [`GptModel::zero_grads`] between iterations). It
+    /// consumes `cache`, dropping each activation at its last use; read
+    /// [`ForwardCache::loss`] first.
     ///
     /// # Errors
     /// Returns [`TensorError`] on internal shape violations (a bug, not a
     /// user error, if `cache` came from this model).
-    pub fn backward(&mut self, cache: &ForwardCache) -> Result<(), TensorError> {
+    pub fn backward(&mut self, cache: ForwardCache) -> Result<(), TensorError> {
         self.weights
             .backward(cache, &mut GradSink::Direct(&mut self.grads))
     }
@@ -679,16 +714,13 @@ impl GptModel {
     /// thread count.
     ///
     /// The batch runs as one pool region over contiguous chunks of
-    /// sequences, each chunk on one thread (its kernels serial). The chunk
-    /// holding sequence 0 adds its gradients straight into the flat vector;
-    /// every later chunk logs each contribution, in backward's call order,
-    /// and the logs are added in batch order after the join — so every
-    /// gradient element sees exactly the serial loop's additions. Sequences
-    /// spread across threads only while one sequence's widest activation
-    /// (`tokens × 4·hidden`, the GELU input) is below the element-wise
-    /// parallelism threshold, i.e. while its GELU would run on one thread;
-    /// wider sequences run one after another with their kernels fanning
-    /// out instead, which keeps one sequence's activations in flight.
+    /// sequences, each chunk on one thread (its kernels serial); a batch of
+    /// one, or a one-thread pool, is one chunk on the calling thread, whose
+    /// kernels fan out. The chunk holding sequence 0 adds its gradients
+    /// straight into the flat vector; every later chunk logs each
+    /// contribution, in backward's call order, and the logs are added in
+    /// batch order after the join — so every gradient element sees exactly
+    /// the serial loop's additions.
     ///
     /// # Errors
     /// Returns [`TensorError::Empty`] for an empty batch, before touching
@@ -705,13 +737,7 @@ impl GptModel {
         if batch.is_empty() {
             return Err(TensorError::Empty { what: "batch" });
         }
-        let longest = batch.iter().map(|(x, _)| x.as_ref().len()).max();
-        let widest = longest.unwrap_or(0) * 4 * self.weights.cfg.hidden;
-        let pool = if elementwise_pool(widest).threads() == 1 {
-            Pool::current()
-        } else {
-            Pool::new(1)
-        };
+        let pool = Pool::current();
         let chunks = pool.threads().min(batch.len());
         let mut outs: Vec<ChunkOut> = (0..chunks).map(|_| ChunkOut::default()).collect();
         let mut sinks = vec![GradSink::Direct(&mut self.grads)];
@@ -758,7 +784,7 @@ impl GptModel {
         // Reuse forward with dummy targets; loss/dlogits are ignored.
         let targets = vec![0usize; tokens.len()];
         let cache = self.forward(tokens, &targets)?;
-        cache.lnf_out.matmul_bt(&self.weights.tensor_of("wte"))
+        cache.lnf_out.matmul_bt(self.weights.matrix("wte"))
     }
 
     /// Mean cross-entropy loss over a batch of sequences, without touching

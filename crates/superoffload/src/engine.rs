@@ -41,12 +41,10 @@ use grace_optim::clip::{apply_clip, clip_factor};
 use grace_optim::mixed_precision::{LossScaler, ScaleEvent};
 use grace_optim::rollback::RollbackGuard;
 use llm_model::transformer::GptModel;
-use tensorlite::cast::{
-    bf16_roundtrip_slice, bf16_to_f32_slice, f16_to_f32_slice, f32_to_bf16_slice, f32_to_f16_slice,
-    sum_of_squares,
-};
+use tensorlite::cast::{bf16_roundtrip_slice, sum_of_squares};
+use tensorlite::f16::f16_roundtrip;
 use tensorlite::storage::StoragePrecision;
-use tensorlite::{Pool, TensorError};
+use tensorlite::{Bf16, Pool, TensorError};
 
 /// The half-precision format gradients cross the link in.
 ///
@@ -63,12 +61,20 @@ pub enum Precision {
 }
 
 impl Precision {
-    /// Round-trips an `f32` slice through this format (the numeric effect
-    /// of crossing the C2C link in half precision).
-    pub fn roundtrip(self, values: &[f32]) -> Vec<f32> {
+    /// Round-trips one value through this format.
+    #[inline]
+    fn quantize(self, v: f32) -> f32 {
         match self {
-            Precision::F16 => f16_to_f32_slice(&f32_to_f16_slice(values)),
-            Precision::Bf16 => bf16_to_f32_slice(&f32_to_bf16_slice(values)),
+            Precision::F16 => f16_roundtrip(v),
+            Precision::Bf16 => Bf16::from_f32(v).to_f32(),
+        }
+    }
+
+    /// Round-trips an `f32` slice through this format in place (the
+    /// numeric effect of crossing the C2C link in half precision).
+    pub fn roundtrip(self, values: &mut [f32]) {
+        for v in values {
+            *v = self.quantize(*v);
         }
     }
 }
@@ -262,8 +268,14 @@ fn rank_gradients(
 ) -> Result<(Vec<f32>, Vec<f32>), TensorError> {
     model.zero_grads();
     let losses = model.batch_forward_backward(slice)?;
-    let scaled: Vec<f32> = model.grads().iter().map(|g| g * scale * inv_b).collect();
-    Ok((losses, precision.roundtrip(&scaled)))
+    // Scale and wire round trip in one pass, into the one buffer the rank
+    // hands back.
+    let wire = model
+        .grads()
+        .iter()
+        .map(|&g| precision.quantize(g * scale * inv_b))
+        .collect();
+    Ok((losses, wire))
 }
 
 /// Per-rank result slot of a data-parallel gradient pass.
@@ -919,9 +931,16 @@ mod tests {
 
     #[test]
     fn precision_roundtrip_properties() {
+        use tensorlite::cast::{
+            bf16_to_f32_slice, f16_to_f32_slice, f32_to_bf16_slice, f32_to_f16_slice,
+        };
         let vals = [0.1f32, -3.5, 70000.0, 1e-8];
-        let f16 = Precision::F16.roundtrip(&vals);
-        let bf16 = Precision::Bf16.roundtrip(&vals);
+        let (mut f16, mut bf16) = (vals, vals);
+        Precision::F16.roundtrip(&mut f16);
+        Precision::Bf16.roundtrip(&mut bf16);
+        // In place, value for value what the slice casts give.
+        assert_eq!(f16.to_vec(), f16_to_f32_slice(&f32_to_f16_slice(&vals)));
+        assert_eq!(bf16.to_vec(), bf16_to_f32_slice(&f32_to_bf16_slice(&vals)));
         assert!(f16[2].is_infinite(), "70000 overflows f16");
         assert!(bf16[2].is_finite(), "70000 fits bf16");
         // Both approximate small values; f16 has finer mantissa near 0.1.

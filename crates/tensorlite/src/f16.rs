@@ -205,6 +205,44 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
     out as u16
 }
 
+/// `F16::from_f32(x).to_f32()`, bit for bit, without leaving `f32`: the
+/// numeric effect of a trip through binary16, which the wire format
+/// applies to every gradient element each step.
+///
+/// Each range is one rounding of `|x|`, chosen by selects, so a loop over
+/// it vectorizes where the bit-level conversions branch per element:
+///
+/// - below f16's smallest normal, 2^-14, `(|x| + 0.5) - 0.5` rounds to a
+///   multiple of 2^-24 (the f32 spacing in [0.5, 1)), ties to even — the
+///   f16 subnormal grid, flushing `|x| <= 2^-25` to zero;
+/// - up to 65520, the f32 bits round to 10 fraction bits, ties to even,
+///   letting the carry ripple into the exponent as in [`f32_to_f16_bits`];
+/// - from 65520 on, ±∞, and NaN becomes the quiet NaN of the same sign.
+///
+/// The sign is put back last, so `-0.0` and negative values that flush
+/// keep it. Every `f32` input is checked against the bit-level path by an
+/// exhaustive test.
+#[inline]
+pub fn f16_roundtrip(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let abs = bits & 0x7FFF_FFFF;
+    let subnormal = (f32::from_bits(abs) + 0.5 - 0.5).to_bits();
+    let normal = (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF;
+    let special = if abs > 0x7F80_0000 {
+        0x7FC0_0000
+    } else {
+        0x7F80_0000
+    };
+    let rounded = if abs < 0x3880_0000 {
+        subnormal
+    } else if abs < 0x477F_F000 {
+        normal
+    } else {
+        special
+    };
+    f32::from_bits((bits & 0x8000_0000) | rounded)
+}
+
 /// Converts `f16` bits to an `f32` value, exactly.
 pub fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = ((bits & 0x8000) as u32) << 16;
@@ -241,6 +279,68 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::math::exhaustive::exhaustive_mismatches;
+
+    fn bit_level_roundtrip(x: f32) -> f32 {
+        F16::from_f32(x).to_f32()
+    }
+
+    #[test]
+    fn f16_roundtrip_matches_the_bit_level_path_at_range_edges_and_on_a_sweep() {
+        // Each range boundary and one f32 ulp either side: zero, f32
+        // subnormals, the flush-to-zero tie 2^-25, f16's subnormal quantum
+        // 2^-24, its smallest normal 2^-14, the overflow tie 65520, 65536,
+        // ∞ and NaN payloads.
+        let edges = [
+            0x0000_0000u32,
+            0x0000_0001,
+            0x007F_FFFF,
+            0x0080_0000,
+            0x3300_0000,
+            0x3380_0000,
+            0x3800_0000,
+            0x387F_E000,
+            0x387F_F000,
+            0x3880_0000,
+            0x3F80_1000,
+            0x3F80_3000,
+            0x477F_E000,
+            0x477F_EFFF,
+            0x477F_F000,
+            0x4780_0000,
+            0x7F7F_FFFF,
+            0x7F80_0000,
+            0x7F80_0001,
+            0x7FC0_0000,
+            0x7FFF_FFFF,
+        ];
+        let edge_inputs = edges
+            .iter()
+            .flat_map(|&e| [e.wrapping_sub(1), e, e + 1])
+            .flat_map(|b| [b, b | 0x8000_0000]);
+        // Plus every 4093rd bit pattern (a prime stride, so every residue
+        // of the dropped bits shows up).
+        for bits in edge_inputs.chain((0..=u32::MAX).step_by(4093)) {
+            let x = f32::from_bits(bits);
+            assert_eq!(
+                f16_roundtrip(x).to_bits(),
+                bit_level_roundtrip(x).to_bits(),
+                "input {bits:#010x}"
+            );
+        }
+    }
+
+    /// Every `f32` input against the bit-level conversions. Slow (tens of
+    /// seconds per thread in release); run with `cargo test --release -p
+    /// tensorlite --lib f16 -- --ignored`.
+    #[test]
+    #[ignore]
+    fn f16_roundtrip_matches_the_bit_level_path_on_every_input() {
+        assert_eq!(
+            exhaustive_mismatches(f16_roundtrip, bit_level_roundtrip),
+            (0, None)
+        );
+    }
 
     #[test]
     fn exact_small_integers_roundtrip() {

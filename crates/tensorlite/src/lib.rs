@@ -56,4 +56,4 @@ pub use recorder::Recorder;
 pub use rng::XorShiftRng;
 pub use spans::SpanLog;
 pub use storage::{Bf16Vec, StoragePrecision};
-pub use tensor::Tensor;
+pub use tensor::{Tensor, TensorView};

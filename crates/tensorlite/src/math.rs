@@ -168,11 +168,53 @@ pub(crate) fn tanh(x: f32) -> f32 {
     }
 }
 
+/// Test support shared by the exhaustive `#[ignore]`d tests of this module
+/// and of [`crate::f16`].
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod exhaustive {
     use crate::pool::Pool;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Counts the `f32` inputs (all 2^32 bit patterns) where `port` and
+    /// `host` differ in any bit, split over the calling thread's pool, and
+    /// returns the count and the smallest mismatching input. `port` runs
+    /// over blocks of consecutive inputs, so it inlines and vectorizes as
+    /// in the GELU loops.
+    pub(crate) fn exhaustive_mismatches(
+        port: impl Fn(f32) -> f32 + Sync,
+        host: fn(f32) -> f32,
+    ) -> (u64, Option<u32>) {
+        const PARTS: u64 = 64;
+        const BLOCK: u64 = 4096;
+        let span = (1u64 << 32) / PARTS;
+        let count = AtomicU64::new(0);
+        let first = AtomicU64::new(u64::MAX);
+        Pool::current().run_parts((0..PARTS).collect(), |_, part| {
+            let (mut xs, mut ys) = (vec![0.0f32; BLOCK as usize], vec![0.0f32; BLOCK as usize]);
+            for start in (part * span..(part + 1) * span).step_by(BLOCK as usize) {
+                for (x, bits) in xs.iter_mut().zip(start..) {
+                    *x = f32::from_bits(bits as u32);
+                }
+                for (y, &x) in ys.iter_mut().zip(&xs) {
+                    *y = port(x);
+                }
+                for (bits, (&x, &y)) in (start..).zip(xs.iter().zip(&ys)) {
+                    if y.to_bits() != host(x).to_bits() {
+                        count.fetch_add(1, Ordering::Relaxed);
+                        first.fetch_min(bits, Ordering::Relaxed);
+                    }
+                }
+            }
+        });
+        let first = first.into_inner();
+        (count.into_inner(), u32::try_from(first).ok())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::exhaustive::exhaustive_mismatches;
+    use super::*;
 
     /// `(input, tanh(input))` bit pairs at the branch boundaries, recorded
     /// from glibc 2.36's `tanhf` on x86-64: ±0 and the smallest subnormal;
@@ -274,41 +316,6 @@ mod tests {
             fnv1a(sweep().map(|x| expm1(x).to_bits())),
             0x85f2_4ed7_8ef1_7a77
         );
-    }
-
-    /// Counts the `f32` inputs (all 2^32 bit patterns) where `port` and
-    /// `host` differ in any bit, split over the calling thread's pool, and
-    /// returns the count and the smallest mismatching input. `port` runs
-    /// over blocks of consecutive inputs, so it inlines and vectorizes as
-    /// in the GELU loops.
-    fn exhaustive_mismatches(
-        port: impl Fn(f32) -> f32 + Sync,
-        host: fn(f32) -> f32,
-    ) -> (u64, Option<u32>) {
-        const PARTS: u64 = 64;
-        const BLOCK: u64 = 4096;
-        let span = (1u64 << 32) / PARTS;
-        let count = AtomicU64::new(0);
-        let first = AtomicU64::new(u64::MAX);
-        Pool::current().run_parts((0..PARTS).collect(), |_, part| {
-            let (mut xs, mut ys) = (vec![0.0f32; BLOCK as usize], vec![0.0f32; BLOCK as usize]);
-            for start in (part * span..(part + 1) * span).step_by(BLOCK as usize) {
-                for (x, bits) in xs.iter_mut().zip(start..) {
-                    *x = f32::from_bits(bits as u32);
-                }
-                for (y, &x) in ys.iter_mut().zip(&xs) {
-                    *y = port(x);
-                }
-                for (bits, (&x, &y)) in (start..).zip(xs.iter().zip(&ys)) {
-                    if y.to_bits() != host(x).to_bits() {
-                        count.fetch_add(1, Ordering::Relaxed);
-                        first.fetch_min(bits, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-        let first = first.into_inner();
-        (count.into_inner(), u32::try_from(first).ok())
     }
 
     /// Every `f32` input against the host libm's `tanhf`. Slow (tens of

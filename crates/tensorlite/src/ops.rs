@@ -9,7 +9,7 @@ use crate::error::TensorError;
 use crate::math;
 use crate::pool::{KernelFamily, Pool};
 use crate::recorder;
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, TensorView};
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
 ///
@@ -243,30 +243,27 @@ pub fn layer_norm_backward(
 
 /// The pool an element-wise kernel over `len` elements runs on: the
 /// caller's pool at or above the [`KernelFamily::Elementwise`] threshold,
-/// one thread below it. GELU and its backward use it, and so does the
-/// model's batched pass, which spreads sequences across threads exactly
-/// when their GELU would stay on one.
-pub fn elementwise_pool(len: usize) -> Pool {
+/// one thread below it.
+fn elementwise_pool(len: usize) -> Pool {
     Pool::current().limit_for_family(KernelFamily::Elementwise, len)
 }
 
-/// A fresh tensor of `x`'s shape whose disjoint row blocks `fill(block,
-/// start)` writes on [`elementwise_pool`], `start` being the block's flat
-/// offset. Every element is computed on its own, so results are
-/// bit-identical at any thread count.
-fn par_elementwise(x: &Tensor, fill: impl Fn(&mut [f32], usize) + Sync) -> Tensor {
-    let mut out = vec![0.0f32; x.len()];
-    let row_len = x.shape().last().copied().unwrap_or(1);
-    elementwise_pool(x.len()).par_row_chunks(&mut out, row_len, |first_row, block| {
+/// Runs `fill(block, start)` over disjoint row blocks of `out` on
+/// [`elementwise_pool`], `start` being the block's flat offset. Every
+/// element is computed on its own, so results are bit-identical at any
+/// thread count.
+fn par_elementwise(out: &mut Tensor, fill: impl Fn(&mut [f32], usize) + Sync) {
+    let row_len = out.shape().last().copied().unwrap_or(1);
+    let pool = elementwise_pool(out.len());
+    pool.par_row_chunks(out.data_mut(), row_len, |first_row, block| {
         fill(block, first_row * row_len)
     });
-    Tensor::from_vec(out, x.shape()).expect("output takes the input's shape")
 }
 
 /// GELU activation (tanh approximation, as used by GPT-2/3).
 ///
 /// Rows are partitioned over the pool once the tensor reaches the
-/// [`KernelFamily::Elementwise`] threshold ([`elementwise_pool`]).
+/// [`KernelFamily::Elementwise`] threshold.
 pub fn gelu(x: &Tensor) -> Tensor {
     let _kernel = recorder::kernel(
         OpKind::Gelu,
@@ -274,27 +271,30 @@ pub fn gelu(x: &Tensor) -> Tensor {
         10 * x.len() as u64,
         2 * x.len() as u64,
     );
-    par_elementwise(x, |block, start| {
+    let mut out = Tensor::zeros(x.shape());
+    par_elementwise(&mut out, |block, start| {
         for (o, &xv) in block.iter_mut().zip(&x.data()[start..]) {
             *o = gelu_scalar(xv);
         }
-    })
+    });
+    out
 }
 
-/// Backward of [`gelu`]: `dx = dy ⊙ gelu'(x)`, partitioned like [`gelu`].
+/// Backward of [`gelu`]: `dx = dy ⊙ gelu'(x)`, written over the upstream
+/// gradient `dy` in place and partitioned like [`gelu`].
 ///
 /// # Errors
 /// Returns [`TensorError::IncompatibleShapes`] on shape mismatch.
-pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
-    ensure_same_shape(x, dy, "gelu_backward")?;
+pub fn gelu_backward(x: &Tensor, mut dy: Tensor) -> Result<Tensor, TensorError> {
+    ensure_same_shape(x, &dy, "gelu_backward")?;
     let len = x.len();
     let _kernel = recorder::kernel(OpKind::GeluBackward, len, 20 * len as u64, 3 * len as u64);
-    Ok(par_elementwise(x, |block, start| {
-        let (xs, dys) = (&x.data()[start..], &dy.data()[start..]);
-        for ((o, &xv), &dyv) in block.iter_mut().zip(xs).zip(dys) {
-            *o = dyv * gelu_grad_scalar(xv);
+    par_elementwise(&mut dy, |block, start| {
+        for (d, &xv) in block.iter_mut().zip(&x.data()[start..]) {
+            *d *= gelu_grad_scalar(xv);
         }
-    }))
+    });
+    Ok(dy)
 }
 
 /// Scalar GELU (tanh approximation).
@@ -349,12 +349,13 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
         2 * elems as u64,
     );
     let mut loss = 0.0f64;
-    let mut grad = probs.data().to_vec();
+    // The probabilities become the gradient in their own buffer.
+    let mut grad = probs.into_vec();
     let inv_m = 1.0 / m as f32;
     for (i, &t) in targets.iter().enumerate() {
-        let p = probs.data()[i * n + t].max(1e-30);
-        loss -= (p as f64).ln();
-        grad[i * n + t] -= 1.0;
+        let g = &mut grad[i * n + t];
+        loss -= (g.max(1e-30) as f64).ln();
+        *g -= 1.0;
     }
     for g in &mut grad {
         *g *= inv_m;
@@ -363,10 +364,15 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
 }
 
 /// `x @ w + b` for rank-2 `x` (rows are tokens) — the linear layer forward.
+/// The weight `w` is borrowed as in [`Tensor::matmul`].
 ///
 /// # Errors
 /// Returns [`TensorError`] on rank/shape mismatch.
-pub fn linear(x: &Tensor, w: &Tensor, b: &[f32]) -> Result<Tensor, TensorError> {
+pub fn linear<'w>(
+    x: &Tensor,
+    w: impl Into<TensorView<'w>>,
+    b: &[f32],
+) -> Result<Tensor, TensorError> {
     let mut y = x.matmul(w)?;
     let n = y.shape()[1];
     ensure_param_len(b, n, "linear bias")?;
@@ -378,17 +384,21 @@ pub fn linear(x: &Tensor, w: &Tensor, b: &[f32]) -> Result<Tensor, TensorError> 
     Ok(y)
 }
 
-/// Backward of [`linear`]: returns `(dx, dw, db)`.
+/// Backward of [`linear`]: returns `(dx, dw, db)`, with `w` borrowed as
+/// in [`linear`]. It consumes the layer's saved input `x`: `dw` is taken
+/// first and `x` dropped before `dx` is allocated, so the two are never
+/// live together.
 ///
 /// # Errors
 /// Returns [`TensorError`] on rank/shape mismatch.
-pub fn linear_backward(
-    x: &Tensor,
-    w: &Tensor,
+pub fn linear_backward<'w>(
+    x: Tensor,
+    w: impl Into<TensorView<'w>>,
     dy: &Tensor,
 ) -> Result<(Tensor, Tensor, Vec<f32>), TensorError> {
-    let dx = dy.matmul_bt(w)?;
     let dw = x.matmul_at(dy)?;
+    drop(x);
+    let dx = dy.matmul_bt(w)?;
     let n = dy.shape()[1];
     let mut db = vec![0.0f32; n];
     for row in dy.data().chunks(n) {
@@ -579,7 +589,7 @@ mod tests {
         let mut rng = XorShiftRng::new(6);
         let x = Tensor::randn(&[1, 10], 1.5, &mut rng);
         let dy = Tensor::ones(&[1, 10]);
-        let dx = gelu_backward(&x, &dy).unwrap();
+        let dx = gelu_backward(&x, dy).unwrap();
         for idx in 0..x.len() {
             let num = finite_diff(|t| gelu(t).sum() as f32, &x, idx);
             assert!((num - dx.data()[idx]).abs() < TOL, "idx {idx}");
@@ -623,7 +633,7 @@ mod tests {
         let w = Tensor::randn(&[4, 2], 1.0, &mut rng);
         let b = vec![0.1f32, -0.2];
         let dy = Tensor::randn(&[3, 2], 1.0, &mut rng);
-        let (dx, dw, db) = linear_backward(&x, &w, &dy).unwrap();
+        let (dx, dw, db) = linear_backward(x.clone(), &w, &dy).unwrap();
 
         let f_x = |t: &Tensor| -> f32 {
             let y = linear(t, &w, &b).unwrap();

@@ -280,7 +280,8 @@ struct RegionJob {
     run: unsafe fn(*const (), usize),
     ctx: *const (),
     /// Next unclaimed task index (claims may overshoot `total`; claimants
-    /// that read an index `>= total` simply retire the job).
+    /// that read an index `>= total` simply retire the job). It starts at
+    /// 1: task 0 is the caller's.
     next: AtomicUsize,
     total: usize,
     /// Unfinished-task latch; the caller blocks on it after claiming.
@@ -333,8 +334,9 @@ impl Injector {
 /// latch.
 ///
 /// # Safety
-/// `idx < job.total` must have been claimed exactly once from `job.next`,
-/// and the job must still be live (see [`RegionJob`]).
+/// `idx < job.total` must have been claimed exactly once, from `job.next`
+/// or (index 0) by the region's caller, and the job must still be live
+/// (see [`RegionJob`]).
 unsafe fn run_task(jp: JobPtr, idx: usize) {
     let job = unsafe { &*jp.0 };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
@@ -382,17 +384,25 @@ fn injector() -> &'static Injector {
     })
 }
 
-/// Publishes `task(0..total)` to the persistent pool, participates in the
-/// claiming itself, and returns once every task has finished. Task panics
-/// are resumed here, after the region has fully quiesced.
+/// Publishes `task(0..total)` to the persistent pool, runs task 0 on the
+/// calling thread, then claims alongside the helpers, and returns once
+/// every task has finished. Task panics are resumed here, after the region
+/// has fully quiesced.
+///
+/// Task 0 never goes to a helper, so which thread, and which allocator
+/// arena, serves the first part does not depend on wake-up timing. The
+/// batched training pass relies on it: its first chunk adds gradients in
+/// place, every later chunk holds a gradient log, and a log that landed on
+/// the caller's heap now and then would grow both threads' arenas.
 fn execute_region<F: Fn(usize) + Sync>(task: &F, total: usize) {
+    debug_assert!(total > 0, "a region has at least one task");
     unsafe fn trampoline<F: Fn(usize)>(ctx: *const (), i: usize) {
         unsafe { (*ctx.cast::<F>())(i) }
     }
     let job = RegionJob {
         run: trampoline::<F>,
         ctx: (task as *const F).cast(),
-        next: AtomicUsize::new(0),
+        next: AtomicUsize::new(1),
         total,
         remaining: Mutex::new(total),
         done: Condvar::new(),
@@ -402,6 +412,8 @@ fn execute_region<F: Fn(usize) + Sync>(task: &F, total: usize) {
     let jp = JobPtr(&job as *const RegionJob);
     lock(&inj.queue).push_back(jp);
     inj.ready.notify_all();
+    // SAFETY: the dispenser starts at 1, so index 0 is claimed here only.
+    unsafe { run_task(jp, 0) };
     // Claim alongside the helpers: on a single-core host (no helpers) the
     // caller simply runs every task; on a busy pool it keeps making
     // progress instead of blocking.
@@ -505,8 +517,9 @@ impl Pool {
 
     /// Runs `f(index, part)` for every element of `parts` across the
     /// persistent workers (serially on the calling thread when the pool
-    /// has one thread or there is one part). Workers run nested kernels
-    /// serially — parallelism is one level deep by construction.
+    /// has one thread or there is one part); part 0 always runs on the
+    /// calling thread. Workers run nested kernels serially — parallelism
+    /// is one level deep by construction.
     ///
     /// Callers size `parts` to roughly the thread count; every part is a
     /// disjoint unit of work, so execution order cannot affect results.
@@ -629,6 +642,29 @@ mod tests {
         assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
         let serial = Pool::new(1).run(13, |i| i * i);
         assert_eq!(out, serial);
+    }
+
+    #[test]
+    fn the_caller_runs_part_zero() {
+        // Two callers publish regions back to back, so a helper that has
+        // just finished a task finds the next job already queued and races
+        // its caller; it may win any part but part 0.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let caller = std::thread::current().id();
+                    for _ in 0..500 {
+                        let first = Mutex::new(None);
+                        Pool::new(2).run_parts(vec![0, 1], |i, _| {
+                            if i == 0 {
+                                *lock(&first) = Some(std::thread::current().id());
+                            }
+                        });
+                        assert_eq!(lock(&first).take(), Some(caller));
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -193,14 +193,15 @@ impl Tensor {
     }
 
     fn check_rank2(&self, op: &'static str) -> Result<(), TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::BadRank {
-                expected: 2,
-                actual: self.rank(),
-                op,
-            });
+        self.view().dims2(op).map(drop)
+    }
+
+    /// This tensor as a borrowed [`TensorView`].
+    fn view(&self) -> TensorView<'_> {
+        TensorView {
+            data: &self.data,
+            shape: &self.shape,
         }
-        Ok(())
     }
 
     fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<(), TensorError> {
@@ -292,7 +293,9 @@ impl Tensor {
         )
     }
 
-    /// Matrix product of two rank-2 tensors.
+    /// Matrix product of two rank-2 tensors. `other` is any borrowed
+    /// matrix: a `&Tensor`, or a [`TensorView`] of a weight that lives in a
+    /// flat parameter vector, which is packed straight from there.
     ///
     /// The kernel packs `other` into k-major column micro-panels, tiles
     /// the inner dimension, and parallelizes over disjoint blocks of
@@ -305,18 +308,11 @@ impl Tensor {
     /// # Errors
     /// Returns [`TensorError::BadRank`] for non-matrices or
     /// [`TensorError::IncompatibleShapes`] if inner dimensions differ.
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_rank2("matmul")?;
-        other.check_rank2("matmul")?;
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        if k != k2 {
-            return Err(TensorError::IncompatibleShapes {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-                op: "matmul",
-            });
-        }
+    pub fn matmul<'b>(&self, other: impl Into<TensorView<'b>>) -> Result<Tensor, TensorError> {
+        let other = other.into();
+        let (m, k) = self.view().dims2("matmul")?;
+        let (k2, n) = other.dims2("matmul")?;
+        self.check_inner(k, k2, other, "matmul")?;
         let _kernel = recorder::kernel(
             OpKind::MatMul,
             m * n,
@@ -324,12 +320,13 @@ impl Tensor {
             gemm_accesses(m, k, n),
         );
         let a = Operand::rows(&self.data, k);
-        let b = Operand::cols(&other.data, n);
+        let b = Operand::cols(other.data, n);
         Tensor::from_vec(gemm(a, b, m, k, n), &[m, n])
     }
 
     /// Fused `selfᵀ @ other` for rank-2 tensors (`self` is `[k, m]`,
-    /// `other` is `[k, n]`, the result is `[m, n]`).
+    /// `other` is `[k, n]`, the result is `[m, n]`); `other` is borrowed
+    /// as in [`Tensor::matmul`].
     ///
     /// Equivalent to `self.transpose()?.matmul(other)` — bit-identical,
     /// since both accumulate over `k` in ascending order — but without
@@ -340,18 +337,11 @@ impl Tensor {
     /// Returns [`TensorError::BadRank`] for non-matrices or
     /// [`TensorError::IncompatibleShapes`] if the leading dimensions
     /// differ.
-    pub fn matmul_at(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_rank2("matmul_at")?;
-        other.check_rank2("matmul_at")?;
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        if k != k2 {
-            return Err(TensorError::IncompatibleShapes {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-                op: "matmul_at",
-            });
-        }
+    pub fn matmul_at<'b>(&self, other: impl Into<TensorView<'b>>) -> Result<Tensor, TensorError> {
+        let other = other.into();
+        let (k, m) = self.view().dims2("matmul_at")?;
+        let (k2, n) = other.dims2("matmul_at")?;
+        self.check_inner(k, k2, other, "matmul_at")?;
         let _kernel = recorder::kernel(
             OpKind::MatMulAt,
             m * n,
@@ -361,12 +351,13 @@ impl Tensor {
         // The worker's stripe of selfᵀ is a column stripe of `self`;
         // packing it is the only transpose work done.
         let a = Operand::cols(&self.data, m);
-        let b = Operand::cols(&other.data, n);
+        let b = Operand::cols(other.data, n);
         Tensor::from_vec(gemm(a, b, m, k, n), &[m, n])
     }
 
     /// Fused `self @ otherᵀ` for rank-2 tensors (`self` is `[m, k]`,
-    /// `other` is `[n, k]`, the result is `[m, n]`).
+    /// `other` is `[n, k]`, the result is `[m, n]`); `other` is borrowed
+    /// as in [`Tensor::matmul`].
     ///
     /// Equivalent to `self.matmul(&other.transpose()?)` — bit-identical,
     /// since both accumulate over `k` in ascending order — but without
@@ -377,18 +368,11 @@ impl Tensor {
     /// Returns [`TensorError::BadRank`] for non-matrices or
     /// [`TensorError::IncompatibleShapes`] if the trailing dimensions
     /// differ.
-    pub fn matmul_bt(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_rank2("matmul_bt")?;
-        other.check_rank2("matmul_bt")?;
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        if k != k2 {
-            return Err(TensorError::IncompatibleShapes {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-                op: "matmul_bt",
-            });
-        }
+    pub fn matmul_bt<'b>(&self, other: impl Into<TensorView<'b>>) -> Result<Tensor, TensorError> {
+        let other = other.into();
+        let (m, k) = self.view().dims2("matmul_bt")?;
+        let (n, k2) = other.dims2("matmul_bt")?;
+        self.check_inner(k, k2, other, "matmul_bt")?;
         let _kernel = recorder::kernel(
             OpKind::MatMulBt,
             m * n,
@@ -399,8 +383,27 @@ impl Tensor {
         // microkernel: a row-dot formulation could not vectorize its
         // k-strided B loads and ran latency-bound on one fma chain.
         let a = Operand::rows(&self.data, k);
-        let b = Operand::rows(&other.data, k);
+        let b = Operand::rows(other.data, k);
         Tensor::from_vec(gemm(a, b, m, k, n), &[m, n])
+    }
+
+    /// The GEMMs' contracted-dimension check: `k` of `self` against `k2`
+    /// of `other`.
+    fn check_inner(
+        &self,
+        k: usize,
+        k2: usize,
+        other: TensorView,
+        op: &'static str,
+    ) -> Result<(), TensorError> {
+        if k != k2 {
+            return Err(TensorError::IncompatibleShapes {
+                left: self.shape.clone(),
+                right: other.shape.to_vec(),
+                op,
+            });
+        }
+        Ok(())
     }
 
     /// Transpose of a rank-2 tensor (blocked into square cache tiles so
@@ -475,6 +478,52 @@ impl Tensor {
     /// Returns whether every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// A borrowed tensor: a row-major slice and its shape. The GEMMs take
+/// their right operand as one, so a weight matrix that lives inside a flat
+/// parameter vector reaches the packing without first being copied into a
+/// [`Tensor`]. A `&Tensor` converts into its view for free.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TensorView<'a> {
+    data: &'a [f32],
+    shape: &'a [usize],
+}
+
+impl<'a> TensorView<'a> {
+    /// Views `data` as a tensor of `shape`.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::ShapeMismatch`] if `data.len()` differs from
+    /// the product of `shape`.
+    pub fn new(data: &'a [f32], shape: &'a [usize]) -> Result<Self, TensorError> {
+        let expected: usize = shape.iter().product();
+        if data.len() != expected {
+            return Err(TensorError::ShapeMismatch {
+                expected,
+                actual: data.len(),
+            });
+        }
+        Ok(TensorView { data, shape })
+    }
+
+    /// `(rows, cols)` of a matrix.
+    fn dims2(&self, op: &'static str) -> Result<(usize, usize), TensorError> {
+        match *self.shape {
+            [rows, cols] => Ok((rows, cols)),
+            _ => Err(TensorError::BadRank {
+                expected: 2,
+                actual: self.shape.len(),
+                op,
+            }),
+        }
+    }
+}
+
+impl<'a> From<&'a Tensor> for TensorView<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        t.view()
     }
 }
 

@@ -151,9 +151,10 @@ proptest! {
         dy in arb_matrix(11, 23),
     ) {
         let (dx_ref, dw_ref, db_ref) =
-            with_threads(1, || ops::linear_backward(&x, &w, &dy).unwrap());
+            with_threads(1, || ops::linear_backward(x.clone(), &w, &dy).unwrap());
         for threads in THREAD_COUNTS {
-            let (dx, dw, db) = with_threads(threads, || ops::linear_backward(&x, &w, &dy).unwrap());
+            let (dx, dw, db) =
+                with_threads(threads, || ops::linear_backward(x.clone(), &w, &dy).unwrap());
             prop_assert_eq!(bits(&dx_ref), bits(&dx), "threads={}", threads);
             prop_assert_eq!(bits(&dw_ref), bits(&dw), "threads={}", threads);
             prop_assert_eq!(vec_bits(&db_ref), vec_bits(&db), "threads={}", threads);
@@ -175,7 +176,7 @@ fn gelu_bit_identical_across_threads_and_the_threshold() {
         let dx_ref = x.zip_map(&dy, |xv, dyv| dyv * ops::gelu_grad_scalar(xv));
         for threads in THREAD_COUNTS {
             let (y, dx) = with_threads(threads, || {
-                (ops::gelu(&x), ops::gelu_backward(&x, &dy).unwrap())
+                (ops::gelu(&x), ops::gelu_backward(&x, dy.clone()).unwrap())
             });
             assert_eq!(bits(&y_ref), bits(&y), "{rows}x{cols} threads={threads}");
             assert_eq!(bits(&dx_ref), bits(&dx), "{rows}x{cols} threads={threads}");
@@ -274,7 +275,7 @@ fn gelu_vector_body_and_tail_match_the_scalar_maps() {
             let dy = Tensor::from_vec(dys, &[len]).unwrap();
             for threads in [1, 2] {
                 let (y, dx) = with_threads(threads, || {
-                    (ops::gelu(&x), ops::gelu_backward(&x, &dy).unwrap())
+                    (ops::gelu(&x), ops::gelu_backward(&x, dy.clone()).unwrap())
                 });
                 assert_eq!(
                     bits(&y),

@@ -1,8 +1,9 @@
 //! Exactness of the batched pass: `GptModel::batch_forward_backward` runs a
 //! batch's sequences side by side on the worker pool and must give
 //! bit-identical losses and gradients to the serial per-sequence loop, at
-//! any thread count, on both sides of the sequence-parallelism gate, and
-//! through a failing sequence. Empty inputs, and batches that do not split
+//! any thread count and any sequence width, and through a failing sequence.
+//! A wide batch is one parallel pool region, and backward releases the
+//! forward cache as it goes. Empty inputs, and batches that do not split
 //! across the data-parallel ranks, are typed errors that touch no state.
 
 use llm_model::transformer::{GptConfig, GptModel};
@@ -10,7 +11,7 @@ use llm_model::SyntheticPile;
 use superoffload::engine::{Discipline, Engine, EngineConfig, Sample};
 use superoffload::trainer::Trainer;
 use tensorlite::pool::{family_threshold, with_threads};
-use tensorlite::{KernelFamily, TensorError};
+use tensorlite::{KernelFamily, Recorder, StoragePrecision, TensorError};
 
 const THREADS: [usize; 4] = [1, 2, 3, 7];
 
@@ -36,6 +37,21 @@ fn wide_cfg() -> GptConfig {
     }
 }
 
+/// The `train-wide` benchmark's model: GEMM-bound, with 128-token
+/// sequences ([`WIDE_SEQ`]).
+fn train_wide_cfg() -> GptConfig {
+    GptConfig {
+        vocab: 256,
+        hidden: 128,
+        layers: 2,
+        heads: 4,
+        max_seq: 128,
+    }
+}
+
+/// The `train-wide` sequence length.
+const WIDE_SEQ: usize = 128;
+
 /// Tokens at which one sequence's GELU input reaches the element-wise
 /// threshold.
 fn threshold_tokens(cfg: &GptConfig) -> usize {
@@ -56,8 +72,8 @@ fn serial(model: &mut GptModel, batch: &[Sample]) -> (Result<Vec<f32>, TensorErr
     for (x, y) in batch {
         match model.forward(x, y) {
             Ok(cache) => {
-                model.backward(&cache).expect("backward of a valid cache");
                 losses.push(cache.loss);
+                model.backward(cache).expect("backward of a valid cache");
             }
             Err(e) => return (Err(e), model.grads().to_vec()),
         }
@@ -132,13 +148,14 @@ fn forward_backward_loop_matches_batched_pass() {
 }
 
 #[test]
-fn batched_pass_is_exact_on_both_sides_of_the_gate() {
+fn batched_pass_is_exact_below_at_and_above_the_elementwise_threshold() {
     let cfg = wide_cfg();
     let at = threshold_tokens(&cfg);
     let widest = |lens: &[usize]| lens.iter().max().unwrap() * 4 * cfg.hidden;
     let threshold = family_threshold(KernelFamily::Elementwise);
-    // Below the gate (sequences spread), exactly at it and above it
-    // (sequences run in turn, kernels fan out), with unequal lengths.
+    // One sequence's GELU input below, exactly at and above the width at
+    // which a lone sequence's element-wise kernels fan out, with unequal
+    // lengths.
     let below = [at / 2, 3];
     let exactly = [5, at];
     let above = [at + 8, 4];
@@ -151,6 +168,59 @@ fn batched_pass_is_exact_on_both_sides_of_the_gate() {
     {
         let batch = batch_of(&cfg, 90 + i as u64, lens);
         assert_matches_serial(&cfg, 11, &batch);
+    }
+}
+
+#[test]
+fn a_wide_batch_is_one_parallel_region() {
+    // Two `train-wide` sequences at two threads: one chunk per thread, every
+    // kernel serial inside its chunk, so the batch is the step's only fork.
+    let cfg = train_wide_cfg();
+    let batch = batch_of(&cfg, 5, &[WIDE_SEQ, WIDE_SEQ]);
+    let mut model = GptModel::new(cfg, 1);
+    let recorder = Recorder::new(StoragePrecision::F32);
+    with_threads(2, || {
+        recorder.scope(|| model.batch_forward_backward(&batch))
+    })
+    .unwrap();
+    assert_eq!(recorder.snapshot().pool_parallel_regions, 1);
+}
+
+#[test]
+fn backward_releases_the_forward_cache_as_it_goes() {
+    // Tensor bytes of one `train-wide` sequence's forward cache, in f32s:
+    // per block, x_in, ln1_out, attn_concat, x_mid and ln2_out [t, h], qkv
+    // [t, 3h], one [t, t] probability matrix per head, and mlp_pre and
+    // mlp_act [t, 4h]; then lnf_in and lnf_out [t, h] and dlogits
+    // [t, vocab]. That is 720,896 f32s (2.75 MiB) at this shape.
+    let cfg = train_wide_cfg();
+    let (t, h) = (WIDE_SEQ, cfg.hidden);
+    let block = 5 * t * h + 3 * t * h + cfg.heads * t * t + 2 * t * 4 * h;
+    let cache = cfg.layers * block + 2 * t * h + t * cfg.vocab;
+    // One block's largest set of backward temporaries live at once: the
+    // MLP down-projection's dx [t, 4h] and dw [4h, h] beside the incoming
+    // gradient [t, h] (147,456 f32s).
+    let temporaries = t * 4 * h + 4 * h * h + t * h;
+    let bound = 4 * (cache + temporaries) as i64;
+    assert_eq!(bound, 3_473_408);
+    // Measured: 3,014,656 B at 1 and 2 threads. A backward that holds the
+    // whole cache, and a copy of every weight it multiplies, until it
+    // returns peaks at 5,308,416 B here.
+    let (x, y) = batch_of(&cfg, 9, &[WIDE_SEQ]).remove(0);
+    for threads in [1, 2] {
+        let mut model = GptModel::new(cfg.clone(), 2);
+        let recorder = Recorder::new(StoragePrecision::F32);
+        with_threads(threads, || {
+            recorder.scope(|| model.forward_backward(&x, &y))
+        })
+        .unwrap();
+        let s = recorder.snapshot();
+        assert_eq!(s.live_bytes, 0, "threads={threads}");
+        assert!(
+            s.peak_bytes <= bound,
+            "threads={threads}: peak {} B over the {bound} B bound",
+            s.peak_bytes
+        );
     }
 }
 
