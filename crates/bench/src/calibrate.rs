@@ -6,18 +6,20 @@
 //! fanning out to the worker pool. The defaults are compiled-in guesses;
 //! this module measures the actual serial-vs-parallel crossover for a
 //! representative kernel of each family and prints the comparison, so a
-//! host with unusually cheap (or expensive) thread handoff can justify an
-//! override via [`tensorlite::pool::set_family_threshold`].
+//! host with unusually cheap (or expensive) thread handoff can justify a
+//! [`Pool::with_threshold`] scope of its own.
 //!
-//! Method: for each family, every *other* family's threshold is pinned to
-//! `usize::MAX` (forcing those kernels serial) and the probed family's to
-//! `1` (always eligible), isolating the one dispatch decision under test.
-//! The probe kernel then runs over a geometric work ladder twice — under
-//! `with_threads(1)` and `with_threads(0)` — and the crossover is the
-//! smallest work size where the parallel run is ≥5% faster. Thresholds
-//! are restored to the compiled-in defaults afterwards; since thresholds
-//! only pick between bit-identical execution strategies, the probes can
-//! never change a numeric result.
+//! Method: each family is probed inside a scoped pool of its own
+//! ([`Pool::scope`]) in which every *other* family's threshold is pinned
+//! to `usize::MAX` (forcing those kernels serial) and the probed family's
+//! to `1` (always eligible), isolating the one dispatch decision under
+//! test. The probe kernel then runs over a geometric work ladder twice —
+//! under `with_threads(1)` and `with_threads(0)` — and the crossover is
+//! the smallest work size where the parallel run is ≥5% faster. The scope
+//! ends with the probe, so neither the caller's pool nor any other
+//! thread's ever sees the pinned thresholds; and since thresholds only
+//! pick between bit-identical execution strategies, the probes can never
+//! change a numeric result.
 //!
 //! On a single-hardware-thread host the "parallel" run is the serial path
 //! plus pool overhead, so no crossover exists; the snapshot is marked
@@ -35,7 +37,7 @@ use grace_optim::adam::{AdamConfig, AdamState, AdamStepper, GraceAdam, ADAM_FLOP
 use llm_model::transformer::{GptConfig, GptModel};
 use superchip_sim::telemetry::{JsonWriter, Layout};
 use tensorlite::ops;
-use tensorlite::pool::{family_threshold, set_family_threshold, with_threads};
+use tensorlite::pool::{hardware_threads, with_threads};
 use tensorlite::tensor::GEMM_NR;
 use tensorlite::{KernelFamily, Pool, Tensor, XorShiftRng};
 
@@ -65,7 +67,7 @@ pub struct FamilyCalibration {
     pub family: KernelFamily,
     /// Compiled-in default threshold (element-ops).
     pub default_threshold: usize,
-    /// Threshold in effect before the probe (default unless overridden).
+    /// The caller's threshold ([`Pool::current`]) when the probe ran.
     pub effective_threshold: usize,
     /// Smallest ladder work where parallel beat serial by ≥5%, if any.
     pub crossover_work: Option<usize>,
@@ -128,18 +130,6 @@ impl Calibration {
                     }
                 });
         })
-    }
-}
-
-/// Restores every family threshold to the compiled-in default on drop, so
-/// a panicking probe cannot leave the process with pinned thresholds.
-struct ThresholdGuard;
-
-impl Drop for ThresholdGuard {
-    fn drop(&mut self) {
-        for f in KernelFamily::ALL {
-            set_family_threshold(f, 0);
-        }
     }
 }
 
@@ -251,10 +241,10 @@ fn probe_op(family: KernelFamily, target: usize) -> (usize, Box<dyn FnMut()>) {
             )
         }
         KernelFamily::Elementwise => {
-            // Streaming fused multiply-add over n floats: work = n. No
-            // tensor op consults this threshold yet (element-wise tensor
-            // passes are serial), so the probe drives the pool primitive
-            // directly with element-wise arithmetic intensity.
+            // Streaming fused multiply-add over n floats: work = n. The
+            // probe drives the pool primitive directly with element-wise
+            // arithmetic intensity, gated as `ops::elementwise_pool` gates
+            // the GELU kernels.
             let n = target.max(64);
             let mut data = vec![1.0f32; n];
             (
@@ -288,24 +278,26 @@ fn probe_op(family: KernelFamily, target: usize) -> (usize, Box<dyn FnMut()>) {
     }
 }
 
-/// Probes one family over a geometric ladder up to `max_work`, with the
-/// harness's threshold pinning in place (see module docs).
+/// Probes one family over a geometric ladder up to `max_work`, inside a
+/// pool scope that pins the thresholds (see module docs).
 fn probe_family(family: KernelFamily, max_work: usize, reps: u32) -> FamilyCalibration {
     let default_threshold = family.default_threshold();
-    let effective_threshold = family_threshold(family);
-
-    let _restore = ThresholdGuard;
-    for other in KernelFamily::ALL {
-        set_family_threshold(other, usize::MAX);
-    }
-    set_family_threshold(family, 1);
+    let caller = Pool::current();
+    let pinned = KernelFamily::ALL
+        .into_iter()
+        .fold(caller, |pool, other| pool.with_threshold(other, usize::MAX))
+        .with_threshold(family, 1);
 
     let mut points = Vec::new();
     let mut target = 2_048usize;
     while target <= max_work {
         let (work, mut op) = probe_op(family, target);
-        let serial_secs = with_threads(1, || best_of(reps, &mut op));
-        let parallel_secs = with_threads(0, || best_of(reps, &mut op));
+        let (serial_secs, parallel_secs) = pinned.scope(|| {
+            (
+                with_threads(1, || best_of(reps, &mut op)),
+                with_threads(0, || best_of(reps, &mut op)),
+            )
+        });
         points.push(CalibrationPoint {
             work,
             serial_secs,
@@ -321,7 +313,7 @@ fn probe_family(family: KernelFamily, max_work: usize, reps: u32) -> FamilyCalib
     FamilyCalibration {
         family,
         default_threshold,
-        effective_threshold,
+        effective_threshold: caller.threshold(family),
         crossover_work,
         points,
     }
@@ -331,7 +323,7 @@ fn probe_family(family: KernelFamily, max_work: usize, reps: u32) -> FamilyCalib
 /// best-of-`reps`.
 pub fn calibrate(max_work: usize, reps: u32) -> Calibration {
     Calibration {
-        host_threads: crate::realbench::host_threads(),
+        host_threads: hardware_threads(),
         fma_peak_gflops: fma_peak_gflops(reps),
         families: KernelFamily::ALL
             .iter()
@@ -401,7 +393,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
     println!(
         "(ladder up to {} element-ops, best of {} reps; SUPEROFFLOAD_THREADS \
-         and set_family_threshold override at runtime)",
+         sets the default thread count, and a Pool::with_threshold scope \
+         overrides a threshold for the code it runs)",
         max_work, reps
     );
     crate::cli::write_artifacts(&[("calibration.json", cal.to_json())])
@@ -414,7 +407,11 @@ mod tests {
     #[test]
     fn calibration_sweep_covers_every_family_and_restores_thresholds() {
         let _cpu = crate::cpu_heavy_test_guard();
+        let before = Pool::current();
         let cal = calibrate(8_192, 1);
+        // The probes pin thresholds in scopes of their own: the caller's
+        // pool is the one it had before.
+        assert_eq!(Pool::current(), before);
         assert_eq!(cal.families.len(), tensorlite::pool::N_KERNEL_FAMILIES);
         for f in &cal.families {
             assert!(!f.points.is_empty(), "{} has no points", f.family.name());
@@ -424,9 +421,49 @@ mod tests {
                 f.family.name()
             );
             assert!(f.points.iter().all(|p| p.serial_secs > 0.0));
-            // The probe pins thresholds but must restore the defaults.
-            assert_eq!(family_threshold(f.family), f.family.default_threshold());
+            assert_eq!(f.effective_threshold, before.threshold(f.family));
         }
+    }
+
+    /// A 2-thread journaled trainer's JSONL and per-step parallel pool
+    /// regions over 20 steps of a small GPT.
+    fn journaled_run() -> (String, Vec<u64>) {
+        use llm_model::SyntheticPile;
+        use superoffload::trainer::{JournalConfig, Trainer};
+        let cfg = GptConfig {
+            vocab: 43,
+            hidden: 16,
+            layers: 2,
+            heads: 2,
+            max_seq: 16,
+        };
+        let mut b = Trainer::new(GptModel::new(cfg, 808));
+        b.threads(2).journal(JournalConfig::default());
+        let mut trainer = b.build();
+        let mut pile = SyntheticPile::new(43, 7);
+        trainer.run(20, || pile.next_batch(2, 12)).unwrap();
+        let journal = trainer.journal().unwrap();
+        let regions = journal.records().iter();
+        (
+            journal.to_jsonl(),
+            regions.map(|r| r.counters.pool_parallel_regions).collect(),
+        )
+    }
+
+    #[test]
+    fn a_concurrent_calibration_leaves_a_trainer_at_its_own_thresholds() {
+        let _cpu = crate::cpu_heavy_test_guard();
+        let alone = journaled_run();
+        assert!(alone.1.iter().all(|&r| r > 0), "{:?}", alone.1);
+        let during = std::thread::scope(|s| {
+            let run = s.spawn(journaled_run);
+            while !run.is_finished() {
+                calibrate(8_192, 1);
+            }
+            run.join().unwrap()
+        });
+        assert_eq!(during.1, alone.1, "parallel regions per step");
+        assert!(during.0 == alone.0, "journal changed by a calibration");
     }
 
     #[test]

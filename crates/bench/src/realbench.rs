@@ -13,7 +13,7 @@ use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
 use superchip_sim::telemetry::{JsonWriter, Layout};
 use superoffload::engine::{Discipline, Engine, EngineConfig, StepOutcome};
-use tensorlite::pool::with_threads;
+use tensorlite::pool::{hardware_threads, with_threads};
 use tensorlite::{Tensor, XorShiftRng};
 
 /// One Table 3 row: seconds per optimizer step for each implementation at a
@@ -299,13 +299,6 @@ pub struct RealPlaneBench {
     pub optimizer_secs: f64,
 }
 
-/// Hardware threads on this host (`available_parallelism`, 1 on error).
-pub(crate) fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Single-thread host detection, shared by the realbench and roofline
 /// snapshots: with one hardware thread, "parallel" numbers are the serial
 /// path plus worker-pool overhead, so speedup / utilization /
@@ -466,7 +459,7 @@ pub const REALPLANE_SEQ: usize = 48;
 /// Measures the real numeric plane, serial vs parallel: a `n × n × n`
 /// packed GEMM and a full transformer train step with breakdown.
 pub fn realplane(matmul_n: usize, steps: u64, seed: u64) -> RealPlaneBench {
-    let host_threads = host_threads();
+    let host_threads = hardware_threads();
 
     // GEMM: median-free simple best-of-reps timing (the Criterion benches
     // carry the statistics; this is the machine-readable summary).

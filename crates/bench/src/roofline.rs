@@ -23,6 +23,7 @@
 use superchip_sim::chrome_trace::{real_spans_chrome_trace, RealSpan};
 use superchip_sim::telemetry::{JsonWriter, Layout, MetricsRecorder};
 use tensorlite::counters::{CounterSnapshot, OpKind};
+use tensorlite::pool::hardware_threads;
 use tensorlite::spans::{SpanLog, WorkerUtilization};
 use tensorlite::{Recorder, StoragePrecision};
 
@@ -223,7 +224,7 @@ pub fn report_from_parts(
     log: &SpanLog,
     args: RooflineArgs,
 ) -> RooflineReport {
-    let host_threads = realbench::host_threads();
+    let host_threads = hardware_threads();
     let kind_nanos = timer.kind_busy_nanos();
     let rows: Vec<KernelRow> = OpKind::ALL
         .iter()

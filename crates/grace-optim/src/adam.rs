@@ -283,13 +283,12 @@ fn fused_chunk(
 
 /// Cache-tiled, multi-threaded fused Adam — the portable equivalent of the
 /// paper's GraceAdam (SVE vectorization → auto-vectorized fused loops;
-/// `svprfm` prefetch + TILE chunking → cache-sized tiles; OpenMP → scoped
-/// threads).
+/// `svprfm` prefetch + TILE chunking → cache-sized tiles; OpenMP → shards
+/// on the persistent worker pool).
 ///
-/// The default thread count comes from the shared numeric-plane pool
-/// ([`tensorlite::pool`]), so `SUPEROFFLOAD_THREADS` and
-/// [`tensorlite::ParallelConfig`] govern the optimizer and the tensor
-/// kernels together.
+/// The default thread count, and always the `Optimizer` family threshold,
+/// come from the caller's [`tensorlite::Pool::current`], so the scope that
+/// sizes the tensor kernels sizes the optimizer too.
 #[derive(Debug, Clone, Copy)]
 pub struct GraceAdam {
     /// Elements per cache tile (default 16 KiB of f32s = 4096 elements).
@@ -302,7 +301,7 @@ impl Default for GraceAdam {
     fn default() -> Self {
         GraceAdam {
             tile: 4096,
-            threads: tensorlite::pool::threads(),
+            threads: Pool::current().threads(),
         }
     }
 }
@@ -319,11 +318,12 @@ impl GraceAdam {
     }
 
     /// Thread count for an `n`-parameter step: the configured count gated
-    /// by the calibrated `Optimizer` family threshold (small steps run
+    /// by the current pool's `Optimizer` family threshold (small steps run
     /// serially — spawning shards costs more than the update), then capped
     /// so every shard holds at least one tile.
     fn plan_threads(&self, n: usize) -> usize {
-        Pool::new(self.threads)
+        Pool::current()
+            .with_thread_count(self.threads)
             .limit_for_family(KernelFamily::Optimizer, n * ADAM_FLOPS_PER_PARAM as usize)
             .threads()
             .min(n.div_ceil(self.tile))
@@ -727,6 +727,33 @@ mod tests {
         assert_eq!(opt.plan_threads(small), 1);
         let big = 1_000_000;
         assert_eq!(opt.plan_threads(big), 8);
+    }
+
+    #[test]
+    fn a_scoped_optimizer_threshold_reaches_the_step() {
+        // 1,000 parameters are far below the default Optimizer threshold,
+        // so a default-threshold step is one serial region; a scope that
+        // lowers the threshold to 1 makes the same step one parallel region.
+        let regions = |pool: Pool| {
+            let cfg = AdamConfig::default();
+            let (mut p, g) = (vec![0.5f32; 1_000], vec![0.01f32; 1_000]);
+            let mut s = AdamState::new(1_000);
+            let rec = tensorlite::Recorder::new(tensorlite::StoragePrecision::F32);
+            rec.scope(|| {
+                pool.scope(|| {
+                    let opt = GraceAdam {
+                        tile: 64,
+                        ..GraceAdam::default()
+                    };
+                    opt.step(&cfg, 1, &mut p, &g, &mut s);
+                })
+            });
+            let snap = rec.snapshot();
+            (snap.pool_regions, snap.pool_parallel_regions)
+        };
+        assert_eq!(regions(Pool::new(2)), (1, 0));
+        let low = Pool::new(2).with_threshold(KernelFamily::Optimizer, 1);
+        assert_eq!(regions(low), (1, 1));
     }
 
     #[test]

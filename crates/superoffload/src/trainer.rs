@@ -21,9 +21,8 @@ use std::time::Instant;
 use grace_optim::ScaleEvent;
 use llm_model::transformer::GptModel;
 use superchip_sim::telemetry::{JsonObject, JsonWriter, Layout, MetricsRecorder};
-use tensorlite::{
-    CounterSnapshot, OpKind, ParallelConfig, Recorder, StoragePrecision, TensorError,
-};
+use tensorlite::pool::with_threads;
+use tensorlite::{CounterSnapshot, OpKind, Recorder, StoragePrecision, TensorError};
 
 use crate::checkpoint::Checkpoint;
 pub use crate::engine::Discipline;
@@ -351,7 +350,7 @@ pub struct TrainerBuilder {
     cfg: EngineConfig,
     discipline: Discipline,
     checkpoint_every: Option<u64>,
-    parallel: Option<ParallelConfig>,
+    threads: Option<usize>,
     journal: Option<JournalConfig>,
 }
 
@@ -410,19 +409,16 @@ impl TrainerBuilder {
         self
     }
 
-    /// Sets the numeric-plane parallelism (tensor kernels, attention heads,
-    /// and the GraceAdam optimizer all draw from the same pool). Installed
-    /// process-wide by [`TrainerBuilder::build`]; results are bit-identical
-    /// at every thread count.
-    pub fn parallel(&mut self, parallel: ParallelConfig) -> &mut Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Shorthand for [`TrainerBuilder::parallel`] with an explicit worker
-    /// thread count (`0` = auto-detect).
+    /// Sets the numeric-plane worker thread count (`0` = auto-detect):
+    /// tensor kernels, attention heads and the GraceAdam optimizer all draw
+    /// from the same pool. The trainer scopes the count around its own
+    /// step work only ([`tensorlite::pool::with_threads`]), so it never
+    /// changes another caller's parallelism; without it, steps run at the
+    /// caller's [`tensorlite::Pool::current`]. Results are bit-identical at
+    /// every thread count.
     pub fn threads(&mut self, threads: usize) -> &mut Self {
-        self.parallel(ParallelConfig::with_threads(threads))
+        self.threads = Some(threads);
+        self
     }
 
     /// Enables the step journal: the trainer owns a `tensorlite::Recorder`
@@ -438,9 +434,6 @@ impl TrainerBuilder {
 
     /// Builds the trainer.
     pub fn build(&self) -> Trainer {
-        if let Some(parallel) = &self.parallel {
-            parallel.install();
-        }
         let journal = self
             .journal
             .map(|cfg| (StepJournal::new(cfg), Recorder::new(self.cfg.storage)));
@@ -451,6 +444,7 @@ impl TrainerBuilder {
             losses: Vec::new(),
             rollback_steps: Vec::new(),
             checkpoints: Vec::new(),
+            threads: self.threads,
             journal,
         }
     }
@@ -466,6 +460,8 @@ pub struct Trainer {
     losses: Vec<(u64, f32)>,
     rollback_steps: Vec<u64>,
     checkpoints: Vec<(u64, Checkpoint)>,
+    /// The worker count scoped around each step, if the builder set one.
+    threads: Option<usize>,
     journal: Option<(StepJournal, Recorder)>,
 }
 
@@ -480,7 +476,7 @@ impl Trainer {
             cfg: EngineConfig::default(),
             discipline: Discipline::default(),
             checkpoint_every: None,
-            parallel: None,
+            threads: None,
             journal: None,
         }
     }
@@ -498,9 +494,13 @@ impl Trainer {
                 Instant::now(),
             )
         });
-        let out = match &self.journal {
+        let mut train = || match &self.journal {
             Some((_, rec)) => rec.scope(|| self.engine.train_step(batch)),
             None => self.engine.train_step(batch),
+        };
+        let out = match self.threads {
+            Some(n) => with_threads(n, train),
+            None => train(),
         }?;
         self.steps_taken += 1;
         if let Some((ctr0, spans0, kernel0, t0)) = pre {
@@ -781,16 +781,6 @@ mod tests {
         let serial = run(1);
         assert_eq!(run(2), serial);
         assert_eq!(run(7), serial);
-    }
-
-    #[test]
-    fn builder_accepts_parallel_config() {
-        let mut b = Trainer::new(model());
-        b.parallel(ParallelConfig::serial()).threads(0);
-        let mut trainer = b.build();
-        let mut pile = SyntheticPile::new(43, 10);
-        trainer.run(2, || pile.next_batch(2, 12)).unwrap();
-        assert_eq!(trainer.losses().len(), 2);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //!   kernels a GPT-style model requires (matmul, softmax, layernorm, GELU).
 //! - [`cast`]: bulk f32↔f16 conversion with non-finite detection, mirroring
 //!   the cast operators that §4.5 of the paper places on the GPU or CPU.
-//! - [`Pool`]/[`ParallelConfig`]: a persistent worker pool that
-//!   parallelizes the matrix and row kernels over disjoint output rows, so
-//!   results stay bit-identical to serial execution at any thread count
-//!   (configure via `SUPEROFFLOAD_THREADS` or [`pool::set_threads`]).
+//! - [`Pool`]: a persistent worker pool that parallelizes the matrix and
+//!   row kernels over disjoint output rows, so results stay bit-identical
+//!   to serial execution at any thread count. A run's thread count and
+//!   thresholds are a value scoped to its thread ([`Pool::scope`],
+//!   [`pool::with_threads`]); the process default comes from
+//!   `SUPEROFFLOAD_THREADS`.
 //!
 //! # Example
 //!
@@ -51,7 +53,7 @@ pub use cast::{f16_to_f32_slice, f32_to_f16_slice, has_nonfinite};
 pub use counters::{CounterSnapshot, OpKind};
 pub use error::TensorError;
 pub use f16::{Bf16, F16};
-pub use pool::{KernelFamily, ParallelConfig, Pool};
+pub use pool::{KernelFamily, Pool};
 pub use recorder::Recorder;
 pub use rng::XorShiftRng;
 pub use spans::SpanLog;

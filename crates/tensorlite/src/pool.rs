@@ -16,25 +16,23 @@
 //! every thread count, regardless of which thread ends up running which
 //! task.
 //!
-//! Thread-count resolution, in priority order:
+//! A `Pool` is a value: a thread count plus one work threshold per
+//! [`KernelFamily`]. Kernels read theirs from [`Pool::current`], which is
+//! the innermost pool scoped on the calling thread ([`Pool::scope`],
+//! [`with_threads`]), or else the process default: `SUPEROFFLOAD_THREADS`
+//! (read once; `0` or garbage is rejected with a one-time warning, not
+//! silently treated as auto-detect), else [`hardware_threads`], with the
+//! compiled-in thresholds. Nothing in this module is mutable process
+//! state, so two runs in one process, each in its own scope, cannot steer
+//! each other's parallelism.
 //!
-//! 1. a thread-local override installed by [`with_threads`] (used by tests
-//!    and by pool workers themselves, which run nested kernels serially),
-//! 2. the process-wide count set by [`set_threads`] /
-//!    [`ParallelConfig::install`],
-//! 3. the `SUPEROFFLOAD_THREADS` environment variable (read once; `0` or
-//!    garbage is rejected with a one-time warning, not silently treated as
-//!    auto-detect),
-//! 4. [`std::thread::available_parallelism`].
-//!
-//! Whether a kernel parallelizes at all is decided by per-kernel-family
-//! work thresholds ([`KernelFamily`], [`family_threshold`]): below the
-//! threshold the region overhead dwarfs the work. The thresholds depend
-//! only on operand shapes (never on data or timing), so the
-//! serial/parallel decision is deterministic — and because parallel
-//! results are bit-identical to serial ones anyway, re-calibrating a
-//! threshold (`repro -- calibrate`) can never change a result, only the
-//! speed.
+//! Whether a kernel parallelizes at all is decided by its family's work
+//! threshold ([`Pool::limit_for_family`]): below the threshold the region
+//! overhead dwarfs the work. The thresholds depend only on operand shapes
+//! (never on data or timing), so the serial/parallel decision is
+//! deterministic — and because parallel results are bit-identical to
+//! serial ones anyway, a scope with other thresholds (`repro --
+//! calibrate` probes in one) can never change a result, only the speed.
 
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
@@ -44,9 +42,6 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::recorder;
 use crate::spans;
-
-/// Sentinel meaning "not configured" in the global thread-count cell.
-const UNSET: usize = usize::MAX;
 
 /// Kernel families with independently calibrated parallelism thresholds.
 ///
@@ -118,43 +113,18 @@ impl KernelFamily {
     }
 }
 
-/// `0` = "use the compiled-in default" in the threshold table.
-static FAMILY_THRESHOLDS: [AtomicUsize; N_KERNEL_FAMILIES] =
-    [const { AtomicUsize::new(0) }; N_KERNEL_FAMILIES];
-
-/// The effective parallelism threshold (element-ops) for one kernel
-/// family.
-pub fn family_threshold(family: KernelFamily) -> usize {
-    match FAMILY_THRESHOLDS[family.index()].load(Ordering::Relaxed) {
-        0 => family.default_threshold(),
-        t => t,
-    }
-}
-
-/// Overrides one family's parallelism threshold process-wide (`0` restores
-/// the compiled-in default). Safe to call at any time: thresholds only
-/// pick between two bit-identical execution strategies, so they can never
-/// change a result.
-pub fn set_family_threshold(family: KernelFamily, work: usize) {
-    FAMILY_THRESHOLDS[family.index()].store(work, Ordering::Relaxed);
-}
-
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(UNSET);
-
-thread_local! {
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("SUPEROFFLOAD_THREADS") {
-        Err(std::env::VarError::NotPresent) => 0,
+/// The thread count of the process-default pool: `SUPEROFFLOAD_THREADS`
+/// if it holds a count `>= 1`, else [`hardware_threads`]. Read once.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| match std::env::var("SUPEROFFLOAD_THREADS") {
+        Err(std::env::VarError::NotPresent) => hardware_threads(),
         Err(std::env::VarError::NotUnicode(_)) => {
             eprintln!(
                 "warning: SUPEROFFLOAD_THREADS is not valid unicode; \
                  falling back to auto-detect"
             );
-            0
+            hardware_threads()
         }
         Ok(s) => match s.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -166,101 +136,31 @@ fn env_threads() -> usize {
                     "warning: SUPEROFFLOAD_THREADS={s:?} is not a thread \
                      count >= 1; falling back to auto-detect"
                 );
-                0
+                hardware_threads()
             }
         },
     })
 }
 
-fn hardware_threads() -> usize {
+/// Hardware threads on this host (`available_parallelism`, 1 on error).
+pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-fn resolve(requested: usize) -> usize {
-    if requested == 0 {
-        hardware_threads()
-    } else {
-        requested
-    }
+thread_local! {
+    /// The innermost pool scoped on this thread, if any.
+    static SCOPED: Cell<Option<Pool>> = const { Cell::new(None) };
 }
 
-/// Sets the process-wide worker thread count (`0` = auto-detect).
-pub fn set_threads(n: usize) {
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The effective worker thread count for the calling thread.
-pub fn threads() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
-        return resolve(n);
-    }
-    let g = GLOBAL_THREADS.load(Ordering::Relaxed);
-    resolve(if g == UNSET { env_threads() } else { g })
-}
-
-/// Runs `f` with the calling thread's worker count overridden to `n`
-/// (`0` = auto-detect). The override is thread-local and restored on exit,
-/// so concurrent tests can pin different counts without racing.
+/// Runs `f` inside a copy of the current pool with `n` threads (`0` =
+/// [`hardware_threads`]) and the same family thresholds. The scope is
+/// thread-local and restored on exit, so concurrent callers can pin
+/// different counts without racing.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(THREAD_OVERRIDE.with(|c| c.replace(Some(n))));
-    f()
-}
-
-/// Parallel-execution configuration threaded through `Trainer` and the
-/// benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads for the numeric plane (`0` = auto-detect).
-    pub threads: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::from_env()
-    }
-}
-
-impl ParallelConfig {
-    /// Auto-detected parallelism (`available_parallelism`).
-    pub fn auto() -> Self {
-        ParallelConfig { threads: 0 }
-    }
-
-    /// Fully serial execution.
-    pub fn serial() -> Self {
-        ParallelConfig { threads: 1 }
-    }
-
-    /// Explicit thread count (`0` = auto-detect).
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig { threads }
-    }
-
-    /// Reads `SUPEROFFLOAD_THREADS` (unset = auto-detect; `0` or garbage
-    /// is rejected with a one-time warning and treated as unset).
-    pub fn from_env() -> Self {
-        ParallelConfig {
-            threads: env_threads(),
-        }
-    }
-
-    /// Installs this configuration process-wide (see [`set_threads`]).
-    pub fn install(&self) {
-        set_threads(self.threads);
-    }
-
-    /// The thread count this configuration resolves to on this host.
-    pub fn effective_threads(&self) -> usize {
-        resolve(self.threads)
-    }
+    let n = if n == 0 { hardware_threads() } else { n };
+    Pool::current().with_thread_count(n).scope(f)
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -472,29 +372,38 @@ impl<S> PartSlots<S> {
     }
 }
 
-/// A handle on the persistent worker pool with a resolved thread count.
+/// A handle on the persistent worker pool: a thread count and one work
+/// threshold per [`KernelFamily`].
 ///
-/// `Pool` is a lightweight value: obtaining one costs an atomic load. The
-/// backing worker threads are process-global and long-lived; the handle
-/// only decides how many tasks a region is split into.
-#[derive(Debug, Clone, Copy)]
+/// `Pool` is a small `Copy` value. The backing worker threads are
+/// process-global and long-lived; the handle only decides how many tasks
+/// a region is split into, and below which work a kernel stays serial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
+    thresholds: [usize; N_KERNEL_FAMILIES],
 }
 
 impl Pool {
-    /// The pool as configured for the calling thread.
+    /// The innermost pool scoped on the calling thread, or else the
+    /// process default (see the module docs).
     pub fn current() -> Pool {
-        Pool { threads: threads() }
+        SCOPED
+            .with(Cell::get)
+            .unwrap_or_else(|| Pool::new(default_threads()))
     }
 
-    /// A pool with an explicit thread count.
+    /// A pool with an explicit thread count and the compiled-in family
+    /// thresholds ([`KernelFamily::default_threshold`]).
     ///
     /// # Panics
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Pool {
         assert!(threads > 0, "pool thread count must be non-zero");
-        Pool { threads }
+        Pool {
+            threads,
+            thresholds: KernelFamily::ALL.map(KernelFamily::default_threshold),
+        }
     }
 
     /// The thread count.
@@ -502,14 +411,48 @@ impl Pool {
         self.threads
     }
 
+    /// A copy of this pool with `threads` threads and the same thresholds.
+    ///
+    /// # Panics
+    /// Panics if `threads` is zero.
+    pub fn with_thread_count(self, threads: usize) -> Pool {
+        assert!(threads > 0, "pool thread count must be non-zero");
+        Pool { threads, ..self }
+    }
+
+    /// The parallelism threshold (element-ops) for one kernel family.
+    pub fn threshold(&self, family: KernelFamily) -> usize {
+        self.thresholds[family.index()]
+    }
+
+    /// A copy of this pool whose `family` kernels run serially below
+    /// `work` element-ops.
+    pub fn with_threshold(mut self, family: KernelFamily, work: usize) -> Pool {
+        self.thresholds[family.index()] = work;
+        self
+    }
+
+    /// Runs `f` with this pool as the calling thread's [`Pool::current`],
+    /// restoring the enclosing one on exit (also on unwind).
+    pub fn scope<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Pool>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SCOPED.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(SCOPED.with(|c| c.replace(Some(self))));
+        f()
+    }
+
     /// A copy of this pool limited to one thread when `work` (an estimate
-    /// of element-operations) is below the family's calibrated threshold
-    /// ([`family_threshold`]). The decision depends only on `work`, keeping
+    /// of element-operations) is below the family's threshold
+    /// ([`Pool::threshold`]). The decision depends only on `work`, keeping
     /// execution deterministic — and parallel results are bit-identical to
     /// serial ones regardless.
     pub fn limit_for_family(&self, family: KernelFamily, work: usize) -> Pool {
-        if work < family_threshold(family) {
-            Pool { threads: 1 }
+        if work < self.threshold(family) {
+            self.with_thread_count(1)
         } else {
             *self
         }
@@ -540,6 +483,8 @@ impl Pool {
         let total = parts.len();
         let slots = PartSlots::new(parts);
         let (region, carried) = (region.as_ref(), recorder::carry());
+        // Workers run nested kernels serially, under this pool's thresholds.
+        let serial = self.with_thread_count(1);
         let task = |i: usize| {
             // SAFETY: the region dispenser hands out each index once.
             let part = unsafe { slots.take(i) };
@@ -548,7 +493,7 @@ impl Pool {
             unsafe {
                 carried.enter(|| {
                     let _busy = region.map(|r| r.worker(i));
-                    with_threads(1, || f(i, part));
+                    serial.scope(|| f(i, part));
                 })
             };
         };
@@ -746,28 +691,35 @@ mod tests {
         assert_eq!(pool.run(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
     }
 
+    fn current_threads() -> usize {
+        Pool::current().threads()
+    }
+
     #[test]
     fn with_threads_overrides_and_restores() {
-        let before = threads();
-        let inner = with_threads(7, threads);
-        assert_eq!(inner, 7);
-        assert_eq!(threads(), before);
+        let before = Pool::current();
+        let inner = with_threads(7, Pool::current);
+        assert_eq!(inner, before.with_thread_count(7));
+        assert_eq!(Pool::current(), before);
         // Zero means auto-detect.
-        assert!(with_threads(0, threads) >= 1);
+        assert_eq!(with_threads(0, current_threads), hardware_threads());
     }
 
     #[test]
     fn workers_run_nested_kernels_serially() {
-        let pool = Pool::new(4);
-        let nested = pool.run(4, |_| threads());
-        assert!(nested.iter().all(|&t| t == 1), "nested counts {nested:?}");
+        let pool = Pool::new(4).with_threshold(KernelFamily::Gemm, 4);
+        let nested = pool.run(4, |_| Pool::current());
+        assert!(
+            nested.iter().all(|&p| p == pool.with_thread_count(1)),
+            "nested pools {nested:?}"
+        );
     }
 
     #[test]
     fn family_thresholds_default_override_and_restore() {
         let pool = Pool::new(8);
         let default = KernelFamily::Gemm.default_threshold();
-        assert_eq!(family_threshold(KernelFamily::Gemm), default);
+        assert_eq!(pool.threshold(KernelFamily::Gemm), default);
         assert_eq!(
             pool.limit_for_family(KernelFamily::Gemm, default - 1)
                 .threads(),
@@ -777,11 +729,35 @@ mod tests {
             pool.limit_for_family(KernelFamily::Gemm, default).threads(),
             8
         );
-        set_family_threshold(KernelFamily::Gemm, 4);
-        assert_eq!(family_threshold(KernelFamily::Gemm), 4);
-        assert_eq!(pool.limit_for_family(KernelFamily::Gemm, 4).threads(), 8);
-        set_family_threshold(KernelFamily::Gemm, 0);
-        assert_eq!(family_threshold(KernelFamily::Gemm), default);
+        let before = Pool::current();
+        let low = pool.with_threshold(KernelFamily::Gemm, 4);
+        let scoped = low.scope(|| {
+            let inner = Pool::current();
+            assert_eq!(inner.threshold(KernelFamily::Gemm), 4);
+            assert_eq!(inner.limit_for_family(KernelFamily::Gemm, 4).threads(), 8);
+            // A nested thread-count scope keeps the enclosing thresholds.
+            with_threads(2, Pool::current)
+        });
+        assert_eq!(scoped, low.with_thread_count(2));
+        assert_eq!(Pool::current(), before);
+        assert_eq!(pool.threshold(KernelFamily::Gemm), default);
+    }
+
+    #[test]
+    fn a_scope_is_restored_when_its_body_panics() {
+        let before = Pool::current();
+        let result = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
+        assert!(result.is_err());
+        assert_eq!(Pool::current(), before);
+    }
+
+    #[test]
+    fn scopes_are_per_thread() {
+        with_threads(3, || {
+            let other = std::thread::spawn(Pool::current).join().unwrap();
+            assert_eq!(other, Pool::new(default_threads()));
+            assert_eq!(current_threads(), 3);
+        });
     }
 
     #[test]
@@ -793,13 +769,6 @@ mod tests {
         for (i, f) in KernelFamily::ALL.iter().enumerate() {
             assert_eq!(f.index(), i);
         }
-    }
-
-    #[test]
-    fn parallel_config_resolves() {
-        assert_eq!(ParallelConfig::serial().effective_threads(), 1);
-        assert!(ParallelConfig::auto().effective_threads() >= 1);
-        assert_eq!(ParallelConfig::with_threads(5).effective_threads(), 5);
     }
 
     #[test]

@@ -167,7 +167,7 @@ proptest! {
 /// family threshold (where rows are partitioned over the pool).
 #[test]
 fn gelu_bit_identical_across_threads_and_the_threshold() {
-    let threshold = tensorlite::pool::family_threshold(tensorlite::KernelFamily::Elementwise);
+    let threshold = tensorlite::KernelFamily::Elementwise.default_threshold();
     let mut rng = tensorlite::XorShiftRng::new(17);
     for (rows, cols) in [(3, 7), (threshold / 512, 512), (threshold / 512 + 5, 512)] {
         let x = Tensor::randn(&[rows, cols], 2.0, &mut rng);

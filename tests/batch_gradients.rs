@@ -10,7 +10,7 @@ use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::SyntheticPile;
 use superoffload::engine::{Discipline, Engine, EngineConfig, Sample};
 use superoffload::trainer::Trainer;
-use tensorlite::pool::{family_threshold, with_threads};
+use tensorlite::pool::with_threads;
 use tensorlite::{KernelFamily, Recorder, StoragePrecision, TensorError};
 
 const THREADS: [usize; 4] = [1, 2, 3, 7];
@@ -33,7 +33,7 @@ fn wide_cfg() -> GptConfig {
         hidden: 64,
         layers: 1,
         heads: 2,
-        max_seq: family_threshold(KernelFamily::Elementwise) / 256 + 8,
+        max_seq: KernelFamily::Elementwise.default_threshold() / 256 + 8,
     }
 }
 
@@ -55,7 +55,7 @@ const WIDE_SEQ: usize = 128;
 /// Tokens at which one sequence's GELU input reaches the element-wise
 /// threshold.
 fn threshold_tokens(cfg: &GptConfig) -> usize {
-    family_threshold(KernelFamily::Elementwise) / (4 * cfg.hidden)
+    KernelFamily::Elementwise.default_threshold() / (4 * cfg.hidden)
 }
 
 /// A batch with the given sequence lengths, drawn from the synthetic pile.
@@ -152,7 +152,7 @@ fn batched_pass_is_exact_below_at_and_above_the_elementwise_threshold() {
     let cfg = wide_cfg();
     let at = threshold_tokens(&cfg);
     let widest = |lens: &[usize]| lens.iter().max().unwrap() * 4 * cfg.hidden;
-    let threshold = family_threshold(KernelFamily::Elementwise);
+    let threshold = KernelFamily::Elementwise.default_threshold();
     // One sequence's GELU input below, exactly at and above the width at
     // which a lone sequence's element-wise kernels fan out, with unequal
     // lengths.
