@@ -29,7 +29,7 @@
 //! the attribution invariants hold exactly, not within epsilon.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -973,74 +973,115 @@ impl<'a> AnalysisDiff<'a> {
     }
 }
 
+/// A tag's position in name order ("eviction" < "generic" <
+/// "optimizer-step"), so comparing ranks compares [`TaskTag::name`]s.
+fn tag_rank(tag: TaskTag) -> u8 {
+    match tag {
+        TaskTag::Eviction => 0,
+        TaskTag::Generic => 1,
+        TaskTag::OptimizerStep => 2,
+    }
+}
+
 /// One task of a trace under its alignment key.
 #[derive(Clone, Copy)]
 struct AlignedTask<'a> {
+    /// Rank of the key's resource among both runs' names.
+    resource: u32,
+    /// [`tag_rank`] of the key's tag.
+    tag: u8,
     key: TaskKey<'a>,
     kind: &'static str,
     dur_us: u64,
 }
 
-/// Aligns every task of `trace` to a [`TaskKey`]. Returns the key of each
-/// task (indexed by task id) and the tasks sorted strictly by key.
-fn index_tasks(trace: &Trace) -> (Vec<TaskKey<'_>>, Vec<AlignedTask<'_>>) {
+impl AlignedTask<'_> {
+    /// Key order: the ranks stand in for the names they were assigned
+    /// from, so this is `TaskKey`'s order without comparing names.
+    fn order(&self, other: &Self) -> Ordering {
+        (self.resource, self.tag, self.key.label, self.key.occurrence).cmp(&(
+            other.resource,
+            other.tag,
+            other.key.label,
+            other.key.occurrence,
+        ))
+    }
+}
+
+/// Aligns every task of `trace` to a [`TaskKey`], given the name rank of
+/// each of its resources. Returns the tasks sorted strictly by key and, per
+/// task id, the position of that task's key among them.
+fn index_tasks<'a>(trace: &'a Trace, ranks: &[u32]) -> (Vec<AlignedTask<'a>>, Vec<u32>) {
     let names = trace.resource_names();
-    // Rows are in start order, so a stable sort on (resource, tag, label,
-    // row) lines up each triple's tasks in start order: the occurrence
+    // Rows are in start order, so the row-major sequence number `seq`
+    // orders a resource's tasks by start: sorting on (resource, tag, label,
+    // seq) lines up each triple's tasks in start order, and the occurrence
     // index is the rank within that run.
-    let mut grouped: Vec<(&str, &'static str, &str, usize, &Interval)> = trace
+    let mut grouped: Vec<(u32, u8, &str, usize, usize, &Interval)> = trace
         .rows()
         .into_iter()
         .enumerate()
-        .flat_map(|(r, row)| {
-            row.into_iter()
-                .map(move |iv| (names[r].as_str(), iv.tag.name(), iv.label.as_str(), r, iv))
-        })
+        .flat_map(|(r, row)| row.into_iter().map(move |iv| (r, iv)))
+        .enumerate()
+        .map(|(seq, (r, iv))| (ranks[r], tag_rank(iv.tag), iv.label.as_str(), seq, r, iv))
         .collect();
-    grouped.sort_by_key(|&(resource, tag, label, r, _)| (resource, tag, label, r));
-    let mut keys = vec![None; trace.intervals().len()];
+    grouped.sort_unstable_by(|x, y| (x.0, x.1, x.2, x.3).cmp(&(y.0, y.1, y.2, y.3)));
     let mut tasks = Vec::with_capacity(grouped.len());
     let mut occurrence = 0;
-    for (i, &(resource, tag, label, r, iv)) in grouped.iter().enumerate() {
+    for (i, &(resource, tag, label, _, r, iv)) in grouped.iter().enumerate() {
         let same_run = i > 0 && {
-            let (pr, pt, pl, prow, _) = grouped[i - 1];
+            let (pr, pt, pl, _, prow, _) = grouped[i - 1];
             (pr, pt, pl, prow) == (resource, tag, label, r)
         };
         occurrence = if same_run { occurrence + 1 } else { 0 };
         let key = TaskKey {
-            resource,
-            tag,
+            resource: names[r].as_str(),
+            tag: iv.tag.name(),
             label,
             occurrence,
         };
-        keys[iv.task.index()] = Some(key);
-        tasks.push(AlignedTask {
+        let task = AlignedTask {
+            resource,
+            tag,
             key,
             kind: iv.kind.name(),
             dur_us: iv.duration_us(),
-        });
+        };
+        tasks.push((task, iv.task));
     }
     // Resources that share a name yield equal keys: the later resource's
-    // task wins, as it would in a map keyed by `TaskKey`. The sort is a
-    // linear pass when names are unique.
-    tasks.sort_by_key(|t| t.key);
-    tasks.dedup_by(|later, kept| {
-        let same = later.key == kept.key;
-        if same {
-            *kept = *later;
+    // task wins, as it would in a map keyed by `TaskKey`, and every task
+    // of the key points at the survivor. The sort is a linear pass when
+    // names are unique.
+    tasks.sort_by(|(x, _), (y, _)| x.order(y));
+    let mut kept: Vec<AlignedTask<'a>> = Vec::with_capacity(tasks.len());
+    let mut pos = vec![u32::MAX; trace.intervals().len()];
+    for (t, id) in tasks {
+        match kept.last_mut() {
+            Some(last) if last.order(&t) == Ordering::Equal => *last = t,
+            _ => kept.push(t),
         }
-        same
-    });
-    let keys = keys
-        .into_iter()
-        .map(|k| k.expect("every task has exactly one interval"))
-        .collect();
-    (keys, tasks)
+        pos[id.index()] = (kept.len() - 1) as u32;
+    }
+    debug_assert!(
+        pos.iter().all(|&p| p != u32::MAX),
+        "every task has exactly one interval"
+    );
+    (kept, pos)
 }
 
-/// A report's stall rows by resource name (a later duplicate name wins).
-fn stalls_by_name(report: &AnalysisReport) -> BTreeMap<&str, &ResourceStalls> {
-    report.stalls.iter().map(|s| (s.name.as_str(), s)).collect()
+/// A report's stall rows by the name rank of their resource (a later
+/// duplicate name wins).
+fn stalls_by_rank<'r>(
+    report: &'r AnalysisReport,
+    ranks: &[u32],
+    names: usize,
+) -> Vec<Option<&'r ResourceStalls>> {
+    let mut by_rank = vec![None; names];
+    for (s, &rank) in report.stalls.iter().zip(ranks) {
+        by_rank[rank as usize] = Some(s);
+    }
+    by_rank
 }
 
 /// Diffs two executed traces causally: aligned per-task duration deltas,
@@ -1055,16 +1096,38 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
     let makespan_b_us = report_b.makespan_us;
     let makespan_delta_us = makespan_b_us as i64 - makespan_a_us as i64;
 
+    // Every resource name of either run, in name order: a resource's rank
+    // is its name's position here, so ranks compare as names do.
+    let mut names: Vec<&'a str> = trace_a
+        .resource_names()
+        .iter()
+        .chain(trace_b.resource_names())
+        .map(String::as_str)
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let ranks = |trace: &Trace| -> Vec<u32> {
+        trace
+            .resource_names()
+            .iter()
+            .map(|n| names.binary_search(&n.as_str()).expect("a listed name") as u32)
+            .collect()
+    };
+    let (ranks_a, ranks_b) = (ranks(trace_a), ranks(trace_b));
+
     // --- Task alignment ---------------------------------------------------
-    let (keys_a, tasks_a) = index_tasks(trace_a);
-    let (keys_b, tasks_b) = index_tasks(trace_b);
+    let (tasks_a, pos_a) = index_tasks(trace_a, &ranks_a);
+    let (tasks_b, pos_b) = index_tasks(trace_b, &ranks_b);
     let mut tasks = Vec::with_capacity(tasks_a.len().max(tasks_b.len()));
-    let mut task_delta_by_resource: BTreeMap<&str, i64> = BTreeMap::new();
+    let mut task_delta_by_resource = vec![0i64; names.len()];
+    // Each side's key position -> its entry in the merged `tasks`.
+    let mut merged_a = Vec::with_capacity(tasks_a.len());
+    let mut merged_b = Vec::with_capacity(tasks_b.len());
     // Merge-walk both sorted task lists so the union stays in key order.
     let (mut i, mut j) = (0, 0);
     while i < tasks_a.len() || j < tasks_b.len() {
         let order = match (tasks_a.get(i), tasks_b.get(j)) {
-            (Some(a), Some(b)) => a.key.cmp(&b.key),
+            (Some(a), Some(b)) => a.order(b),
             (Some(_), None) => Ordering::Less,
             _ => Ordering::Greater,
         };
@@ -1072,11 +1135,18 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
         let b = (order != Ordering::Less).then(|| tasks_b[j]);
         i += usize::from(a.is_some());
         j += usize::from(b.is_some());
+        let m = tasks.len() as u32;
+        if a.is_some() {
+            merged_a.push(m);
+        }
+        if b.is_some() {
+            merged_b.push(m);
+        }
         let t = b.or(a).expect("the merge takes at least one side");
         let dur_a_us = a.map(|t| t.dur_us);
         let dur_b_us = b.map(|t| t.dur_us);
         let delta_us = dur_b_us.unwrap_or(0) as i64 - dur_a_us.unwrap_or(0) as i64;
-        *task_delta_by_resource.entry(t.key.resource).or_insert(0) += delta_us;
+        task_delta_by_resource[t.resource as usize] += delta_us;
         tasks.push(TaskDelta {
             key: t.key,
             kind: t.kind,
@@ -1085,10 +1155,12 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
             delta_us,
         });
     }
+    let merged_id_a = |t: TaskId| merged_a[pos_a[t.index()] as usize] as usize;
+    let merged_id_b = |t: TaskId| merged_b[pos_b[t.index()] as usize] as usize;
 
     // --- Per-resource deltas ----------------------------------------------
-    let stalls_a = stalls_by_name(&report_a);
-    let stalls_b = stalls_by_name(&report_b);
+    let stalls_a = stalls_by_rank(&report_a, &ranks_a, names.len());
+    let stalls_b = stalls_by_rank(&report_b, &ranks_b, names.len());
     // A resource missing from a run is fully idle for that run's makespan,
     // all of it startup/drain: no task ever bound it.
     let synthesized = |makespan_us: u64| ResourceStalls {
@@ -1098,11 +1170,10 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
         by_class: [0, 0, 0, 0, makespan_us],
     };
     let (missing_a, missing_b) = (synthesized(makespan_a_us), synthesized(makespan_b_us));
-    let names: BTreeSet<&str> = stalls_a.keys().chain(stalls_b.keys()).copied().collect();
     let mut resources = Vec::with_capacity(names.len());
-    for name in names {
-        let sa = stalls_a.get(name).copied().unwrap_or(&missing_a);
-        let sb = stalls_b.get(name).copied().unwrap_or(&missing_b);
+    for (rank, name) in names.iter().enumerate() {
+        let sa = stalls_a[rank].unwrap_or(&missing_a);
+        let sb = stalls_b[rank].unwrap_or(&missing_b);
         let mut by_class_delta_us = [0i64; 5];
         for (d, (a, b)) in by_class_delta_us
             .iter_mut()
@@ -1119,7 +1190,7 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
             busy_delta_us: sb.busy_us as i64 - sa.busy_us as i64,
             idle_delta_us: sb.idle_us as i64 - sa.idle_us as i64,
             by_class_delta_us,
-            task_delta_us: task_delta_by_resource.get(name).copied().unwrap_or(0),
+            task_delta_us: task_delta_by_resource[rank],
         };
         debug_assert_eq!(
             delta.task_delta_us, delta.busy_delta_us,
@@ -1139,27 +1210,26 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
     }
 
     // --- Critical-path churn ----------------------------------------------
-    let cp_durs = |report: &AnalysisReport, keys: &[TaskKey<'a>]| -> BTreeMap<TaskKey<'a>, u64> {
-        report
-            .critical_path
-            .iter()
-            .map(|s| (keys[s.task.index()], s.dur_us))
-            .collect()
-    };
-    let cp_a = cp_durs(&report_a, &keys_a);
-    let cp_b = cp_durs(&report_b, &keys_b);
+    // Run A's path durations and run B's path membership per merged key
+    // (a later step of a shared key wins, as in a map keyed by it).
+    let mut cp_a: Vec<Option<u64>> = vec![None; tasks.len()];
+    for step in &report_a.critical_path {
+        cp_a[merged_id_a(step.task)] = Some(step.dur_us);
+    }
+    let mut on_cp_b = vec![false; tasks.len()];
     let mut critical_path = Vec::new();
     for step in &report_b.critical_path {
-        let key = keys_b[step.task.index()];
+        let m = merged_id_b(step.task);
+        on_cp_b[m] = true;
         let dur_b = step.dur_us;
-        let (change, dur_a_us) = match cp_a.get(&key) {
+        let (change, dur_a_us) = match cp_a[m] {
             None => (EdgeChange::Entered, None),
-            Some(&dur_a) if dur_b > dur_a => (EdgeChange::Grew, Some(dur_a)),
-            Some(&dur_a) if dur_b < dur_a => (EdgeChange::Shrank, Some(dur_a)),
-            Some(&dur_a) => (EdgeChange::Unchanged, Some(dur_a)),
+            Some(dur_a) if dur_b > dur_a => (EdgeChange::Grew, Some(dur_a)),
+            Some(dur_a) if dur_b < dur_a => (EdgeChange::Shrank, Some(dur_a)),
+            Some(dur_a) => (EdgeChange::Unchanged, Some(dur_a)),
         };
         critical_path.push(CriticalEdgeDiff {
-            key,
+            key: tasks[m].key,
             kind: step.kind.name(),
             change,
             dur_a_us,
@@ -1168,12 +1238,12 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
         });
     }
     for step in &report_a.critical_path {
-        let key = keys_a[step.task.index()];
-        if cp_b.contains_key(&key) {
+        let m = merged_id_a(step.task);
+        if on_cp_b[m] {
             continue;
         }
         critical_path.push(CriticalEdgeDiff {
-            key,
+            key: tasks[m].key,
             kind: step.kind.name(),
             change: EdgeChange::Left,
             dur_a_us: Some(step.dur_us),
@@ -1559,6 +1629,49 @@ mod tests {
             .map(|t| (t.dur_a_us, t.dur_b_us))
             .collect();
         assert_eq!(durs, vec![(Some(2_000), Some(2_000))]);
+    }
+
+    #[test]
+    fn tag_ranks_follow_tag_names() {
+        let tags = [TaskTag::Generic, TaskTag::OptimizerStep, TaskTag::Eviction];
+        for x in tags {
+            for y in tags {
+                assert_eq!(tag_rank(x).cmp(&tag_rank(y)), x.name().cmp(y.name()));
+            }
+        }
+    }
+
+    #[test]
+    fn resources_sharing_a_name_keep_the_later_step_in_the_churn() {
+        let shared = |durs: [f64; 2]| {
+            let mut sim = Simulator::new();
+            let mut prev = None;
+            for d in durs {
+                let gpu = sim.add_resource("gpu");
+                let mut spec = TaskSpec::compute(gpu, ms(d)).with_label("x");
+                if let Some(p) = prev {
+                    spec = spec.after(p);
+                }
+                prev = Some(sim.add_task(spec).unwrap());
+            }
+            sim.run().unwrap()
+        };
+        // Both steps share one key; run A's later step (3 ms) is the one
+        // run B's steps are compared with.
+        let (a, b) = (shared([1.0, 3.0]), shared([1.0, 2.0]));
+        let diff = diff_analyses(&a, &b);
+        let churn: Vec<_> = diff
+            .critical_path
+            .iter()
+            .map(|e| (e.change, e.dur_a_us, e.dur_b_us))
+            .collect();
+        assert_eq!(
+            churn,
+            vec![
+                (EdgeChange::Shrank, Some(3_000), Some(1_000)),
+                (EdgeChange::Shrank, Some(3_000), Some(2_000)),
+            ]
+        );
     }
 
     #[test]
