@@ -46,11 +46,13 @@ struct Case {
 const CASES: &[Case] = &[
     Case {
         name: "profile",
-        run: Repro(&["profile superoffload --out-dir {dir}"]),
-        check: |dir| {
-            doc(dir, "profile_superoffload.trace.json");
-            doc(dir, "profile_superoffload.json");
-        },
+        // SuperOffload records its own telemetry; ZeRO-Offload's profile is
+        // derived from its trace (`RunProfile::from_trace`).
+        run: Repro(&[
+            "profile superoffload --out-dir {dir}",
+            "profile zero-offload --out-dir {dir}",
+        ]),
+        check: check_profile,
         stable: |_| true,
     },
     Case {
@@ -277,6 +279,19 @@ fn search_figures_keep_their_stdout() {
             line,
             "repro {name}: stdout drifted from golden/stdout.digests:\n{}",
             String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+fn check_profile(dir: &Path) {
+    for system in ["superoffload", "zero-offload"] {
+        let trace = doc(dir, &format!("profile_{system}.trace.json"));
+        let busy = events(&trace, "C").filter(|e| text(e, "name").starts_with("occupancy:"));
+        assert!(busy.count() > 0, "{system}: no link busy track");
+        let snapshot = read(dir, &format!("profile_{system}.json"));
+        assert!(
+            !snapshot.contains("\"active:"),
+            "{system}: the busy signal is in the metrics too"
         );
     }
 }

@@ -24,13 +24,6 @@ use crate::engine::{node_of_resource, TaskKind};
 use crate::telemetry::{JsonArray, JsonWriter, Layout, MetricsRecorder};
 use crate::trace::{Interval, Trace};
 
-/// Whether a resource name denotes a link (a transfer or fabric timeline)
-/// for the per-link occupancy counters.
-fn is_link_resource(name: &str) -> bool {
-    let base = name.rsplit('/').next().unwrap_or(name);
-    base.contains("c2c") || base.starts_with("fabric") || base.starts_with("link")
-}
-
 /// Per-resource process id: the node each resource belongs to, so Perfetto
 /// groups every `node<N>/...` row under one process track per node. Bare
 /// (pre-fleet) names stay on pid 0, byte-identical to the old layout.
@@ -185,10 +178,12 @@ fn write_flow_events(events: &mut JsonArray<'_>, trace: &Trace, pids: &[u32]) {
     }
 }
 
-/// Per-link occupancy counters (`"ph":"C"`): a 0/1 `busy` track per link
-/// resource (C2C directions, fabric, pipeline links), toggled at every
-/// interval boundary, so link duty cycles read directly off the trace.
-fn write_link_occupancy_events(
+/// Occupancy counters (`"ph":"C"`): a 0/1 `busy` track for every resource
+/// that ran a transfer or collective (C2C directions, fabric, pipeline
+/// links, NVMe), toggled at every interval boundary on that resource, so
+/// link duty cycles read directly off the trace. This is the trace's only
+/// busy signal: the metrics carry none.
+fn write_occupancy_events(
     events: &mut JsonArray<'_>,
     rows: &[Vec<&Interval>],
     resource_names: &[&str],
@@ -196,7 +191,10 @@ fn write_link_occupancy_events(
 ) {
     let mut edges: Vec<(u64, u8)> = Vec::new();
     for (tid, (name, row)) in resource_names.iter().zip(rows).enumerate() {
-        if !is_link_resource(name) {
+        let moves_data = row
+            .iter()
+            .any(|iv| matches!(iv.kind, TaskKind::Transfer | TaskKind::Collective));
+        if !moves_data {
             continue;
         }
         edges.clear();
@@ -251,9 +249,11 @@ pub fn to_chrome_trace(trace: &Trace, resource_names: &[&str]) -> String {
 /// Serializes a [`Trace`] plus the counter tracks of a [`MetricsRecorder`]
 /// into one Chrome Trace Event JSON array.
 ///
-/// Slice events come first (as in [`to_chrome_trace`]), followed by one
-/// `"ph":"C"` counter event per telemetry sample — so a single file shows
-/// compute/transfer rows alongside memory-occupancy and bandwidth tracks.
+/// Slice events come first (as in [`to_chrome_trace`]), then the 0/1
+/// occupancy track of every resource that ran a transfer or collective,
+/// then one `"ph":"C"` counter event per telemetry sample — so a single
+/// file shows compute/transfer rows alongside link-busy, memory-occupancy
+/// and bandwidth tracks.
 ///
 /// Every counter track is closed with a final sample repeating its last
 /// value at the trace makespan, so Perfetto does not extrapolate the last
@@ -268,7 +268,7 @@ pub fn to_chrome_trace_with_counters(
     event_array(trace.intervals().len(), |events| {
         write_slice_events(events, &rows, resource_names, &pids);
         write_flow_events(events, trace, &pids);
-        write_link_occupancy_events(events, &rows, resource_names, &pids);
+        write_occupancy_events(events, &rows, resource_names, &pids);
         metrics.write_chrome_counter_events(events, 0, trace.makespan_us());
     })
 }
@@ -277,8 +277,10 @@ pub fn to_chrome_trace_with_counters(
 /// aligned, pinned tracks: run A's node `k` becomes process `2k`, run B's
 /// becomes process `2k + 1`, so in Perfetto the two runs' timelines for
 /// the same node sit directly above each other and every resource keeps
-/// an identically named row in both. Counter tracks are attached to each
-/// run's node-0 process and closed at that run's makespan.
+/// an identically named row in both. Each run's occupancy tracks sit on
+/// its own processes, as in [`to_chrome_trace_with_counters`]; its
+/// telemetry counter tracks are attached to its node-0 process and closed
+/// at its makespan.
 ///
 /// This is the visual companion of [`crate::analysis::diff_analyses`]:
 /// scrub one timeline against the other to see exactly where the aligned
@@ -323,7 +325,9 @@ pub fn side_by_side_chrome_trace(
                     });
                 }
             }
-            write_rows(events, &trace.rows(), &names, &pids);
+            let rows = trace.rows();
+            write_rows(events, &rows, &names, &pids);
+            write_occupancy_events(events, &rows, &names, &pids);
             metrics.write_chrome_counter_events(events, side, trace.makespan_us());
         }
     })
@@ -623,8 +627,7 @@ mod tests {
     fn link_occupancy_toggles_per_interval() {
         let (trace, names) = fleet_sample();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let events =
-            records(|e| write_link_occupancy_events(e, &trace.rows(), &refs, &pids(&refs)));
+        let events = records(|e| write_occupancy_events(e, &trace.rows(), &refs, &pids(&refs)));
         // Two fabric resources with one interval each: rise + fall per link.
         assert_eq!(events.len(), 4);
         assert!(events[0].contains(r#""name":"occupancy:fabric","ph":"C","ts":3000"#));
@@ -635,6 +638,27 @@ mod tests {
         for e in &events {
             validate_json(e).unwrap();
         }
+    }
+
+    #[test]
+    fn occupancy_follows_task_kind_not_resource_name() {
+        // `nvme` matches no link name, but it carries transfers: it gets a
+        // busy track; the compute-only `gpu` gets none.
+        let mut sim = Simulator::new();
+        let gpu = sim.add_resource("gpu");
+        let nvme = sim.add_resource("nvme");
+        let a = sim
+            .add_task(TaskSpec::compute(gpu, SimTime::from_millis(1.0)))
+            .unwrap();
+        sim.add_task(TaskSpec::transfer(nvme, SimTime::from_millis(2.0)).after(a))
+            .unwrap();
+        let trace = sim.run().unwrap();
+        let refs = ["gpu", "nvme"];
+        let events = records(|e| write_occupancy_events(e, &trace.rows(), &refs, &pids(&refs)));
+        assert_eq!(events.len(), 2);
+        assert!(events[0].contains(r#""name":"occupancy:nvme","ph":"C","ts":1000"#));
+        assert!(events[0].contains(r#"{"busy":1}"#));
+        assert!(events[1].contains(r#""ts":3000"#) && events[1].contains(r#"{"busy":0}"#));
     }
 
     #[test]
@@ -676,6 +700,12 @@ mod tests {
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 8);
         // No cross-run flow arrows.
         assert!(!json.contains(r#""ph":"s""#));
+        // Each run's fabrics keep their busy tracks, on that run's pids.
+        for pid in 0..4 {
+            let fabric = if pid < 2 { "fabric" } else { "node1/fabric" };
+            let rise = format!(r#""name":"occupancy:{fabric}","ph":"C","ts":3000,"pid":{pid}"#);
+            assert!(json.contains(&rise), "{rise}");
+        }
     }
 
     #[test]

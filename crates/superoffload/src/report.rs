@@ -114,9 +114,10 @@ pub struct RunProfile {
 
 impl RunProfile {
     /// Derives trace-level telemetry from a finished run: `tasks.<kind>`
-    /// counters, `busy-us:`/`util:` gauges per resource, an `active:<name>`
-    /// 0/1 counter track for every resource that carried transfers or
-    /// collectives, and `peak-bytes:<pool>` gauges from the report's peaks.
+    /// counters, `busy-us:`/`util:` gauges per resource, and
+    /// `peak-bytes:<pool>` gauges from the report's peaks. The 0/1 busy
+    /// signal of each transfer resource is not a metric: the Chrome export
+    /// derives it from the trace (see [`RunProfile::chrome_trace_json`]).
     ///
     /// This is the fallback for systems whose builders do not thread a
     /// recorder through the simulation.
@@ -147,16 +148,6 @@ impl RunProfile {
             metrics.set_gauge(&format!("util:{name}"), util);
         }
         metrics.set_gauge("makespan-us", makespan.as_micros());
-        // One `active:` key per resource, built on its first transfer.
-        let mut active: Vec<Option<String>> = vec![None; names.len()];
-        for iv in trace.intervals() {
-            if matches!(iv.kind, TaskKind::Transfer | TaskKind::Collective) {
-                let r = iv.resource.index();
-                let track = active[r].get_or_insert_with(|| format!("active:{}", names[r]));
-                metrics.sample(track, "busy", iv.start, 1.0);
-                metrics.sample(track, "busy", iv.end, 0.0);
-            }
-        }
         for (pool, bytes) in &report.peaks {
             metrics.set_gauge(&format!("peak-bytes:{pool}"), *bytes as f64);
         }
@@ -177,7 +168,9 @@ impl RunProfile {
     }
 
     /// The Perfetto-loadable Chrome trace of this run: `"ph":"X"` slices for
-    /// every task plus `"ph":"C"` counter tracks for every telemetry track.
+    /// every task, an `occupancy:<name>` 0/1 busy track for every resource
+    /// that ran a transfer or collective, and `"ph":"C"` counter tracks for
+    /// every telemetry track.
     pub fn chrome_trace_json(&self) -> String {
         let names: Vec<&str> = self
             .trace
@@ -298,8 +291,17 @@ mod tests {
         assert_eq!(profile.metrics.counter("tasks.transfer"), 1);
         assert_eq!(profile.metrics.gauge("busy-us:gpu"), Some(2000.0));
         assert_eq!(profile.metrics.gauge("peak-bytes:hbm"), Some(42.0));
-        let active = profile.metrics.track("active:link").unwrap();
-        assert_eq!(active.samples, vec![(2000, 1.0), (3000, 0.0)]);
+        // The link's busy signal lives in the Chrome export only.
+        assert!(profile.metrics.track("active:link").is_none());
+        let json = profile.chrome_trace_json();
+        let busy: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains(r#""name":"occupancy:link","ph":"C""#))
+            .collect();
+        assert_eq!(busy.len(), 2, "{json}");
+        assert!(busy[0].contains(r#""ts":2000"#) && busy[0].contains(r#"{"busy":1}"#));
+        assert!(busy[1].contains(r#""ts":3000"#) && busy[1].contains(r#"{"busy":0}"#));
+        assert!(!json.contains("occupancy:gpu"));
     }
 
     #[test]
