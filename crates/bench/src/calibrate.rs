@@ -15,7 +15,11 @@
 //! to `1` (always eligible), isolating the one dispatch decision under
 //! test. The probe kernel then runs over a geometric work ladder twice —
 //! under `with_threads(1)` and `with_threads(0)` — and the crossover is
-//! the smallest work size where the parallel run is ≥5% faster. The scope
+//! the smallest work size where the parallel run is ≥5% faster *and*
+//! actually forked: a scoped [`Recorder`] counts the parallel regions the
+//! rung opened, so a rung the kernel runs serially under both settings
+//! (an optimizer step that fits one tile, say) is never credited with a
+//! timing wobble. The scope
 //! ends with the probe, so neither the caller's pool nor any other
 //! thread's ever sees the pinned thresholds; and since thresholds only
 //! pick between bit-identical execution strategies, the probes can never
@@ -39,7 +43,7 @@ use superchip_sim::telemetry::{JsonWriter, Layout};
 use tensorlite::ops;
 use tensorlite::pool::{hardware_threads, with_threads};
 use tensorlite::tensor::GEMM_NR;
-use tensorlite::{KernelFamily, Pool, Tensor, XorShiftRng};
+use tensorlite::{KernelFamily, Pool, Recorder, StoragePrecision, Tensor, XorShiftRng};
 
 /// One timed point on a family's work ladder.
 #[derive(Debug, Clone, Copy)]
@@ -51,6 +55,9 @@ pub struct CalibrationPoint {
     pub serial_secs: f64,
     /// Best-of-reps seconds under all workers.
     pub parallel_secs: f64,
+    /// Whether the run under all workers opened a parallel region. A rung
+    /// that did not can count toward no crossover.
+    pub went_parallel: bool,
 }
 
 impl CalibrationPoint {
@@ -69,7 +76,8 @@ pub struct FamilyCalibration {
     pub default_threshold: usize,
     /// The caller's threshold ([`Pool::current`]) when the probe ran.
     pub effective_threshold: usize,
-    /// Smallest ladder work where parallel beat serial by ≥5%, if any.
+    /// Smallest ladder work where parallel forked and beat serial by ≥5%,
+    /// if any.
     pub crossover_work: Option<usize>,
     /// The timed ladder, ascending by work.
     pub points: Vec<CalibrationPoint>,
@@ -122,7 +130,8 @@ impl Calibration {
                                         points.object(Layout::Inline, |o| {
                                             o.num("work", p.work)
                                                 .fixed("serial_secs", p.serial_secs, 9)
-                                                .fixed("parallel_secs", p.parallel_secs, 9);
+                                                .fixed("parallel_secs", p.parallel_secs, 9)
+                                                .bool("went_parallel", p.went_parallel);
                                         });
                                     }
                                 });
@@ -292,22 +301,28 @@ fn probe_family(family: KernelFamily, max_work: usize, reps: u32) -> FamilyCalib
     let mut target = 2_048usize;
     while target <= max_work {
         let (work, mut op) = probe_op(family, target);
-        let (serial_secs, parallel_secs) = pinned.scope(|| {
-            (
-                with_threads(1, || best_of(reps, &mut op)),
-                with_threads(0, || best_of(reps, &mut op)),
-            )
+        // Both runs record, so both carry the ledger's cost; only the
+        // parallel one can fork.
+        let recorder = Recorder::new(StoragePrecision::F32);
+        let (serial_secs, parallel_secs) = recorder.scope(|| {
+            pinned.scope(|| {
+                (
+                    with_threads(1, || best_of(reps, &mut op)),
+                    with_threads(0, || best_of(reps, &mut op)),
+                )
+            })
         });
         points.push(CalibrationPoint {
             work,
             serial_secs,
             parallel_secs,
+            went_parallel: recorder.snapshot().pool_parallel_regions > 0,
         });
         target *= 4;
     }
     let crossover_work = points
         .iter()
-        .find(|p| p.speedup() >= CROSSOVER_MARGIN)
+        .find(|p| p.went_parallel && p.speedup() >= CROSSOVER_MARGIN)
         .map(|p| p.work);
 
     FamilyCalibration {
@@ -482,6 +497,22 @@ mod tests {
         for f in KernelFamily::ALL {
             assert!(json.contains(&format!("\"name\": \"{}\"", f.name())));
         }
+    }
+
+    #[test]
+    fn optimizer_rungs_below_two_tiles_never_count_as_a_crossover() {
+        let _cpu = crate::cpu_heavy_test_guard();
+        // Rungs of 170, 682, 2,730 and 10,922 parameters. `GraceAdam`
+        // gives each shard at least one tile, so a step below two tiles
+        // runs serially under every thread count.
+        let cal = probe_family(KernelFamily::Optimizer, 131_072, 1);
+        let two_tiles = 2 * GraceAdam::default().tile * ADAM_FLOPS_PER_PARAM as usize;
+        assert_eq!(cal.points.len(), 4);
+        for p in &cal.points {
+            let can_fork = p.work >= two_tiles && hardware_threads() > 1;
+            assert_eq!(p.went_parallel, can_fork, "rung at {} work", p.work);
+        }
+        assert!(cal.crossover_work.is_none_or(|w| w >= two_tiles));
     }
 
     #[test]

@@ -306,6 +306,31 @@ fn norm_from_partials(partials: &[f64]) -> f64 {
     partials.iter().sum::<f64>().sqrt()
 }
 
+/// Sync's validation in one serial pass per bucket, in ascending order:
+/// checks every gradient is finite, undoes the loss scale in place, and
+/// sums the unscaled squares in f64 in the order [`sum_of_squares`] adds
+/// them, so each partial is bit-identical to unscaling first and summing
+/// after. `None` when a gradient is non-finite (the loss-scale round-trip
+/// baked an overflow in); the caller then drops the gradients.
+fn unscale_and_square(grads: &mut [f32], scale: f32, buckets: usize) -> Option<Vec<f64>> {
+    let inv = 1.0 / scale;
+    let ranges = bucket_ranges(grads.len(), buckets);
+    let mut partials = Vec::with_capacity(ranges.len());
+    for r in ranges {
+        let (mut finite, mut sum) = (true, 0.0f64);
+        for g in &mut grads[r] {
+            finite &= g.is_finite();
+            *g *= inv;
+            sum += f64::from(*g) * f64::from(*g);
+        }
+        if !finite {
+            return None;
+        }
+        partials.push(sum);
+    }
+    Some(partials)
+}
+
 /// Undoes the loss scale in place.
 fn unscale(grads: &mut [f32], scale: f32) {
     let inv = 1.0 / scale;
@@ -575,18 +600,13 @@ impl Engine {
     fn sync_step(&mut self, loss: f32, mut grads: Vec<f32>, scale: f32) -> StepOutcome {
         // The round-trip already baked any overflow into the values as ±inf.
         let validate_from = Instant::now();
-        if grads.iter().any(|g| !g.is_finite()) {
+        let Some(partials) = unscale_and_square(&mut grads, scale, self.cfg.buckets) else {
             self.spans.validate.record(validate_from);
             // Nothing was speculated, so the "rollback" is purely logical.
             self.spans.rollback.bump();
             return self.skip(loss);
-        }
+        };
         self.last_scale_event = self.scaler.update_with(false);
-        unscale(&mut grads, scale);
-        let partials: Vec<f64> = bucket_ranges(grads.len(), self.cfg.buckets)
-            .into_iter()
-            .map(|r| sum_of_squares(&grads[r]))
-            .collect();
         let norm = norm_from_partials(&partials);
         let factor = clip_factor(norm, self.cfg.max_grad_norm);
         self.spans.validate.record(validate_from);
@@ -780,6 +800,37 @@ mod tests {
         }
         assert!(clipped > 0, "clip threshold never triggered");
         assert_eq!(stv.stats().clip_rollbacks as usize, clipped);
+    }
+
+    #[test]
+    fn one_pass_validation_matches_the_three_passes() {
+        let mut rng = tensorlite::XorShiftRng::new(5);
+        let mut grads: Vec<f32> = (0..1_003).map(|_| rng.normal() * 1e3).collect();
+        grads[10] = 0.0;
+        grads[11] = -0.0;
+        let scale = 1024.0;
+        for buckets in [1, 4, 7] {
+            let mut folded = grads.clone();
+            let partials = unscale_and_square(&mut folded, scale, buckets).unwrap();
+            let mut apart = grads.clone();
+            unscale(&mut apart, scale);
+            let expected: Vec<u64> = bucket_ranges(apart.len(), buckets)
+                .into_iter()
+                .map(|r| sum_of_squares(&apart[r]).to_bits())
+                .collect();
+            let bits: Vec<u64> = partials.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(bits, expected, "{buckets} buckets");
+            let same = folded
+                .iter()
+                .zip(&apart)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "unscaled gradients differ at {buckets} buckets");
+        }
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut g = grads.clone();
+            g[900] = bad;
+            assert!(unscale_and_square(&mut g, scale, 4).is_none(), "{bad}");
+        }
     }
 
     #[test]
