@@ -29,7 +29,7 @@
 //! the attribution invariants hold exactly, not within epsilon.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -983,85 +983,128 @@ fn tag_rank(tag: TaskTag) -> u8 {
     }
 }
 
-/// One task of a trace under its alignment key.
-#[derive(Clone, Copy)]
-struct AlignedTask<'a> {
-    /// Rank of the key's resource among both runs' names.
-    resource: u32,
-    /// [`tag_rank`] of the key's tag.
-    tag: u8,
-    key: TaskKey<'a>,
-    kind: &'static str,
-    dur_us: u64,
+/// Name-order ranks shared by the two runs of a diff. A resource's rank is
+/// its name's position among both runs' resource names, and a task's
+/// label rank is its label's position among both runs' labels. Comparing
+/// ranks compares the strings they stand for, so keys of ranks sort as
+/// [`TaskKey`]s do without comparing a string.
+struct Ranks<'a> {
+    /// Both runs' resource names, sorted and deduplicated.
+    names: Vec<&'a str>,
+    /// Per run, the rank of each resource, by resource index.
+    resources: [Vec<u32>; 2],
+    /// Per run, the rank of each task's label, by task index.
+    labels: [Vec<u32>; 2],
 }
 
-impl AlignedTask<'_> {
-    /// Key order: the ranks stand in for the names they were assigned
-    /// from, so this is `TaskKey`'s order without comparing names.
-    fn order(&self, other: &Self) -> Ordering {
-        (self.resource, self.tag, self.key.label, self.key.occurrence).cmp(&(
-            other.resource,
-            other.tag,
-            other.key.label,
-            other.key.occurrence,
-        ))
+impl<'a> Ranks<'a> {
+    fn new(traces: [&'a Trace; 2]) -> Self {
+        let mut names: Vec<&'a str> = traces
+            .iter()
+            .flat_map(|t| t.resource_names())
+            .map(String::as_str)
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        let resources = traces.map(|t| {
+            t.resource_names()
+                .iter()
+                .map(|n| names.binary_search(&n.as_str()).expect("a listed name") as u32)
+                .collect()
+        });
+        // One id per distinct label in first-seen order, then each id's
+        // rank in label order: the sort compares distinct labels only.
+        let mut ids: HashMap<&'a str, u32> = HashMap::new();
+        let mut distinct: Vec<&'a str> = Vec::new();
+        let first_seen = traces.map(|t| {
+            t.intervals()
+                .iter()
+                .map(|iv| {
+                    *ids.entry(iv.label.as_str()).or_insert_with(|| {
+                        distinct.push(iv.label.as_str());
+                        (distinct.len() - 1) as u32
+                    })
+                })
+                .collect::<Vec<u32>>()
+        });
+        let mut by_label: Vec<u32> = (0..distinct.len() as u32).collect();
+        by_label.sort_unstable_by_key(|&id| distinct[id as usize]);
+        let mut rank = vec![0u32; distinct.len()];
+        for (r, &id) in by_label.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let labels = first_seen.map(|ids| ids.into_iter().map(|id| rank[id as usize]).collect());
+        Ranks {
+            names,
+            resources,
+            labels,
+        }
     }
 }
 
-/// Aligns every task of `trace` to a [`TaskKey`], given the name rank of
-/// each of its resources. Returns the tasks sorted strictly by key and, per
-/// task id, the position of that task's key among them.
-fn index_tasks<'a>(trace: &'a Trace, ranks: &[u32]) -> (Vec<AlignedTask<'a>>, Vec<u32>) {
-    let names = trace.resource_names();
+/// A task's alignment key in ranks, `(resource, tag, label, occurrence)`:
+/// it orders as the task's [`TaskKey`] does.
+type RankKey = (u32, u8, u32, u32);
+
+/// One task of a trace under its alignment key.
+#[derive(Clone, Copy)]
+struct AlignedTask<'a> {
+    key: RankKey,
+    iv: &'a Interval,
+}
+
+/// Aligns every task of `trace` to its key, given the rank of each of its
+/// resources (by resource index) and labels (by task index). Returns the
+/// tasks sorted strictly by key and, per task id, the position of that
+/// task's key among them.
+fn index_tasks<'a>(
+    trace: &'a Trace,
+    resources: &[u32],
+    labels: &[u32],
+) -> (Vec<AlignedTask<'a>>, Vec<u32>) {
     // Rows are in start order, so the row-major sequence number `seq`
     // orders a resource's tasks by start: sorting on (resource, tag, label,
     // seq) lines up each triple's tasks in start order, and the occurrence
     // index is the rank within that run.
-    let mut grouped: Vec<(u32, u8, &str, usize, usize, &Interval)> = trace
+    let mut grouped: Vec<(RankKey, u32, &Interval)> = trace
         .rows()
         .into_iter()
         .enumerate()
         .flat_map(|(r, row)| row.into_iter().map(move |iv| (r, iv)))
         .enumerate()
-        .map(|(seq, (r, iv))| (ranks[r], tag_rank(iv.tag), iv.label.as_str(), seq, r, iv))
+        .map(|(seq, (r, iv))| {
+            let label = labels[iv.task.index()];
+            let key = (resources[r], tag_rank(iv.tag), label, seq as u32);
+            (key, r as u32, iv)
+        })
         .collect();
-    grouped.sort_unstable_by(|x, y| (x.0, x.1, x.2, x.3).cmp(&(y.0, y.1, y.2, y.3)));
+    grouped.sort_unstable_by_key(|&(key, _, _)| key);
     let mut tasks = Vec::with_capacity(grouped.len());
     let mut occurrence = 0;
-    for (i, &(resource, tag, label, _, r, iv)) in grouped.iter().enumerate() {
+    for (i, &((resource, tag, label, _), r, iv)) in grouped.iter().enumerate() {
         let same_run = i > 0 && {
-            let (pr, pt, pl, _, prow, _) = grouped[i - 1];
+            let ((pr, pt, pl, _), prow, _) = grouped[i - 1];
             (pr, pt, pl, prow) == (resource, tag, label, r)
         };
         occurrence = if same_run { occurrence + 1 } else { 0 };
-        let key = TaskKey {
-            resource: names[r].as_str(),
-            tag: iv.tag.name(),
-            label,
-            occurrence,
-        };
-        let task = AlignedTask {
-            resource,
-            tag,
-            key,
-            kind: iv.kind.name(),
-            dur_us: iv.duration_us(),
-        };
-        tasks.push((task, iv.task));
+        tasks.push(AlignedTask {
+            key: (resource, tag, label, occurrence),
+            iv,
+        });
     }
     // Resources that share a name yield equal keys: the later resource's
     // task wins, as it would in a map keyed by `TaskKey`, and every task
     // of the key points at the survivor. The sort is a linear pass when
     // names are unique.
-    tasks.sort_by(|(x, _), (y, _)| x.order(y));
+    tasks.sort_by_key(|t| t.key);
     let mut kept: Vec<AlignedTask<'a>> = Vec::with_capacity(tasks.len());
     let mut pos = vec![u32::MAX; trace.intervals().len()];
-    for (t, id) in tasks {
+    for t in tasks {
         match kept.last_mut() {
-            Some(last) if last.order(&t) == Ordering::Equal => *last = t,
+            Some(last) if last.key == t.key => *last = t,
             _ => kept.push(t),
         }
-        pos[id.index()] = (kept.len() - 1) as u32;
+        pos[t.iv.task.index()] = (kept.len() - 1) as u32;
     }
     debug_assert!(
         pos.iter().all(|&p| p != u32::MAX),
@@ -1096,28 +1139,13 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
     let makespan_b_us = report_b.makespan_us;
     let makespan_delta_us = makespan_b_us as i64 - makespan_a_us as i64;
 
-    // Every resource name of either run, in name order: a resource's rank
-    // is its name's position here, so ranks compare as names do.
-    let mut names: Vec<&'a str> = trace_a
-        .resource_names()
-        .iter()
-        .chain(trace_b.resource_names())
-        .map(String::as_str)
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    let ranks = |trace: &Trace| -> Vec<u32> {
-        trace
-            .resource_names()
-            .iter()
-            .map(|n| names.binary_search(&n.as_str()).expect("a listed name") as u32)
-            .collect()
-    };
-    let (ranks_a, ranks_b) = (ranks(trace_a), ranks(trace_b));
-
     // --- Task alignment ---------------------------------------------------
-    let (tasks_a, pos_a) = index_tasks(trace_a, &ranks_a);
-    let (tasks_b, pos_b) = index_tasks(trace_b, &ranks_b);
+    let ranks = Ranks::new([trace_a, trace_b]);
+    let [res_a, res_b] = &ranks.resources;
+    let [labels_a, labels_b] = &ranks.labels;
+    let (tasks_a, pos_a) = index_tasks(trace_a, res_a, labels_a);
+    let (tasks_b, pos_b) = index_tasks(trace_b, res_b, labels_b);
+    let names = &ranks.names;
     let mut tasks = Vec::with_capacity(tasks_a.len().max(tasks_b.len()));
     let mut task_delta_by_resource = vec![0i64; names.len()];
     // Each side's key position -> its entry in the merged `tasks`.
@@ -1127,7 +1155,7 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
     let (mut i, mut j) = (0, 0);
     while i < tasks_a.len() || j < tasks_b.len() {
         let order = match (tasks_a.get(i), tasks_b.get(j)) {
-            (Some(a), Some(b)) => a.order(b),
+            (Some(a), Some(b)) => a.key.cmp(&b.key),
             (Some(_), None) => Ordering::Less,
             _ => Ordering::Greater,
         };
@@ -1143,13 +1171,19 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
             merged_b.push(m);
         }
         let t = b.or(a).expect("the merge takes at least one side");
-        let dur_a_us = a.map(|t| t.dur_us);
-        let dur_b_us = b.map(|t| t.dur_us);
+        let dur_a_us = a.map(|t| t.iv.duration_us());
+        let dur_b_us = b.map(|t| t.iv.duration_us());
         let delta_us = dur_b_us.unwrap_or(0) as i64 - dur_a_us.unwrap_or(0) as i64;
-        task_delta_by_resource[t.resource as usize] += delta_us;
+        let (resource, _, _, occurrence) = t.key;
+        task_delta_by_resource[resource as usize] += delta_us;
         tasks.push(TaskDelta {
-            key: t.key,
-            kind: t.kind,
+            key: TaskKey {
+                resource: names[resource as usize],
+                tag: t.iv.tag.name(),
+                label: &t.iv.label,
+                occurrence,
+            },
+            kind: t.iv.kind.name(),
             dur_a_us,
             dur_b_us,
             delta_us,
@@ -1159,8 +1193,8 @@ pub fn diff_analyses<'a>(trace_a: &'a Trace, trace_b: &'a Trace) -> AnalysisDiff
     let merged_id_b = |t: TaskId| merged_b[pos_b[t.index()] as usize] as usize;
 
     // --- Per-resource deltas ----------------------------------------------
-    let stalls_a = stalls_by_rank(&report_a, &ranks_a, names.len());
-    let stalls_b = stalls_by_rank(&report_b, &ranks_b, names.len());
+    let stalls_a = stalls_by_rank(&report_a, res_a, names.len());
+    let stalls_b = stalls_by_rank(&report_b, res_b, names.len());
     // A resource missing from a run is fully idle for that run's makespan,
     // all of it startup/drain: no task ever bound it.
     let synthesized = |makespan_us: u64| ResourceStalls {
