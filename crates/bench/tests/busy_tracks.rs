@@ -7,12 +7,16 @@
 //! ran a transfer or collective interval, and none for any other resource.
 //! Each track's toggles are that resource's interval edges in start order,
 //! so at a back-to-back boundary the falling edge comes before the rising
-//! one. The metrics carry no second copy of the signal.
+//! one. The metrics carry no second copy of the signal. ZeRO-Infinity with
+//! its NVMe tier joins the registry's systems: its `nvme` resource carries
+//! transfers but has no link-like name.
 
 use std::collections::BTreeMap;
 
 use baselines::common::single_chip_cluster;
 use baselines::standard_registry;
+use baselines::zero_infinity::{NvmeTier, ZeroInfinity};
+use baselines::OffloadSystem;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
 use superchip_sim::presets;
@@ -88,12 +92,19 @@ fn expected_tracks(profile: &RunProfile) -> BTreeMap<String, Vec<(u64, u64)>> {
 fn every_transfer_resource_has_exactly_one_busy_track() {
     let registry = standard_registry();
     assert_eq!(registry.len(), 10, "registry grew; extend this grid");
-    let mut checked = 0;
+    let with_nvme = ZeroInfinity {
+        nvme: Some(NvmeTier::default()),
+    };
+    let systems: Vec<(&str, &dyn OffloadSystem)> = registry
+        .iter()
+        .map(|s| (s.name(), s))
+        .chain([("zero-infinity+nvme", &with_nvme as &dyn OffloadSystem)])
+        .collect();
+    let (mut checked, mut nvme_tracks) = (0, 0);
     for (cluster, ranks, model, batch) in presets() {
         let model_cfg = ModelConfig::by_name(model).expect("Appendix-A size");
         let workload = Workload::new(model_cfg, batch, SEQ);
-        for sys in registry.iter() {
-            let name = sys.name();
+        for &(name, sys) in &systems {
             let Ok(profile) = sys.simulate_profiled(&cluster, ranks, &workload) else {
                 continue;
             };
@@ -122,8 +133,13 @@ fn every_transfer_resource_has_exactly_one_busy_track() {
                     assert_ne!(pair[0].1, pair[1].1, "{at}: {resource} repeats a level");
                 }
             }
+            nvme_tracks += usize::from(actual.contains_key("nvme"));
             checked += 1;
         }
     }
     assert!(checked >= 20, "only {checked} feasible runs checked");
+    assert!(
+        nvme_tracks > 0,
+        "no run exercised a non-link transfer resource"
+    );
 }

@@ -7,7 +7,8 @@
 //! (`"ph": "s"`/`"f"`) drawing arrows from each collective's dependencies
 //! into the collective, and — via [`to_chrome_trace_with_counters`] —
 //! counter (`"ph": "C"`) tracks for memory occupancy, link bandwidth,
-//! queueing delay, and per-link 0/1 occupancy. Load the output in Perfetto
+//! queueing delay, and the 0/1 occupancy of every resource that moves
+//! data. Load the output in Perfetto
 //! to inspect a schedule visually — the reproduction's equivalent of the
 //! paper's timeline figures (Fig. 3, Fig. 8) with the memory/bandwidth
 //! plots of Fig. 10–13 attached; on a multi-node trace the flow arrows run

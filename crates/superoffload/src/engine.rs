@@ -808,8 +808,8 @@ mod tests {
         let mut grads: Vec<f32> = (0..1_003).map(|_| rng.normal() * 1e3).collect();
         grads[10] = 0.0;
         grads[11] = -0.0;
-        let scale = 1024.0;
-        for buckets in [1, 4, 7] {
+        // A power-of-two scale unscales exactly; 3000 rounds.
+        for (scale, buckets) in [(1024.0, 1), (1024.0, 4), (3000.0, 1), (3000.0, 7)] {
             let mut folded = grads.clone();
             let partials = unscale_and_square(&mut folded, scale, buckets).unwrap();
             let mut apart = grads.clone();
@@ -819,17 +819,17 @@ mod tests {
                 .map(|r| sum_of_squares(&apart[r]).to_bits())
                 .collect();
             let bits: Vec<u64> = partials.iter().map(|p| p.to_bits()).collect();
-            assert_eq!(bits, expected, "{buckets} buckets");
+            assert_eq!(bits, expected, "scale {scale}, {buckets} buckets");
             let same = folded
                 .iter()
                 .zip(&apart)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "unscaled gradients differ at {buckets} buckets");
+            assert!(same, "unscaled gradients differ at scale {scale}");
         }
         for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
             let mut g = grads.clone();
             g[900] = bad;
-            assert!(unscale_and_square(&mut g, scale, 4).is_none(), "{bad}");
+            assert!(unscale_and_square(&mut g, 1024.0, 4).is_none(), "{bad}");
         }
     }
 
