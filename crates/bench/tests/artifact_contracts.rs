@@ -10,9 +10,10 @@
 //! into the cwd, so their cases build the documents through the library.
 //! The cases run one after another in one test; each run records into its
 //! own scoped `tensorlite::Recorder` (DESIGN.md §24), so none depends on
-//! that order. The printed tables of `repro fig10` and `repro bucket-sweep`,
-//! both fed by the §4.3 retention search, are pinned as well: a second test
-//! runs the `repro` binary and compares each stdout with its FNV-1a row in
+//! that order. The printed tables of the cheap simulated experiments
+//! (`fig4`, `fig10`, `fig11`, `fig15`, `table2`, `bucket-sweep`, `numa`,
+//! `pipeline`, `systems`) are pinned as well: a second test runs the
+//! `repro` binary and compares each stdout with its FNV-1a row in
 //! `golden/stdout.digests`.
 
 use std::path::Path;
@@ -261,7 +262,8 @@ fn artifacts_keep_their_contracts() {
     );
 }
 
-/// `experiment length digest` rows: the stdout of `repro <experiment>`.
+/// `experiment length digest` rows: the stdout of `repro <experiment>`, one
+/// per cheap simulated figure or table.
 const STDOUT_DIGESTS: &str = include_str!("golden/stdout.digests");
 
 #[test]
