@@ -1,33 +1,4 @@
 //! Shared helpers for baseline schedule builders.
 
-use superchip_sim::prelude::*;
-
-/// Wraps a single Superchip as a degenerate one-node, one-chip cluster so
-/// single-chip and multi-chip experiments share one code path.
-pub fn single_chip_cluster(chip: &ChipSpec) -> ClusterSpec {
-    ClusterSpec {
-        node: NodeSpec {
-            chip: chip.clone(),
-            chip_count: 1,
-            intra_link: superchip_sim::presets::nvlink_gpu(),
-        },
-        node_count: 1,
-        inter_link: superchip_sim::presets::slingshot11(),
-    }
-}
-
 /// Standard simulation iteration count for steady-state measurement.
 pub const ITERATIONS: u32 = 4;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use superchip_sim::presets;
-
-    #[test]
-    fn single_chip_cluster_has_one_gpu() {
-        let c = single_chip_cluster(&presets::gh200_chip());
-        assert_eq!(c.total_gpus(), 1);
-        assert_eq!(c.node.chip.name, "GH200");
-    }
-}

@@ -16,7 +16,7 @@ use superoffload::casting::CastPlacement;
 use superoffload::costs::{ComputeTimes, OptimizerImpl, OP_OVERHEAD_FRAMEWORK};
 use superoffload::fleet::FleetCtx;
 use superoffload::report::TrainReport;
-use superoffload::system::{collapse, split_batch, Infeasible, IterationBuilder, OffloadSystem};
+use superoffload::system::{split_batch, Infeasible, IterationBuilder, OffloadSystem};
 
 use crate::common::ITERATIONS;
 
@@ -29,149 +29,139 @@ impl OffloadSystem for FsdpOffload {
         "fsdp-offload"
     }
 
+    /// Simulates FSDP-CPU-Offload on `ranks` GPUs.
     fn simulate_traced(
         &self,
         cluster: &ClusterSpec,
         ranks: u32,
         workload: &Workload,
     ) -> Result<(TrainReport, Trace), Infeasible> {
-        simulate_traced(cluster, ranks, workload)
-    }
-}
+        let lease = FleetCtx::new(cluster).lease(0)?;
+        let chip = lease.chip();
+        let coll = lease.collective(ranks)?;
+        let params = workload.config.param_count();
+        let states = ModelStateMemory::for_params(params);
+        let n = ranks as u64;
+        let layers = workload.config.layers.max(1);
 
-/// Simulates FSDP-CPU-Offload on `ranks` GPUs.
-pub fn simulate(cluster: &ClusterSpec, ranks: u32, workload: &Workload) -> TrainReport {
-    collapse(simulate_traced(cluster, ranks, workload), "fsdp-offload")
-}
+        let rank_wl = split_batch(workload, ranks)?;
+        let rank_batch = rank_wl.global_batch;
 
-/// Like [`simulate`], additionally returning the execution trace, or the
-/// structured [`Infeasible`] reason when the workload cannot run.
-pub fn simulate_traced(
-    cluster: &ClusterSpec,
-    ranks: u32,
-    workload: &Workload,
-) -> Result<(TrainReport, Trace), Infeasible> {
-    let system = "fsdp-offload";
-    let lease = FleetCtx::new(cluster).lease(0)?;
-    let chip = lease.chip();
-    let coll = lease.collective(ranks)?;
-    let params = workload.config.param_count();
-    let states = ModelStateMemory::for_params(params);
-    let n = ranks as u64;
-    let layers = workload.config.layers.max(1);
+        let cap = lease.capacity();
+        // GPU: two units' parameters at a time (current + prefetch).
+        let unit_params = params / layers as u64;
+        let gpu_resident = 2 * 2 * unit_params * 2;
+        cap.fit_gpu(gpu_resident)?;
+        let cpu_resident = (states.total()) / n;
+        cap.fit_cpu(cpu_resident)?;
+        let plan = cap.plan(&rank_wl, gpu_resident)?;
 
-    let rank_wl = split_batch(workload, ranks)?;
-    let rank_batch = rank_wl.global_batch;
+        let flops = TrainingFlops::for_iteration(
+            &workload.config,
+            rank_batch,
+            workload.seq,
+            plan.checkpointing,
+        );
+        let compute = ComputeTimes::new(&chip.gpu, &flops, plan.micro_steps());
+        let overhead = SimTime::from_secs(OP_OVERHEAD_FRAMEWORK);
+        // Everything moves through pageable host memory (FSDP CPU offload does
+        // not pin its parameter storage).
+        let cast = CastPlacement::CpuCastMoveFp16Pageable;
+        let shard = |elems: u64| (elems / n).max(1);
 
-    let cap = lease.capacity();
-    // GPU: two units' parameters at a time (current + prefetch).
-    let unit_params = params / layers as u64;
-    let gpu_resident = 2 * 2 * unit_params * 2;
-    cap.fit_gpu(gpu_resident)?;
-    let cpu_resident = (states.total()) / n;
-    cap.fit_cpu(cpu_resident)?;
-    let plan = cap.plan(&rank_wl, gpu_resident)?;
-
-    let flops = TrainingFlops::for_iteration(
-        &workload.config,
-        rank_batch,
-        workload.seq,
-        plan.checkpointing,
-    );
-    let compute = ComputeTimes::new(&chip.gpu, &flops, plan.micro_steps());
-    let overhead = SimTime::from_secs(OP_OVERHEAD_FRAMEWORK);
-    // Everything moves through pageable host memory (FSDP CPU offload does
-    // not pin its parameter storage).
-    let cast = CastPlacement::CpuCastMoveFp16Pageable;
-    let shard = |elems: u64| (elems / n).max(1);
-
-    let mut ctx = lease.ctx();
-    ctx.plan_residency(chip, gpu_resident + plan.activation_bytes, cpu_resident);
-    let mut iters = IterationBuilder::new();
-    for _ in 0..ITERATIONS {
-        let mut chain: Option<TaskId> = iters.prev_gate();
-        for m in 0..plan.micro_steps() {
-            // Per-unit synchronous pipeline: fetch -> compute -> (bwd:
-            // grad out). No overlap: each step waits for the previous.
-            for l in 0..layers {
-                let fetch = ctx.sim.add_task(
-                    TaskSpec::transfer(
-                        ctx.h2d,
-                        chip.c2c.transfer_time_pageable(2 * unit_params) + overhead,
-                    )
-                    .with_indexed_label("unit-fetch-fwd", l)
-                    .tagged(TaskTag::Eviction)
-                    .after_all(chain),
-                )?;
-                let fwd = ctx.sim.add_task(
-                    TaskSpec::compute(ctx.gpu, compute.fwd_per_micro / layers as f64 + overhead)
+        let mut ctx = lease.ctx();
+        ctx.plan_residency(chip, gpu_resident + plan.activation_bytes, cpu_resident);
+        let mut iters = IterationBuilder::new();
+        for _ in 0..ITERATIONS {
+            let mut chain: Option<TaskId> = iters.prev_gate();
+            for m in 0..plan.micro_steps() {
+                // Per-unit synchronous pipeline: fetch -> compute -> (bwd:
+                // grad out). No overlap: each step waits for the previous.
+                for l in 0..layers {
+                    let fetch = ctx.sim.add_task(
+                        TaskSpec::transfer(
+                            ctx.h2d,
+                            chip.c2c.transfer_time_pageable(2 * unit_params) + overhead,
+                        )
+                        .with_indexed_label("unit-fetch-fwd", l)
+                        .tagged(TaskTag::Eviction)
+                        .after_all(chain),
+                    )?;
+                    let fwd = ctx.sim.add_task(
+                        TaskSpec::compute(
+                            ctx.gpu,
+                            compute.fwd_per_micro / layers as f64 + overhead,
+                        )
                         .with_indexed_label("unit-fwd", l)
                         .after(fetch),
-                )?;
-                chain = Some(fwd);
-            }
-            for l in (0..layers).rev() {
-                let fetch = ctx.sim.add_task(
-                    TaskSpec::transfer(
-                        ctx.h2d,
-                        chip.c2c.transfer_time_pageable(2 * unit_params) + overhead,
-                    )
-                    .with_indexed_label("unit-fetch-bwd", l)
-                    .tagged(TaskTag::Eviction)
-                    .after_all(chain),
-                )?;
-                let bwd = ctx.sim.add_task(
-                    TaskSpec::compute(ctx.gpu, compute.bwd_per_micro / layers as f64 + overhead)
+                    )?;
+                    chain = Some(fwd);
+                }
+                for l in (0..layers).rev() {
+                    let fetch = ctx.sim.add_task(
+                        TaskSpec::transfer(
+                            ctx.h2d,
+                            chip.c2c.transfer_time_pageable(2 * unit_params) + overhead,
+                        )
+                        .with_indexed_label("unit-fetch-bwd", l)
+                        .tagged(TaskTag::Eviction)
+                        .after_all(chain),
+                    )?;
+                    let bwd = ctx.sim.add_task(
+                        TaskSpec::compute(
+                            ctx.gpu,
+                            compute.bwd_per_micro / layers as f64 + overhead,
+                        )
                         .with_indexed_label("unit-bwd", l)
                         .after(fetch),
-                )?;
-                let mut dep = bwd;
-                if ranks > 1 && m + 1 == plan.micro_steps() {
-                    dep = ctx.reduce_scatter(
-                        &coll,
-                        2 * unit_params,
-                        overhead,
-                        TaskLabel::indexed("unit-reduce", l),
-                        bwd,
                     )?;
+                    let mut dep = bwd;
+                    if ranks > 1 && m + 1 == plan.micro_steps() {
+                        dep = ctx.reduce_scatter(
+                            &coll,
+                            2 * unit_params,
+                            overhead,
+                            TaskLabel::indexed("unit-reduce", l),
+                            bwd,
+                        )?;
+                    }
+                    let out = ctx.sim.add_task(
+                        TaskSpec::transfer(
+                            ctx.d2h,
+                            cast.one_way_time(chip, shard(unit_params)) + overhead,
+                        )
+                        .with_indexed_label("unit-grad-out", l)
+                        .after(dep),
+                    )?;
+                    chain = Some(out);
                 }
-                let out = ctx.sim.add_task(
-                    TaskSpec::transfer(
-                        ctx.d2h,
-                        cast.one_way_time(chip, shard(unit_params)) + overhead,
-                    )
-                    .with_indexed_label("unit-grad-out", l)
-                    .after(dep),
-                )?;
-                chain = Some(out);
             }
+            // Optimizer: framework-native CPU Adam, one unit at a time on a
+            // single thread, fully serialized behind the backward pass.
+            for l in 0..layers {
+                let step = ctx.sim.add_task(
+                    TaskSpec::compute(
+                        ctx.cpu,
+                        OptimizerImpl::PtCpuSingleThread.step_time(&chip.cpu, shard(unit_params))
+                            + overhead,
+                    )
+                    .with_indexed_label("unit-step", l)
+                    .tagged(TaskTag::OptimizerStep)
+                    .after_all(chain),
+                )?;
+                chain = Some(step);
+            }
+            iters.close(&mut ctx, chain)?;
         }
-        // Optimizer: framework-native CPU Adam, one unit at a time on a
-        // single thread, fully serialized behind the backward pass.
-        for l in 0..layers {
-            let step = ctx.sim.add_task(
-                TaskSpec::compute(
-                    ctx.cpu,
-                    OptimizerImpl::PtCpuSingleThread.step_time(&chip.cpu, shard(unit_params))
-                        + overhead,
-                )
-                .with_indexed_label("unit-step", l)
-                .tagged(TaskTag::OptimizerStep)
-                .after_all(chain),
-            )?;
-            chain = Some(step);
-        }
-        iters.close(&mut ctx, chain)?;
-    }
 
-    let gates = iters.gates().to_vec();
-    ctx.finish(system, &gates, flops.effective(), chip, plan)
+        let gates = iters.gates().to_vec();
+        ctx.finish(self.name(), &gates, flops.effective(), chip, plan)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::single_chip_cluster;
     use llm_model::ModelConfig;
     use superchip_sim::presets;
 
@@ -184,7 +174,7 @@ mod tests {
         // Fig. 10: FSDP-Offload consistently under ~15 TFLOPS.
         let c = single_chip_cluster(&presets::gh200_chip());
         for name in ["5B", "13B"] {
-            let r = simulate(&c, 1, &wl(name, 8));
+            let r = FsdpOffload.simulate(&c, 1, &wl(name, 8));
             assert!(r.feasible(), "{name} should fit");
             assert!(
                 r.tflops < 30.0,
@@ -198,9 +188,9 @@ mod tests {
     fn slowest_of_all_offloaders() {
         let c = single_chip_cluster(&presets::gh200_chip());
         let w = wl("5B", 8);
-        let fsdp = simulate(&c, 1, &w);
-        let zi = crate::zero_infinity::simulate(&c, 1, &w);
-        let zo = crate::zero_offload::simulate(&c, 1, &w);
+        let fsdp = FsdpOffload.simulate(&c, 1, &w);
+        let zi = crate::zero_infinity::ZeroInfinity::default().simulate(&c, 1, &w);
+        let zo = crate::zero_offload::ZeroOffload.simulate(&c, 1, &w);
         assert!(fsdp.tflops < zi.tflops);
         assert!(fsdp.tflops < zo.tflops);
     }
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn gpu_mostly_idle() {
         let c = single_chip_cluster(&presets::gh200_chip());
-        let r = simulate(&c, 1, &wl("5B", 8));
+        let r = FsdpOffload.simulate(&c, 1, &wl("5B", 8));
         assert!(r.gpu_util < 0.5, "util {}", r.gpu_util);
     }
 }

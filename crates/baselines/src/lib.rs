@@ -17,9 +17,10 @@
 //! - [`fsdp_offload`] — PyTorch FSDP with CPU offloading (fully synchronous
 //!   per-unit swapping and a single-threaded native CPU optimizer).
 //!
-//! Every system implements [`superoffload::system::OffloadSystem`] and is
-//! registered in [`registry::standard_registry`], which the experiment
-//! drivers and property tests iterate. Infeasible configurations surface as
+//! Every system implements [`superoffload::system::OffloadSystem`], its
+//! only public entry point, and is registered in
+//! [`registry::standard_registry`], which the experiment drivers and
+//! property tests iterate. Infeasible configurations surface as
 //! typed [`superoffload::system::Infeasible`] reasons rather than a bare
 //! "OOM" report.
 
@@ -37,7 +38,6 @@ pub mod zero;
 pub mod zero_infinity;
 pub mod zero_offload;
 
-pub use common::single_chip_cluster;
 pub use registry::standard_registry;
 pub use superoffload::report::TrainReport;
 pub use superoffload::system::{Infeasible, OffloadSystem, SystemRegistry};

@@ -23,7 +23,7 @@ use superoffload::costs::{gpu_optimizer_time, ComputeTimes, OP_OVERHEAD_TUNED};
 use superoffload::fleet::FleetCtx;
 use superoffload::report::TrainReport;
 use superoffload::schedule::finalize_report;
-use superoffload::system::{collapse, Infeasible, OffloadSystem};
+use superoffload::system::{Infeasible, OffloadSystem};
 
 use crate::common::ITERATIONS;
 
@@ -42,189 +42,177 @@ impl OffloadSystem for Pipeline {
         "pipeline"
     }
 
+    /// Simulates GPipe pipeline parallelism with `stages` == `ranks` GPUs.
+    ///
+    /// The report is per-GPU (effective FLOPs of one stage over the steady
+    /// iteration), comparable with the other baselines.
     fn simulate_traced(
         &self,
         cluster: &ClusterSpec,
-        ranks: u32,
+        stages: u32,
         workload: &Workload,
     ) -> Result<(TrainReport, Trace), Infeasible> {
-        simulate_traced(cluster, ranks, workload)
-    }
-}
+        let lease = FleetCtx::new(cluster).lease(0)?;
+        let chip = lease.chip();
+        let params = workload.config.param_count();
+        let states = ModelStateMemory::for_params(params);
+        // Stage hand-offs are point-to-point (2 endpoints) over whatever link
+        // the `stages`-GPU placement must cross; a single stage has no hops,
+        // so its handle degenerates to one rank.
+        let coll = lease.collective_spanning(stages, stages.min(2))?;
 
-/// Simulates GPipe pipeline parallelism with `stages` == `ranks` GPUs.
-///
-/// The report is per-GPU (effective FLOPs of one stage over the steady
-/// iteration), comparable with the other baselines.
-pub fn simulate(cluster: &ClusterSpec, stages: u32, workload: &Workload) -> TrainReport {
-    collapse(simulate_traced(cluster, stages, workload), "pipeline")
-}
+        // Memory per stage: 1/stages of the model states, plus activations for
+        // the micro-batches in flight (up to `stages` of them at the steady
+        // point of the pipeline).
+        let cap = lease.capacity();
+        let stage_states = states.total() / stages as u64;
+        cap.fit_gpu(stage_states)?;
+        // Choose the micro-batch: smallest unit (1 sequence) maximizes bubble
+        // amortization; check that `stages` in-flight micro-activations fit.
+        let micro_batches = workload.global_batch;
+        let stage_cfg_act = {
+            let mut cfg = workload.config.clone();
+            cfg.layers = (cfg.layers / stages).max(1);
+            ActivationMemory::full(&cfg, 1, workload.seq).bytes
+        };
+        let in_flight = stages.min(micro_batches) as u64;
+        cap.fit_gpu(stage_states + stage_cfg_act * in_flight)?;
+        let plan = ExecutionPlan {
+            micro_batch: 1,
+            accum_steps: micro_batches,
+            checkpointing: false,
+            activation_bytes: stage_cfg_act * in_flight,
+        };
 
-/// Like [`simulate`], additionally returning the execution trace, or the
-/// structured [`Infeasible`] reason when the workload cannot run.
-pub fn simulate_traced(
-    cluster: &ClusterSpec,
-    stages: u32,
-    workload: &Workload,
-) -> Result<(TrainReport, Trace), Infeasible> {
-    let system = "pipeline";
-    let lease = FleetCtx::new(cluster).lease(0)?;
-    let chip = lease.chip();
-    let params = workload.config.param_count();
-    let states = ModelStateMemory::for_params(params);
-    // Stage hand-offs are point-to-point (2 endpoints) over whatever link
-    // the `stages`-GPU placement must cross; a single stage has no hops,
-    // so its handle degenerates to one rank.
-    let coll = lease.collective_spanning(stages, stages.min(2))?;
+        let flops = TrainingFlops::for_iteration(
+            &workload.config,
+            workload.global_batch,
+            workload.seq,
+            false,
+        );
+        // Whole-model compute split per stage and per micro-batch.
+        let compute = ComputeTimes::new(&chip.gpu, &flops, 1);
+        let fwd_chunk = compute.fwd_per_micro / (stages * micro_batches) as f64;
+        let bwd_chunk = compute.bwd_per_micro / (stages * micro_batches) as f64;
+        let overhead = SimTime::from_secs(OP_OVERHEAD_TUNED);
+        // Inter-stage activation hand-off per micro-batch.
+        let hop_bytes = 2 * workload.seq * workload.config.hidden as u64;
+        let hop = coll.link().transfer_time(hop_bytes);
 
-    // Memory per stage: 1/stages of the model states, plus activations for
-    // the micro-batches in flight (up to `stages` of them at the steady
-    // point of the pipeline).
-    let cap = lease.capacity();
-    let stage_states = states.total() / stages as u64;
-    cap.fit_gpu(stage_states)?;
-    // Choose the micro-batch: smallest unit (1 sequence) maximizes bubble
-    // amortization; check that `stages` in-flight micro-activations fit.
-    let micro_batches = workload.global_batch;
-    let stage_cfg_act = {
-        let mut cfg = workload.config.clone();
-        cfg.layers = (cfg.layers / stages).max(1);
-        ActivationMemory::full(&cfg, 1, workload.seq).bytes
-    };
-    let in_flight = stages.min(micro_batches) as u64;
-    cap.fit_gpu(stage_states + stage_cfg_act * in_flight)?;
-    let plan = ExecutionPlan {
-        micro_batch: 1,
-        accum_steps: micro_batches,
-        checkpointing: false,
-        activation_bytes: stage_cfg_act * in_flight,
-    };
+        // Every stage lives in the namespace of the node hosting it, so a
+        // fleet-spanning pipeline shows which side of the fabric each stage
+        // and hand-off link sit on (node 0 keeps bare names).
+        let chips_per_node = cluster.node.chip_count.max(1);
+        let node_of = |stage: u32| stage / chips_per_node;
+        let mut sim = Simulator::new();
+        let gpus: Vec<_> = (0..stages)
+            .map(|s| sim.add_node_resource(node_of(s), format!("gpu{s}")))
+            .collect();
+        let cpu = sim.add_resource("cpu");
+        let links: Vec<_> = (0..stages.saturating_sub(1))
+            .map(|s| sim.add_node_resource(node_of(s), format!("link{s}")))
+            .collect();
 
-    let flops =
-        TrainingFlops::for_iteration(&workload.config, workload.global_batch, workload.seq, false);
-    // Whole-model compute split per stage and per micro-batch.
-    let compute = ComputeTimes::new(&chip.gpu, &flops, 1);
-    let fwd_chunk = compute.fwd_per_micro / (stages * micro_batches) as f64;
-    let bwd_chunk = compute.bwd_per_micro / (stages * micro_batches) as f64;
-    let overhead = SimTime::from_secs(OP_OVERHEAD_TUNED);
-    // Inter-stage activation hand-off per micro-batch.
-    let hop_bytes = 2 * workload.seq * workload.config.hidden as u64;
-    let hop = coll.link().transfer_time(hop_bytes);
-
-    // Every stage lives in the namespace of the node hosting it, so a
-    // fleet-spanning pipeline shows which side of the fabric each stage
-    // and hand-off link sit on (node 0 keeps bare names).
-    let chips_per_node = cluster.node.chip_count.max(1);
-    let node_of = |stage: u32| stage / chips_per_node;
-    let mut sim = Simulator::new();
-    let gpus: Vec<_> = (0..stages)
-        .map(|s| sim.add_node_resource(node_of(s), format!("gpu{s}")))
-        .collect();
-    let cpu = sim.add_resource("cpu");
-    let links: Vec<_> = (0..stages.saturating_sub(1))
-        .map(|s| sim.add_node_resource(node_of(s), format!("link{s}")))
-        .collect();
-
-    let mut gates = Vec::new();
-    let mut prev_gate: Option<TaskId> = None;
-    for _ in 0..ITERATIONS {
-        let s = stages as usize;
-        let m = micro_batches as usize;
-        // fwd[stage][micro], bwd[stage][micro]
-        let mut fwd = vec![vec![None::<TaskId>; m]; s];
-        for micro in 0..m {
+        let mut gates = Vec::new();
+        let mut prev_gate: Option<TaskId> = None;
+        for _ in 0..ITERATIONS {
+            let s = stages as usize;
+            let m = micro_batches as usize;
+            // fwd[stage][micro], bwd[stage][micro]
+            let mut fwd = vec![vec![None::<TaskId>; m]; s];
+            for micro in 0..m {
+                for stage in 0..s {
+                    let mut spec = TaskSpec::compute(gpus[stage], fwd_chunk + overhead)
+                        .with_label(format!("fwd[s{stage},m{micro}]"));
+                    if let Some(g) = prev_gate {
+                        spec = spec.after(g);
+                    }
+                    if micro > 0 {
+                        spec = spec.after(fwd[stage][micro - 1].expect("built in order"));
+                    }
+                    if stage > 0 {
+                        let hop_task = sim.add_task(
+                            TaskSpec::transfer(links[stage - 1], hop + overhead)
+                                .with_label(format!("act[s{stage},m{micro}]"))
+                                .after(fwd[stage - 1][micro].expect("built in order")),
+                        )?;
+                        spec = spec.after(hop_task);
+                    }
+                    fwd[stage][micro] = Some(sim.add_task(spec)?);
+                }
+            }
+            // Backward: reverse stage order (GPipe's flush style: backward
+            // starts after all forwards).
+            let mut bwd = vec![vec![None::<TaskId>; m]; s];
+            for micro in 0..m {
+                for rstage in 0..s {
+                    let stage = s - 1 - rstage;
+                    let mut spec = TaskSpec::compute(gpus[stage], bwd_chunk + overhead)
+                        .with_label(format!("bwd[s{stage},m{micro}]"))
+                        .after(fwd[s - 1][m - 1].expect("all forwards built"));
+                    if micro > 0 {
+                        spec = spec.after(bwd[stage][micro - 1].expect("built in order"));
+                    }
+                    if stage + 1 < s {
+                        let hop_task = sim.add_task(
+                            TaskSpec::transfer(links[stage], hop + overhead)
+                                .with_label(format!("grad[s{stage},m{micro}]"))
+                                .after(bwd[stage + 1][micro].expect("built in order")),
+                        )?;
+                        spec = spec.after(hop_task);
+                    }
+                    bwd[stage][micro] = Some(sim.add_task(spec)?);
+                }
+            }
+            // Per-stage optimizer over its parameter shard.
+            let mut iter_end = Vec::new();
             for stage in 0..s {
-                let mut spec = TaskSpec::compute(gpus[stage], fwd_chunk + overhead)
-                    .with_label(format!("fwd[s{stage},m{micro}]"));
-                if let Some(g) = prev_gate {
-                    spec = spec.after(g);
-                }
-                if micro > 0 {
-                    spec = spec.after(fwd[stage][micro - 1].expect("built in order"));
-                }
-                if stage > 0 {
-                    let hop_task = sim.add_task(
-                        TaskSpec::transfer(links[stage - 1], hop + overhead)
-                            .with_label(format!("act[s{stage},m{micro}]"))
-                            .after(fwd[stage - 1][micro].expect("built in order")),
-                    )?;
-                    spec = spec.after(hop_task);
-                }
-                fwd[stage][micro] = Some(sim.add_task(spec)?);
+                let step = sim.add_task(
+                    TaskSpec::compute(
+                        gpus[stage],
+                        gpu_optimizer_time(&chip.gpu, params / stages as u64) + overhead,
+                    )
+                    .with_label(format!("step[s{stage}]"))
+                    .tagged(TaskTag::OptimizerStep)
+                    .after(bwd[stage][m - 1].expect("built in order")),
+                )?;
+                iter_end.push(step);
             }
-        }
-        // Backward: reverse stage order (GPipe's flush style: backward
-        // starts after all forwards).
-        let mut bwd = vec![vec![None::<TaskId>; m]; s];
-        for micro in 0..m {
-            for rstage in 0..s {
-                let stage = s - 1 - rstage;
-                let mut spec = TaskSpec::compute(gpus[stage], bwd_chunk + overhead)
-                    .with_label(format!("bwd[s{stage},m{micro}]"))
-                    .after(fwd[s - 1][m - 1].expect("all forwards built"));
-                if micro > 0 {
-                    spec = spec.after(bwd[stage][micro - 1].expect("built in order"));
-                }
-                if stage + 1 < s {
-                    let hop_task = sim.add_task(
-                        TaskSpec::transfer(links[stage], hop + overhead)
-                            .with_label(format!("grad[s{stage},m{micro}]"))
-                            .after(bwd[stage + 1][micro].expect("built in order")),
-                    )?;
-                    spec = spec.after(hop_task);
-                }
-                bwd[stage][micro] = Some(sim.add_task(spec)?);
-            }
-        }
-        // Per-stage optimizer over its parameter shard.
-        let mut iter_end = Vec::new();
-        for stage in 0..s {
-            let step = sim.add_task(
-                TaskSpec::compute(
-                    gpus[stage],
-                    gpu_optimizer_time(&chip.gpu, params / stages as u64) + overhead,
-                )
-                .with_label(format!("step[s{stage}]"))
-                .tagged(TaskTag::OptimizerStep)
-                .after(bwd[stage][m - 1].expect("built in order")),
+            let gate = sim.add_task(
+                TaskSpec::sync(gpus[0])
+                    .with_label("iter-gate")
+                    .after_all(iter_end),
             )?;
-            iter_end.push(step);
+            prev_gate = Some(gate);
+            gates.push(gate);
         }
-        let gate = sim.add_task(
-            TaskSpec::sync(gpus[0])
-                .with_label("iter-gate")
-                .after_all(iter_end),
-        )?;
-        prev_gate = Some(gate);
-        gates.push(gate);
-    }
 
-    let trace = sim.run()?;
-    // Per-GPU peak: stage 0's resident states plus its in-flight
-    // activations (the static planning quantities — this builder has no
-    // dynamic pool tracking).
-    let peaks = vec![("hbm".to_string(), stage_states + stage_cfg_act * in_flight)];
-    // Per-GPU effective FLOPs: one stage's share.
-    Ok((
-        finalize_report(
-            system,
-            &trace,
-            &gates,
-            gpus[0],
-            cpu,
-            flops.effective() / stages as f64,
-            chip,
-            plan,
-            peaks,
-        ),
-        trace,
-    ))
+        let trace = sim.run()?;
+        // Per-GPU peak: stage 0's resident states plus its in-flight
+        // activations (the static planning quantities — this builder has no
+        // dynamic pool tracking).
+        let peaks = vec![("hbm".to_string(), stage_states + stage_cfg_act * in_flight)];
+        // Per-GPU effective FLOPs: one stage's share.
+        Ok((
+            finalize_report(
+                self.name(),
+                &trace,
+                &gates,
+                gpus[0],
+                cpu,
+                flops.effective() / stages as f64,
+                chip,
+                plan,
+                peaks,
+            ),
+            trace,
+        ))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::single_chip_cluster;
     use llm_model::ModelConfig;
     use superchip_sim::presets;
 
@@ -247,7 +235,7 @@ mod tests {
         // compute phase should be roughly 1 - bubble (optimizer and hops
         // perturb it slightly).
         let cluster = presets::gh200_nvl2_cluster(2);
-        let r = simulate(&cluster, 4, &wl("10B", 8));
+        let r = Pipeline.simulate(&cluster, 4, &wl("10B", 8));
         assert!(r.feasible());
         let expected = 1.0 - bubble_fraction(4, 8);
         assert!(
@@ -262,20 +250,21 @@ mod tests {
     fn pipeline_extends_model_scale_with_stages() {
         let cluster = presets::gh200_nvl2_cluster(2);
         // 15B does not fit one GPU but fits 4 pipeline stages.
-        assert!(!simulate(
-            &single_chip_cluster(&presets::gh200_chip()),
-            1,
-            &wl("15B", 8)
-        )
-        .feasible());
-        assert!(simulate(&cluster, 4, &wl("15B", 8)).feasible());
+        assert!(!Pipeline
+            .simulate(
+                &single_chip_cluster(&presets::gh200_chip()),
+                1,
+                &wl("15B", 8)
+            )
+            .feasible());
+        assert!(Pipeline.simulate(&cluster, 4, &wl("15B", 8)).feasible());
     }
 
     #[test]
     fn more_micro_batches_increase_throughput() {
         let cluster = presets::gh200_nvl2_cluster(2);
-        let small = simulate(&cluster, 4, &wl("10B", 4));
-        let large = simulate(&cluster, 4, &wl("10B", 32));
+        let small = Pipeline.simulate(&cluster, 4, &wl("10B", 4));
+        let large = Pipeline.simulate(&cluster, 4, &wl("10B", 32));
         assert!(small.feasible() && large.feasible());
         assert!(
             large.tflops > small.tflops,
@@ -288,7 +277,7 @@ mod tests {
     #[test]
     fn single_stage_degenerates_to_serial_training() {
         let cluster = single_chip_cluster(&presets::gh200_chip());
-        let r = simulate(&cluster, 1, &wl("3B", 8));
+        let r = Pipeline.simulate(&cluster, 1, &wl("3B", 8));
         assert!(r.feasible());
         assert!(r.gpu_util > 0.9, "no bubble at one stage: {}", r.gpu_util);
     }

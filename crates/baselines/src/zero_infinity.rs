@@ -18,7 +18,7 @@ use superoffload::casting::CastPlacement;
 use superoffload::costs::{pipeline_step_time, ComputeTimes, OptimizerImpl, OP_OVERHEAD_FRAMEWORK};
 use superoffload::fleet::FleetCtx;
 use superoffload::report::TrainReport;
-use superoffload::system::{collapse, split_batch, Infeasible, IterationBuilder, OffloadSystem};
+use superoffload::system::{split_batch, Infeasible, IterationBuilder, OffloadSystem};
 
 use crate::common::ITERATIONS;
 
@@ -65,222 +65,201 @@ impl OffloadSystem for ZeroInfinity {
         "zero-infinity"
     }
 
+    /// Simulates ZeRO-Infinity on `ranks` GPUs, with the NVMe tier for
+    /// optimizer states when `nvme` is set.
     fn simulate_traced(
         &self,
         cluster: &ClusterSpec,
         ranks: u32,
         workload: &Workload,
     ) -> Result<(TrainReport, Trace), Infeasible> {
-        simulate_with_nvme_traced(cluster, ranks, workload, self.nvme)
-    }
-}
+        let lease = FleetCtx::new(cluster).lease(0)?;
+        let chip = lease.chip();
+        let coll = lease.collective(ranks)?;
+        let params = workload.config.param_count();
+        let states = ModelStateMemory::for_params(params);
+        let n = ranks as u64;
 
-/// Simulates ZeRO-Infinity (CPU offload only) on `ranks` GPUs.
-pub fn simulate(cluster: &ClusterSpec, ranks: u32, workload: &Workload) -> TrainReport {
-    simulate_with_nvme(cluster, ranks, workload, None)
-}
+        let rank_wl = split_batch(workload, ranks)?;
+        let rank_batch = rank_wl.global_batch;
 
-/// Simulates ZeRO-Infinity with an optional NVMe tier for optimizer states.
-pub fn simulate_with_nvme(
-    cluster: &ClusterSpec,
-    ranks: u32,
-    workload: &Workload,
-    nvme: Option<NvmeTier>,
-) -> TrainReport {
-    collapse(
-        simulate_with_nvme_traced(cluster, ranks, workload, nvme),
-        "zero-infinity",
-    )
-}
-
-/// Like [`simulate_with_nvme`], additionally returning the execution trace,
-/// or the structured [`Infeasible`] reason when the workload cannot run.
-pub fn simulate_with_nvme_traced(
-    cluster: &ClusterSpec,
-    ranks: u32,
-    workload: &Workload,
-    nvme: Option<NvmeTier>,
-) -> Result<(TrainReport, Trace), Infeasible> {
-    let system = "zero-infinity";
-    let lease = FleetCtx::new(cluster).lease(0)?;
-    let chip = lease.chip();
-    let coll = lease.collective(ranks)?;
-    let params = workload.config.param_count();
-    let states = ModelStateMemory::for_params(params);
-    let n = ranks as u64;
-
-    let rank_wl = split_batch(workload, ranks)?;
-    let rank_batch = rank_wl.global_batch;
-
-    // GPU: only a streaming window + staging. CPU: all model states.
-    let cap = lease.capacity();
-    let window = (states.fp16_params / workload.config.layers.max(1) as u64) * 4;
-    let gpu_resident = window + 4 * INFINITY_BUCKET_BYTES;
-    cap.fit_gpu(gpu_resident)?;
-    // With an NVMe tier the optimizer states (12Ψ) move off the CPU; only
-    // the FP16 parameter mirror and swap buffers stay in DDR.
-    let cpu_resident = match nvme {
-        None => (states.optimizer_states() + states.fp16_params) / n + 4 * INFINITY_BUCKET_BYTES,
-        Some(_) => states.fp16_params / n + 8 * INFINITY_BUCKET_BYTES,
-    };
-    cap.fit_cpu(cpu_resident)?;
-    if let Some(tier) = nvme {
-        let needed = states.optimizer_states() / n;
-        if needed > tier.capacity {
-            return Err(Infeasible::NvmeCapacity {
-                needed,
-                cap: tier.capacity,
-            });
+        // GPU: only a streaming window + staging. CPU: all model states.
+        let cap = lease.capacity();
+        let window = (states.fp16_params / workload.config.layers.max(1) as u64) * 4;
+        let gpu_resident = window + 4 * INFINITY_BUCKET_BYTES;
+        cap.fit_gpu(gpu_resident)?;
+        // With an NVMe tier the optimizer states (12Ψ) move off the CPU; only
+        // the FP16 parameter mirror and swap buffers stay in DDR.
+        let cpu_resident = match self.nvme {
+            None => {
+                (states.optimizer_states() + states.fp16_params) / n + 4 * INFINITY_BUCKET_BYTES
+            }
+            Some(_) => states.fp16_params / n + 8 * INFINITY_BUCKET_BYTES,
+        };
+        cap.fit_cpu(cpu_resident)?;
+        if let Some(tier) = self.nvme {
+            let needed = states.optimizer_states() / n;
+            if needed > tier.capacity {
+                return Err(Infeasible::NvmeCapacity {
+                    needed,
+                    cap: tier.capacity,
+                });
+            }
         }
-    }
-    let plan = cap.plan(&rank_wl, gpu_resident)?;
+        let plan = cap.plan(&rank_wl, gpu_resident)?;
 
-    let flops = TrainingFlops::for_iteration(
-        &workload.config,
-        rank_batch,
-        workload.seq,
-        plan.checkpointing,
-    );
-    let compute = ComputeTimes::new(&chip.gpu, &flops, plan.micro_steps());
-    let overhead = SimTime::from_secs(OP_OVERHEAD_FRAMEWORK);
+        let flops = TrainingFlops::for_iteration(
+            &workload.config,
+            rank_batch,
+            workload.seq,
+            plan.checkpointing,
+        );
+        let compute = ComputeTimes::new(&chip.gpu, &flops, plan.micro_steps());
+        let overhead = SimTime::from_secs(OP_OVERHEAD_FRAMEWORK);
 
-    // Weight streaming cost per pass: the full FP16 parameters move in
-    // PCIe-sized slices, each paying the per-message latency — this is the
-    // small-tensor bandwidth collapse.
-    let slices = states.fp16_params.div_ceil(INFINITY_SLICE_BYTES);
-    // Each slice pays the link latency plus the swap-manager's submission
-    // and completion overhead (two framework ops per slice).
-    let stream_per_pass = (chip.c2c.transfer_time(INFINITY_SLICE_BYTES)
-        + SimTime::from_secs(2.0 * OP_OVERHEAD_FRAMEWORK))
-        * slices as f64;
+        // Weight streaming cost per pass: the full FP16 parameters move in
+        // PCIe-sized slices, each paying the per-message latency — this is the
+        // small-tensor bandwidth collapse.
+        let slices = states.fp16_params.div_ceil(INFINITY_SLICE_BYTES);
+        // Each slice pays the link latency plus the swap-manager's submission
+        // and completion overhead (two framework ops per slice).
+        let stream_per_pass = (chip.c2c.transfer_time(INFINITY_SLICE_BYTES)
+            + SimTime::from_secs(2.0 * OP_OVERHEAD_FRAMEWORK))
+            * slices as f64;
 
-    let buckets = BucketPlan::new(params, INFINITY_BUCKET_BYTES, 0);
-    let cast = CastPlacement::CpuCastMoveFp16Pageable;
-    let shard = |elems: u64| (elems / n).max(1);
+        let buckets = BucketPlan::new(params, INFINITY_BUCKET_BYTES, 0);
+        let cast = CastPlacement::CpuCastMoveFp16Pageable;
+        let shard = |elems: u64| (elems / n).max(1);
 
-    let mut ctx = lease.ctx();
-    let nvme_res = ctx.add_resource("nvme");
-    ctx.plan_residency(chip, gpu_resident + plan.activation_bytes, cpu_resident);
+        let mut ctx = lease.ctx();
+        let nvme_res = ctx.add_resource("nvme");
+        ctx.plan_residency(chip, gpu_resident + plan.activation_bytes, cpu_resident);
 
-    let mut iters = IterationBuilder::new();
-    for _ in 0..ITERATIONS {
-        let mut last: Option<TaskId> = None;
-        let mut arrivals: Vec<(u32, TaskId)> = Vec::new();
-        for m in 0..plan.micro_steps() {
-            let deps: Vec<TaskId> = iters.start_deps().into_iter().chain(last).collect();
-            // Stream weights for forward; partially overlapped (the
-            // prefetcher hides at most half the stream behind compute).
-            let fetch_f = ctx.sim.add_task(
-                TaskSpec::transfer(ctx.h2d, stream_per_pass)
-                    .with_label("weight-stream-fwd")
-                    .tagged(TaskTag::Eviction)
-                    .after_all(deps.iter().copied()),
-            )?;
-            let fwd = ctx.forward(compute.fwd_per_micro + overhead, [fetch_f])?;
-            let fetch_b = ctx.sim.add_task(
-                TaskSpec::transfer(ctx.h2d, stream_per_pass)
-                    .with_label("weight-stream-bwd")
-                    .tagged(TaskTag::Eviction)
-                    .after(fwd),
-            )?;
-            let prev_chunk = ctx.backward_chunks(
-                &buckets,
-                compute.bwd_per_micro,
-                overhead,
-                fetch_b,
-                None,
-                |ctx, bi, elems, chunk| {
-                    if m + 1 == plan.micro_steps() {
-                        let mut dep = chunk;
-                        if ranks > 1 {
-                            dep = ctx.reduce_scatter(
-                                &coll,
-                                2 * elems,
-                                overhead,
-                                TaskLabel::indexed("reduce-scatter", bi),
-                                chunk,
-                            )?;
-                        }
-                        let xfer = ctx.sim.add_task(
-                            TaskSpec::transfer(
-                                ctx.d2h,
-                                cast.one_way_time(chip, shard(elems)) + overhead,
-                            )
-                            .with_indexed_label("grad-out", bi)
-                            .after(dep),
-                        )?;
-                        arrivals.push((bi, xfer));
-                    }
-                    Ok(())
-                },
-            )?;
-            last = Some(prev_chunk);
-        }
-
-        // STE sync, CPU optimizer, parameters stay on the CPU (they
-        // stream in next iteration) — only FP16 shard updates are
-        // written back to CPU-side parameter memory.
-        let all: Vec<TaskId> = arrivals.iter().map(|&(_, t)| t).collect();
-        let norm_sync = ctx.sim.add_task(
-            TaskSpec::compute(
-                ctx.cpu,
-                SimTime::from_secs((4 * shard(params)) as f64 / chip.cpu.mem_bandwidth) + overhead,
-            )
-            .with_label("global-norm-sync")
-            .after_all(all),
-        )?;
-        let mut iter_end: Vec<TaskId> = Vec::new();
-        let mut prev_nvme: Option<TaskId> = None;
-        for &(bi, _) in &arrivals {
-            let elems = shard(buckets.bucket_elems(bi));
-            // NVMe tier: swap this bucket's optimizer states (12 bytes
-            // per element) in from NVMe before the step, back after.
-            let step_dep = if let Some(tier) = nvme {
-                let mut spec =
-                    TaskSpec::transfer(nvme_res, tier.link.transfer_time(12 * elems) + overhead)
-                        .with_indexed_label("nvme-in", bi)
+        let mut iters = IterationBuilder::new();
+        for _ in 0..ITERATIONS {
+            let mut last: Option<TaskId> = None;
+            let mut arrivals: Vec<(u32, TaskId)> = Vec::new();
+            for m in 0..plan.micro_steps() {
+                let deps: Vec<TaskId> = iters.start_deps().into_iter().chain(last).collect();
+                // Stream weights for forward; partially overlapped (the
+                // prefetcher hides at most half the stream behind compute).
+                let fetch_f = ctx.sim.add_task(
+                    TaskSpec::transfer(ctx.h2d, stream_per_pass)
+                        .with_label("weight-stream-fwd")
                         .tagged(TaskTag::Eviction)
-                        .after(norm_sync);
-                if let Some(p) = prev_nvme {
-                    spec = spec.after(p);
-                }
-                ctx.sim.add_task(spec)?
-            } else {
-                norm_sync
-            };
-            let step = ctx.sim.add_task(
+                        .after_all(deps.iter().copied()),
+                )?;
+                let fwd = ctx.forward(compute.fwd_per_micro + overhead, [fetch_f])?;
+                let fetch_b = ctx.sim.add_task(
+                    TaskSpec::transfer(ctx.h2d, stream_per_pass)
+                        .with_label("weight-stream-bwd")
+                        .tagged(TaskTag::Eviction)
+                        .after(fwd),
+                )?;
+                let prev_chunk = ctx.backward_chunks(
+                    &buckets,
+                    compute.bwd_per_micro,
+                    overhead,
+                    fetch_b,
+                    None,
+                    |ctx, bi, elems, chunk| {
+                        if m + 1 == plan.micro_steps() {
+                            let mut dep = chunk;
+                            if ranks > 1 {
+                                dep = ctx.reduce_scatter(
+                                    &coll,
+                                    2 * elems,
+                                    overhead,
+                                    TaskLabel::indexed("reduce-scatter", bi),
+                                    chunk,
+                                )?;
+                            }
+                            let xfer = ctx.sim.add_task(
+                                TaskSpec::transfer(
+                                    ctx.d2h,
+                                    cast.one_way_time(chip, shard(elems)) + overhead,
+                                )
+                                .with_indexed_label("grad-out", bi)
+                                .after(dep),
+                            )?;
+                            arrivals.push((bi, xfer));
+                        }
+                        Ok(())
+                    },
+                )?;
+                last = Some(prev_chunk);
+            }
+
+            // STE sync, CPU optimizer, parameters stay on the CPU (they
+            // stream in next iteration) — only FP16 shard updates are
+            // written back to CPU-side parameter memory.
+            let all: Vec<TaskId> = arrivals.iter().map(|&(_, t)| t).collect();
+            let norm_sync = ctx.sim.add_task(
                 TaskSpec::compute(
                     ctx.cpu,
-                    pipeline_step_time(OptimizerImpl::CpuAdam, &chip.cpu, elems) + overhead,
+                    SimTime::from_secs((4 * shard(params)) as f64 / chip.cpu.mem_bandwidth)
+                        + overhead,
                 )
-                .with_indexed_label("step-cpu", bi)
-                .tagged(TaskTag::OptimizerStep)
-                .after(step_dep),
+                .with_label("global-norm-sync")
+                .after_all(all),
             )?;
-            if let Some(tier) = nvme {
-                let out = ctx.sim.add_task(
-                    TaskSpec::transfer(nvme_res, tier.link.transfer_time(12 * elems) + overhead)
+            let mut iter_end: Vec<TaskId> = Vec::new();
+            let mut prev_nvme: Option<TaskId> = None;
+            for &(bi, _) in &arrivals {
+                let elems = shard(buckets.bucket_elems(bi));
+                // NVMe tier: swap this bucket's optimizer states (12 bytes
+                // per element) in from NVMe before the step, back after.
+                let step_dep = if let Some(tier) = self.nvme {
+                    let mut spec = TaskSpec::transfer(
+                        nvme_res,
+                        tier.link.transfer_time(12 * elems) + overhead,
+                    )
+                    .with_indexed_label("nvme-in", bi)
+                    .tagged(TaskTag::Eviction)
+                    .after(norm_sync);
+                    if let Some(p) = prev_nvme {
+                        spec = spec.after(p);
+                    }
+                    ctx.sim.add_task(spec)?
+                } else {
+                    norm_sync
+                };
+                let step = ctx.sim.add_task(
+                    TaskSpec::compute(
+                        ctx.cpu,
+                        pipeline_step_time(OptimizerImpl::CpuAdam, &chip.cpu, elems) + overhead,
+                    )
+                    .with_indexed_label("step-cpu", bi)
+                    .tagged(TaskTag::OptimizerStep)
+                    .after(step_dep),
+                )?;
+                if let Some(tier) = self.nvme {
+                    let out = ctx.sim.add_task(
+                        TaskSpec::transfer(
+                            nvme_res,
+                            tier.link.transfer_time(12 * elems) + overhead,
+                        )
                         .with_indexed_label("nvme-out", bi)
                         .tagged(TaskTag::Eviction)
                         .after(step),
-                )?;
-                prev_nvme = Some(out);
-                iter_end.push(out);
-            } else {
-                iter_end.push(step);
+                    )?;
+                    prev_nvme = Some(out);
+                    iter_end.push(out);
+                } else {
+                    iter_end.push(step);
+                }
             }
+            iters.close(&mut ctx, iter_end)?;
         }
-        iters.close(&mut ctx, iter_end)?;
-    }
 
-    let gates = iters.gates().to_vec();
-    ctx.finish(system, &gates, flops.effective(), chip, plan)
+        let gates = iters.gates().to_vec();
+        ctx.finish(self.name(), &gates, flops.effective(), chip, plan)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::single_chip_cluster;
     use llm_model::ModelConfig;
     use superchip_sim::presets;
 
@@ -292,7 +271,9 @@ mod tests {
     fn scales_to_large_models_on_one_chip() {
         // Fig. 13: ZeRO-Infinity trains models comparable to SuperOffload.
         let c = single_chip_cluster(&presets::gh200_chip());
-        assert!(simulate(&c, 1, &wl("25B", 8)).feasible());
+        assert!(ZeroInfinity::default()
+            .simulate(&c, 1, &wl("25B", 8))
+            .feasible());
     }
 
     #[test]
@@ -300,7 +281,7 @@ mod tests {
         // Fig. 10: ZeRO-Infinity remains below ~50 TFLOPS on a Superchip.
         let c = single_chip_cluster(&presets::gh200_chip());
         for name in ["5B", "13B", "25B"] {
-            let r = simulate(&c, 1, &wl(name, 8));
+            let r = ZeroInfinity::default().simulate(&c, 1, &wl(name, 8));
             assert!(r.feasible(), "{name} should fit");
             assert!(
                 r.tflops < 80.0,
@@ -314,8 +295,8 @@ mod tests {
     fn slower_than_zero_offload_when_both_fit() {
         let c = single_chip_cluster(&presets::gh200_chip());
         let w = wl("5B", 8);
-        let zi = simulate(&c, 1, &w);
-        let zo = crate::zero_offload::simulate(&c, 1, &w);
+        let zi = ZeroInfinity::default().simulate(&c, 1, &w);
+        let zo = crate::zero_offload::ZeroOffload.simulate(&c, 1, &w);
         assert!(zi.tflops < zo.tflops);
     }
 }
@@ -323,7 +304,6 @@ mod tests {
 #[cfg(test)]
 mod nvme_tests {
     use super::*;
-    use crate::common::single_chip_cluster;
     use llm_model::ModelConfig;
     use superchip_sim::presets;
 
@@ -338,10 +318,13 @@ mod nvme_tests {
         // fit a 4 TB NVMe array.
         let w = wl("80B", 8);
         assert!(
-            !simulate(&c, 1, &w).feasible(),
+            !ZeroInfinity::default().simulate(&c, 1, &w).feasible(),
             "80B should not fit CPU-only"
         );
-        let r = simulate_with_nvme(&c, 1, &w, Some(NvmeTier::default()));
+        let r = ZeroInfinity {
+            nvme: Some(NvmeTier::default()),
+        }
+        .simulate(&c, 1, &w);
         assert!(r.feasible(), "80B should fit with the NVMe tier");
     }
 
@@ -349,8 +332,11 @@ mod nvme_tests {
     fn nvme_costs_throughput() {
         let c = single_chip_cluster(&presets::gh200_chip());
         let w = wl("5B", 8);
-        let cpu_only = simulate(&c, 1, &w);
-        let with_nvme = simulate_with_nvme(&c, 1, &w, Some(NvmeTier::default()));
+        let cpu_only = ZeroInfinity::default().simulate(&c, 1, &w);
+        let with_nvme = ZeroInfinity {
+            nvme: Some(NvmeTier::default()),
+        }
+        .simulate(&c, 1, &w);
         assert!(with_nvme.feasible());
         assert!(
             with_nvme.tflops < cpu_only.tflops / 2.0,
@@ -367,6 +353,8 @@ mod nvme_tests {
             capacity: superchip_sim::GB,
             ..NvmeTier::default()
         };
-        assert!(!simulate_with_nvme(&c, 1, &wl("5B", 8), Some(tiny)).feasible());
+        assert!(!ZeroInfinity { nvme: Some(tiny) }
+            .simulate(&c, 1, &wl("5B", 8))
+            .feasible());
     }
 }

@@ -2,12 +2,11 @@
 //! system registered in [`baselines::standard_registry`] is exercised on a
 //! grid of (model, ranks, batch) points without any hand-maintained list.
 
-use baselines::common::single_chip_cluster;
-use baselines::{megatron, standard_registry};
+use baselines::standard_registry;
 use llm_model::{ModelConfig, Workload};
 use proptest::prelude::*;
-use superchip_sim::presets;
 use superchip_sim::topology::ClusterSpec;
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload::report::TrainReport;
 
 const NAMES: [&str; 7] = ["1B", "3B", "5B", "8B", "13B", "20B", "25B"];
@@ -133,19 +132,6 @@ proptest! {
         let zo = reg.expect("zero-offload").simulate(&cluster, 1, &w);
         if zo.feasible() {
             prop_assert!(zo.cpu_util > 0.05, "ZeRO-Offload CPU idle: {}", zo.cpu_util);
-        }
-    }
-
-    /// Megatron's best-MP search never does worse than mp=1 when both fit.
-    #[test]
-    fn megatron_search_dominates_mp1(model_idx in 0usize..3) {
-        let cluster = presets::gh200_nvl2_cluster(2);
-        let w = Workload::new(ModelConfig::by_name(NAMES[model_idx]).unwrap(), 16, 2048);
-        let best = megatron::simulate(&cluster, 4, &w);
-        let mp1 = megatron::simulate_with_mp(&cluster, 4, 1, &w);
-        if mp1.feasible() {
-            prop_assert!(best.feasible());
-            prop_assert!(best.tflops >= mp1.tflops * 0.999);
         }
     }
 }

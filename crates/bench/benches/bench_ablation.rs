@@ -4,12 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::{ModelConfig, Workload};
-use superchip_sim::presets;
-use superchip_sim::MIB;
-use superoffload::schedule::{simulate_single_chip, SuperOffloadOptions};
+use superchip_sim::{presets, single_chip_cluster, MIB};
+use superoffload::schedule::SuperOffloadOptions;
+use superoffload::{OffloadSystem, SuperOffload};
 
 fn bench_ablation(c: &mut Criterion) {
-    let chip = presets::gh200_chip();
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     let w = Workload::new(ModelConfig::appendix_a_5b(), 8, 2048);
     let mut group = c.benchmark_group("table2_ablation");
     group.sample_size(10);
@@ -36,8 +36,9 @@ fn bench_ablation(c: &mut Criterion) {
         ),
     ];
     for (name, opts) in rows {
+        let so = SuperOffload::with_opts(opts);
         group.bench_function(name, |b| {
-            b.iter(|| simulate_single_chip(&chip, &w, &opts));
+            b.iter(|| so.simulate(&cluster, 1, &w));
         });
     }
     group.finish();
@@ -46,12 +47,12 @@ fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("bucket_size_sweep");
     group.sample_size(10);
     for mb in [4u64, 16, 64, 256] {
-        let opts = SuperOffloadOptions {
+        let so = SuperOffload::with_opts(SuperOffloadOptions {
             bucket_bytes: mb * MIB,
             ..SuperOffloadOptions::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(mb), &opts, |b, opts| {
-            b.iter(|| simulate_single_chip(&chip, &w, opts));
+        });
+        group.bench_with_input(BenchmarkId::from_parameter(mb), &so, |b, so| {
+            b.iter(|| so.simulate(&cluster, 1, &w));
         });
     }
     group.finish();

@@ -4,13 +4,14 @@
 //! §4.3 retention search over a single pinned-retention run, plus the
 //! observe path's emit / parse / diff layers on one multi-rank run.
 
-use baselines::{common::single_chip_cluster, standard_registry};
+use baselines::standard_registry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::{ModelConfig, Workload};
 use superchip_sim::analysis::diff_analyses;
 use superchip_sim::telemetry::parse_json;
-use superchip_sim::{presets, EventLog};
-use superoffload::schedule::{simulate_single_chip_profiled, SuperOffloadOptions};
+use superchip_sim::{presets, single_chip_cluster, EventLog};
+use superoffload::schedule::SuperOffloadOptions;
+use superoffload::{OffloadSystem, SuperOffload};
 use superoffload_bench::experiments::FIG10_SYSTEMS;
 
 fn bench_single_chip(c: &mut Criterion) {
@@ -36,7 +37,7 @@ fn bench_single_chip(c: &mut Criterion) {
 /// amplification. The CPU-bound 12B rung at batch 4 and 16 MiB buckets is
 /// the regime only the bound's per-resource term prunes.
 fn bench_retention_search(c: &mut Criterion) {
-    let chip = presets::gh200_chip();
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     let mut group = c.benchmark_group("retention_search");
     group.sample_size(10);
     let rungs = [
@@ -47,13 +48,13 @@ fn bench_retention_search(c: &mut Criterion) {
     for (rung, name, batch, bucket_mib) in rungs {
         let w = Workload::new(ModelConfig::by_name(name).unwrap(), batch, 2048);
         for (mode, retained_buckets) in [("automatic", None), ("pinned-0", Some(0))] {
-            let opts = SuperOffloadOptions {
+            let so = SuperOffload::with_opts(SuperOffloadOptions {
                 bucket_bytes: bucket_mib << 20,
                 retained_buckets,
                 ..SuperOffloadOptions::default()
-            };
+            });
             group.bench_with_input(BenchmarkId::new(mode, rung), &w, |b, w| {
-                b.iter(|| simulate_single_chip_profiled(&chip, w, &opts));
+                b.iter(|| so.simulate_profiled(&cluster, 1, w));
             });
         }
     }

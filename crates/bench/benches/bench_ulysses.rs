@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::ModelConfig;
 use superchip_sim::presets;
 use superoffload::schedule::SuperOffloadOptions;
-use superoffload::ulysses::{simulate_ulysses, SequenceSystem};
+use superoffload::ulysses::{simulate_ulysses_traced, SequenceSystem};
 
 fn bench_ulysses(c: &mut Criterion) {
     let cluster = presets::gh200_nvl2_cluster(4);
@@ -22,7 +22,7 @@ fn bench_ulysses(c: &mut Criterion) {
             &seq,
             |b, &seq| {
                 b.iter(|| {
-                    simulate_ulysses(
+                    simulate_ulysses_traced(
                         &cluster,
                         8,
                         &cfg,
@@ -34,7 +34,9 @@ fn bench_ulysses(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("ulysses", seq_k), &seq, |b, &seq| {
-            b.iter(|| simulate_ulysses(&cluster, 8, &cfg, seq, SequenceSystem::Ulysses, &opts));
+            b.iter(|| {
+                simulate_ulysses_traced(&cluster, 8, &cfg, seq, SequenceSystem::Ulysses, &opts)
+            });
         });
     }
     group.finish();

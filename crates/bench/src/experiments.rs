@@ -4,18 +4,19 @@
 //! that mirrors the paper, so `repro -- <experiment>` output is directly
 //! comparable with the published numbers (see `EXPERIMENTS.md`).
 
-use baselines::common::single_chip_cluster;
-use baselines::{standard_registry, zero_offload};
+use baselines::pipeline::{bubble_fraction, Pipeline};
+use baselines::standard_registry;
+use baselines::zero_offload::ZeroOffload;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
 use superchip_sim::prelude::*;
-use superchip_sim::{presets, GIB, KIB, MIB};
+use superchip_sim::{presets, single_chip_cluster, GIB, KIB, MIB};
 use superoffload::casting::CastPlacement;
 use superoffload::policy::flow_efficiency;
 use superoffload::report::TrainReport;
-use superoffload::schedule::{simulate_single_chip, SuperOffloadOptions};
-use superoffload::system::{Infeasible, SystemRegistry};
-use superoffload::ulysses::{max_sequence_length, simulate_ulysses, SequenceSystem};
+use superoffload::schedule::SuperOffloadOptions;
+use superoffload::system::{Infeasible, OffloadSystem, SuperOffload, SystemRegistry};
+use superoffload::ulysses::{max_sequence_length, simulate_ulysses_traced, SequenceSystem};
 
 /// The default per-GPU batch/seq used by the single-chip experiments.
 pub const FIG10_BATCH: u32 = 8;
@@ -79,14 +80,14 @@ pub fn print_table1() {
 pub fn fig4() -> Vec<(String, f64, f64)> {
     let mut rows = Vec::new();
     let single = single_chip_cluster(&presets::gh200_chip());
-    let r1 = zero_offload::simulate(&single, 1, &wl("13B", FIG10_BATCH));
+    let r1 = ZeroOffload.simulate(&single, 1, &wl("13B", FIG10_BATCH));
     rows.push((
         "1x GH200 (13B)".to_string(),
         1.0 - r1.gpu_util,
         1.0 - r1.cpu_util,
     ));
     let node = presets::gh200_nvl2_cluster(1);
-    let r2 = zero_offload::simulate(&node, 2, &wl("13B", 2 * FIG10_BATCH));
+    let r2 = ZeroOffload.simulate(&node, 2, &wl("13B", 2 * FIG10_BATCH));
     rows.push((
         "1x NVL2 node (13B)".to_string(),
         1.0 - r2.gpu_util,
@@ -383,19 +384,15 @@ pub fn fig12() -> Vec<Fig12Row> {
             .map(|i| (16 * 1024u64) << i)
             .take_while(|&s| s <= ceiling)
             .map(|s| {
-                let v = simulate_ulysses(&cluster, ranks, cfg, s, SequenceSystem::Ulysses, &opts);
-                let o = simulate_ulysses(
-                    &cluster,
-                    ranks,
-                    cfg,
-                    s,
-                    SequenceSystem::SuperOffloadUlysses,
-                    &opts,
-                );
+                let mfu = |system| {
+                    simulate_ulysses_traced(&cluster, ranks, cfg, s, system, &opts)
+                        .ok()
+                        .map(|(r, _)| r.mfu)
+                };
                 (
                     s,
-                    v.feasible().then_some(v.mfu),
-                    o.feasible().then_some(o.mfu),
+                    mfu(SequenceSystem::Ulysses),
+                    mfu(SequenceSystem::SuperOffloadUlysses),
                 )
             })
             .collect();
@@ -544,50 +541,24 @@ pub fn print_fig13() {
 
 /// Table 2: the ablation ladder at 5B on one Superchip.
 pub fn table2() -> Vec<(&'static str, TrainReport)> {
-    let chip = presets::gh200_chip();
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     let w = wl("5B", FIG10_BATCH);
-    vec![
-        (
-            "baseline (all off)",
-            simulate_single_chip(
-                &chip,
-                &w,
-                &SuperOffloadOptions::ablation(false, false, false, false),
-            ),
-        ),
-        (
-            "+ GraceAdam",
-            simulate_single_chip(
-                &chip,
-                &w,
-                &SuperOffloadOptions::ablation(true, false, false, false),
-            ),
-        ),
-        (
-            "+ SAC",
-            simulate_single_chip(
-                &chip,
-                &w,
-                &SuperOffloadOptions::ablation(true, true, false, false),
-            ),
-        ),
-        (
-            "+ STV",
-            simulate_single_chip(
-                &chip,
-                &w,
-                &SuperOffloadOptions::ablation(true, true, true, false),
-            ),
-        ),
-        (
-            "+ bucket repart.",
-            simulate_single_chip(
-                &chip,
-                &w,
-                &SuperOffloadOptions::ablation(true, true, true, true),
-            ),
-        ),
+    [
+        ("baseline (all off)", [false, false, false, false]),
+        ("+ GraceAdam", [true, false, false, false]),
+        ("+ SAC", [true, true, false, false]),
+        ("+ STV", [true, true, true, false]),
+        ("+ bucket repart.", [true, true, true, true]),
     ]
+    .into_iter()
+    .map(|(name, [grace_adam, sac, stv, repartition])| {
+        let opts = SuperOffloadOptions::ablation(grace_adam, sac, stv, repartition);
+        (
+            name,
+            SuperOffload::with_opts(opts).simulate(&cluster, 1, &w),
+        )
+    })
+    .collect()
 }
 
 /// Prints Table 2.
@@ -607,12 +578,8 @@ pub fn print_table2() {
 
 /// Fig. 15: SuperOffload utilization in the Fig. 4 setting.
 pub fn fig15() -> (f64, f64) {
-    let chip = presets::gh200_chip();
-    let r = simulate_single_chip(
-        &chip,
-        &wl("13B", FIG10_BATCH),
-        &SuperOffloadOptions::default(),
-    );
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let r = SuperOffload::default().simulate(&cluster, 1, &wl("13B", FIG10_BATCH));
     (r.gpu_util, r.cpu_util)
 }
 
@@ -632,29 +599,23 @@ pub fn print_fig15() {
 /// Fig. 3 (schedule diagram): the ZeRO-Offload timeline at 5B, rendered as
 /// an ASCII Gantt chart plus a Chrome-trace JSON for Perfetto.
 pub fn fig3_timeline() -> Option<(String, String)> {
-    let chip = presets::gh200_chip();
-    let c = single_chip_cluster(&chip);
-    let (_report, trace) = zero_offload::simulate_traced(&c, 1, &wl("5B", FIG10_BATCH)).ok()?;
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let (_report, trace) = ZeroOffload
+        .simulate_traced(&cluster, 1, &wl("5B", FIG10_BATCH))
+        .ok()?;
     let ascii = trace.render_ascii(100);
-    let chrome =
-        superchip_sim::chrome_trace::to_chrome_trace(&trace, &baselines::zero_offload::RESOURCES);
+    let chrome = superchip_sim::chrome_trace::to_chrome_trace(&trace);
     Some((ascii, chrome))
 }
 
 /// Fig. 8 (schedule diagram): the SuperOffload STV timeline at 5B.
 pub fn fig8_timeline() -> Option<(String, String)> {
-    let chip = presets::gh200_chip();
-    let (_report, trace) = superoffload::schedule::simulate_single_chip_traced(
-        &chip,
-        &wl("5B", FIG10_BATCH),
-        &SuperOffloadOptions::default(),
-    )
-    .ok()?;
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let (_report, trace) = SuperOffload::default()
+        .simulate_traced(&cluster, 1, &wl("5B", FIG10_BATCH))
+        .ok()?;
     let ascii = trace.render_ascii(100);
-    let chrome = superchip_sim::chrome_trace::to_chrome_trace(
-        &trace,
-        &superoffload::schedule::SINGLE_CHIP_RESOURCES,
-    );
+    let chrome = superchip_sim::chrome_trace::to_chrome_trace(&trace);
     Some((ascii, chrome))
 }
 
@@ -692,18 +653,19 @@ pub fn numa_penalty() -> (f64, f64, f64) {
     // The victim of a bad binding is the conventional STE pipeline, whose
     // exposed transfers sit on the critical path (SuperOffload's STV overlap
     // hides even an 18x slower link behind backward + optimizer work).
-    let pinned = SuperOffloadOptions {
+    let pinned = SuperOffload::with_opts(SuperOffloadOptions {
         retained_buckets: Some(0),
         weight_policy: Some(superoffload::policy::WeightPolicy::Stationary),
         ..SuperOffloadOptions::ablation(false, false, false, false)
-    };
-    let colocated = simulate_single_chip(&chip, &w, &pinned);
+    });
+    let colocated = pinned.simulate(&single_chip_cluster(&chip), 1, &w);
 
     // An unbound process: every GPU<->CPU transfer crosses the fabric.
     let mut remote_chip = chip.clone();
     remote_chip.c2c = *chip.gpu_cpu_link(superchip_sim::topology::NumaBinding::Remote);
-    let remote = simulate_single_chip(&remote_chip, &w, &pinned);
-    let remote_adaptive = simulate_single_chip(&remote_chip, &w, &SuperOffloadOptions::default());
+    let remote_cluster = single_chip_cluster(&remote_chip);
+    let remote = pinned.simulate(&remote_cluster, 1, &w);
+    let remote_adaptive = SuperOffload::default().simulate(&remote_cluster, 1, &w);
 
     (colocated.tflops, remote.tflops, remote_adaptive.tflops)
 }
@@ -730,7 +692,7 @@ pub fn print_numa() {
 /// §4.3 design-choice ablation: throughput as a function of transfer bucket
 /// size (the paper picks 64 MiB at the C2C saturation knee).
 pub fn bucket_sweep() -> Vec<(u64, f64)> {
-    let chip = presets::gh200_chip();
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     let w = wl("5B", FIG10_BATCH);
     [MIB, 4 * MIB, 16 * MIB, 64 * MIB, 256 * MIB, GIB]
         .into_iter()
@@ -739,7 +701,8 @@ pub fn bucket_sweep() -> Vec<(u64, f64)> {
                 bucket_bytes: bytes,
                 ..SuperOffloadOptions::default()
             };
-            (bytes, simulate_single_chip(&chip, &w, &opts).tflops)
+            let r = SuperOffload::with_opts(opts).simulate(&cluster, 1, &w);
+            (bytes, r.tflops)
         })
         .collect()
 }
@@ -785,13 +748,8 @@ pub fn pipeline_rows() -> Vec<(u32, f64, f64, f64)> {
         .into_iter()
         .map(|micro| {
             let w = wl("10B", micro);
-            let r = baselines::pipeline::simulate(&cluster, 4, &w);
-            (
-                micro,
-                baselines::pipeline::bubble_fraction(4, micro),
-                r.gpu_util,
-                r.tflops,
-            )
+            let r = Pipeline.simulate(&cluster, 4, &w);
+            (micro, bubble_fraction(4, micro), r.gpu_util, r.tflops)
         })
         .collect()
 }

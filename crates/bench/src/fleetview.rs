@@ -497,13 +497,7 @@ impl FleetView {
     /// tracks, cross-node flow arrows into every collective, link
     /// occupancy counters, and the engine's counter tracks.
     pub fn chrome_trace_json(&self) -> String {
-        let names: Vec<&str> = self
-            .trace
-            .resource_names()
-            .iter()
-            .map(String::as_str)
-            .collect();
-        to_chrome_trace_with_counters(&self.trace, &names, &self.metrics)
+        to_chrome_trace_with_counters(&self.trace, &self.metrics)
     }
 
     /// Renders the self-contained fleet dashboard: KPI tiles, per-node

@@ -6,11 +6,10 @@
 //! Both outputs are derived purely from simulated time, so repeated runs
 //! are byte-identical (see `tests/telemetry.rs`).
 
-use baselines::common::single_chip_cluster;
 use baselines::standard_registry;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
-use superchip_sim::presets;
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload::report::RunProfile;
 use superoffload::system::Infeasible;
 

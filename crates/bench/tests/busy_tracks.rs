@@ -13,14 +13,13 @@
 
 use std::collections::BTreeMap;
 
-use baselines::common::single_chip_cluster;
 use baselines::standard_registry;
 use baselines::zero_infinity::{NvmeTier, ZeroInfinity};
 use baselines::OffloadSystem;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
-use superchip_sim::presets;
 use superchip_sim::telemetry::{parse_json, JsonValue};
+use superchip_sim::{presets, single_chip_cluster};
 use superchip_sim::{ClusterSpec, TaskKind};
 use superoffload::report::RunProfile;
 use superoffload_bench::experiments::SEQ;

@@ -11,11 +11,10 @@
 //! come out byte-equal. Any drift here means the refactor changed the
 //! modeled numbers, which it must not.
 
-use baselines::common::single_chip_cluster;
 use baselines::standard_registry;
 use llm_model::workload::Workload;
 use llm_model::ModelConfig;
-use superchip_sim::presets;
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload_bench::experiments::{FIG10_BATCH, SEQ};
 use superoffload_bench::profile::PROFILE_MODEL;
 

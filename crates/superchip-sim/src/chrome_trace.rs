@@ -28,7 +28,7 @@ use crate::trace::{Interval, Trace};
 /// Per-resource process id: the node each resource belongs to, so Perfetto
 /// groups every `node<N>/...` row under one process track per node. Bare
 /// (pre-fleet) names stay on pid 0, byte-identical to the old layout.
-fn pids(resource_names: &[&str]) -> Vec<u32> {
+fn pids(resource_names: &[String]) -> Vec<u32> {
     resource_names.iter().map(|n| node_of_resource(n)).collect()
 }
 
@@ -86,7 +86,7 @@ fn write_metadata(
 fn write_rows(
     events: &mut JsonArray<'_>,
     rows: &[Vec<&Interval>],
-    resource_names: &[&str],
+    resource_names: &[String],
     pids: &[u32],
 ) {
     for (tid, name) in resource_names.iter().enumerate() {
@@ -105,7 +105,7 @@ fn write_rows(
 fn write_slice_events(
     events: &mut JsonArray<'_>,
     rows: &[Vec<&Interval>],
-    resource_names: &[&str],
+    resource_names: &[String],
     pids: &[u32],
 ) {
     if pids.iter().any(|&p| p != 0) {
@@ -187,7 +187,7 @@ fn write_flow_events(events: &mut JsonArray<'_>, trace: &Trace, pids: &[u32]) {
 fn write_occupancy_events(
     events: &mut JsonArray<'_>,
     rows: &[Vec<&Interval>],
-    resource_names: &[&str],
+    resource_names: &[String],
     pids: &[u32],
 ) {
     let mut edges: Vec<(u64, u8)> = Vec::new();
@@ -222,10 +222,9 @@ fn write_occupancy_events(
     }
 }
 
-/// Serializes a [`Trace`] to the Chrome Trace Event JSON array format.
-///
-/// `resource_names` maps row index (tid) to a display name, in the order
-/// resources were registered with the simulator.
+/// Serializes a [`Trace`] to the Chrome Trace Event JSON array format,
+/// one row (tid) per resource, named as it was registered with the
+/// simulator.
 ///
 /// ```
 /// use superchip_sim::prelude::*;
@@ -234,15 +233,16 @@ fn write_occupancy_events(
 /// let gpu = sim.add_resource("gpu");
 /// sim.add_task(TaskSpec::compute(gpu, SimTime::from_millis(1.0)).with_label("fwd"))?;
 /// let trace = sim.run()?;
-/// let json = superchip_sim::chrome_trace::to_chrome_trace(&trace, &["gpu"]);
+/// let json = superchip_sim::chrome_trace::to_chrome_trace(&trace);
 /// assert!(json.contains("\"fwd\""));
 /// # Ok(())
 /// # }
 /// ```
-pub fn to_chrome_trace(trace: &Trace, resource_names: &[&str]) -> String {
-    let pids = pids(resource_names);
+pub fn to_chrome_trace(trace: &Trace) -> String {
+    let names = trace.resource_names();
+    let pids = pids(names);
     event_array(trace.intervals().len(), |events| {
-        write_slice_events(events, &trace.rows(), resource_names, &pids);
+        write_slice_events(events, &trace.rows(), names, &pids);
         write_flow_events(events, trace, &pids);
     })
 }
@@ -259,17 +259,14 @@ pub fn to_chrome_trace(trace: &Trace, resource_names: &[&str]) -> String {
 /// Every counter track is closed with a final sample repeating its last
 /// value at the trace makespan, so Perfetto does not extrapolate the last
 /// counter value past the end of the run.
-pub fn to_chrome_trace_with_counters(
-    trace: &Trace,
-    resource_names: &[&str],
-    metrics: &MetricsRecorder,
-) -> String {
-    let pids = pids(resource_names);
+pub fn to_chrome_trace_with_counters(trace: &Trace, metrics: &MetricsRecorder) -> String {
+    let names = trace.resource_names();
+    let pids = pids(names);
     let rows = trace.rows();
     event_array(trace.intervals().len(), |events| {
-        write_slice_events(events, &rows, resource_names, &pids);
+        write_slice_events(events, &rows, names, &pids);
         write_flow_events(events, trace, &pids);
-        write_occupancy_events(events, &rows, resource_names, &pids);
+        write_occupancy_events(events, &rows, names, &pids);
         metrics.write_chrome_counter_events(events, 0, trace.makespan_us());
     })
 }
@@ -303,7 +300,7 @@ pub fn side_by_side_chrome_trace(
                 .enumerate()
         {
             let side = side as u32;
-            let names: Vec<&str> = trace.resource_names().iter().map(String::as_str).collect();
+            let names = trace.resource_names();
             let pids: Vec<u32> = names
                 .iter()
                 .map(|n| 2 * node_of_resource(n) + side)
@@ -327,8 +324,8 @@ pub fn side_by_side_chrome_trace(
                 }
             }
             let rows = trace.rows();
-            write_rows(events, &rows, &names, &pids);
-            write_occupancy_events(events, &rows, &names, &pids);
+            write_rows(events, &rows, names, &pids);
+            write_occupancy_events(events, &rows, names, &pids);
             metrics.write_chrome_counter_events(events, side, trace.makespan_us());
         }
     })
@@ -423,7 +420,7 @@ mod tests {
 
     #[test]
     fn emits_array_with_metadata_and_events() {
-        let json = to_chrome_trace(&sample(), &["gpu", "cpu"]);
+        let json = to_chrome_trace(&sample());
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"ph\":\"M\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
@@ -435,7 +432,7 @@ mod tests {
 
     #[test]
     fn events_carry_timing_and_rows() {
-        let json = to_chrome_trace(&sample(), &["gpu", "cpu"]);
+        let json = to_chrome_trace(&sample());
         // bwd: row 0, 2000 us duration starting at 0.
         assert!(json.contains(
             r#""name":"bwd","cat":"compute","ph":"X","ts":0,"dur":2000,"pid":0,"tid":0"#
@@ -458,7 +455,7 @@ mod tests {
             .unwrap();
         sim.add_task(TaskSpec::compute(gpu, SimTime::from_secs(0.001)).after(a))
             .unwrap();
-        let json = to_chrome_trace(&sim.run().unwrap(), &["gpu"]);
+        let json = to_chrome_trace(&sim.run().unwrap());
         assert!(!json.contains("ts\":2000."), "float jitter in: {json}");
         assert!(json.contains(r#""ts":2000,"#));
     }
@@ -473,7 +470,7 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         rec.sample_us("mem:hbm", "bytes", 0, 42.0);
         rec.sample_us("mem:hbm", "bytes", 1000, 0.0);
-        let json = to_chrome_trace_with_counters(&trace, &["gpu"], &rec);
+        let json = to_chrome_trace_with_counters(&trace, &rec);
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 2);
         assert!(json.contains(r#""name":"mem:hbm","ph":"C","ts":0,"pid":0,"args":{"bytes":42}"#));
@@ -495,7 +492,7 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         rec.sample_us("mem:hbm", "bytes", 0, 42.0);
         rec.sample_us("mem:hbm", "bytes", 1000, 7.0);
-        let json = to_chrome_trace_with_counters(&trace, &["gpu"], &rec);
+        let json = to_chrome_trace_with_counters(&trace, &rec);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 3);
         assert!(json.contains(r#""name":"mem:hbm","ph":"C","ts":3000,"pid":0,"args":{"bytes":7}"#));
         validate_json(&json).unwrap();
@@ -508,7 +505,7 @@ mod tests {
         sim.add_task(TaskSpec::compute(gpu, SimTime::from_millis(1.0)).with_label("a\"b\\c\nd"))
             .unwrap();
         let trace = sim.run().unwrap();
-        let json = to_chrome_trace(&trace, &["g\"pu"]);
+        let json = to_chrome_trace(&trace);
         assert!(json.contains(r#"a\"b\\c\nd"#));
         assert!(json.contains(r#"g\"pu"#));
         // No raw control characters or unescaped quotes inside strings.
@@ -555,7 +552,7 @@ mod tests {
         validate_json(&json).unwrap();
     }
 
-    fn fleet_sample() -> (Trace, Vec<String>) {
+    fn fleet_sample() -> Trace {
         // Two nodes, each with a gpu and a fabric; a collective on each
         // node's fabric waits on *both* nodes' compute (the cross-node
         // barrier shape fleetview replays).
@@ -579,16 +576,12 @@ mod tests {
             )
             .unwrap();
         }
-        let trace = sim.run().unwrap();
-        let names: Vec<String> = trace.resource_names().to_vec();
-        (trace, names)
+        sim.run().unwrap()
     }
 
     #[test]
     fn multi_node_traces_get_per_node_processes_and_flows() {
-        let (trace, names) = fleet_sample();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let json = to_chrome_trace(&trace, &refs);
+        let json = to_chrome_trace(&fleet_sample());
         validate_json(&json).unwrap();
         // One process_name per node, pid = node id.
         assert!(json.contains(r#""name":"process_name","ph":"M","pid":0,"args":{"name":"node0"}"#));
@@ -604,9 +597,8 @@ mod tests {
 
     #[test]
     fn flow_pairs_share_ids_and_order_timestamps() {
-        let (trace, names) = fleet_sample();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let events = records(|e| write_flow_events(e, &trace, &pids(&refs)));
+        let trace = fleet_sample();
+        let events = records(|e| write_flow_events(e, &trace, &pids(trace.resource_names())));
         assert_eq!(events.len(), 8);
         for pair in events.chunks(2) {
             let (s, f) = (pair[0].as_str(), pair[1].as_str());
@@ -626,9 +618,9 @@ mod tests {
 
     #[test]
     fn link_occupancy_toggles_per_interval() {
-        let (trace, names) = fleet_sample();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let events = records(|e| write_occupancy_events(e, &trace.rows(), &refs, &pids(&refs)));
+        let trace = fleet_sample();
+        let names = trace.resource_names();
+        let events = records(|e| write_occupancy_events(e, &trace.rows(), names, &pids(names)));
         // Two fabric resources with one interval each: rise + fall per link.
         assert_eq!(events.len(), 4);
         assert!(events[0].contains(r#""name":"occupancy:fabric","ph":"C","ts":3000"#));
@@ -654,8 +646,8 @@ mod tests {
         sim.add_task(TaskSpec::transfer(nvme, SimTime::from_millis(2.0)).after(a))
             .unwrap();
         let trace = sim.run().unwrap();
-        let refs = ["gpu", "nvme"];
-        let events = records(|e| write_occupancy_events(e, &trace.rows(), &refs, &pids(&refs)));
+        let names = trace.resource_names();
+        let events = records(|e| write_occupancy_events(e, &trace.rows(), names, &pids(names)));
         assert_eq!(events.len(), 2);
         assert!(events[0].contains(r#""name":"occupancy:nvme","ph":"C","ts":1000"#));
         assert!(events[0].contains(r#"{"busy":1}"#));
@@ -667,7 +659,7 @@ mod tests {
         // No collectives, no links, one node: the export has no process
         // metadata, no flows, no occupancy counters — byte-compatible with
         // the pre-fleet format.
-        let json = to_chrome_trace(&sample(), &["gpu", "cpu"]);
+        let json = to_chrome_trace(&sample());
         assert!(!json.contains("process_name"));
         assert!(!json.contains(r#""ph":"s""#));
         assert!(!json.contains("occupancy:"));
@@ -678,7 +670,7 @@ mod tests {
         let mut sim = Simulator::new();
         sim.add_resource("gpu");
         let trace = sim.run().unwrap();
-        let json = to_chrome_trace(&trace, &["gpu"]);
+        let json = to_chrome_trace(&trace);
         assert!(json.contains("thread_name"));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 0);
         validate_json(&json).unwrap();
@@ -686,7 +678,7 @@ mod tests {
 
     #[test]
     fn side_by_side_interleaves_runs_on_aligned_tracks() {
-        let (trace, _) = fleet_sample();
+        let trace = fleet_sample();
         let rec = MetricsRecorder::new();
         let json = side_by_side_chrome_trace("base", &trace, &rec, "cand", &trace, &rec);
         validate_json(&json).unwrap();
@@ -727,7 +719,7 @@ mod tests {
 
     #[test]
     fn side_by_side_is_deterministic() {
-        let (trace, _) = fleet_sample();
+        let trace = fleet_sample();
         let rec = MetricsRecorder::new();
         let a = side_by_side_chrome_trace("x", &trace, &rec, "y", &trace, &rec);
         let b = side_by_side_chrome_trace("x", &trace, &rec, "y", &trace, &rec);

@@ -67,7 +67,9 @@ pub use link::{BandwidthCurve, Link, LinkKind, TransferKeys};
 pub use memory::MemoryPool;
 pub use telemetry::{diff_metrics, CounterTrack, MetricsDiff, MetricsRecorder};
 pub use time::SimTime;
-pub use topology::{ChipSpec, ClusterSpec, ComputeDevice, NodeSpec, NumaBinding};
+pub use topology::{
+    single_chip_cluster, ChipSpec, ClusterSpec, ComputeDevice, NodeSpec, NumaBinding,
+};
 pub use trace::{ResourceStats, Trace};
 
 /// Convenient glob import for downstream users.
@@ -83,7 +85,9 @@ pub mod prelude {
     pub use crate::presets;
     pub use crate::telemetry::{CounterTrack, MetricsRecorder};
     pub use crate::time::SimTime;
-    pub use crate::topology::{ChipSpec, ClusterSpec, ComputeDevice, NodeSpec, NumaBinding};
+    pub use crate::topology::{
+        single_chip_cluster, ChipSpec, ClusterSpec, ComputeDevice, NodeSpec, NumaBinding,
+    };
     pub use crate::trace::{ResourceStats, Trace};
 }
 

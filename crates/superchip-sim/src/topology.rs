@@ -193,6 +193,20 @@ impl ClusterSpec {
     }
 }
 
+/// Wraps a single Superchip as a degenerate one-node, one-chip cluster, so
+/// single-chip and multi-chip simulations share one code path.
+pub fn single_chip_cluster(chip: &ChipSpec) -> ClusterSpec {
+    ClusterSpec {
+        node: NodeSpec {
+            chip: chip.clone(),
+            chip_count: 1,
+            intra_link: crate::presets::nvlink_gpu(),
+        },
+        node_count: 1,
+        inter_link: crate::presets::slingshot11(),
+    }
+}
+
 /// Convenience constructor for a [`BandwidthCurve`] given decimal GB/s and
 /// microseconds of latency.
 pub fn curve_gbps(gigabytes_per_sec: f64, latency_us: f64) -> BandwidthCurve {
@@ -208,6 +222,13 @@ pub fn link_gbps(kind: LinkKind, gigabytes_per_sec: f64, latency_us: f64) -> Lin
 mod tests {
     use super::*;
     use crate::presets;
+
+    #[test]
+    fn single_chip_cluster_has_one_gpu() {
+        let c = single_chip_cluster(&presets::gh200_chip());
+        assert_eq!(c.total_gpus(), 1);
+        assert_eq!(c.node.chip.name, "GH200");
+    }
 
     #[test]
     fn gh200_flops_ratio_matches_table1() {

@@ -7,7 +7,9 @@
 //!   (and its ablations) as task graphs on the [`superchip_sim`] simulator:
 //!   [`schedule`] (single Superchip), [`zero_dp`] (multi-Superchip ZeRO-3
 //!   integration), and [`ulysses`] (SuperOffload-Ulysses sequence
-//!   parallelism). Builders acquire node resources (capacity, links,
+//!   parallelism). The first two are reached only through
+//!   [`SuperOffload`]'s [`OffloadSystem`] impl, which dispatches on the
+//!   rank count. Builders acquire node resources (capacity, links,
 //!   collectives, schedule contexts) through [`fleet`] leases rather than
 //!   ambient globals. The paper's throughput, scale, and utilization
 //!   results are regenerated from these.
@@ -57,7 +59,7 @@ pub use engine::{Engine, EngineSpans, SpanStats, StvStats};
 pub use fleet::{FleetCtx, NodeLease};
 pub use policy::WeightPolicy;
 pub use report::{RunProfile, TrainReport};
-pub use schedule::{simulate_single_chip, simulate_single_chip_profiled, SuperOffloadOptions};
+pub use schedule::SuperOffloadOptions;
 pub use system::{Infeasible, OffloadSystem, SuperOffload, SystemRegistry};
 pub use trainer::{
     Discipline, JournalConfig, JournalSummary, StepJournal, StepRecord, StepTiming, Trainer,

@@ -172,13 +172,7 @@ impl RunProfile {
     /// that ran a transfer or collective, and `"ph":"C"` counter tracks for
     /// every telemetry track.
     pub fn chrome_trace_json(&self) -> String {
-        let names: Vec<&str> = self
-            .trace
-            .resource_names()
-            .iter()
-            .map(String::as_str)
-            .collect();
-        to_chrome_trace_with_counters(&self.trace, &names, &self.metrics)
+        to_chrome_trace_with_counters(&self.trace, &self.metrics)
     }
 
     /// Runs the critical-path / stall-attribution analyzer over this run's

@@ -30,7 +30,7 @@ use crate::costs::{
 use crate::fleet::NodeLease;
 use crate::policy::{choose_policy, WeightPolicy};
 use crate::report::{RunProfile, TrainReport};
-use crate::system::{Infeasible, IterationBuilder, ScheduleCtx};
+use crate::system::{Infeasible, IterationBuilder, OffloadSystem, ScheduleCtx, SuperOffload};
 
 /// Fraction of GPU memory usable for model data (the rest is CUDA context,
 /// fragmentation, and framework workspace).
@@ -111,114 +111,79 @@ impl SuperOffloadOptions {
     }
 }
 
-/// Simulates SuperOffload on a single Superchip.
-///
-/// Returns [`TrainReport::oom`] when the workload does not fit under any
-/// execution plan; [`simulate_single_chip_traced`] reports the structured
-/// reason instead.
-pub fn simulate_single_chip(
-    chip: &ChipSpec,
-    workload: &Workload,
-    opts: &SuperOffloadOptions,
-) -> TrainReport {
-    crate::system::collapse(
-        simulate_single_chip_traced(chip, workload, opts),
-        "superoffload",
-    )
-}
-
-/// Resource names of the single-chip schedule, in registration (tid) order —
-/// pass to [`superchip_sim::chrome_trace::to_chrome_trace`].
-pub const SINGLE_CHIP_RESOURCES: [&str; 6] = [
-    "gpu",
-    "cpu",
-    "c2c-d2h",
-    "c2c-h2d",
-    "fabric",
-    "cpu-validator",
-];
-
-/// Like [`simulate_single_chip`], additionally returning the execution
-/// trace of the winning configuration for timeline inspection (ASCII Gantt
-/// or Chrome-trace export), or the structured [`Infeasible`] reason when no
-/// configuration fits.
-pub fn simulate_single_chip_traced(
-    chip: &ChipSpec,
-    workload: &Workload,
-    opts: &SuperOffloadOptions,
-) -> Result<(TrainReport, Trace), Infeasible> {
-    simulate_single_chip_profiled(chip, workload, opts).map(|p| (p.report, p.trace))
-}
-
-/// Like [`simulate_single_chip_traced`], returning the full [`RunProfile`]
-/// of the winning configuration: report, trace, and the telemetry recorded
-/// during the run (memory-pool occupancy, per-transfer bandwidth, queueing
-/// delay, scheduler counters).
-///
-/// With automatic retention the §4.3 search admits every
-/// [`retention_candidates`] entry on its capacity checks and an upper
-/// bound on its steady-state TFLOPS, taken from a one-iteration graph
-/// ([`Simulator::end_lower_bound`]). It then fully builds and scores, from
-/// an uninstrumented end-times run, only the candidates whose bound can
-/// still beat the best score so far ([`select_retention`]), and profiles
-/// only the winner (DESIGN.md §18). The result is byte-identical to
-/// profiling every candidate and keeping the first best one.
-///
-/// # Errors
-/// [`Infeasible::TooFewIterations`] when `opts.iterations < 2`; otherwise
-/// the capacity or plan verdict of the smallest candidate retention when
-/// none fits.
-pub fn simulate_single_chip_profiled(
-    chip: &ChipSpec,
-    workload: &Workload,
-    opts: &SuperOffloadOptions,
-) -> Result<RunProfile, Infeasible> {
-    if opts.iterations < 2 {
-        return Err(Infeasible::TooFewIterations {
-            iterations: opts.iterations,
-        });
-    }
-    if opts.retained_buckets.is_some() {
-        return build_fixed(chip, workload, opts)?.finish_profiled(chip);
-    }
-    let cast = chosen_cast(chip, opts);
-    let fixed = |n| SuperOffloadOptions {
-        retained_buckets: Some(n),
-        cast: Some(cast),
-        ..*opts
-    };
-    let candidates = retention_candidates(chip, workload, opts);
-    if let [only] = candidates[..] {
-        return build_fixed(chip, workload, &fixed(only))?.finish_profiled(chip);
-    }
-
-    // Failures are kept for the smallest failing retention only, which is
-    // what an infeasible grid reports.
-    let mut first_err: Option<(u32, Infeasible)> = None;
-    let mut fail = |n: u32, e: Infeasible| {
-        if first_err.as_ref().is_none_or(|&(m, _)| n < m) {
-            first_err = Some((n, e));
+impl SuperOffload {
+    /// SuperOffload on one Superchip: the full [`RunProfile`] of the
+    /// winning configuration — report, trace, and the telemetry recorded
+    /// during the run (memory-pool occupancy, per-transfer bandwidth,
+    /// queueing delay, scheduler counters) — or the structured
+    /// [`Infeasible`] reason when no configuration fits.
+    ///
+    /// With automatic retention the §4.3 search admits every
+    /// [`retention_candidates`] entry on its capacity checks and an upper
+    /// bound on its steady-state TFLOPS, taken from a one-iteration graph
+    /// ([`Simulator::end_lower_bound`]). It then fully builds and scores, from
+    /// an uninstrumented end-times run, only the candidates whose bound can
+    /// still beat the best score so far ([`select_retention`]), and profiles
+    /// only the winner (DESIGN.md §18). The result is byte-identical to
+    /// profiling every candidate and keeping the first best one.
+    ///
+    /// # Errors
+    /// [`Infeasible::TooFewIterations`] when `self.opts.iterations < 2`;
+    /// otherwise the capacity or plan verdict of the smallest candidate
+    /// retention when none fits.
+    pub(crate) fn simulate_single_chip_profiled(
+        &self,
+        chip: &ChipSpec,
+        workload: &Workload,
+    ) -> Result<RunProfile, Infeasible> {
+        let (system, opts) = (self.name(), &self.opts);
+        if opts.iterations < 2 {
+            return Err(Infeasible::TooFewIterations {
+                iterations: opts.iterations,
+            });
         }
-    };
-    let mut admitted = Vec::with_capacity(candidates.len());
-    for n in candidates {
-        match admit_fixed(chip, workload, &fixed(n)) {
-            Ok(bound) => admitted.push((n, bound)),
-            Err(e) => fail(n, e),
+        if opts.retained_buckets.is_some() {
+            return build_fixed(chip, workload, opts)?.finish_profiled(system, chip);
         }
-    }
-    let winner = select_retention(admitted, |n| {
-        match build_fixed(chip, workload, &fixed(n)).and_then(|s| Ok((s.score()?, s))) {
-            Ok(scored) => Some(scored),
-            Err(e) => {
-                fail(n, e);
-                None
+        let cast = chosen_cast(chip, opts);
+        let fixed = |n| SuperOffloadOptions {
+            retained_buckets: Some(n),
+            cast: Some(cast),
+            ..*opts
+        };
+        let candidates = retention_candidates(chip, workload, opts);
+        if let [only] = candidates[..] {
+            return build_fixed(chip, workload, &fixed(only))?.finish_profiled(system, chip);
+        }
+
+        // Failures are kept for the smallest failing retention only, which is
+        // what an infeasible grid reports.
+        let mut first_err: Option<(u32, Infeasible)> = None;
+        let mut fail = |n: u32, e: Infeasible| {
+            if first_err.as_ref().is_none_or(|&(m, _)| n < m) {
+                first_err = Some((n, e));
+            }
+        };
+        let mut admitted = Vec::with_capacity(candidates.len());
+        for n in candidates {
+            match admit_fixed(chip, workload, &fixed(n)) {
+                Ok(bound) => admitted.push((n, bound)),
+                Err(e) => fail(n, e),
             }
         }
-    });
-    match winner {
-        Some((_, _, schedule)) => schedule.finish_profiled(chip),
-        None => Err(first_err.expect("infeasible grid records an error").1),
+        let winner = select_retention(admitted, |n| {
+            match build_fixed(chip, workload, &fixed(n)).and_then(|s| Ok((s.score()?, s))) {
+                Ok(scored) => Some(scored),
+                Err(e) => {
+                    fail(n, e);
+                    None
+                }
+            }
+        });
+        match winner {
+            Some((_, _, schedule)) => schedule.finish_profiled(system, chip),
+            None => Err(first_err.expect("infeasible grid records an error").1),
+        }
     }
 }
 
@@ -374,14 +339,9 @@ impl FixedSchedule {
     }
 
     /// Runs the schedule instrumented and builds its full profile.
-    fn finish_profiled(self, chip: &ChipSpec) -> Result<RunProfile, Infeasible> {
-        self.ctx.finish_profiled(
-            "superoffload",
-            &self.gates,
-            self.effective_flops,
-            chip,
-            self.plan,
-        )
+    fn finish_profiled(self, system: &str, chip: &ChipSpec) -> Result<RunProfile, Infeasible> {
+        self.ctx
+            .finish_profiled(system, &self.gates, self.effective_flops, chip, self.plan)
     }
 }
 
@@ -438,7 +398,7 @@ fn build_fixed(
 
     // --- Task graph -------------------------------------------------------
     let mut ctx = lease.ctx();
-    let cpu_val = ctx.add_resource(SINGLE_CHIP_RESOURCES[5]);
+    let cpu_val = ctx.add_resource("cpu-validator");
     let (hbm, ddr) = ctx.plan_residency(chip, gpu_resident, cpu_resident);
 
     let micro = plan.micro_steps();
@@ -777,10 +737,15 @@ mod tests {
         Workload::new(ModelConfig::by_name(name).unwrap(), batch, 2048)
     }
 
+    /// SuperOffload with `opts` on a one-chip cluster of `chip`.
+    fn simulate(chip: &ChipSpec, workload: &Workload, opts: &SuperOffloadOptions) -> TrainReport {
+        SuperOffload::with_opts(*opts).simulate(&single_chip_cluster(chip), 1, workload)
+    }
+
     #[test]
     fn five_b_is_feasible_and_fast() {
         let chip = presets::gh200_chip();
-        let r = simulate_single_chip(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
+        let r = simulate(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
         assert!(r.feasible());
         assert!(r.tflops > 100.0, "tflops {}", r.tflops);
         assert!(r.gpu_util > 0.7, "gpu util {}", r.gpu_util);
@@ -800,7 +765,7 @@ mod tests {
         ];
         let mut prev = 0.0;
         for (i, opts) in rows.iter().enumerate() {
-            let r = simulate_single_chip(&chip, &w, opts);
+            let r = simulate(&chip, &w, opts);
             assert!(r.feasible(), "row {i} OOM");
             assert!(
                 r.tflops >= prev * 0.98,
@@ -815,12 +780,12 @@ mod tests {
     fn stv_is_the_largest_single_win() {
         let chip = presets::gh200_chip();
         let w = wl("5B", 8);
-        let without = simulate_single_chip(
+        let without = simulate(
             &chip,
             &w,
             &SuperOffloadOptions::ablation(true, true, false, false),
         );
-        let with = simulate_single_chip(
+        let with = simulate(
             &chip,
             &w,
             &SuperOffloadOptions::ablation(true, true, true, false),
@@ -832,7 +797,7 @@ mod tests {
     #[test]
     fn large_model_uses_flow_and_fits() {
         let chip = presets::gh200_chip();
-        let r = simulate_single_chip(&chip, &wl("25B", 8), &SuperOffloadOptions::default());
+        let r = simulate(&chip, &wl("25B", 8), &SuperOffloadOptions::default());
         assert!(
             r.feasible(),
             "25B should fit on one GH200 with SuperOffload"
@@ -842,7 +807,7 @@ mod tests {
     #[test]
     fn absurd_model_ooms() {
         let chip = presets::gh200_chip();
-        let r = simulate_single_chip(&chip, &wl("200B", 8), &SuperOffloadOptions::default());
+        let r = simulate(&chip, &wl("200B", 8), &SuperOffloadOptions::default());
         assert!(!r.feasible());
     }
 
@@ -850,7 +815,7 @@ mod tests {
     fn gpu_utilization_near_full_with_all_techniques() {
         // Fig. 15: SuperOffload achieves near-complete GPU utilization.
         let chip = presets::gh200_chip();
-        let r = simulate_single_chip(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
+        let r = simulate(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
         assert!(r.gpu_util > 0.85, "gpu util {}", r.gpu_util);
     }
 
@@ -858,7 +823,7 @@ mod tests {
     fn ste_leaves_gpu_idle() {
         // Fig. 4: without STV/repartitioning the GPU idles 40–50%.
         let chip = presets::gh200_chip();
-        let r = simulate_single_chip(
+        let r = simulate(
             &chip,
             &wl("5B", 8),
             &SuperOffloadOptions::ablation(false, false, false, false),
@@ -877,12 +842,12 @@ mod tests {
         // the exposed tail even under STV.
         let chip = presets::gh200_chip();
         let w = wl("5B", 8);
-        let without = simulate_single_chip(
+        let without = simulate(
             &chip,
             &w,
             &SuperOffloadOptions::ablation(false, true, true, false),
         );
-        let with = simulate_single_chip(
+        let with = simulate(
             &chip,
             &w,
             &SuperOffloadOptions::ablation(false, true, true, true),
@@ -897,8 +862,8 @@ mod tests {
         // Fig. 7 consequence: 1 MiB buckets underutilize the C2C link.
         let chip = presets::gh200_chip();
         let w = wl("5B", 8);
-        let big = simulate_single_chip(&chip, &w, &SuperOffloadOptions::default());
-        let small = simulate_single_chip(
+        let big = simulate(&chip, &w, &SuperOffloadOptions::default());
+        let small = simulate(
             &chip,
             &w,
             &SuperOffloadOptions {
@@ -917,8 +882,8 @@ mod tests {
     #[test]
     fn deterministic_reports() {
         let chip = presets::gh200_chip();
-        let a = simulate_single_chip(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
-        let b = simulate_single_chip(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
+        let a = simulate(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
+        let b = simulate(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
         assert_eq!(a, b);
     }
 }

@@ -31,11 +31,7 @@ use superchip_sim::prelude::*;
 
 use crate::bucket::BucketPlan;
 use crate::report::{RunProfile, TrainReport};
-use crate::schedule::{
-    finalize_report, simulate_single_chip_profiled, simulate_single_chip_traced,
-    SuperOffloadOptions, CPU_USABLE, GPU_USABLE,
-};
-use crate::zero_dp;
+use crate::schedule::{finalize_report, SuperOffloadOptions, CPU_USABLE, GPU_USABLE};
 
 /// Why a workload cannot run on a system, in machine-readable form.
 ///
@@ -336,18 +332,6 @@ impl Capacity {
     }
 }
 
-/// Collapses a traced result into the legacy report form, turning any
-/// [`Infeasible`] into `TrainReport::oom(system)`.
-///
-/// This adapter (and [`OffloadSystem::simulate`]) are the only places an
-/// infeasible report is constructed; schedule builders return typed errors.
-pub fn collapse(result: Result<(TrainReport, Trace), Infeasible>, system: &str) -> TrainReport {
-    match result {
-        Ok((report, _trace)) => report,
-        Err(_) => TrainReport::oom(system),
-    }
-}
-
 /// Splits a global-batch workload evenly across `ranks` data-parallel
 /// ranks, or reports [`Infeasible::BatchNotDivisible`].
 pub fn split_batch(workload: &Workload, ranks: u32) -> Result<Workload, Infeasible> {
@@ -365,8 +349,7 @@ pub fn split_batch(workload: &Workload, ranks: u32) -> Result<Workload, Infeasib
 }
 
 /// Resource names every [`ScheduleCtx::standard`] context registers, in
-/// registration (tid) order — pass to
-/// [`superchip_sim::chrome_trace::to_chrome_trace`].
+/// registration (tid) order.
 pub const STANDARD_RESOURCES: [&str; 5] = ["gpu", "cpu", "c2c-d2h", "c2c-h2d", "fabric"];
 
 /// A memory pool registered for post-run occupancy replay.
@@ -807,9 +790,10 @@ impl OffloadSystem for SuperOffload {
         workload: &Workload,
     ) -> Result<(TrainReport, Trace), Infeasible> {
         if ranks <= 1 {
-            simulate_single_chip_traced(&cluster.node.chip, workload, &self.opts)
+            self.simulate_single_chip_profiled(&cluster.node.chip, workload)
+                .map(|p| (p.report, p.trace))
         } else {
-            zero_dp::simulate_cluster_traced(cluster, ranks, workload, &self.opts)
+            self.simulate_cluster_traced(cluster, ranks, workload)
         }
     }
 
@@ -820,9 +804,9 @@ impl OffloadSystem for SuperOffload {
         workload: &Workload,
     ) -> Result<RunProfile, Infeasible> {
         if ranks <= 1 {
-            simulate_single_chip_profiled(&cluster.node.chip, workload, &self.opts)
+            self.simulate_single_chip_profiled(&cluster.node.chip, workload)
         } else {
-            zero_dp::simulate_cluster_traced(cluster, ranks, workload, &self.opts)
+            self.simulate_cluster_traced(cluster, ranks, workload)
                 .map(|(report, trace)| RunProfile::from_trace(report, trace))
         }
     }
@@ -925,12 +909,10 @@ mod tests {
         let cluster = presets::gh200_nvl2_cluster(1);
         let w = wl("5B", 8);
         let via_trait = SuperOffload::default().simulate(&cluster, 1, &w);
-        let direct = crate::schedule::simulate_single_chip(
-            &cluster.node.chip,
-            &w,
-            &SuperOffloadOptions::default(),
-        );
-        assert_eq!(via_trait, direct);
+        let direct = SuperOffload::default()
+            .simulate_single_chip_profiled(&cluster.node.chip, &w)
+            .unwrap();
+        assert_eq!(via_trait, direct.report);
     }
 
     #[test]

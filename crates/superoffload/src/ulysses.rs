@@ -42,26 +42,9 @@ impl SequenceSystem {
 
 /// Simulates one training iteration of `system` on `ranks` Superchips with
 /// total sequence length `seq` (micro-batch of one sequence, as in the
-/// paper's long-context experiments).
-///
-/// Returns [`TrainReport::oom`] when the workload does not fit;
-/// [`simulate_ulysses_traced`] reports the structured reason instead.
-pub fn simulate_ulysses(
-    cluster: &ClusterSpec,
-    ranks: u32,
-    config: &ModelConfig,
-    seq: u64,
-    system: SequenceSystem,
-    opts: &SuperOffloadOptions,
-) -> TrainReport {
-    crate::system::collapse(
-        simulate_ulysses_traced(cluster, ranks, config, seq, system, opts),
-        system.name(),
-    )
-}
-
-/// Like [`simulate_ulysses`], additionally returning the execution trace,
-/// or the structured [`Infeasible`] reason when the sequence cannot run.
+/// paper's long-context experiments). Returns the report and execution
+/// trace, or the structured [`Infeasible`] reason when the sequence cannot
+/// run.
 pub fn simulate_ulysses_traced(
     cluster: &ClusterSpec,
     ranks: u32,
@@ -273,8 +256,7 @@ pub fn max_sequence_length(
     let mut best = None;
     let mut seq = 1024u64;
     while seq <= ceiling {
-        let r = simulate_ulysses(cluster, ranks, config, seq, system, opts);
-        if r.feasible() {
+        if simulate_ulysses_traced(cluster, ranks, config, seq, system, opts).is_ok() {
             best = Some(seq);
         }
         seq *= 2;
@@ -321,15 +303,15 @@ mod tests {
     #[test]
     fn million_tokens_on_eight_chips() {
         // Fig. 12 headline: 13B at 1M tokens on 8 GH200.
-        let r = simulate_ulysses(
+        let (r, _) = simulate_ulysses_traced(
             &cluster(),
             8,
             &cfg_13b(),
             1 << 20,
             SequenceSystem::SuperOffloadUlysses,
             &SuperOffloadOptions::default(),
-        );
-        assert!(r.feasible(), "13B @ 1M tokens should fit on 8 chips");
+        )
+        .expect("13B @ 1M tokens should fit on 8 chips");
         assert!(r.mfu > 0.3, "MFU {}", r.mfu);
     }
 
@@ -341,9 +323,13 @@ mod tests {
         let c = cluster();
         let cfg = cfg_13b();
         let seq = 32 * 1024;
-        let vanilla = simulate_ulysses(&c, 8, &cfg, seq, SequenceSystem::Ulysses, &opts);
-        let ours = simulate_ulysses(&c, 8, &cfg, seq, SequenceSystem::SuperOffloadUlysses, &opts);
-        assert!(vanilla.feasible() && ours.feasible());
+        let run = |system| {
+            simulate_ulysses_traced(&c, 8, &cfg, seq, system, &opts)
+                .unwrap()
+                .0
+        };
+        let vanilla = run(SequenceSystem::Ulysses);
+        let ours = run(SequenceSystem::SuperOffloadUlysses);
         assert!(
             ours.mfu >= vanilla.mfu * 0.9,
             "ours {} vs vanilla {}",

@@ -2,13 +2,12 @@
 
 use llm_model::{ModelConfig, Workload};
 use proptest::prelude::*;
-use superchip_sim::presets;
-use superchip_sim::SimTime;
+use superchip_sim::{presets, single_chip_cluster, SimTime};
 use superoffload::bucket::{min_retained, BucketPlan};
 use superoffload::casting::CastPlacement;
 use superoffload::costs::{pipeline_step_time, OptimizerImpl};
 use superoffload::policy::{choose_policy, flow_efficiency, WeightPolicy};
-use superoffload::schedule::{simulate_single_chip, SuperOffloadOptions};
+use superoffload::{OffloadSystem, SuperOffload};
 
 proptest! {
     /// Bucket plans always cover every element exactly once, with all full
@@ -123,13 +122,13 @@ proptest! {
     #[test]
     fn schedule_reports_are_sane(model_idx in 0usize..8, batch_pow in 0u32..4) {
         let names = ["1B", "3B", "5B", "8B", "10B", "13B", "20B", "25B"];
-        let chip = presets::gh200_chip();
+        let cluster = single_chip_cluster(&presets::gh200_chip());
         let wl = Workload::new(
             ModelConfig::by_name(names[model_idx]).unwrap(),
             1 << batch_pow,
             2048,
         );
-        let r = simulate_single_chip(&chip, &wl, &SuperOffloadOptions::default());
+        let r = SuperOffload::default().simulate(&cluster, 1, &wl);
         if r.feasible() {
             prop_assert!(r.tflops.is_finite() && r.tflops > 0.0);
             prop_assert!((0.0..=1.0 + 1e-9).contains(&r.gpu_util));

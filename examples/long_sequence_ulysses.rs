@@ -6,7 +6,7 @@
 use llm_model::ModelConfig;
 use superchip_sim::presets;
 use superoffload::schedule::SuperOffloadOptions;
-use superoffload::ulysses::{max_sequence_length, simulate_ulysses, SequenceSystem};
+use superoffload::ulysses::{max_sequence_length, simulate_ulysses_traced, SequenceSystem};
 
 fn main() {
     let cluster = presets::gh200_nvl2_cluster(4); // 8 GH200 Superchips
@@ -22,13 +22,11 @@ fn main() {
     );
     let mut seq = 32 * 1024u64;
     while seq <= (1 << 20) {
-        let cell = |sys: SequenceSystem| {
-            let r = simulate_ulysses(&cluster, ranks, &model, seq, sys, &opts);
-            if r.feasible() {
-                format!("{:.1}% MFU", r.mfu * 100.0)
-            } else {
-                "OOM".to_string()
-            }
+        let cell = |sys: SequenceSystem| match simulate_ulysses_traced(
+            &cluster, ranks, &model, seq, sys, &opts,
+        ) {
+            Ok((r, _)) => format!("{:.1}% MFU", r.mfu * 100.0),
+            Err(_) => "OOM".to_string(),
         };
         println!(
             "{:>7}k {:>16} {:>22}",

@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --release --example multi_superchip_zero`
 
-use baselines::zero::ZeroStage;
-use baselines::{megatron, zero, zero_offload};
+use baselines::standard_registry;
 use llm_model::{ModelConfig, Workload};
 use superchip_sim::presets;
 use superoffload::report::TrainReport;
@@ -20,6 +19,15 @@ fn cell(r: &TrainReport) -> String {
 }
 
 fn main() {
+    let registry = standard_registry();
+    let systems = [
+        "megatron",
+        "zero-2",
+        "zero-3",
+        "zero-offload",
+        "superoffload",
+    ]
+    .map(|name| registry.expect(name));
     for (ranks, batch, models) in [
         (4u32, 16u32, vec!["10B", "15B", "20B", "50B"]),
         (16, 128, vec!["20B", "50B", "80B", "200B"]),
@@ -33,19 +41,11 @@ fn main() {
         for name in &models {
             let cfg = ModelConfig::by_name(name).expect("appendix-a model");
             let w = Workload::new(cfg, batch, 2048);
-            println!(
-                "{name:>6} {} {} {} {} {}",
-                cell(&megatron::simulate(&cluster, ranks, &w)),
-                cell(&zero::simulate(&cluster, ranks, &w, ZeroStage::Two)),
-                cell(&zero::simulate(&cluster, ranks, &w, ZeroStage::Three)),
-                cell(&zero_offload::simulate(&cluster, ranks, &w)),
-                cell(&zero_dp::simulate_cluster(
-                    &cluster,
-                    ranks,
-                    &w,
-                    &SuperOffloadOptions::default()
-                )),
-            );
+            print!("{name:>6}");
+            for sys in systems {
+                print!(" {}", cell(&sys.simulate(&cluster, ranks, &w)));
+            }
+            println!();
         }
         println!();
     }

@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use baselines::zero_offload::ZeroOffload;
 use llm_model::{ModelConfig, Workload};
-use superchip_sim::presets;
-use superoffload::schedule::{simulate_single_chip, SuperOffloadOptions};
+use superchip_sim::{presets, single_chip_cluster};
+use superoffload::{OffloadSystem, SuperOffload};
 
 fn main() {
     // A GH200 Superchip: Hopper GPU (96 GB HBM), Grace CPU (480 GB DDR),
@@ -31,8 +32,10 @@ fn main() {
     let workload = Workload::new(model, 8, 2048);
 
     // Enable SuperOffload — all techniques on, parameters chosen adaptively
-    // (weight policy, bucket retention via grid search, casting placement).
-    let report = simulate_single_chip(&chip, &workload, &SuperOffloadOptions::default());
+    // (weight policy, bucket retention via grid search, casting placement)
+    // — on a one-chip cluster, one rank.
+    let cluster = single_chip_cluster(&chip);
+    let report = SuperOffload::default().simulate(&cluster, 1, &workload);
 
     println!("\n== SuperOffload training report ==");
     match &report.plan {
@@ -55,8 +58,7 @@ fn main() {
     println!("cpu util:  {:.1}%", report.cpu_util * 100.0);
 
     // Compare against ZeRO-Offload, the system SuperOffload improves on.
-    let cluster = baselines::single_chip_cluster(&chip);
-    let zo = baselines::zero_offload::simulate(&cluster, 1, &workload);
+    let zo = ZeroOffload.simulate(&cluster, 1, &workload);
     println!(
         "\nvs ZeRO-Offload: {:.1} TFLOPS -> {:.2}x speedup",
         zo.tflops,

@@ -4,11 +4,10 @@
 //!
 //! Run with: `cargo run --release --example single_superchip_scaling`
 
-use baselines::{common::single_chip_cluster, ddp, fsdp_offload, zero_infinity, zero_offload};
+use baselines::standard_registry;
 use llm_model::{ModelConfig, Workload};
-use superchip_sim::presets;
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload::report::TrainReport;
-use superoffload::schedule::{simulate_single_chip, SuperOffloadOptions};
 
 fn cell(r: &TrainReport) -> String {
     if r.feasible() {
@@ -19,8 +18,16 @@ fn cell(r: &TrainReport) -> String {
 }
 
 fn main() {
-    let chip = presets::gh200_chip();
-    let cluster = single_chip_cluster(&chip);
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let registry = standard_registry();
+    let systems = [
+        "pytorch-ddp",
+        "fsdp-offload",
+        "zero-infinity",
+        "zero-offload",
+        "superoffload",
+    ]
+    .map(|name| registry.expect(name));
     let batch = 8;
 
     println!("single GH200 Superchip, batch {batch}, seq 2048 (TFLOPS; OOM = does not fit)\n");
@@ -31,18 +38,11 @@ fn main() {
     for name in ["1B", "3B", "5B", "8B", "13B", "15B", "20B", "25B"] {
         let cfg = ModelConfig::by_name(name).expect("appendix-a model");
         let w = Workload::new(cfg, batch, 2048);
-        println!(
-            "{name:>5} {} {} {} {} {}",
-            cell(&ddp::simulate(&cluster, 1, &w)),
-            cell(&fsdp_offload::simulate(&cluster, 1, &w)),
-            cell(&zero_infinity::simulate(&cluster, 1, &w)),
-            cell(&zero_offload::simulate(&cluster, 1, &w)),
-            cell(&simulate_single_chip(
-                &chip,
-                &w,
-                &SuperOffloadOptions::default()
-            )),
-        );
+        print!("{name:>5}");
+        for sys in systems {
+            print!(" {}", cell(&sys.simulate(&cluster, 1, &w)));
+        }
+        println!();
     }
 
     println!("\ntakeaways (matching the paper):");

@@ -2,11 +2,13 @@
 //! within tolerance bands so future changes to cost models or schedules
 //! cannot silently drift the reproduction away from the paper.
 
-use baselines::common::single_chip_cluster;
-use baselines::{zero_infinity, zero_offload};
+use baselines::zero_infinity::ZeroInfinity;
+use baselines::zero_offload::ZeroOffload;
+use baselines::OffloadSystem;
 use llm_model::{ModelConfig, Workload};
-use superchip_sim::presets;
-use superoffload::schedule::{simulate_single_chip, SuperOffloadOptions};
+use superchip_sim::{presets, single_chip_cluster};
+use superoffload::schedule::SuperOffloadOptions;
+use superoffload::SuperOffload;
 
 fn wl(name: &str, batch: u32) -> Workload {
     Workload::new(ModelConfig::by_name(name).unwrap(), batch, 2048)
@@ -19,8 +21,8 @@ fn within(value: f64, target: f64, tol: f64) -> bool {
 /// SuperOffload's 5B throughput stays near the paper's 238.9 TFLOPS.
 #[test]
 fn superoffload_5b_pinned_near_239_tflops() {
-    let chip = presets::gh200_chip();
-    let r = simulate_single_chip(&chip, &wl("5B", 8), &SuperOffloadOptions::default());
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let r = SuperOffload::default().simulate(&cluster, 1, &wl("5B", 8));
     assert!(
         within(r.tflops, 242.6, 0.08),
         "5B SuperOffload drifted: {:.1} TFLOPS (calibrated 242.6, paper 238.9)",
@@ -31,12 +33,9 @@ fn superoffload_5b_pinned_near_239_tflops() {
 /// The Table 2 baseline stays near the paper's 116 TFLOPS band.
 #[test]
 fn ablation_baseline_pinned_near_paper_band() {
-    let chip = presets::gh200_chip();
-    let r = simulate_single_chip(
-        &chip,
-        &wl("5B", 8),
-        &SuperOffloadOptions::ablation(false, false, false, false),
-    );
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let r = SuperOffload::with_opts(SuperOffloadOptions::ablation(false, false, false, false))
+        .simulate(&cluster, 1, &wl("5B", 8));
     assert!(
         (110.0..165.0).contains(&r.tflops),
         "ablation baseline drifted: {:.1} TFLOPS (paper 116.2)",
@@ -48,7 +47,7 @@ fn ablation_baseline_pinned_near_paper_band() {
 #[test]
 fn zero_offload_idle_band_pinned() {
     let cluster = single_chip_cluster(&presets::gh200_chip());
-    let r = zero_offload::simulate(&cluster, 1, &wl("13B", 8));
+    let r = ZeroOffload.simulate(&cluster, 1, &wl("13B", 8));
     let idle = 1.0 - r.gpu_util;
     assert!(
         (0.30..0.55).contains(&idle),
@@ -62,7 +61,7 @@ fn zero_offload_idle_band_pinned() {
 fn zero_infinity_band_pinned() {
     let cluster = single_chip_cluster(&presets::gh200_chip());
     for name in ["5B", "25B"] {
-        let r = zero_infinity::simulate(&cluster, 1, &wl(name, 8));
+        let r = ZeroInfinity::default().simulate(&cluster, 1, &wl(name, 8));
         assert!(
             (35.0..60.0).contains(&r.tflops),
             "{name}: ZeRO-Infinity drifted to {:.1} TFLOPS",
@@ -105,10 +104,13 @@ fn grace_adam_model_pinned_to_table3() {
 /// The 25B single-chip capacity headline holds exactly.
 #[test]
 fn capacity_headline_pinned() {
-    let chip = presets::gh200_chip();
-    assert!(simulate_single_chip(&chip, &wl("25B", 8), &SuperOffloadOptions::default()).feasible());
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let fits = |name| {
+        SuperOffload::default()
+            .simulate(&cluster, 1, &wl(name, 8))
+            .feasible()
+    };
+    assert!(fits("25B"));
     // The next Appendix-A rung must NOT fit (50B), keeping 25B the headline.
-    assert!(
-        !simulate_single_chip(&chip, &wl("50B", 8), &SuperOffloadOptions::default()).feasible()
-    );
+    assert!(!fits("50B"));
 }

@@ -6,12 +6,12 @@ use llm_model::memory::ModelStateMemory;
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::{ModelConfig, Workload};
 use superchip_sim::engine::TaskTag;
-use superchip_sim::presets;
 use superchip_sim::trace::Interval;
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload::bucket::{BucketPlan, DEFAULT_BUCKET_BYTES};
 use superoffload::casting::CastPlacement;
 use superoffload::policy::{choose_policy, WeightPolicy};
-use superoffload::schedule::{simulate_single_chip_profiled, SuperOffloadOptions};
+use superoffload::{OffloadSystem, SuperOffload};
 
 /// The real flat model's parameter count matches the analytic formula for
 /// a same-shaped config (with learned positions added, which the analytic
@@ -87,7 +87,8 @@ fn superoffload_trace_places_work_as_section_4_1_says() {
         ("DGX-A100", presets::dgx_a100_chip()),
     ];
     for (name, chip) in chips {
-        let profile = simulate_single_chip_profiled(&chip, &wl, &SuperOffloadOptions::default())
+        let profile = SuperOffload::default()
+            .simulate_profiled(&single_chip_cluster(&chip), 1, &wl)
             .unwrap_or_else(|e| panic!("{name}: 5B is infeasible: {e}"));
         let trace = &profile.trace;
         let on = |iv: &Interval| trace.resource_names()[iv.resource.index()].as_str();

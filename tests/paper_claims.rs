@@ -1,13 +1,16 @@
 //! Cross-crate integration tests asserting the paper's headline claims hold
 //! end-to-end (simulator + policies + baselines together).
 
-use baselines::common::single_chip_cluster;
-use baselines::{ddp, fsdp_offload, zero_infinity, zero_offload};
+use baselines::ddp::Ddp;
+use baselines::fsdp_offload::FsdpOffload;
+use baselines::zero_infinity::ZeroInfinity;
+use baselines::zero_offload::ZeroOffload;
+use baselines::OffloadSystem;
 use llm_model::{ModelConfig, Workload};
-use superchip_sim::presets;
-use superoffload::schedule::{simulate_single_chip, SuperOffloadOptions};
+use superchip_sim::{presets, single_chip_cluster};
+use superoffload::schedule::SuperOffloadOptions;
 use superoffload::ulysses::{max_sequence_length, SequenceSystem};
-use superoffload::zero_dp;
+use superoffload::SuperOffload;
 
 fn wl(name: &str, batch: u32) -> Workload {
     Workload::new(ModelConfig::by_name(name).unwrap(), batch, 2048)
@@ -18,13 +21,12 @@ fn wl(name: &str, batch: u32) -> Workload {
 /// ZeRO-Offload by roughly 2× across the sweep.
 #[test]
 fn claim_2x_over_zero_offload() {
-    let chip = presets::gh200_chip();
-    let cluster = single_chip_cluster(&chip);
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     let mut ratios = Vec::new();
     for name in ["5B", "8B", "10B", "13B"] {
         let w = wl(name, 8);
-        let zo = zero_offload::simulate(&cluster, 1, &w);
-        let so = simulate_single_chip(&chip, &w, &SuperOffloadOptions::default());
+        let zo = ZeroOffload.simulate(&cluster, 1, &w);
+        let so = SuperOffload::default().simulate(&cluster, 1, &w);
         assert!(zo.feasible() && so.feasible(), "{name} must fit both");
         ratios.push(so.tflops / zo.tflops);
     }
@@ -38,12 +40,11 @@ fn claim_2x_over_zero_offload() {
 /// §1: "outperforms GPU-only approaches across all tested model sizes".
 #[test]
 fn claim_beats_gpu_only_everywhere() {
-    let chip = presets::gh200_chip();
-    let cluster = single_chip_cluster(&chip);
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     for name in ["1B", "2B", "3B", "4B"] {
         let w = wl(name, 8);
-        let d = ddp::simulate(&cluster, 1, &w);
-        let so = simulate_single_chip(&chip, &w, &SuperOffloadOptions::default());
+        let d = Ddp.simulate(&cluster, 1, &w);
+        let so = SuperOffload::default().simulate(&cluster, 1, &w);
         assert!(d.feasible());
         assert!(
             so.tflops >= d.tflops * 0.995,
@@ -58,13 +59,12 @@ fn claim_beats_gpu_only_everywhere() {
 /// Superchip, which is 7× larger than GPU-only solutions".
 #[test]
 fn claim_25b_on_one_superchip() {
-    let chip = presets::gh200_chip();
-    let so = simulate_single_chip(&chip, &wl("25B", 8), &SuperOffloadOptions::default());
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    let so = SuperOffload::default().simulate(&cluster, 1, &wl("25B", 8));
     assert!(so.feasible(), "25B must fit with SuperOffload");
 
     // GPU-only tops out far below (paper: 3.5B; our ladder: ~4B).
-    let cluster = single_chip_cluster(&chip);
-    assert!(!ddp::simulate(&cluster, 1, &wl("5B", 8)).feasible());
+    assert!(!Ddp.simulate(&cluster, 1, &wl("5B", 8)).feasible());
     let ratio = ModelConfig::by_name("25B").unwrap().param_count() as f64
         / ModelConfig::by_name("4B").unwrap().param_count() as f64;
     assert!(ratio > 5.0, "scale-up factor {ratio:.1} should be large");
@@ -76,11 +76,10 @@ fn claim_25b_on_one_superchip() {
 #[test]
 fn claim_50b_on_four_superchips() {
     let cluster = presets::gh200_nvl2_cluster(2);
-    let so =
-        zero_dp::simulate_cluster(&cluster, 4, &wl("50B", 16), &SuperOffloadOptions::default());
+    let so = SuperOffload::default().simulate(&cluster, 4, &wl("50B", 16));
     assert!(so.feasible(), "50B must fit on 4 Superchips");
     // ZeRO-Offload replicates FP16 params: 50B cannot fit.
-    assert!(!zero_offload::simulate(&cluster, 4, &wl("50B", 16)).feasible());
+    assert!(!ZeroOffload.simulate(&cluster, 4, &wl("50B", 16)).feasible());
 }
 
 /// §5.2: FSDP-Offload "consistently achieves less than 15 TFLOPS" and
@@ -90,10 +89,10 @@ fn claim_slow_baselines_stay_slow() {
     let cluster = single_chip_cluster(&presets::gh200_chip());
     for name in ["5B", "13B", "25B"] {
         let w = wl(name, 8);
-        let fsdp = fsdp_offload::simulate(&cluster, 1, &w);
+        let fsdp = FsdpOffload.simulate(&cluster, 1, &w);
         assert!(fsdp.feasible());
         assert!(fsdp.tflops < 20.0, "{name}: fsdp {:.1}", fsdp.tflops);
-        let zi = zero_infinity::simulate(&cluster, 1, &w);
+        let zi = ZeroInfinity::default().simulate(&cluster, 1, &w);
         assert!(zi.feasible());
         assert!(zi.tflops < 60.0, "{name}: zero-infinity {:.1}", zi.tflops);
     }
@@ -131,11 +130,10 @@ fn claim_million_token_sequences() {
 /// nearly eliminates the idle time in the identical setting.
 #[test]
 fn claim_idle_time_eliminated() {
-    let chip = presets::gh200_chip();
-    let cluster = single_chip_cluster(&chip);
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     let w = wl("13B", 8);
-    let zo = zero_offload::simulate(&cluster, 1, &w);
-    let so = simulate_single_chip(&chip, &w, &SuperOffloadOptions::default());
+    let zo = ZeroOffload.simulate(&cluster, 1, &w);
+    let so = SuperOffload::default().simulate(&cluster, 1, &w);
     let zo_idle = 1.0 - zo.gpu_util;
     let so_idle = 1.0 - so.gpu_util;
     assert!(
@@ -154,8 +152,7 @@ fn claim_idle_time_eliminated() {
 /// SuperOffload.
 #[test]
 fn claim_capacity_ordering_single_chip() {
-    let chip = presets::gh200_chip();
-    let cluster = single_chip_cluster(&chip);
+    let cluster = single_chip_cluster(&presets::gh200_chip());
     let max_for = |f: &dyn Fn(&Workload) -> bool| -> u64 {
         ModelConfig::appendix_a()
             .into_iter()
@@ -164,10 +161,9 @@ fn claim_capacity_ordering_single_chip() {
             .max()
             .unwrap_or(0)
     };
-    let ddp_max = max_for(&|w| ddp::simulate(&cluster, 1, w).feasible());
-    let zo_max = max_for(&|w| zero_offload::simulate(&cluster, 1, w).feasible());
-    let so_max =
-        max_for(&|w| simulate_single_chip(&chip, w, &SuperOffloadOptions::default()).feasible());
+    let ddp_max = max_for(&|w| Ddp.simulate(&cluster, 1, w).feasible());
+    let zo_max = max_for(&|w| ZeroOffload.simulate(&cluster, 1, w).feasible());
+    let so_max = max_for(&|w| SuperOffload::default().simulate(&cluster, 1, w).feasible());
     assert!(ddp_max < zo_max, "ddp {ddp_max} !< zero-offload {zo_max}");
     assert!(
         zo_max < so_max,

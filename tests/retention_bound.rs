@@ -11,12 +11,11 @@
 use llm_model::{ModelConfig, Workload};
 use proptest::prelude::*;
 use superchip_sim::prelude::*;
-use superchip_sim::presets;
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload::casting::CastPlacement;
 use superoffload::costs::OptimizerImpl;
 use superoffload::schedule::{
-    admit_fixed, retention_candidates, select_retention, simulate_single_chip_profiled,
-    SuperOffloadOptions, BOUND_SLACK,
+    admit_fixed, retention_candidates, select_retention, SuperOffloadOptions, BOUND_SLACK,
 };
 use superoffload::system::{Infeasible, OffloadSystem, SuperOffload};
 
@@ -163,7 +162,8 @@ fn admitted_bound_covers_every_candidate_score() {
                                 w.global_batch
                             );
                             let bound = admit_fixed(&chip, w, &pinned);
-                            match simulate_single_chip_profiled(&chip, w, &pinned) {
+                            let so = SuperOffload::with_opts(pinned);
+                            match so.simulate_profiled(&single_chip_cluster(&chip), 1, w) {
                                 Ok(p) => {
                                     accumulated |= p.report.plan.unwrap().accum_steps > 1;
                                     let bound = bound.expect("feasible candidate is admitted");
@@ -188,7 +188,6 @@ fn admitted_bound_covers_every_candidate_score() {
 /// rank (pinned and searched retention) and through ZeRO-DP at two.
 #[test]
 fn too_few_iterations_is_infeasible() {
-    let chip = presets::gh200_chip();
     let cluster = presets::gh200_nvl2_cluster(1);
     let w = Workload::new(ModelConfig::by_name("1B").unwrap(), 8, 2048);
     for iterations in [0, 1] {
@@ -200,7 +199,9 @@ fn too_few_iterations_is_infeasible() {
             };
             let want = Err(Infeasible::TooFewIterations { iterations });
             assert_eq!(
-                simulate_single_chip_profiled(&chip, &w, &opts).map(|p| p.report),
+                SuperOffload::with_opts(opts)
+                    .simulate_profiled(&cluster, 1, &w)
+                    .map(|p| p.report),
                 want.clone(),
                 "1 rank, retention {retained_buckets:?}"
             );

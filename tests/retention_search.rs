@@ -8,13 +8,11 @@
 //! fits.
 
 use llm_model::{ModelConfig, Workload};
-use superchip_sim::presets;
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload::costs::OP_OVERHEAD_TUNED;
 use superoffload::policy::WeightPolicy;
-use superoffload::schedule::{
-    retention_candidates, simulate_single_chip_profiled, SuperOffloadOptions,
-};
-use superoffload::system::Infeasible;
+use superoffload::schedule::{retention_candidates, SuperOffloadOptions};
+use superoffload::system::{Infeasible, OffloadSystem, SuperOffload};
 use superoffload::RunProfile;
 
 /// The plain search: every candidate fully profiled, first maximum kept.
@@ -30,7 +28,8 @@ fn reference_search(
             retained_buckets: Some(n),
             ..*opts
         };
-        match simulate_single_chip_profiled(chip, workload, &pinned) {
+        let cluster = single_chip_cluster(chip);
+        match SuperOffload::with_opts(pinned).simulate_profiled(&cluster, 1, workload) {
             Ok(p) => {
                 if best
                     .as_ref()
@@ -50,7 +49,8 @@ fn reference_search(
 fn assert_search_matches(label: &str, workload: &Workload, opts: &SuperOffloadOptions) {
     let chip = presets::gh200_chip();
     assert_eq!(opts.retained_buckets, None, "{label}: automatic retention");
-    let got = simulate_single_chip_profiled(&chip, workload, opts);
+    let got =
+        SuperOffload::with_opts(*opts).simulate_profiled(&single_chip_cluster(&chip), 1, workload);
     match (got, reference_search(&chip, workload, opts)) {
         (Ok(got), Ok(want)) => {
             assert_eq!(got.report, want.report, "{label}: report");

@@ -2,16 +2,14 @@
 //! Perfetto-loadable, and the wall-clock span counters agree with the
 //! simulated-plane statistics.
 
-use baselines::common::single_chip_cluster;
 use baselines::standard_registry;
 use llm_model::transformer::{GptConfig, GptModel};
 use llm_model::workload::Workload;
 use llm_model::{ModelConfig, SyntheticPile};
-use superchip_sim::presets;
 use superchip_sim::telemetry::{validate_json, MetricsRecorder, METRICS_SCHEMA};
+use superchip_sim::{presets, single_chip_cluster};
 use superoffload::engine::{Discipline, Engine, EngineConfig};
-use superoffload::schedule::{simulate_single_chip_profiled, SuperOffloadOptions};
-use superoffload::Trainer;
+use superoffload::{OffloadSystem, RunProfile, SuperOffload, Trainer};
 
 fn smoke_workload() -> Workload {
     Workload::new(ModelConfig::by_name("3B").unwrap(), 8, 2048)
@@ -30,15 +28,20 @@ fn tiny_model(seed: u64) -> GptModel {
     )
 }
 
+/// SuperOffload's profile of the smoke workload on one Superchip.
+fn smoke_profile() -> RunProfile {
+    let cluster = single_chip_cluster(&presets::gh200_chip());
+    SuperOffload::default()
+        .simulate_profiled(&cluster, 1, &smoke_workload())
+        .expect("smoke fits")
+}
+
 /// Two identical runs must produce byte-identical trace and snapshot
 /// output: all telemetry derives from simulated time, never wall clock.
 #[test]
 fn profile_outputs_are_byte_deterministic() {
-    let chip = presets::gh200_chip();
-    let w = smoke_workload();
-    let opts = SuperOffloadOptions::default();
-    let a = simulate_single_chip_profiled(&chip, &w, &opts).expect("smoke fits");
-    let b = simulate_single_chip_profiled(&chip, &w, &opts).expect("smoke fits");
+    let a = smoke_profile();
+    let b = smoke_profile();
     assert_eq!(a.chrome_trace_json(), b.chrome_trace_json());
     assert_eq!(a.snapshot_json(), b.snapshot_json());
 }
@@ -48,10 +51,7 @@ fn profile_outputs_are_byte_deterministic() {
 /// bandwidth track, and must be valid JSON.
 #[test]
 fn chrome_trace_has_slices_and_counter_tracks() {
-    let chip = presets::gh200_chip();
-    let p =
-        simulate_single_chip_profiled(&chip, &smoke_workload(), &SuperOffloadOptions::default())
-            .expect("smoke fits");
+    let p = smoke_profile();
     let trace = p.chrome_trace_json();
     validate_json(&trace).expect("trace is valid JSON");
     assert!(trace.contains("\"ph\":\"X\""), "missing slice events");
@@ -65,10 +65,7 @@ fn chrome_trace_has_slices_and_counter_tracks() {
 /// derived report gauges.
 #[test]
 fn snapshot_is_versioned_and_valid() {
-    let chip = presets::gh200_chip();
-    let p =
-        simulate_single_chip_profiled(&chip, &smoke_workload(), &SuperOffloadOptions::default())
-            .expect("smoke fits");
+    let p = smoke_profile();
     let snap = p.snapshot_json();
     validate_json(&snap).expect("snapshot is valid JSON");
     assert!(snap.contains(METRICS_SCHEMA), "missing schema tag");
