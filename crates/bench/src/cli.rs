@@ -90,6 +90,7 @@ pub const COMMANDS: &[Command] = &[
         about: || {
             format!(
                 "measured kernel roofline -> roofline.json, roofline_trace.json\n\
+                 (the run replayed as a simulator trace: driver, region and worker rows)\n\
                  (defaults: --threads 0 = all, --steps {}, --seed {}, --peak-flops {:.0e}, \
                  --peak-bw {:.0e})",
                 realbench::REALPLANE_STEPS,

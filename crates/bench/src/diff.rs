@@ -44,7 +44,7 @@ use superchip_sim::Trace;
 
 use crate::cli::{parse_flag, parse_out_dir};
 use crate::fleetview;
-use crate::journal::{fmt_short, stat_tile, DASHBOARD_CSS};
+use crate::journal::{fmt_short, html_page, stat_tile};
 
 /// Schema identifier stamped into the diff snapshot artifact.
 pub const DIFF_SCHEMA: &str = "superoffload.diff/v1";
@@ -554,14 +554,11 @@ pub fn render_html(a: &RunSide, b: &RunSide, diff: &AnalysisDiff, mdiff: &Metric
         body.push_str("</tbody></table></div></section>\n");
     }
 
-    format!(
-        "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\
-         <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\
-         <title>diff {label_a} vs {label_b}</title>\
-         <style>{DASHBOARD_CSS}</style></head>\n<body class=\"viz-root\">\n{body}\
-         <footer class=\"note\">generated by repro -- diff; deterministic \
-         (simulated time only)</footer>\n</body></html>\n"
-    )
+    body.push_str(
+        "<footer class=\"note\">generated by repro -- diff; deterministic \
+         (simulated time only)</footer>\n",
+    );
+    html_page(&format!("diff {label_a} vs {label_b}"), "", &body, None)
 }
 
 /// Reads two snapshot files and, when both are `superoffload.analysis/v1`

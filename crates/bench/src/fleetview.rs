@@ -43,7 +43,7 @@ use superoffload::fleet::{FleetCtx, LeaseLedger};
 use crate::cli::parse_flag;
 use crate::diff::esc_html;
 use crate::experiments::{FIG10_BATCH, SEQ};
-use crate::journal::{fmt_short, stat_tile, DASHBOARD_CSS};
+use crate::journal::{fmt_short, html_page, stat_tile};
 use crate::profile::PROFILE_MODEL;
 use crate::scale::sweep_workload;
 use crate::sysname;
@@ -765,29 +765,25 @@ fn dashboard_html(view: &FleetView) -> String {
          </section>\n"
     );
 
-    format!(
-        "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n\
-         <title>Fleet observatory \u{2014} {FLEETVIEW_SCHEMA}</title>\n\
-         <style>{css}{fleet_css}</style>\n\
-         </head>\n<body>\n<div class=\"viz-root\">\n\
-         <header><h1>Fleet observatory</h1>\
+    let body = format!(
+        "<header><h1>Fleet observatory</h1>\
          <p class=\"sub\">{FLEETVIEW_SCHEMA} \u{00b7} {system} \u{00b7} {nodes} nodes \u{00b7} \
          seed {seed}</p></header>\n\
          <section class=\"kpis\">{kpis}</section>\n\
          {heat}{waterfall}{hists}\
          <footer class=\"note\">Generated by <code>repro -- fleetview</code>. All numbers \
-         are simulated time; every artifact is byte-identical across reruns.</footer>\n\
-         </div>\n</body>\n</html>\n",
-        css = DASHBOARD_CSS,
-        fleet_css = FLEET_CSS,
+         are simulated time; every artifact is byte-identical across reruns.</footer>\n",
         system = view.system,
         nodes = view.nodes,
         seed = view.seed,
-        kpis = kpis,
-        heat = heat,
         waterfall = waterfall(view),
         hists = histogram_tiles(view),
+    );
+    html_page(
+        &format!("Fleet observatory \u{2014} {FLEETVIEW_SCHEMA}"),
+        FLEET_CSS,
+        &body,
+        None,
     )
 }
 

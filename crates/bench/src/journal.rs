@@ -607,30 +607,42 @@ pub fn dashboard_html(
     ]
     .concat();
 
-    format!(
-        "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n\
-         <title>Training journal \u{2014} {JOURNAL_SCHEMA}</title>\n<style>{css}</style>\n\
-         </head>\n<body>\n<div class=\"viz-root\">\n\
-         <header><h1>Training journal</h1>\
+    let body = format!(
+        "<header><h1>Training journal</h1>\
          <p class=\"sub\">{JOURNAL_SCHEMA} \u{00b7} {steps} steps \u{00b7} seed {seed} \u{00b7} \
          {tokens} tokens \u{00b7} {flops} FLOP</p></header>\n\
          <section class=\"kpis\">{kpis}</section>\n\
          {charts}{strip}{table}{roofline}\
          <footer class=\"note\">Generated by <code>repro -- journal</code>. The JSONL \
          artifact is deterministic; this page and the timing sidecar carry the \
-         host-dependent measurements.</footer>\n\
-         </div>\n<script>{js}</script>\n</body>\n</html>\n",
-        css = DASHBOARD_CSS,
+         host-dependent measurements.</footer>\n",
         steps = s.steps,
         tokens = s.tokens,
         flops = fmt_short(s.flops as f64),
-        kpis = kpis,
-        charts = charts,
         strip = outcome_strip(journal),
         table = record_table(journal),
         roofline = roofline.map(roofline_section).unwrap_or_default(),
-        js = HOVER_JS,
+    );
+    html_page(
+        &format!("Training journal \u{2014} {JOURNAL_SCHEMA}"),
+        "",
+        &body,
+        Some(HOVER_JS),
+    )
+}
+
+/// The page shell of every HTML report: doctype, head with
+/// [`DASHBOARD_CSS`] plus the page's own `css`, then `body` inside the
+/// `.viz-root` wrapper and, when given, one inline `script`.
+pub(crate) fn html_page(title: &str, css: &str, body: &str, script: Option<&str>) -> String {
+    let script = script
+        .map(|js| format!("<script>{js}</script>\n"))
+        .unwrap_or_default();
+    format!(
+        "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
+         <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n\
+         <title>{title}</title>\n<style>{DASHBOARD_CSS}{css}</style>\n\
+         </head>\n<body>\n<div class=\"viz-root\">\n{body}</div>\n{script}</body>\n</html>\n"
     )
 }
 
@@ -883,6 +895,22 @@ mod tests {
         // Without a roofline report the card is simply absent.
         let bare = dashboard_html(journal, 5, None);
         assert!(!bare.contains("Kernel roofline"));
+    }
+
+    #[test]
+    fn page_shell_keeps_the_journal_page_bytes() {
+        // The journal page's shell before it was shared; the fleetview
+        // page, the shell without a script, is pinned by its digest.
+        assert_eq!(
+            html_page("t", ".a{}", "<p>x</p>\n", Some("run()")),
+            format!(
+                "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
+                 <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n\
+                 <title>t</title>\n<style>{DASHBOARD_CSS}.a{{}}</style>\n\
+                 </head>\n<body>\n<div class=\"viz-root\">\n<p>x</p>\n\
+                 </div>\n<script>run()</script>\n</body>\n</html>\n"
+            )
+        );
     }
 
     #[test]

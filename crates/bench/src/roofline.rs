@@ -11,17 +11,24 @@
 //!   Wall-clock lives here and **only** here: the deterministic journal /
 //!   metrics artifacts never see a nanosecond (same rule as the trainer's
 //!   `StepTiming` sidecar).
-//! - `roofline_trace.json` — Chrome Trace Event export of the same run
-//!   (kernel spans per driver track, worker busy rows, a `workers:busy`
-//!   counter track), loadable in Perfetto / `chrome://tracing`.
+//! - `roofline_trace.json` — the same run replayed through the simulator
+//!   as a [`Trace`] ([`measured_trace`]) and written by the one Chrome
+//!   exporter, [`to_chrome_trace`]: kernel spans per driver track, each
+//!   track's pool regions on a row of their own, worker busy rows.
+//!   Loadable in Perfetto / `chrome://tracing`.
 //!
 //! The FLOP and byte columns are copied verbatim (`u64`) from the counter
 //! ledger, so the sidecar reconciles bit-exactly with
 //! [`Recorder::snapshot`] by construction — CI asserts the per-kernel sums
 //! equal the ledger totals.
 
-use superchip_sim::chrome_trace::{real_spans_chrome_trace, RealSpan};
-use superchip_sim::telemetry::{JsonWriter, Layout, MetricsRecorder};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+
+use superchip_sim::chrome_trace::to_chrome_trace;
+use superchip_sim::engine::ResourceId;
+use superchip_sim::telemetry::{JsonWriter, Layout};
+use superchip_sim::{SimTime, Simulator, TaskLabel, TaskSpec, Trace};
 use tensorlite::counters::{CounterSnapshot, OpKind};
 use tensorlite::pool::hardware_threads;
 use tensorlite::spans::{SpanLog, WorkerUtilization};
@@ -40,10 +47,6 @@ pub const DEFAULT_PEAK_FLOPS: f64 = 1e12;
 /// Default peak memory-bandwidth denominator in bytes/sec (a nominal
 /// 100 GB/s host; override with `--peak-bw` for a calibrated roofline).
 pub const DEFAULT_PEAK_BW: f64 = 1e11;
-
-/// Chrome-trace tid offset for worker rows (driver tracks use the dense
-/// span track ids, which are small).
-const WORKER_TID_BASE: u32 = 1000;
 
 /// Parsed flags for the roofline subcommand.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -337,97 +340,121 @@ impl RooflineReport {
     }
 }
 
-/// Chrome Trace Event export of one measured run: kernel spans on
-/// `driver-<track>` rows, worker busy intervals on `worker-<i>` rows
-/// (tid `1000 + i`), and a `workers:busy` counter track showing parallel
-/// occupancy over time. Open in Perfetto (`ui.perfetto.dev`) or
-/// `chrome://tracing`.
-pub fn trace_json(log: &SpanLog) -> String {
-    // Normalize to the earliest span so the trace starts at t = 0.
-    let t0 = log
+/// One row of a measured [`Trace`]. Derived order is the row order:
+/// each driver track's kernel row, then the row of the pool regions it
+/// launched, then one row per worker index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Row {
+    /// A driver thread's kernel spans (`regions: false`) or the pool
+    /// regions it launched (`regions: true`). Regions get a row of their
+    /// own because they open inside kernels and enclose them.
+    Driver { track: u32, regions: bool },
+    /// The busy spans of one worker index.
+    Worker(u32),
+}
+
+impl fmt::Display for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Row::Driver { track, regions } => {
+                let suffix = if *regions { ":regions" } else { "" };
+                write!(f, "driver-{track}{suffix}")
+            }
+            Row::Worker(w) => write!(f, "worker-{w}"),
+        }
+    }
+}
+
+/// Whole nanoseconds of `t` (the resolution of a [`SpanLog`]).
+fn nanos(t: SimTime) -> u64 {
+    (t.as_secs() * 1e9).round() as u64
+}
+
+/// Replays one measured run through the [`Simulator`] as a [`Trace`].
+///
+/// Every span becomes a compute task on its row, released at its
+/// measured start minus the earliest start of the log, so the trace
+/// begins at t = 0. The list scheduler starts a task at its release time
+/// whenever its row is free, so the replay is exact exactly when no row
+/// overlaps itself. Tasks are submitted kernels first, then regions, then
+/// workers, each in log order: interval `i` is the `i`-th span of that
+/// sequence.
+///
+/// # Errors
+/// If a replayed span does not start at its measured start (to the
+/// nanosecond), because it overlaps an earlier span on its row. A span is
+/// never moved silently.
+pub fn measured_trace(log: &SpanLog) -> Result<Trace, String> {
+    let driver = |track, regions| Row::Driver { track, regions };
+    let spans: Vec<(Row, TaskLabel, u64, u64)> = log
         .kernels
         .iter()
-        .map(|s| s.start_nanos)
-        .chain(log.regions.iter().map(|s| s.start_nanos))
-        .chain(log.workers.iter().map(|s| s.start_nanos))
+        .map(|s| {
+            (
+                driver(s.track, false),
+                s.kind.name().into(),
+                s.start_nanos,
+                s.dur_nanos,
+            )
+        })
+        .chain(log.regions.iter().map(|s| {
+            let label = format!("pool region x{}", s.workers).into();
+            (driver(s.track, true), label, s.start_nanos, s.dur_nanos)
+        }))
+        .chain(log.workers.iter().map(|s| {
+            (
+                Row::Worker(s.worker),
+                "busy".into(),
+                s.start_nanos,
+                s.dur_nanos,
+            )
+        }))
+        .collect();
+    let t0 = spans
+        .iter()
+        .map(|&(_, _, start, _)| start)
         .min()
         .unwrap_or(0);
-    let us = |nanos: u64| nanos.saturating_sub(t0) / 1_000;
 
-    let mut spans_out: Vec<RealSpan> = Vec::new();
-    let mut end_us = 0u64;
-    for s in &log.kernels {
-        let (ts_us, dur_us) = (us(s.start_nanos), s.dur_nanos / 1_000);
-        end_us = end_us.max(ts_us + dur_us);
-        spans_out.push(RealSpan {
-            name: s.kind.name().to_string(),
-            cat: "kernel".into(),
-            tid: s.track,
-            ts_us,
-            dur_us,
-        });
-    }
-    for s in &log.regions {
-        let (ts_us, dur_us) = (us(s.start_nanos), s.dur_nanos / 1_000);
-        end_us = end_us.max(ts_us + dur_us);
-        spans_out.push(RealSpan {
-            name: format!("pool region x{}", s.workers),
-            cat: "region".into(),
-            tid: s.track,
-            ts_us,
-            dur_us,
-        });
-    }
-    for s in &log.workers {
-        let (ts_us, dur_us) = (us(s.start_nanos), s.dur_nanos / 1_000);
-        end_us = end_us.max(ts_us + dur_us);
-        spans_out.push(RealSpan {
-            name: "busy".into(),
-            cat: "worker".into(),
-            tid: WORKER_TID_BASE + s.worker,
-            ts_us,
-            dur_us,
-        });
-    }
-
-    let mut track_names: Vec<(u32, String)> = log
-        .tracks()
+    let mut sim = Simulator::new();
+    let rows: BTreeMap<Row, ResourceId> = spans
+        .iter()
+        .map(|&(row, ..)| row)
+        .collect::<BTreeSet<Row>>()
         .into_iter()
-        .map(|t| (t, format!("driver-{t}")))
+        .map(|row| (row, sim.add_resource(row.to_string())))
         .collect();
-    let mut worker_ids: Vec<u32> = log.workers.iter().map(|w| w.worker).collect();
-    worker_ids.sort_unstable();
-    worker_ids.dedup();
-    for w in &worker_ids {
-        track_names.push((WORKER_TID_BASE + w, format!("worker-{w}")));
+    for (row, label, start, dur) in spans {
+        let task = TaskSpec::compute(rows[&row], SimTime::from_nanos(dur as f64))
+            .with_label(label)
+            .not_before(SimTime::from_nanos((start - t0) as f64));
+        sim.add_task(task).map_err(|e| e.to_string())?;
     }
-
-    // workers:busy — a step counter of concurrently-busy workers, sampled
-    // at every busy-interval edge.
-    let mut rec = MetricsRecorder::new();
-    if !log.workers.is_empty() {
-        let mut edges: Vec<(u64, i64)> = Vec::with_capacity(log.workers.len() * 2);
-        for s in &log.workers {
-            edges.push((us(s.start_nanos), 1));
-            edges.push((us(s.start_nanos) + s.dur_nanos / 1_000, -1));
-        }
-        // Ends before starts at the same microsecond, so the counter dips
-        // instead of double-counting back-to-back regions.
-        edges.sort_unstable();
-        let mut busy = 0i64;
-        rec.sample_us("workers:busy", "workers", 0, 0.0);
-        for (ts, d) in edges {
-            busy += d;
-            rec.sample_us("workers:busy", "workers", ts, busy as f64);
+    let trace = sim.run().map_err(|e| e.to_string())?;
+    for iv in trace.intervals() {
+        let (measured, replayed) = (nanos(trace.release_time(iv.task)), nanos(iv.start));
+        if replayed != measured {
+            let row = &trace.resource_names()[iv.resource.index()];
+            return Err(format!(
+                "span `{}` on row {row} overlaps an earlier span there: \
+                 measured at {measured} ns, replayed at {replayed} ns",
+                iv.label
+            ));
         }
     }
+    Ok(trace)
+}
 
-    real_spans_chrome_trace(
-        &spans_out,
-        &track_names,
-        (!log.workers.is_empty()).then_some(&rec),
-        end_us,
-    )
+/// Chrome Trace Event export of one measured run: the [`measured_trace`]
+/// written by [`to_chrome_trace`], with kernel slices on `driver-<t>`
+/// rows, pool regions on `driver-<t>:regions` rows and worker busy
+/// intervals on `worker-<i>` rows. Open in Perfetto (`ui.perfetto.dev`)
+/// or `chrome://tracing`.
+///
+/// # Errors
+/// As [`measured_trace`]: a span the replay would move.
+pub fn trace_json(log: &SpanLog) -> Result<String, String> {
+    measured_trace(log).map(|trace| to_chrome_trace(&trace))
 }
 
 /// Prints the human roofline table.
@@ -520,8 +547,8 @@ pub fn print_report(r: &RooflineReport) {
 /// writes `roofline.json` + `roofline_trace.json`.
 ///
 /// # Errors
-/// A CLI-ready message on bad flags, invalid generated JSON, or an I/O
-/// failure.
+/// A CLI-ready message on bad flags, a measured span the trace replay
+/// would move, or an I/O failure.
 pub fn run(args: &[String]) -> Result<(), String> {
     let parsed = RooflineArgs::parse(args)?;
     let out_dir = crate::cli::parse_out_dir(args)?;
@@ -530,7 +557,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let dir = std::path::Path::new(&out_dir);
     crate::cli::write_artifacts(&[
         (dir.join("roofline.json"), report.to_json()),
-        (dir.join("roofline_trace.json"), trace_json(&log)),
+        (dir.join("roofline_trace.json"), trace_json(&log)?),
     ])
 }
 
@@ -633,15 +660,27 @@ mod tests {
         assert!(json.contains("\"bound\": \"memory\""));
     }
 
+    fn kernel(track: u32, start_nanos: u64, dur_nanos: u64) -> KernelSpan {
+        KernelSpan {
+            kind: OpKind::MatMul,
+            track,
+            start_nanos,
+            dur_nanos,
+        }
+    }
+
     #[test]
     fn trace_export_covers_all_span_kinds() {
+        // A kernel that encloses a pool region on the same driver track,
+        // and the region's two workers.
+        let worker = |worker, dur_nanos| WorkerSpan {
+            region: 0,
+            worker,
+            start_nanos: 7_000,
+            dur_nanos,
+        };
         let log = SpanLog {
-            kernels: vec![KernelSpan {
-                kind: OpKind::MatMul,
-                track: 0,
-                start_nanos: 5_000,
-                dur_nanos: 10_000,
-            }],
+            kernels: vec![kernel(0, 5_000, 10_000)],
             regions: vec![RegionSpan {
                 region: 0,
                 workers: 2,
@@ -649,42 +688,60 @@ mod tests {
                 start_nanos: 6_000,
                 dur_nanos: 8_000,
             }],
-            workers: vec![
-                WorkerSpan {
-                    region: 0,
-                    worker: 0,
-                    start_nanos: 7_000,
-                    dur_nanos: 6_000,
-                },
-                WorkerSpan {
-                    region: 0,
-                    worker: 1,
-                    start_nanos: 7_000,
-                    dur_nanos: 5_000,
-                },
-            ],
+            workers: vec![worker(0, 6_000), worker(1, 5_000)],
             dropped: 0,
         };
-        let trace = trace_json(&log);
+        let trace = trace_json(&log).expect("no row overlaps itself");
         validate_json(&trace).expect("valid trace JSON");
-        // Thread-name metadata for the driver track and both worker rows.
-        assert!(trace.contains("\"driver-0\""));
-        assert!(trace.contains("\"worker-0\""));
-        assert!(trace.contains("\"worker-1\""));
-        // Slices for the kernel, the region, and the worker intervals.
-        assert!(trace.contains("\"name\":\"matmul\""));
-        assert!(trace.contains("\"pool region x2\""));
         assert_eq!(trace.matches("\"ph\":\"X\"").count(), 4);
-        // The occupancy counter track samples at every busy edge.
-        assert!(trace.contains("workers:busy"));
-        assert!(trace.contains("\"ph\":\"C\""));
-        // Timestamps are normalized to the earliest span.
-        assert!(trace.contains("\"ts\":0"));
+        assert_eq!(trace.matches("\"thread_name\"").count(), 4);
+        for row in ["driver-0", "driver-0:regions", "worker-0", "worker-1"] {
+            assert!(trace.contains(&format!("{{\"name\":\"{row}\"}}")), "{row}");
+        }
+        // Timestamps are normalized to the earliest span; the region sits
+        // on its own row, 1 us into the kernel that encloses it.
+        assert!(trace.contains(r#""name":"matmul","cat":"compute","ph":"X","ts":0,"dur":10,"#));
+        assert!(trace.contains(
+            r#""name":"pool region x2","cat":"compute","ph":"X","ts":1,"dur":8,"pid":0,"tid":1"#
+        ));
+        // The worker rows carry the busy signal; no counter repeats it.
+        assert!(!trace.contains("\"ph\":\"C\""));
+    }
+
+    #[test]
+    fn a_span_the_replay_would_move_is_an_error() {
+        // Back to back on one track: exact to the nanosecond, although in
+        // f64 seconds 1 ns + 36 ns ends one ulp after 37 ns.
+        assert!(SimTime::from_nanos(1.0) + SimTime::from_nanos(36.0) > SimTime::from_nanos(37.0));
+        let touching = SpanLog {
+            kernels: vec![kernel(0, 1, 36), kernel(0, 37, 5)],
+            // A worker span at 0 keeps the origin at 0 ns.
+            workers: vec![WorkerSpan {
+                region: 0,
+                worker: 0,
+                start_nanos: 0,
+                dur_nanos: 1,
+            }],
+            ..SpanLog::default()
+        };
+        let trace = measured_trace(&touching).expect("back-to-back spans replay exactly");
+        assert_eq!(nanos(trace.makespan()), 42);
+        // Overlapping on one track: the second kernel would start late.
+        let overlapping = SpanLog {
+            kernels: vec![kernel(0, 1_000, 2_000), kernel(0, 2_000, 500)],
+            ..SpanLog::default()
+        };
+        let err = trace_json(&overlapping).unwrap_err();
+        assert!(err.contains("driver-0"), "{err}");
+        assert!(
+            err.contains("measured at 1000 ns, replayed at 2000 ns"),
+            "{err}"
+        );
     }
 
     #[test]
     fn empty_log_exports_a_valid_trace() {
-        let trace = trace_json(&SpanLog::default());
+        let trace = trace_json(&SpanLog::default()).unwrap();
         validate_json(&trace).expect("valid empty trace");
     }
 }

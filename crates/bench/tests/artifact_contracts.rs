@@ -108,7 +108,8 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "roofline",
-        run: Repro(&["roofline --steps 2 --out-dir {dir}"]),
+        // Two threads, so worker and region rows exist on any host.
+        run: Repro(&["roofline --steps 2 --threads 2 --out-dir {dir}"]),
         check: check_roofline,
         stable: |_| false,
     },
@@ -438,7 +439,22 @@ fn check_roofline(dir: &Path) {
     }
     let trace = doc(dir, "roofline_trace.json");
     assert!(events(&trace, "X").next().is_some(), "no slices");
-    assert!(events(&trace, "M").next().is_some(), "no track names");
+    // One row per worker of the sidecar; the rows carry the busy signal,
+    // so no counter track repeats it.
+    let rows: Vec<&str> = events(&trace, "M").map(|e| text(e, "args.name")).collect();
+    for w in list(&d, "workers") {
+        let row = format!("worker-{}", num(w, "worker"));
+        assert_eq!(
+            rows.iter().filter(|&&r| r == row).count(),
+            1,
+            "{row} in {rows:?}"
+        );
+    }
+    assert!(
+        rows.iter().any(|r| r.ends_with(":regions")),
+        "no region row in {rows:?}"
+    );
+    assert!(events(&trace, "C").next().is_none(), "counter records");
 }
 
 /// Every file is non-empty and parses; every non-trace JSON document and

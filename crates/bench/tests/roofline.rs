@@ -7,7 +7,14 @@
 //! 2. Span recording is a pure observer: the deterministic artifacts
 //!    (journal JSONL, metrics snapshot) are byte-identical whether
 //!    recording is enabled or disabled.
+//! 3. A measured run replays as an ordinary `Trace`: every interval sits
+//!    exactly where its span was measured, on its own driver, region or
+//!    worker row, and the analyzer's busy and stall ledger sums to the
+//!    makespan as it does for simulated traces.
 
+use std::collections::BTreeSet;
+
+use superchip_sim::analysis::analyze;
 use superoffload_bench::journal::{self, JournalArgs};
 use superoffload_bench::realbench::{REALPLANE_BATCH, REALPLANE_SEED, REALPLANE_SEQ};
 use superoffload_bench::roofline::{measure, RooflineArgs};
@@ -104,9 +111,80 @@ fn parallel_runs_record_worker_spans_and_a_loadable_trace() {
 }
 
 fn trace_is_valid(log: &tensorlite::SpanLog) -> String {
-    let trace = roofline::trace_json(log);
+    let trace = roofline::trace_json(log).expect("the replay moves no span");
     superchip_sim::telemetry::validate_json(&trace).expect("trace must be valid JSON");
     trace
+}
+
+/// Whole nanoseconds of a replayed time.
+fn nanos(t: superchip_sim::SimTime) -> u64 {
+    (t.as_secs() * 1e9).round() as u64
+}
+
+#[test]
+fn a_measured_run_replays_exactly_on_one_row_per_track() {
+    for threads in [1usize, 2] {
+        let (_report, log) = measure(RooflineArgs {
+            threads,
+            steps: 2,
+            ..RooflineArgs::default()
+        });
+        assert_eq!(log.dropped, 0, "threads={threads}");
+        let trace = roofline::measured_trace(&log).expect("the replay moves no span");
+
+        // Submission order is kernels, regions, workers, each in log order.
+        let spans: Vec<(u64, u64)> = log
+            .kernels
+            .iter()
+            .map(|s| (s.start_nanos, s.dur_nanos))
+            .chain(log.regions.iter().map(|s| (s.start_nanos, s.dur_nanos)))
+            .chain(log.workers.iter().map(|s| (s.start_nanos, s.dur_nanos)))
+            .collect();
+        let t0 = spans.iter().map(|&(start, _)| start).min().unwrap();
+        assert_eq!(trace.intervals().len(), spans.len(), "threads={threads}");
+        for (iv, &(start, dur)) in trace.intervals().iter().zip(&spans) {
+            assert_eq!(nanos(iv.start), start - t0, "threads={threads}: {iv:?}");
+            assert_eq!(nanos(iv.duration()), dur, "threads={threads}: {iv:?}");
+        }
+
+        // One row per driver track, per region-launching track and per
+        // worker index.
+        let expected: BTreeSet<String> = log
+            .kernels
+            .iter()
+            .map(|s| format!("driver-{}", s.track))
+            .chain(
+                log.regions
+                    .iter()
+                    .map(|s| format!("driver-{}:regions", s.track)),
+            )
+            .chain(log.workers.iter().map(|s| format!("worker-{}", s.worker)))
+            .collect();
+        let rows: BTreeSet<String> = trace.resource_names().iter().cloned().collect();
+        assert_eq!(trace.resource_names().len(), rows.len(), "row names repeat");
+        assert_eq!(rows, expected, "threads={threads}");
+        if threads == 2 {
+            assert!(rows.contains("worker-1") && rows.iter().any(|r| r.ends_with(":regions")));
+        }
+    }
+}
+
+#[test]
+fn a_measured_trace_analyzes_like_a_simulated_one() {
+    let (_report, log) = measure(RooflineArgs {
+        threads: 2,
+        steps: 2,
+        ..RooflineArgs::default()
+    });
+    let trace = roofline::measured_trace(&log).expect("the replay moves no span");
+    let report = analyze(&trace);
+    assert_eq!(report.makespan_us, trace.makespan_us());
+    assert!(report.makespan_us > 0 && !report.critical_path.is_empty());
+    assert_eq!(report.stalls.len(), trace.resource_names().len());
+    for r in &report.stalls {
+        assert_eq!(r.busy_us + r.idle_us, report.makespan_us, "{r:?}");
+        assert_eq!(r.by_class.iter().sum::<u64>(), r.idle_us, "{r:?}");
+    }
 }
 
 #[test]

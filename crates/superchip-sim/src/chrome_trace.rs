@@ -331,61 +331,6 @@ pub fn side_by_side_chrome_trace(
     })
 }
 
-/// One measured wall-clock interval from the *real* plane (the
-/// `tensorlite::spans` recorder), ready for Chrome-trace export.
-///
-/// The simulator's [`Trace`] carries simulated integer-µs intervals; this
-/// is its measured counterpart, so real-plane runs open in Perfetto with
-/// the same machinery. Callers normalize timestamps (subtract the earliest
-/// span start) and assign track ids before export.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RealSpan {
-    /// Event label (e.g. the kernel-family name).
-    pub name: String,
-    /// Event category (`cat` in the Trace Event format).
-    pub cat: String,
-    /// Track (Perfetto row) the event renders on.
-    pub tid: u32,
-    /// Start, integer microseconds from the export origin.
-    pub ts_us: u64,
-    /// Duration in integer microseconds.
-    pub dur_us: u64,
-}
-
-/// Serializes measured real-plane spans — plus optional counter tracks —
-/// into the same Chrome Trace Event JSON array format as the simulated
-/// exports above.
-///
-/// `track_names` maps tid → display row name (emitted as `"ph":"M"`
-/// thread-name metadata); counter tracks are closed at `end_us` exactly
-/// like [`to_chrome_trace_with_counters`].
-pub fn real_spans_chrome_trace(
-    spans: &[RealSpan],
-    track_names: &[(u32, String)],
-    metrics: Option<&MetricsRecorder>,
-    end_us: u64,
-) -> String {
-    event_array(spans.len(), |events| {
-        for (tid, name) in track_names {
-            write_metadata(events, "thread_name", 0, Some(*tid as usize), name);
-        }
-        for s in spans {
-            events.object(Layout::Dense, |e| {
-                e.str("name", &s.name)
-                    .str("cat", &s.cat)
-                    .str("ph", "X")
-                    .num("ts", s.ts_us)
-                    .num("dur", s.dur_us)
-                    .num("pid", 0u32)
-                    .num("tid", s.tid);
-            });
-        }
-        if let Some(metrics) = metrics {
-            metrics.write_chrome_counter_events(events, 0, end_us);
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,45 +455,6 @@ mod tests {
         assert!(json.contains(r#"g\"pu"#));
         // No raw control characters or unescaped quotes inside strings.
         assert!(!json.contains('\n') || json.matches('\n').count() == json.matches(",\n").count());
-        validate_json(&json).unwrap();
-    }
-
-    #[test]
-    fn real_spans_export_matches_trace_event_format() {
-        let spans = vec![
-            RealSpan {
-                name: "matmul".into(),
-                cat: "kernel".into(),
-                tid: 0,
-                ts_us: 0,
-                dur_us: 120,
-            },
-            RealSpan {
-                name: "worker-1".into(),
-                cat: "worker".into(),
-                tid: 1001,
-                ts_us: 10,
-                dur_us: 90,
-            },
-        ];
-        let tracks = vec![(0u32, "driver-0".to_string()), (1001, "worker-1".into())];
-        let mut rec = MetricsRecorder::new();
-        rec.sample_us("workers:busy", "workers", 10, 1.0);
-        let json = real_spans_chrome_trace(&spans, &tracks, Some(&rec), 120);
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"C\"").count(), 2, "sample + close");
-        assert!(json.contains(
-            r#""name":"matmul","cat":"kernel","ph":"X","ts":0,"dur":120,"pid":0,"tid":0"#
-        ));
-        validate_json(&json).unwrap();
-    }
-
-    #[test]
-    fn real_spans_export_without_metrics_is_valid() {
-        let json = real_spans_chrome_trace(&[], &[(3, "driver-0".into())], None, 0);
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), 1);
-        assert_eq!(json.matches("\"ph\":\"C\"").count(), 0);
         validate_json(&json).unwrap();
     }
 
